@@ -3,7 +3,9 @@
 The index stores normalized sentences plus a token-level inverted index.
 Entity postings are resolved lazily: token postings are intersected to
 get candidate sentences (the hot kernel), then a word-boundary regex
-verifies the surface string. Pair and pattern counts are cached.
+verifies the surface string. Pair and pattern counts are cached, and so
+are the per-subject and per-template count maps over a candidate set, so
+each count is computed once per index.
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -15,6 +17,7 @@ Conventions, fixed for determinism:
 import re
 import struct
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -125,6 +128,8 @@ class CorpusIndex:
         self._entity_cache = {}
         self._pair_cache = {}
         self._pattern_cache = {}
+        self._soc_maps = {}
+        self._poc_maps = {}
 
     def __len__(self):
         return len(self.sentences)
@@ -139,19 +144,24 @@ class CorpusIndex:
         return np.arange(len(self.sentences), dtype=np.int32)
 
     def _candidates_for_tokens(self, tokens):
-        """Sentence ids containing every token, rarest-first intersection."""
-        postings = []
+        """Sentence ids containing every token, rarest-first intersection.
+
+        Equal posting lengths are ordered by token, so which intersections
+        run (the loop stops at the first empty result) does not depend on
+        string hashing.
+        """
+        postings = {}
         for tok in set(tokens):
             arr = self._token_postings.get(tok)
             if arr is None:
                 return np.empty(0, dtype=np.int32)
-            postings.append(arr)
+            postings[tok] = arr
         if not postings:
             return self._all_ids()
-        postings.sort(key=len)
-        out = postings[0]
-        for arr in postings[1:]:
-            out = kernels.intersect_sorted(out, arr)
+        order = sorted(postings, key=lambda tok: (len(postings[tok]), tok))
+        out = postings[order[0]]
+        for tok in order[1:]:
+            out = kernels.intersect_sorted(out, postings[tok])
             if len(out) == 0:
                 break
         return out
@@ -195,6 +205,32 @@ class CorpusIndex:
         )
         self._pair_cache[key] = count
         return count
+
+    def soc_counts(self, subject, objects):
+        """``{object: soc_count(subject, object)}`` over a candidate tuple.
+
+        Memoised per (subject, objects), so callers that rank the same
+        candidates again get the same mapping back without recounting.
+        The mapping is read-only because every caller shares it.
+        """
+        return self._count_map(self._soc_maps, self.soc_count, subject, objects)
+
+    def poc_counts(self, template, objects):
+        """``{object: poc_count(template, object)}`` over a candidate tuple.
+
+        Memoised per (template, objects), like `soc_counts`.
+        """
+        return self._count_map(self._poc_maps, self.poc_count, template, objects)
+
+    @staticmethod
+    def _count_map(maps, count, first, objects):
+        objects = tuple(objects)
+        key = (normalize_text(first), objects)
+        cached = maps.get(key)
+        if cached is None:
+            cached = MappingProxyType({o: count(first, o) for o in objects})
+            maps[key] = cached
+        return cached
 
     def poc_count(self, template, obj):
         """Sentences matching the template with [Y]=object and [X] wildcarded.

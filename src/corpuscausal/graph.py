@@ -1,16 +1,13 @@
 """Directed acyclic causal graphs, d-separation, and backdoor checking.
 
 Two d-separation implementations live here on purpose: a reachability
-walk (`is_d_separated`, the production path, kernel-accelerated for
-graphs up to 63 nodes) and an exhaustive path enumerator
-(`is_d_separated_by_enumeration`) meant for small graphs and used as the
-independent oracle in tests. They must agree everywhere.
+walk (`is_d_separated`, the production path) and an exhaustive path
+enumerator (`is_d_separated_by_enumeration`) meant for small graphs and
+used as the independent oracle in tests. They must agree everywhere.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import kernels
 from .errors import (
@@ -20,8 +17,6 @@ from .errors import (
     ParseError,
     UnknownNodeError,
 )
-
-_KERNEL_MAX_NODES = 63
 
 
 @dataclass(frozen=True)
@@ -39,8 +34,6 @@ class CausalGraph:
     _parents: tuple = field(init=False, repr=False, compare=False)
     _children: tuple = field(init=False, repr=False, compare=False)
     _desc_or_self: tuple = field(init=False, repr=False, compare=False)
-    _parents_arr: object = field(init=False, repr=False, compare=False)
-    _children_arr: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {name: i for i, name in enumerate(self.nodes)}
@@ -62,17 +55,10 @@ class CausalGraph:
                     desc[i] |= desc[j]
                 cm >>= 1
                 j += 1
-        if n <= _KERNEL_MAX_NODES:
-            parr = np.asarray(parents, dtype=np.int64)
-            carr = np.asarray(children, dtype=np.int64)
-        else:
-            parr = carr = None
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parents", tuple(parents))
         object.__setattr__(self, "_children", tuple(children))
         object.__setattr__(self, "_desc_or_self", tuple(desc))
-        object.__setattr__(self, "_parents_arr", parr)
-        object.__setattr__(self, "_children_arr", carr)
 
     def _toposort(self, index=None):
         index = index if index is not None else self._index
@@ -288,14 +274,7 @@ def is_d_separated(g, x, y, z=()):
     ix, iy, zmask = _query_masks(g, x, y, z)
     if ix == iy:
         return False
-    n = len(g.nodes)
-    if g._parents_arr is not None and kernels.BACKEND == "numba":
-        reachable = kernels.dsep_reachable_small(
-            g._parents_arr, g._children_arr, ix, iy, np.int64(zmask)
-        )
-    else:
-        reachable = kernels.py_dsep_reachable(g._parents, g._children, ix, iy, zmask)
-    return not reachable
+    return not kernels.py_dsep_reachable(g._parents, g._children, ix, iy, zmask)
 
 
 def enumerate_paths(g, x, y):

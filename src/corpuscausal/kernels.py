@@ -1,59 +1,45 @@
-"""Hot inner-loop kernels, numba-compiled with a pure-Python/numpy fallback.
+"""Hot inner-loop kernels: sorted-postings intersection and d-separation.
 
-Two kernel families live here: sorted-postings intersection (corpus
-co-occurrence counting) and bitmask d-separation reachability (graph
-queries). The backend is selected once at import time from the
-``CORPUSCAUSAL_BACKEND`` environment variable (``numba`` or ``numpy``);
-it defaults to numba when importable. Both backends compute identical
-results; only speed differs. ``benchmarks/bench_kernels.py`` compares
-them.
+Intersection (corpus co-occurrence counting) searches every element of
+the shorter sorted array in the longer one with ``np.searchsorted``. That
+costs O(m log n) for sizes m <= n, which is what skewed postings lists
+want (Lemire et al., arXiv:1401.6399), and it runs in numpy rather than
+in an interpreted loop. Callers look the intersection functions up as
+``kernels.<name>`` at call time, so they can be wrapped from outside.
 """
 
-import os
-
 import numpy as np
+
+#: The kernel implementation in use, recorded beside benchmark results.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 #: Direction tags for the reachability walk: a state is (node, came-up?).
 _UP = 1
 _DOWN = 0
 
 
-# --- pure-Python implementations ------------------------------------------
+def _shorter_and_hits(a, b):
+    """The shorter of two sorted unique arrays, and a mask of its elements in the other."""
+    if len(a) > len(b):
+        a, b = b, a
+    # needles past b's last element are placed at len(b); mode="clip" reads
+    # b's last element for them instead, which they cannot equal. The
+    # array methods skip the dispatch cost of the np.* functions, which
+    # dominates on short postings.
+    return a, b.take(b.searchsorted(a), mode="clip") == a
 
 
-def py_intersect_count(a, b):
+def intersect_count(a, b):
     """Size of the intersection of two sorted unique int arrays."""
-    i = j = count = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x == y:
-            count += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return count
+    _, hits = _shorter_and_hits(a, b)
+    return int(np.count_nonzero(hits))
 
 
-def py_intersect_sorted(a, b):
-    """Intersection of two sorted unique int32 arrays, as a sorted array."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return np.asarray(out, dtype=np.int32)
+def intersect_sorted(a, b):
+    """Intersection of two sorted unique int arrays, as a sorted int32 array."""
+    short, hits = _shorter_and_hits(a, b)
+    return short[hits].astype(np.int32, copy=False)
 
 
 def py_dsep_reachable(parents, children, x, y, zmask):
@@ -115,149 +101,3 @@ def py_dsep_reachable(parents, children, x, y, zmask):
                     if pm & (1 << j):
                         stack.append((j, _UP))
     return False
-
-
-# --- numba implementations -------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def nb_intersect_count(a, b):
-        i = 0
-        j = 0
-        count = 0
-        na = a.shape[0]
-        nb = b.shape[0]
-        while i < na and j < nb:
-            x = a[i]
-            y = b[j]
-            if x == y:
-                count += 1
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-        return count
-
-    @njit(cache=True)
-    def nb_intersect_sorted(a, b):
-        out = np.empty(min(a.shape[0], b.shape[0]), dtype=np.int32)
-        i = 0
-        j = 0
-        k = 0
-        na = a.shape[0]
-        nb = b.shape[0]
-        while i < na and j < nb:
-            x = a[i]
-            y = b[j]
-            if x == y:
-                out[k] = x
-                k += 1
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-        return out[:k]
-
-    @njit(cache=True)
-    def nb_dsep_reachable(parents, children, x, y, zmask):
-        # int64 bitmask variant of py_dsep_reachable; callers cap n at 63.
-        n = parents.shape[0]
-        anc = zmask
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                bit = np.int64(1) << np.int64(i)
-                if (anc & bit) == 0 and (children[i] & anc) != 0:
-                    anc |= bit
-                    changed = True
-
-        visited_up = np.int64(0)
-        visited_down = np.int64(0)
-        stack = np.empty(4 * n * n + 4, dtype=np.int64)
-        top = 0
-        stack[top] = x * 2 + 1
-        top += 1
-        while top > 0:
-            top -= 1
-            state = stack[top]
-            node = state >> 1
-            up = (state & 1) == 1
-            bit = np.int64(1) << np.int64(node)
-            if up:
-                if (visited_up & bit) != 0:
-                    continue
-                visited_up |= bit
-            else:
-                if (visited_down & bit) != 0:
-                    continue
-                visited_down |= bit
-            if node == y:
-                return True
-            in_z = (zmask & bit) != 0
-            if up:
-                if not in_z:
-                    pm = parents[node]
-                    cm = children[node]
-                    for j in range(n):
-                        jb = np.int64(1) << np.int64(j)
-                        if (pm & jb) != 0:
-                            stack[top] = j * 2 + 1
-                            top += 1
-                        if (cm & jb) != 0:
-                            stack[top] = j * 2
-                            top += 1
-            else:
-                if not in_z:
-                    cm = children[node]
-                    for j in range(n):
-                        if (cm & (np.int64(1) << np.int64(j))) != 0:
-                            stack[top] = j * 2
-                            top += 1
-                if (anc & bit) != 0:
-                    pm = parents[node]
-                    for j in range(n):
-                        if (pm & (np.int64(1) << np.int64(j))) != 0:
-                            stack[top] = j * 2 + 1
-                            top += 1
-        return False
-
-else:  # pragma: no cover
-    nb_intersect_count = None
-    nb_intersect_sorted = None
-    nb_dsep_reachable = None
-
-
-def _select_backend():
-    requested = os.environ.get("CORPUSCAUSAL_BACKEND", "").strip().lower()
-    if requested in ("numpy", "python"):
-        return "numpy"
-    if requested == "numba" and not HAVE_NUMBA:
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    intersect_count = nb_intersect_count
-    intersect_sorted = nb_intersect_sorted
-    dsep_reachable_small = nb_dsep_reachable
-else:
-    intersect_count = py_intersect_count
-    intersect_sorted = py_intersect_sorted
-    dsep_reachable_small = py_dsep_reachable

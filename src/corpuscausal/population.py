@@ -165,18 +165,14 @@ class _StatsView:
     def soc_ranked(self, relation, subject):
         key = (relation, subject)
         if key not in self._soc_rank:
-            counts = {
-                o: self.stats.soc_count(subject, o) for o in self.candidates(relation)
-            }
+            counts = self.stats.soc_counts(subject, self.candidates(relation))
             self._soc_rank[key] = (ranked_objects(counts), counts)
         return self._soc_rank[key]
 
     def poc_ranked(self, relation, template):
         key = (relation, template)
         if key not in self._poc_rank:
-            counts = {
-                o: self.stats.poc_count(template, o) for o in self.candidates(relation)
-            }
+            counts = self.stats.poc_counts(template, self.candidates(relation))
             self._poc_rank[key] = (ranked_objects(counts), counts)
         return self._poc_rank[key]
 

@@ -171,13 +171,9 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None, utt_fallback="
                 _random_index(seed, subject, relation, template, len(candidates))
             ]
         elif kind == "heuristic-soc":
-            predicted = argmax_object(
-                {o: stats.soc_count(subject, o) for o in candidates}
-            )
+            predicted = argmax_object(stats.soc_counts(subject, candidates))
         elif kind == "heuristic-poc":
-            predicted = argmax_object(
-                {o: stats.poc_count(template, o) for o in candidates}
-            )
+            predicted = argmax_object(stats.poc_counts(template, candidates))
         else:  # heuristic-utt
             present = [
                 o
@@ -187,9 +183,7 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None, utt_fallback="
             if present:
                 predicted = present[0]
             elif utt_fallback == "soc":
-                predicted = argmax_object(
-                    {o: stats.soc_count(subject, o) for o in candidates}
-                )
+                predicted = argmax_object(stats.soc_counts(subject, candidates))
             else:
                 predicted = candidates[0]
         records[key] = PredictionRecord(

@@ -332,19 +332,36 @@ def test_criterion_6_cooccurrence_matches_quadratic_oracle():
         else:
             sentences.append(f"{a} {verb} {b}.")
     assert len(sentences) == 1000
-    sequential = build_index(sentences)
+    soc_oracle = {
+        (a, b): _naive_soc(sentences, a, b) for a in entities for b in entities
+    }
+    templates = [f"[X] {verb} [Y]." for verb in verbs]
+    poc_oracle = {
+        (template, obj): _naive_poc(sentences, template, obj)
+        for template in templates
+        for obj in entities[:5]
+    }
 
+    def check_batched(index):
+        # on a fresh index, so the batched calls do the counting themselves
+        for a in entities:
+            assert dict(index.soc_counts(a, entities)) == {
+                b: soc_oracle[a, b] for b in entities
+            }
+        for template in templates:
+            assert dict(index.poc_counts(template, entities[:5])) == {
+                obj: poc_oracle[template, obj] for obj in entities[:5]
+            }
+
+    check_batched(build_index(sentences))
+    sequential = build_index(sentences)
     for a, b in itertools.combinations(entities, 2):
-        assert sequential.soc_count(a, b) == _naive_soc(sentences, a, b)
-    poc_queries = [
-        (f"[X] {verb} [Y].", obj) for verb in verbs for obj in entities[:5]
-    ]
-    for template, obj in poc_queries:
-        assert sequential.poc_count(template, obj) == _naive_poc(
-            sentences, template, obj
-        )
+        assert sequential.soc_count(a, b) == soc_oracle[a, b]
+    for (template, obj), expected in poc_oracle.items():
+        assert sequential.poc_count(template, obj) == expected
 
     for shards in (2, 5):
+        check_batched(build_index(sentences, shards=shards))
         sharded = build_index(sentences, shards=shards)
         assert sharded.sentences == sequential.sentences
         assert set(sharded._token_postings) == set(sequential._token_postings)
@@ -352,8 +369,8 @@ def test_criterion_6_cooccurrence_matches_quadratic_oracle():
             assert sharded._token_postings[tok].tolist() == arr.tolist()
         for a, b in list(itertools.combinations(entities, 2))[:40]:
             assert sharded.soc_count(a, b) == sequential.soc_count(a, b)
-    _report(6, "soc/poc counts == quadratic-scan oracle on 1000 sentences; "
-               "sharded == sequential")
+    _report(6, "soc/poc counts, single and batched, == quadratic-scan oracle "
+               "on 1000 sentences; sharded == sequential")
 
 
 # --- criterion 7: binning ----------------------------------------------------

@@ -1,12 +1,18 @@
 """Indexing, membership, co-occurrence counts, binning, persistence."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpuscausal
+from corpuscausal import kernels
 from corpuscausal.corpus import (
     BIN_LABELS,
     CorpusIndex,
@@ -174,6 +180,117 @@ class TestPocCount:
             idx.poc_count("[X] was born.", "France")
         with pytest.raises(MalformedPatternError):
             idx.poc_count("[X] and [X] like [Y].", "France")
+
+
+class TestIntersectionOrder:
+    # p, q and r each have two postings: p & q and q & r overlap, p & r do
+    # not, so the work done depends on which pair is intersected first
+    CODE = """
+from corpuscausal import corpus, kernels
+calls = []
+inner = kernels.intersect_sorted
+def counting(a, b):
+    calls.append(1)
+    return inner(a, b)
+kernels.intersect_sorted = counting
+idx = corpus.build_index(["p q", "q r", "p x", "r y"])
+assert idx.entity_postings("p q r").tolist() == []
+print(len(calls))
+"""
+
+    def test_work_does_not_depend_on_hash_seed(self):
+        src = str(Path(corpuscausal.__file__).resolve().parent.parent)
+        calls = []
+        # under these two seeds, set iteration order puts different pairs first
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", self.CODE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            calls.append(int(out.stdout))
+        assert calls[0] == calls[1]
+
+
+class CountingKernels:
+    """Counts calls to the intersection kernels while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        for name in ("intersect_count", "intersect_sorted"):
+            monkeypatch.setattr(kernels, name, self._counted(getattr(kernels, name)))
+
+    def _counted(self, fn):
+        def counted(a, b):
+            self.calls += 1
+            return fn(a, b)
+
+        return counted
+
+
+class TestBatchedCounts:
+    SENTENCES = [
+        "Rome is the capital of Italy.",
+        "Paris is the capital of France.",
+        "Lyon is the capital of France.",
+        "Rome met Paris in France.",
+        "Rome alone.",
+    ]
+
+    def test_subject_among_objects(self):
+        idx = build_index(self.SENTENCES)
+        counts = idx.soc_counts("Rome", ("France", "Rome", "Italy"))
+        assert dict(counts) == {
+            obj: naive_soc(self.SENTENCES, "Rome", obj)
+            for obj in ("France", "Rome", "Italy")
+        }
+        assert counts["Rome"] == idx.entity_sentence_count("Rome") == 3
+
+    def test_object_without_postings(self):
+        idx = build_index(self.SENTENCES)
+        assert dict(idx.soc_counts("Rome", ("Spain", "Italy"))) == {
+            "Spain": 0,
+            "Italy": 1,
+        }
+        template = "[X] is the capital of [Y]."
+        assert dict(idx.poc_counts(template, ("Spain", "France"))) == {
+            "Spain": 0,
+            "France": 2,
+        }
+
+    def test_whitespace_variants_share_one_key(self, monkeypatch):
+        idx = build_index(self.SENTENCES)
+        kernel = CountingKernels(monkeypatch)
+        counts = idx.soc_counts("Rome", ("France", " France  "))
+        assert counts["France"] == counts[" France  "] == 1
+        assert kernel.calls == 1
+        assert idx.soc_counts(" Rome ", ("France", " France  ")) is counts
+        template = "[X] is the capital of [Y]."
+        pocs = idx.poc_counts(template, ("France", "France "))
+        assert pocs["France"] == pocs["France "] == 2
+        assert idx.poc_counts(template.replace(" ", "  "), ("France", "France ")) is pocs
+
+    def test_second_call_is_cached(self, monkeypatch):
+        idx = build_index(self.SENTENCES)
+        kernel = CountingKernels(monkeypatch)
+        objects = ("France", "Italy", "Rome")
+        template = "[X] is the capital of [Y]."
+        soc = idx.soc_counts("Paris", objects)
+        poc = idx.poc_counts(template, objects)
+        assert kernel.calls > 0
+        kernel.calls = 0
+        assert idx.soc_counts("Paris", objects) is soc
+        assert idx.poc_counts(template, list(objects)) is poc
+        assert kernel.calls == 0
+
+    def test_counts_are_read_only(self):
+        idx = build_index(self.SENTENCES)
+        counts = idx.soc_counts("Rome", ("France",))
+        with pytest.raises(TypeError):
+            counts["France"] = 7
 
 
 class TestTemplates:
