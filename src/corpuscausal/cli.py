@@ -80,7 +80,6 @@ def _config_options(fn):
                      help="Pattern-object frequency floor (exclusive)."),
         click.option("--bin-edges", default=None,
                      help="Four increasing count-bin edges, comma separated."),
-        click.option("--tie-break", default=None, help="Argmax tie-break rule."),
         click.option("--output-format", default=None,
                      type=click.Choice(pipeline.REPORT_FORMATS)),
         click.option("--cache-dir", default=None, help="Population cache directory."),

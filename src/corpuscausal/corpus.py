@@ -245,18 +245,17 @@ class CorpusIndex:
         if cached is not None:
             return cached
         pieces, slots = template_parts(template)
-        rendered = []
-        literal_tokens = []
-        for piece, slot in zip(pieces, slots + ("",)):
-            rendered.append(re.escape(piece))
-            literal_tokens.extend(_WORD_RE.findall(piece))
-            if slot == "[X]":
-                rendered.append("(.+)")
-            elif slot == "[Y]":
-                rendered.append(re.escape(obj))
-                literal_tokens.extend(_WORD_RE.findall(obj))
-        rx = re.compile("".join(rendered))
-        candidates = self._candidates_for_tokens(literal_tokens)
+        # The literal runs either side of [X], with the object spliced in.
+        if slots[0] == "[X]":
+            left, right = pieces[0], pieces[1] + obj + pieces[2]
+        else:
+            left, right = pieces[0] + obj + pieces[1], pieces[2]
+        rx = re.compile(re.escape(left) + "(.+)" + re.escape(right))
+        # A word of a run is a whole sentence token unless it touches [X],
+        # where the wildcard may extend it.
+        tokens = [m.group() for m in _WORD_RE.finditer(left) if m.end() < len(left)]
+        tokens += [m.group() for m in _WORD_RE.finditer(right) if m.start() > 0]
+        candidates = self._candidates_for_tokens(tokens)
         count = sum(
             1 for i in candidates.tolist() if rx.fullmatch(self.sentences[i])
         )

@@ -13,8 +13,10 @@ reports the fraction of stratum mass observed in both arms; when it is
 zero the table estimator refuses to produce an effect.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     EmptyTableError,
@@ -27,11 +29,10 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """Rows over named discrete columns, with optional nonnegative weights."""
+    """Rows over named discrete columns."""
 
     columns: tuple
     rows: tuple
-    weights: tuple = None
 
     def __post_init__(self):
         ncol = len(self.columns)
@@ -40,28 +41,10 @@ class ObservationTable:
         for row in self.rows:
             if len(row) != ncol:
                 raise ValueError("row length does not match column count")
-        if self.weights is not None:
-            if len(self.weights) != len(self.rows):
-                raise ValueError("one weight per row required")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("weights must be nonnegative")
 
     @classmethod
-    def from_rows(cls, columns, rows, weights=None):
-        wtuple = None
-        if weights is not None:
-            wtuple = tuple(Fraction(w) for w in weights)
-        return cls(tuple(columns), tuple(tuple(r) for r in rows), wtuple)
-
-    @classmethod
-    def from_records(cls, records, columns=None):
-        records = list(records)
-        if columns is None:
-            if not records:
-                raise EmptyTableError("cannot infer columns from zero records")
-            columns = tuple(records[0].keys())
-        rows = [tuple(rec[c] for c in columns) for rec in records]
-        return cls.from_rows(columns, rows)
+    def from_rows(cls, columns, rows):
+        return cls(tuple(columns), tuple(tuple(r) for r in rows))
 
     def column_index(self, name):
         try:
@@ -73,11 +56,6 @@ class ObservationTable:
         """Distinct observed values of a column, sorted."""
         i = self.column_index(name)
         return sorted({row[i] for row in self.rows}, key=repr)
-
-    def subset(self, keep):
-        rows = [self.rows[i] for i in keep]
-        weights = None if self.weights is None else tuple(self.weights[i] for i in keep)
-        return ObservationTable(self.columns, tuple(rows), weights)
 
     def __len__(self):
         return len(self.rows)
@@ -116,13 +94,14 @@ class DoEstimate:
     def positivity_violated(self):
         return self.covered_mass < 1
 
+    @property
+    def ate(self):
+        """Treated minus control outcome probability, as a percentage."""
+        return 100 * (self.p_outcome_given_do[1] - self.p_outcome_given_do[0])
+
 
 def _as01(value, column):
-    if value in (0, 1):
-        return int(value)
-    if value in ("0", "1"):
-        return int(value)
-    if isinstance(value, bool):
+    if value in (0, 1, "0", "1"):
         return int(value)
     raise ValueError(f"column {column!r} must be binary 0/1, got {value!r}")
 
@@ -144,66 +123,60 @@ def _check_adjustment_columns(table, treatment, outcome, z):
 def _do_from_counts(mass, arm_mass, arm_hits, total):
     """Per-arm backdoor sums from stratum mass/hit accumulators.
 
-    Each arm's sum runs over the strata where that arm has support, with
-    the stratum distribution renormalized to that support; covered_mass
-    reports the both-arm stratum mass.
+    Accumulators hold integer row counts or exact probabilities; either
+    way the ratios below are exact. Each arm's sum runs over the strata
+    where that arm has support, with the stratum distribution
+    renormalized to that support; covered_mass reports the both-arm
+    stratum mass.
     """
     p_do = {}
     dropped = 0
     for x in (0, 1):
         supported = [key for key in mass if arm_mass.get((key, x), 0) > 0]
         dropped += len(mass) - len(supported)
-        support_total = sum((mass[k] for k in supported), Fraction(0))
+        support_total = sum(mass[k] for k in supported)
         if support_total == 0:
             continue
         acc = Fraction(0)
         for key in supported:
-            hits = arm_hits.get((key, x), Fraction(0))
-            acc += (hits / arm_mass[(key, x)]) * mass[key]
+            acc += Fraction(arm_hits.get((key, x), 0), arm_mass[(key, x)]) * mass[key]
         p_do[x] = acc / support_total
     covered_total = sum(
-        (
-            mass[k]
-            for k in mass
-            if arm_mass.get((k, 0), 0) > 0 and arm_mass.get((k, 1), 0) > 0
-        ),
-        Fraction(0),
+        mass[k]
+        for k in mass
+        if arm_mass.get((k, 0), 0) > 0 and arm_mass.get((k, 1), 0) > 0
     )
-    return p_do, covered_total / total, dropped
+    return p_do, Fraction(covered_total, total), dropped
 
 
 def interventional_prob(table, treatment, outcome, z=()):
     """Backdoor-adjusted P(outcome=1 | do(treatment=x)) for x in {0, 1}.
 
-    Within each stratum of z the conditional outcome rate and the stratum
-    mass are maximum-likelihood estimates from the (weighted) rows. All
-    arithmetic is exact. Raises PositivityError when no stratum contains
-    both arms (covered_mass would be zero).
+    Rows are counted once per distinct (treatment, outcome, *strata)
+    cell; within each stratum of z the conditional outcome rate and the
+    stratum mass are maximum-likelihood estimates from those integer
+    counts. All arithmetic is exact. Raises PositivityError when no
+    stratum contains both arms (covered_mass would be zero).
     """
     ti, oi, zis = _check_adjustment_columns(table, treatment, outcome, z)
     if not table.rows:
         raise EmptyTableError("observation table has no rows")
 
-    mass = {}
-    arm_mass = {}
-    arm_hits = {}
-    total = Fraction(0)
-    for ridx, row in enumerate(table.rows):
-        w = Fraction(1) if table.weights is None else table.weights[ridx]
-        if w == 0:
-            continue
-        x = _as01(row[ti], treatment)
-        y = _as01(row[oi], outcome)
-        key = tuple(row[i] for i in zis)
-        total += w
-        mass[key] = mass.get(key, Fraction(0)) + w
-        arm_mass[(key, x)] = arm_mass.get((key, x), Fraction(0)) + w
-        if y:
-            arm_hits[(key, x)] = arm_hits.get((key, x), Fraction(0)) + w
-    if total == 0:
-        raise EmptyTableError("observation table has zero total weight")
+    mass = Counter()
+    arm_mass = Counter()
+    arm_hits = Counter()
+    cells = Counter(map(itemgetter(ti, oi, *zis), table.rows))
+    for (x, y, *key), n in cells.items():
+        key = tuple(key)
+        x = _as01(x, treatment)
+        mass[key] += n
+        arm_mass[(key, x)] += n
+        if _as01(y, outcome):
+            arm_hits[(key, x)] += n
 
-    p_do, covered_mass, dropped = _do_from_counts(mass, arm_mass, arm_hits, total)
+    p_do, covered_mass, dropped = _do_from_counts(
+        mass, arm_mass, arm_hits, len(table.rows)
+    )
     if covered_mass == 0:
         raise PositivityError("no confounder stratum contains both treatment arms")
     return DoEstimate(p_outcome_given_do=p_do, covered_mass=covered_mass, dropped_strata=dropped)
@@ -215,8 +188,7 @@ def ate(table, treatment, outcome, z=()):
     100 * (P(outcome=1 | do(treatment=1)) - P(outcome=1 | do(treatment=0))),
     exact, in [-100, 100].
     """
-    est = interventional_prob(table, treatment, outcome, z)
-    return 100 * (est.p_outcome_given_do[1] - est.p_outcome_given_do[0])
+    return interventional_prob(table, treatment, outcome, z).ate
 
 
 @dataclass(frozen=True)
@@ -238,18 +210,18 @@ def cate(table, group, treatment, outcome, z=()):
         raise OverlappingSetsError("group column must be excluded from the adjustment set")
     _check_adjustment_columns(table, treatment, outcome, z)
     partitions = {}
-    for ridx, row in enumerate(table.rows):
-        partitions.setdefault(row[gi], []).append(ridx)
+    for row in table.rows:
+        partitions.setdefault(row[gi], []).append(row)
     out = {}
     for value in sorted(partitions, key=repr):
-        keep = partitions[value]
-        sub = table.subset(keep)
+        rows = partitions[value]
+        part = ObservationTable(table.columns, tuple(rows))
         try:
             out[value] = CateEstimate(
-                value=ate(sub, treatment, outcome, z), n_rows=len(keep)
+                value=ate(part, treatment, outcome, z), n_rows=len(rows)
             )
         except (PositivityError, EmptyTableError, ValueError) as exc:
-            out[value] = CateEstimate(value=None, reason=str(exc), n_rows=len(keep))
+            out[value] = CateEstimate(value=None, reason=str(exc), n_rows=len(rows))
     return out
 
 

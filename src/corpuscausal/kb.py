@@ -37,6 +37,12 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """Triplets and patterns, indexed once by relation and by subject.
+
+    Lookups read the indexes built at construction and return fresh lists,
+    so callers may mutate what they get back.
+    """
+
     triplets: tuple
     patterns: tuple
     relations: tuple = field(init=False)
@@ -44,50 +50,60 @@ class KnowledgeBase:
     def __post_init__(self):
         relations = tuple(sorted({t.relation for t in self.triplets}))
         object.__setattr__(self, "relations", relations)
-        known = set(relations)
-        non_anti = {r: 0 for r in known}
+        subjects = {r: set() for r in relations}
+        candidates = {r: set() for r in relations}
+        objects = {}
+        for t in self.triplets:
+            subjects[t.relation].add(t.subject)
+            candidates[t.relation].add(t.object)
+            objects.setdefault((t.subject, t.relation), set()).add(t.object)
+        paraphrases = {r: [] for r in relations}
+        anti_patterns = {r: [] for r in relations}
         for pat in self.patterns:
-            if pat.relation not in known:
+            if pat.relation not in paraphrases:
                 raise UnknownRelationError(
                     f"pattern relation {pat.relation!r} has no triplets"
                 )
-            if not pat.is_anti:
-                non_anti[pat.relation] += 1
-        missing = sorted(r for r, n in non_anti.items() if n == 0)
+            (anti_patterns if pat.is_anti else paraphrases)[pat.relation].append(pat)
+        missing = [r for r in relations if not paraphrases[r]]
         if missing:
             raise UnknownRelationError(
                 f"relations without a non-anti pattern: {missing}"
             )
+        for name, index in (
+            ("_subjects", {r: tuple(sorted(v)) for r, v in subjects.items()}),
+            ("_candidates", {r: tuple(sorted(v)) for r, v in candidates.items()}),
+            ("_objects", {k: tuple(sorted(v)) for k, v in objects.items()}),
+            ("_paraphrases", paraphrases),
+            ("_anti_patterns", anti_patterns),
+            ("_triplet_set", frozenset(self.triplets)),
+        ):
+            object.__setattr__(self, name, index)
+
+    def _of_relation(self, index, relation):
+        if relation not in index:
+            raise UnknownRelationError(f"unknown relation: {relation!r}")
+        return list(index[relation])
 
     def candidate_objects(self, relation):
         """Gold objects of a relation (the type-preserving candidate set)."""
-        if relation not in set(self.relations):
-            raise UnknownRelationError(f"unknown relation: {relation!r}")
-        return sorted({t.object for t in self.triplets if t.relation == relation})
+        return self._of_relation(self._candidates, relation)
 
     def subjects(self, relation):
-        if relation not in set(self.relations):
-            raise UnknownRelationError(f"unknown relation: {relation!r}")
-        return sorted({t.subject for t in self.triplets if t.relation == relation})
+        return self._of_relation(self._subjects, relation)
 
     def objects_of(self, subject, relation):
         """Gold objects recorded for one subject under one relation."""
-        return sorted(
-            {
-                t.object
-                for t in self.triplets
-                if t.subject == subject and t.relation == relation
-            }
-        )
+        return list(self._objects.get((subject, relation), ()))
 
     def paraphrases(self, relation):
-        return [p for p in self.patterns if p.relation == relation and not p.is_anti]
+        return list(self._paraphrases.get(relation, ()))
 
     def anti_patterns(self, relation):
-        return [p for p in self.patterns if p.relation == relation and p.is_anti]
+        return list(self._anti_patterns.get(relation, ()))
 
     def has_triplet(self, subject, relation, obj):
-        return Triplet(subject, relation, obj) in set(self.triplets)
+        return Triplet(subject, relation, obj) in self._triplet_set
 
 
 def _jsonl_records(path):

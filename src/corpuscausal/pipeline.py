@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index
 from .errors import ConfigError, CorpusCausalError, MissingPredictionError
-from .estimator import ate, cate, interventional_prob
+from .estimator import cate, interventional_prob
 from .graph import CANONICAL_ADJUSTMENTS, reference_graph, satisfies_backdoor
 from .kb import KnowledgeBase, load_kb, load_patterns
 from .population import (
@@ -45,7 +45,6 @@ _CONFIG_KEYS = (
     "mask-token",
     "min-poc-frequency",
     "bin-edges",
-    "tie-break",
     "output-format",
     "cache-dir",
 )
@@ -70,7 +69,6 @@ class RunConfig:
     mask_token: str = "[MASK]"
     min_poc_frequency: int = 5
     bin_edges: tuple = BIN_EDGES
-    tie_break: str = "lexicographic"
     output_format: str = "structured"
     cache_dir: str = ""
 
@@ -81,8 +79,6 @@ class RunConfig:
             raise ConfigError("config must name a 'corpus' or a prebuilt 'index'")
         if not self.predictions:
             raise ConfigError("config must name 'predictions' (path or baseline:...)")
-        if self.tie_break != "lexicographic":
-            raise ConfigError(f"unsupported tie-break rule: {self.tie_break!r}")
         if self.output_format not in REPORT_FORMATS:
             raise ConfigError(f"unsupported output format: {self.output_format!r}")
         edges = tuple(self.bin_edges)
@@ -311,7 +307,7 @@ class _Runtime:
         table = population_observation_table(scored)
         z = STRATIFY_COLUMNS[hypothesis]
         est = interventional_prob(table, "treatment", "outcome", z)
-        ate_value = float(ate(table, "treatment", "outcome", z))
+        ate_value = float(est.ate)
         cate_map = {}
         for relation, result in cate(table, "relation", "treatment", "outcome", z).items():
             cate_map[relation] = {
@@ -340,8 +336,8 @@ class _Runtime:
         hits = 0
         for subject, relation, template in keys:
             rec = prediction_set.get(subject, relation, template)
-            if rec is not None and rec.predicted_object in set(
-                self.kb.objects_of(subject, relation)
+            if rec is not None and self.kb.has_triplet(
+                subject, relation, rec.predicted_object
             ):
                 hits += 1
         return hits / len(keys)

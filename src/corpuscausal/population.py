@@ -19,7 +19,7 @@ Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
 """
 
-import math
+from collections import deque
 from dataclasses import dataclass, fields, replace
 
 from .corpus import BIN_EDGES, bin_count, instantiate, ranked_objects
@@ -104,43 +104,27 @@ def restrict_candidates(relation, kb):
     return kb.candidate_objects(relation)
 
 
-def match_controls(treated, pool, discrete=(), continuous=()):
-    """Pair each treated record with its closest pool record.
+def match_controls(treated, pool, discrete=()):
+    """Pair each treated record with the first unused eligible pool record.
 
     Records are mappings. A pool record is eligible when it agrees with
-    the treated record on every `discrete` column; among eligible records
-    the smallest Euclidean distance over the `continuous` columns wins,
-    ties and equal distances resolved by input order. Greedy without
-    replacement: a pool record backs at most one treated record. Returns
-    (pairs, dropped_indices) over input positions.
+    the treated record on every `discrete` column; matching is exact on
+    those keys, and among eligible records input order decides. Greedy
+    without replacement: a pool record backs at most one treated record.
+    Returns (pairs, dropped_indices) over input positions.
     """
     discrete = tuple(discrete)
-    continuous = tuple(continuous)
-    by_key = {}
+    free = {}
     for j, rec in enumerate(pool):
-        by_key.setdefault(tuple(rec[c] for c in discrete), []).append(j)
-    used = set()
+        free.setdefault(tuple(rec[c] for c in discrete), deque()).append(j)
     pairs = []
     dropped = []
     for i, rec in enumerate(treated):
-        candidates = by_key.get(tuple(rec[c] for c in discrete), ())
-        best = None
-        best_dist = math.inf
-        for j in candidates:
-            if j in used:
-                continue
-            dist = 0.0
-            for c in continuous:
-                delta = float(rec[c]) - float(pool[j][c])
-                dist += delta * delta
-            if dist < best_dist:
-                best = j
-                best_dist = dist
-        if best is None:
-            dropped.append(i)
+        candidates = free.get(tuple(rec[c] for c in discrete))
+        if candidates:
+            pairs.append((i, candidates.popleft()))
         else:
-            used.add(best)
-            pairs.append((i, best))
+            dropped.append(i)
     return pairs, dropped
 
 
@@ -226,7 +210,7 @@ def _finalize(hypothesis, paired_rows, pair_keys, diagnostics):
             f"{hypothesis} population has no matched pairs"
         )
     rows = sorted(paired_rows.values(), key=PopulationRow.sort_key)
-    index = {_row_key(r): i for i, r in enumerate(rows)}
+    index = {r.sort_key(): i for i, r in enumerate(rows)}
     pairs = tuple(
         sorted((index[tk], index[ck]) for tk, ck in pair_keys)
     )
@@ -236,10 +220,6 @@ def _finalize(hypothesis, paired_rows, pair_keys, diagnostics):
         pairs=pairs,
         diagnostics=diagnostics,
     )
-
-
-def _row_key(row):
-    return (row.relation, row.subject, row.object, row.template, row.is_anti)
 
 
 def _build_utt(kb, view):
@@ -254,23 +234,7 @@ def _build_utt(kb, view):
                 treated.append(replace(row, treatment=1))
             else:
                 pool.append(row)
-    t_recs = [{"relation": r.relation, "subject": r.subject, "object": r.object} for r in treated]
-    p_recs = [{"relation": r.relation, "subject": r.subject, "object": r.object} for r in pool]
-    pairs, dropped = match_controls(t_recs, p_recs, discrete=MATCH_KEYS["utt"])
-    paired_rows = {}
-    pair_keys = []
-    for i, j in pairs:
-        paired_rows[_row_key(treated[i])] = treated[i]
-        paired_rows[_row_key(pool[j])] = pool[j]
-        pair_keys.append((_row_key(treated[i]), _row_key(pool[j])))
-    diagnostics = MatchDiagnostics(
-        unmatched_treated=len(dropped),
-        unmatched_samples=tuple(
-            (treated[i].subject, treated[i].relation, treated[i].template)
-            for i in dropped[:5]
-        ),
-    )
-    return _finalize("utt", paired_rows, pair_keys, diagnostics)
+    return _match_on_keys("utt", treated, pool, 0)
 
 
 def _build_poc(kb, view, min_poc_frequency):
@@ -324,22 +288,20 @@ def _build_soc(kb, view):
 
 
 def _match_on_keys(hypothesis, treated, pool, removed):
+    """Pair treated rows with controls on the recipe's `MATCH_KEYS`."""
     keys = MATCH_KEYS[hypothesis]
-    t_recs = [
-        {"relation": r.relation, "subject": r.subject, "template": r.template}
-        for r in treated
-    ]
-    p_recs = [
-        {"relation": r.relation, "subject": r.subject, "template": r.template}
-        for r in pool
-    ]
-    pairs, dropped = match_controls(t_recs, p_recs, discrete=keys)
+    pairs, dropped = match_controls(
+        [{k: getattr(r, k) for k in keys} for r in treated],
+        [{k: getattr(r, k) for k in keys} for r in pool],
+        discrete=keys,
+    )
     paired_rows = {}
     pair_keys = []
     for i, j in pairs:
-        paired_rows[_row_key(treated[i])] = treated[i]
-        paired_rows[_row_key(pool[j])] = pool[j]
-        pair_keys.append((_row_key(treated[i]), _row_key(pool[j])))
+        t_key, c_key = treated[i].sort_key(), pool[j].sort_key()
+        paired_rows[t_key] = treated[i]
+        paired_rows[c_key] = pool[j]
+        pair_keys.append((t_key, c_key))
     diagnostics = MatchDiagnostics(
         unmatched_treated=len(dropped),
         unmatched_samples=tuple(
@@ -462,6 +424,18 @@ def read_population(table_path, pairs_path, hypothesis):
                 i, j = map(int, line.split("\t"))
             except ValueError as exc:
                 raise ParseError("bad pair line", line=lineno) from exc
+            for index, arm in ((i, 1), (j, 0)):
+                if not 0 <= index < len(rows):
+                    raise ParseError(
+                        f"pair index {index} outside the {len(rows)} table rows",
+                        line=lineno,
+                    )
+                if rows[index].treatment != arm:
+                    raise ParseError(
+                        f"pair row {index} has treatment "
+                        f"{rows[index].treatment}, expected {arm}",
+                        line=lineno,
+                    )
             pairs.append((i, j))
     return MatchedPopulation(
         hypothesis=hypothesis, rows=tuple(rows), pairs=tuple(pairs)
@@ -473,7 +447,7 @@ def population_observation_table(pop):
 
     Adds the derived ``kbt`` column (1 on non-anti rows of KB-triplet
     populations, 0 on anti-pattern rows) alongside the stratification
-    columns; values are stringified exactly as in the emitted TSV.
+    columns; values stay native (ints and bools), as on `PopulationRow`.
     """
     columns = (
         "relation",
@@ -484,17 +458,16 @@ def population_observation_table(pop):
         "treatment",
         "outcome",
     )
-    rows = []
-    for row in pop.rows:
-        rows.append(
-            (
-                row.relation,
-                row.template,
-                "0" if row.is_anti else "1",
-                row.soc_bin,
-                _cell(row.utt_present),
-                str(row.treatment),
-                str(row.outcome),
-            )
+    rows = [
+        (
+            row.relation,
+            row.template,
+            0 if row.is_anti else 1,
+            row.soc_bin,
+            row.utt_present,
+            row.treatment,
+            row.outcome,
         )
-    return ObservationTable.from_rows(columns, rows)
+        for row in pop.rows
+    ]
+    return ObservationTable(columns, tuple(rows))

@@ -174,6 +174,23 @@ class TestPocCount:
         idx = build_index(["HBO released True Detective."])
         assert idx.poc_count("[Y] released [X].", "HBO") == 1
 
+    @pytest.mark.parametrize(
+        "sentence, template, obj",
+        [
+            ("Rome is Parisian.", "[X] is [Y]ian.", "Paris"),
+            ("Milan is preParis now.", "[X] is pre[Y] now.", "Paris"),
+            ("Romanian is Paris.", "[X]ian is [Y].", "Paris"),
+            ("Paris is the Romanian capital.", "[Y] is the [X]ian capital.", "Paris"),
+        ],
+    )
+    def test_words_fused_with_a_slot(self, sentence, template, obj):
+        # a template word glued to a slot is not a token of its own in the
+        # sentence, so the token prefilter must not require it
+        idx = build_index([sentence, "Rome is the capital of Italy."])
+        expected = naive_poc(idx.sentences, template, obj)
+        assert expected == 1
+        assert idx.poc_count(template, obj) == expected
+
     def test_malformed_pattern(self):
         idx = build_index(["anything"])
         with pytest.raises(MalformedPatternError):

@@ -132,12 +132,6 @@ class TestAte:
             dup = ObservationTable.from_rows(("X", "Z", "Y"), list(t.rows) * k)
             assert ate(dup, "X", "Y", {"Z"}) == ate(t, "X", "Y", {"Z"})
 
-    def test_weighted_rows_match_duplication(self):
-        rows = sorted(SIXTEEN_ROW_COUNTS)
-        weights = [SIXTEEN_ROW_COUNTS[r] for r in rows]
-        weighted = ObservationTable.from_rows(("X", "Z", "Y"), rows, weights=weights)
-        assert ate(weighted, "X", "Y", {"Z"}) == ate(sixteen_row_table(), "X", "Y", {"Z"})
-
     def test_deterministic(self):
         t = sixteen_row_table()
         assert ate(t, "X", "Y", {"Z"}) == ate(t, "X", "Y", {"Z"})
@@ -180,6 +174,58 @@ class TestCate:
         t = sixteen_row_table()
         with pytest.raises(OverlappingSetsError):
             cate(t, "Z", "X", "Y", {"Z"})
+
+
+class TestCountsAgainstOracle:
+    """Cell counting against `exact_joint_do` on random grouped tables."""
+
+    @staticmethod
+    def empirical_joint(rows):
+        joint = {}
+        for row in rows:
+            joint[row] = joint.get(row, Fraction(0)) + Fraction(1, len(rows))
+        return joint
+
+    def test_cate_and_string_cells_match_oracle(self, tmp_path):
+        rng = random.Random(271828)
+        for trial in range(40):
+            k = rng.randint(0, 3)
+            groups = [f"g{i}" for i in range(rng.randint(2, 4))]
+            columns = ("G", "X") + tuple(f"Z{i}" for i in range(k)) + ("Y",)
+            z = {f"Z{i}" for i in range(k)}
+            rows = [
+                (rng.choice(groups),) + tuple(rng.randint(0, 1) for _ in columns[1:])
+                for _ in range(rng.randint(10, 300))
+            ]
+            table = ObservationTable.from_rows(columns, rows)
+            result = cate(table, "G", "X", "Y", z)
+            assert sorted(result) == sorted({r[0] for r in rows})
+            for group, got in result.items():
+                part = [r[1:] for r in rows if r[0] == group]
+                oracle = exact_joint_do(
+                    self.empirical_joint(part), columns[1:], "X", "Y", z
+                )
+                assert got.n_rows == len(part)
+                if oracle.covered_mass == 0:
+                    assert got.value is None and got.reason
+                else:
+                    assert got.value == oracle.ate
+
+            path = tmp_path / f"table{trial}.tsv"
+            path.write_text(
+                "\t".join(columns) + "\n"
+                + "".join("\t".join(map(str, r)) + "\n" for r in rows),
+                encoding="utf-8",
+            )
+            as_text = read_table(path)
+            assert as_text.rows != table.rows
+            try:
+                est = interventional_prob(table, "X", "Y", z)
+            except PositivityError:
+                with pytest.raises(PositivityError):
+                    interventional_prob(as_text, "X", "Y", z)
+                continue
+            assert interventional_prob(as_text, "X", "Y", z) == est
 
 
 class TestExactJointDo:

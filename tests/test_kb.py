@@ -155,6 +155,51 @@ class TestKnowledgeBase:
         for relation in crossed_kb.relations:
             assert crossed_kb.candidate_objects(relation)
 
+    def test_lookups_equal_a_scan_of_the_records(self):
+        triplets = (
+            Triplet("b", "r", "y"),
+            Triplet("a", "r", "y"),
+            Triplet("a", "r", "x"),
+            Triplet("a", "s", "z"),
+        )
+        patterns = (
+            PatternSpec("s", "[X] s [Y]."),
+            PatternSpec("r", "[X] r2 [Y].", True),
+            PatternSpec("r", "[X] r [Y]."),
+            PatternSpec("r", "[Y] by [X]."),
+        )
+        kb = KnowledgeBase(triplets=triplets, patterns=patterns)
+        for rel in ("r", "s"):
+            assert kb.subjects(rel) == sorted({t.subject for t in triplets if t.relation == rel})
+            assert kb.candidate_objects(rel) == sorted(
+                {t.object for t in triplets if t.relation == rel}
+            )
+            assert kb.paraphrases(rel) == [
+                p for p in patterns if p.relation == rel and not p.is_anti
+            ]
+            assert kb.anti_patterns(rel) == [
+                p for p in patterns if p.relation == rel and p.is_anti
+            ]
+        assert kb.objects_of("a", "r") == ["x", "y"]
+        assert kb.objects_of("a", "nope") == []
+        assert kb.paraphrases("nope") == []
+        assert kb.has_triplet("a", "s", "z")
+        assert not kb.has_triplet("b", "s", "z")
+        with pytest.raises(UnknownRelationError):
+            kb.subjects("nope")
+
+    def test_lookups_return_fresh_lists(self, crossed_kb):
+        for lookup in (
+            lambda: crossed_kb.candidate_objects("capital-of"),
+            lambda: crossed_kb.subjects("capital-of"),
+            lambda: crossed_kb.objects_of("Paris", "capital-of"),
+            lambda: crossed_kb.paraphrases("capital-of"),
+        ):
+            first = lookup()
+            expected = list(first)
+            first.clear()
+            assert lookup() == expected
+
 
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path, crossed_kb):

@@ -157,6 +157,10 @@ class TestConfig:
         path.write_text("mystery = 1\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_config(path)
+        # argmax ties are always broken lexicographically; no knob remains
+        path.write_text("tie-break = lexicographic\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown config key 'tie-break'"):
+            load_config(path)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ from corpuscausal.corpus import build_index
 from corpuscausal.errors import (
     EmptyPopulationError,
     MissingPredictionError,
+    ParseError,
     UnknownRelationError,
 )
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
@@ -65,13 +66,6 @@ class TestRestrictCandidates:
 
 
 class TestMatchControls:
-    def test_exact_duplicate_chosen(self):
-        treated = [{"a": 1, "x": 5.0}]
-        pool = [{"a": 1, "x": 9.0}, {"a": 1, "x": 5.0}]
-        pairs, dropped = match_controls(treated, pool, discrete=("a",), continuous=("x",))
-        assert pairs == [(0, 1)]
-        assert dropped == []
-
     def test_no_discrete_match_drops(self):
         treated = [{"a": 1}]
         pool = [{"a": 2}]
@@ -79,17 +73,12 @@ class TestMatchControls:
         assert pairs == []
         assert dropped == [0]
 
-    def test_closer_euclidean_wins(self):
-        treated = [{"a": 0, "x": 0.0}]
-        pool = [{"a": 0, "x": 2.0}, {"a": 0, "x": 1.0}]
-        pairs, _ = match_controls(treated, pool, discrete=("a",), continuous=("x",))
-        assert pairs == [(0, 1)]
-
     def test_tie_broken_by_input_order(self):
-        treated = [{"a": 0, "x": 0.0}]
-        pool = [{"a": 0, "x": 1.0}, {"a": 0, "x": -1.0}]
-        pairs, _ = match_controls(treated, pool, discrete=("a",), continuous=("x",))
-        assert pairs == [(0, 0)]
+        treated = [{"a": 0}, {"a": 1}, {"a": 0}]
+        pool = [{"a": 1}, {"a": 0}, {"a": 0}, {"a": 0}]
+        pairs, dropped = match_controls(treated, pool, discrete=("a",))
+        assert pairs == [(0, 1), (1, 0), (2, 2)]
+        assert dropped == []
 
     def test_without_replacement(self):
         treated = [{"a": 0}, {"a": 0}]
@@ -97,12 +86,6 @@ class TestMatchControls:
         pairs, dropped = match_controls(treated, pool, discrete=("a",))
         assert pairs == [(0, 0)]
         assert dropped == [1]
-
-    def test_two_continuous_dimensions(self):
-        treated = [{"x": 0.0, "y": 0.0}]
-        pool = [{"x": 3.0, "y": 0.0}, {"x": 1.0, "y": 1.0}]
-        pairs, _ = match_controls(treated, pool, continuous=("x", "y"))
-        assert pairs == [(0, 1)]
 
 
 class TestUttTable:
@@ -377,6 +360,35 @@ class TestEmission:
         assert loaded.rows == pop.rows
         assert loaded.pairs == pop.pairs
 
+    def _written(self, tmp_path, crossed_kb, crossed_index):
+        keys = TestCommonBehavior().all_keys(crossed_kb)
+        preds = baseline_predict("perfect", crossed_kb, queries=keys)
+        pop = build_table("soc", crossed_kb, crossed_index, preds)
+        table = tmp_path / "soc.tsv"
+        pairs = tmp_path / "soc_pairs.tsv"
+        write_population(pop, table, pairs)
+        return pop, table, pairs
+
+    def test_truncated_table_rejected(self, tmp_path, crossed_kb, crossed_index):
+        pop, table, pairs = self._written(tmp_path, crossed_kb, crossed_index)
+        lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+        table.write_text("".join(lines[: 1 + len(pop.rows) // 2]), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_population(table, pairs, "soc")
+        assert "outside" in str(err.value)
+        assert err.value.line >= 2
+
+    def test_swapped_pair_rejected(self, tmp_path, crossed_kb, crossed_index):
+        pop, table, pairs = self._written(tmp_path, crossed_kb, crossed_index)
+        lines = pairs.read_text(encoding="utf-8").splitlines(keepends=True)
+        i, j = pop.pairs[1]
+        lines[2] = f"{j}\t{i}\n"
+        pairs.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_population(table, pairs, "soc")
+        assert err.value.line == 3
+        assert "expected 1" in str(err.value)
+
     def test_rows_sorted_canonically(self, crossed_kb, crossed_index):
         keys = TestCommonBehavior().all_keys(crossed_kb)
         preds = baseline_predict("perfect", crossed_kb, queries=keys)
@@ -397,4 +409,4 @@ class TestEmission:
             if pr.is_anti
         ]
         kbt_idx = table.columns.index("kbt")
-        assert all(r[kbt_idx] == "0" for r in anti_rows)
+        assert all(r[kbt_idx] == 0 for r in anti_rows)
