@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 input error (unreadable/malformed inputs or
-configuration), 2 estimation error (empty populations, zero covered
-mass, uncovered cloze keys). Configuration lives in a flat
-``key = value`` file; every key can be overridden by the flag of the
-same name. Environment variables are never consulted for run
-configuration.
+configuration, and command-line usage errors such as an unknown flag),
+2 estimation error (empty populations, zero covered mass, uncovered
+cloze keys). Configuration lives in a flat ``key = value`` file; every
+key can be overridden by the flag of the same name. Environment
+variables are never consulted for run configuration.
 """
 
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -98,7 +99,33 @@ def _build_config(config_path, **overrides):
     return pipeline.merge_config(config, mapped)
 
 
-@click.group()
+class _Group(click.Group):
+    """A click group whose usage errors exit 1, the input-error code.
+
+    click exits 2 on a usage error (unknown option or subcommand, bad or
+    missing argument), which this CLI reserves for estimation errors.
+    Top-level arguments fail in `parse_args`, a subcommand's inside `invoke`.
+    """
+
+    def parse_args(self, ctx, args):
+        with _usage_errors_exit_1():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_1():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _usage_errors_exit_1():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Estimate causal effects of corpus statistics on model predictions."""
 

@@ -1,15 +1,15 @@
 """Directed acyclic causal graphs, d-separation, and backdoor checking.
 
-Two d-separation implementations live here on purpose: a reachability
-walk (`is_d_separated`, the production path) and an exhaustive path
-enumerator (`is_d_separated_by_enumeration`) meant for small graphs and
-used as the independent oracle in tests. They must agree everywhere.
+A graph keeps each node's parent and child sets. Two d-separation
+implementations live here on purpose: a reachability walk over those sets
+(`is_d_separated`, the production path; Shachter's Bayes-Ball, UAI 1998)
+and an exhaustive path enumerator (`is_d_separated_by_enumeration`) meant
+for small graphs and used as the independent oracle in tests. They must
+agree everywhere.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from . import kernels
 from .errors import (
     CyclicGraphError,
     DuplicateNodeError,
@@ -23,95 +23,63 @@ from .errors import (
 class CausalGraph:
     """An immutable DAG over named variables.
 
-    Construct through `build_graph`, which validates acyclicity and edge
-    endpoints; the adjacency bitmasks are derived once and reused by all
-    queries.
+    Construct through `build_graph`, which validates edge endpoints; the
+    parent and child sets are built once, and a directed cycle raises
+    `CyclicGraphError` here.
     """
 
     nodes: tuple
     edges: tuple
-    _index: dict = field(init=False, repr=False, compare=False)
-    _parents: tuple = field(init=False, repr=False, compare=False)
-    _children: tuple = field(init=False, repr=False, compare=False)
-    _desc_or_self: tuple = field(init=False, repr=False, compare=False)
+    _parents: dict = field(init=False, repr=False, compare=False)
+    _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index = {name: i for i, name in enumerate(self.nodes)}
-        n = len(self.nodes)
-        parents = [0] * n
-        children = [0] * n
+        parents = {name: set() for name in self.nodes}
+        children = {name: set() for name in self.nodes}
         for a, b in self.edges:
-            ia, ib = index[a], index[b]
-            parents[ib] |= 1 << ia
-            children[ia] |= 1 << ib
-        # descendants-or-self, by reverse topological sweep
-        desc = [1 << i for i in range(n)]
-        order = self._toposort(index)
-        for i in reversed(order):
-            cm = children[i]
-            j = 0
-            while cm:
-                if cm & 1:
-                    desc[i] |= desc[j]
-                cm >>= 1
-                j += 1
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_parents", tuple(parents))
-        object.__setattr__(self, "_children", tuple(children))
-        object.__setattr__(self, "_desc_or_self", tuple(desc))
-
-    def _toposort(self, index=None):
-        index = index if index is not None else self._index
-        n = len(self.nodes)
-        indeg = [0] * n
-        succ = [[] for _ in range(n)]
-        for a, b in self.edges:
-            indeg[index[b]] += 1
-            succ[index[a]].append(index[b])
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        order = []
-        while queue:
-            i = queue.popleft()
-            order.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(order) != n:
+            parents[b].add(a)
+            children[a].add(b)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
+        # Kahn's sweep: nodes on a directed cycle never run out of parents.
+        indegree = {name: len(ps) for name, ps in parents.items()}
+        ready = [name for name, d in indegree.items() if d == 0]
+        removed = 0
+        while ready:
+            removed += 1
+            for child in children[ready.pop()]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+        if removed != len(self.nodes):
             raise CyclicGraphError("graph contains a directed cycle")
-        return order
 
     def _require(self, name):
-        try:
-            return self._index[name]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node: {name!r}") from None
+        if name not in self._parents:
+            raise UnknownNodeError(f"unknown node: {name!r}")
 
     def has_node(self, name):
-        return name in self._index
+        return name in self._parents
 
     def parents(self, name):
-        mask = self._parents[self._require(name)]
-        return {self.nodes[i] for i in _bits(mask)}
+        self._require(name)
+        return set(self._parents[name])
 
     def children(self, name):
-        mask = self._children[self._require(name)]
-        return {self.nodes[i] for i in _bits(mask)}
+        self._require(name)
+        return set(self._children[name])
 
     def descendants(self, name):
         """Proper descendants of a node (the node itself excluded)."""
-        i = self._require(name)
-        mask = self._desc_or_self[i] & ~(1 << i)
-        return {self.nodes[j] for j in _bits(mask)}
-
-
-def _bits(mask):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        self._require(name)
+        found = set()
+        stack = [name]
+        while stack:
+            for child in self._children[stack.pop()]:
+                if child not in found:
+                    found.add(child)
+                    stack.append(child)
+        return found
 
 
 def build_graph(nodes, edges):
@@ -137,8 +105,7 @@ def build_graph(nodes, edges):
         if (a, b) not in edge_seen:
             edge_seen.add((a, b))
             edge_list.append((a, b))
-    # CausalGraph.__post_init__ runs the topological sort and raises
-    # CyclicGraphError when the edges contain a cycle.
+    # CausalGraph.__post_init__ raises CyclicGraphError on a directed cycle.
     return CausalGraph(nodes=node_tuple, edges=tuple(edge_list))
 
 
@@ -253,16 +220,15 @@ def canonical_adjustments():
 # --- d-separation ----------------------------------------------------------
 
 
-def _query_masks(g, x, y, z):
-    ix = g._require(x)
-    iy = g._require(y)
-    zmask = 0
-    for name in z:
-        iz = g._require(name)
-        zmask |= 1 << iz
-    if zmask & (1 << ix) or zmask & (1 << iy):
+def _conditioning_set(g, x, y, z):
+    g._require(x)
+    g._require(y)
+    zset = set(z)
+    for name in zset:
+        g._require(name)
+    if x in zset or y in zset:
         raise OverlappingSetsError("query nodes must not appear in the conditioning set")
-    return ix, iy, zmask
+    return zset
 
 
 def is_d_separated(g, x, y, z=()):
@@ -271,10 +237,40 @@ def is_d_separated(g, x, y, z=()):
     Reachability-based; suitable for graphs of any size. Symmetric in
     x and y. x == y is never separated (returns False).
     """
-    ix, iy, zmask = _query_masks(g, x, y, z)
-    if ix == iy:
+    zset = _conditioning_set(g, x, y, z)
+    if x == y:
         return False
-    return not kernels.py_dsep_reachable(g._parents, g._children, ix, iy, zmask)
+    parents, children = g._parents, g._children
+    # Bayes-Ball: a node is entered up from a child (x counts as entered so)
+    # or down from a parent, and is expanded once per way in. A node outside
+    # z passes the ball on; one in z stops it, but sends a ball that came
+    # down back up to its parents. That bounce is what opens a collider with
+    # a descendant in z.
+    up, down = [x], []
+    up_seen, down_seen = set(), set()
+    while up or down:
+        if up:
+            node = up.pop()
+            if node in up_seen:
+                continue
+            up_seen.add(node)
+            if node == y:
+                return False
+            if node not in zset:
+                up.extend(parents[node])
+                down.extend(children[node])
+        else:
+            node = down.pop()
+            if node in down_seen:
+                continue
+            down_seen.add(node)
+            if node == y:
+                return False
+            if node in zset:
+                up.extend(parents[node])
+            else:
+                down.extend(children[node])
+    return True
 
 
 def enumerate_paths(g, x, y):
@@ -283,20 +279,20 @@ def enumerate_paths(g, x, y):
     Exponential in graph size; intended for small graphs and for oracle
     checks against `is_d_separated`.
     """
-    ix = g._require(x)
-    iy = g._require(y)
-    n = len(g.nodes)
-    neighbor = [g._parents[i] | g._children[i] for i in range(n)]
+    g._require(x)
+    g._require(y)
+    neighbors = {
+        v: [u for u in g.nodes if u in g._parents[v] or u in g._children[v]]
+        for v in g.nodes
+    }
     paths = []
-    stack = [(ix, (ix,), 1 << ix)]
+    stack = [(x,)]
     while stack:
-        node, path, seen = stack.pop()
-        if node == iy:
-            paths.append(tuple(g.nodes[i] for i in path))
+        path = stack.pop()
+        if path[-1] == y:
+            paths.append(path)
             continue
-        for j in range(n - 1, -1, -1):
-            if neighbor[node] & (1 << j) and not seen & (1 << j):
-                stack.append((j, path + (j,), seen | (1 << j)))
+        stack.extend(path + (u,) for u in reversed(neighbors[path[-1]]) if u not in path)
     return paths
 
 
@@ -306,30 +302,25 @@ def path_is_blocked(g, path, z):
     A non-collider blocks when it is in z; a collider blocks unless it or
     one of its descendants is in z.
     """
-    zmask = 0
-    for name in z:
-        zmask |= 1 << g._require(name)
-    edges = set(g.edges)
-    for k in range(1, len(path) - 1):
-        prev_node, node, next_node = path[k - 1], path[k], path[k + 1]
-        i = g._index[node]
-        into_left = (prev_node, node) in edges
-        into_right = (next_node, node) in edges
-        if into_left and into_right:  # collider
-            if not (g._desc_or_self[i] & zmask):
+    zset = set(z)
+    for name in zset:
+        g._require(name)
+    for prev_node, node, next_node in zip(path, path[1:], path[2:]):
+        into = g._parents[node]
+        if prev_node in into and next_node in into:  # collider
+            if node not in zset and not zset & g.descendants(node):
                 return True
-        else:
-            if zmask & (1 << i):
-                return True
+        elif node in zset:
+            return True
     return False
 
 
 def is_d_separated_by_enumeration(g, x, y, z=()):
     """Exhaustive-path d-separation; the oracle counterpart of `is_d_separated`."""
-    ix, iy, _ = _query_masks(g, x, y, z)
-    if ix == iy:
+    zset = _conditioning_set(g, x, y, z)
+    if x == y:
         return False
-    return all(path_is_blocked(g, path, z) for path in enumerate_paths(g, x, y))
+    return all(path_is_blocked(g, path, zset) for path in enumerate_paths(g, x, y))
 
 
 # --- backdoor criterion ------------------------------------------------------

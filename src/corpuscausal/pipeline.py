@@ -14,7 +14,7 @@ field-identically through JSON.
 import hashlib
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index
@@ -34,20 +34,6 @@ from .population import (
 from .predictions import HYPOTHESES, baseline_predict, load_predictions
 
 REPORT_FORMATS = ("table", "structured", "delimited")
-
-_CONFIG_KEYS = (
-    "corpus",
-    "index",
-    "kb",
-    "patterns",
-    "predictions",
-    "output-dir",
-    "mask-token",
-    "min-poc-frequency",
-    "bin-edges",
-    "output-format",
-    "cache-dir",
-)
 
 
 @dataclass(frozen=True)
@@ -89,6 +75,10 @@ class RunConfig:
         return self
 
 
+#: Config-file keys and CLI flags: the RunConfig fields in kebab case.
+_CONFIG_KEYS = frozenset(f.name.replace("_", "-") for f in fields(RunConfig))
+
+
 def _parse_value(key, raw):
     if key == "min-poc-frequency":
         return int(raw)
@@ -118,16 +108,7 @@ def load_config(path):
 
 def make_config(values):
     """Build a RunConfig from kebab-case key/value mappings."""
-    kwargs = {}
-    for key, value in values.items():
-        if value is None:
-            continue
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key.replace("-", "_")] = (
-            _parse_value(key, value) if isinstance(value, str) else value
-        )
-    return RunConfig(**kwargs)
+    return merge_config(RunConfig(), values)
 
 
 def merge_config(config, overrides):
@@ -199,7 +180,7 @@ class _Runtime:
     def __init__(self, config):
         config.validate()
         self.config = config
-        triplets, self.load_report = load_kb(config.kb)
+        triplets, _ = load_kb(config.kb)
         self.kb = KnowledgeBase(triplets=triplets, patterns=load_patterns(config.patterns))
         if config.index:
             self.stats = CorpusIndex.load(config.index)

@@ -30,14 +30,8 @@ from .errors import (
     ParseError,
 )
 from .estimator import ObservationTable
+from .graph import CANONICAL_ADJUSTMENTS
 from .predictions import HYPOTHESES, outcome_flag
-
-#: Confounder columns stratified over per hypothesis (the backdoor sums).
-STRATIFY_COLUMNS = {
-    "utt": ("template", "kbt", "soc_bin"),
-    "poc": ("utt_present",),
-    "soc": ("soc_bin",),
-}
 
 #: Canonical graph variable -> population column.
 NODE_TO_COLUMN = {
@@ -45,6 +39,14 @@ NODE_TO_COLUMN = {
     "KBT": "kbt",
     "SOC_so": "soc_bin",
     "utterance": "utt_present",
+}
+
+#: Confounder columns stratified over per hypothesis (the backdoor sums):
+#: the `stratify` sets of the canonical adjustments, whose backdoor
+#: validity the pipeline checks against the built-in graph.
+STRATIFY_COLUMNS = {
+    adj.hypothesis: tuple(NODE_TO_COLUMN[node] for node in adj.stratify)
+    for adj in CANONICAL_ADJUSTMENTS
 }
 
 #: Discrete keys each recipe matches treated and control rows on.
@@ -92,12 +94,6 @@ class MatchedPopulation:
     pairs: tuple  # (treated row index, control row index)
     diagnostics: MatchDiagnostics = MatchDiagnostics()
 
-    def treated_rows(self):
-        return [self.rows[i] for i, _ in self.pairs]
-
-    def control_rows(self):
-        return [self.rows[j] for _, j in self.pairs]
-
 
 def restrict_candidates(relation, kb):
     """Gold objects of the relation: the type-preserving candidate set."""
@@ -139,24 +135,18 @@ class _StatsView:
         self.bin_edges = bin_edges
         self._soc_rank = {}
         self._poc_rank = {}
-        self._candidates = {}
-
-    def candidates(self, relation):
-        if relation not in self._candidates:
-            self._candidates[relation] = self.kb.candidate_objects(relation)
-        return self._candidates[relation]
 
     def soc_ranked(self, relation, subject):
         key = (relation, subject)
         if key not in self._soc_rank:
-            counts = self.stats.soc_counts(subject, self.candidates(relation))
+            counts = self.stats.soc_counts(subject, self.kb.candidate_objects(relation))
             self._soc_rank[key] = (ranked_objects(counts), counts)
         return self._soc_rank[key]
 
     def poc_ranked(self, relation, template):
         key = (relation, template)
         if key not in self._poc_rank:
-            counts = self.stats.poc_counts(template, self.candidates(relation))
+            counts = self.stats.poc_counts(template, self.kb.candidate_objects(relation))
             self._poc_rank[key] = (ranked_objects(counts), counts)
         return self._poc_rank[key]
 

@@ -127,14 +127,13 @@ def _random_index(seed, subject, relation, template, n):
     return int.from_bytes(digest, "big") % n
 
 
-def baseline_predict(kind, kb, stats=None, queries=(), seed=None, utt_fallback="soc"):
+def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
     """Generate control-baseline predictions for the given cloze keys.
 
     Kinds: ``heuristic-soc`` predicts the subject's most co-occurring
     candidate; ``heuristic-poc`` the template's most co-occurring
     candidate; ``heuristic-utt`` the object whose instantiated utterance
-    is stored (falling back per `utt_fallback`: "soc" for the soc argmax,
-    "first" for the lexicographically first candidate); ``perfect`` the
+    is stored (falling back to the soc argmax when none is); ``perfect`` the
     KB object; ``random`` a seed-reproducible uniform candidate.
     """
     if kind not in BASELINE_KINDS:
@@ -143,8 +142,6 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None, utt_fallback="
         raise ValueError("random baseline requires a seed")
     if kind.startswith("heuristic") and stats is None:
         raise MissingStatsError(f"{kind} requires a corpus index")
-    if utt_fallback not in ("soc", "first"):
-        raise ValueError(f"unknown utt fallback: {utt_fallback!r}")
 
     source_id = f"random:{seed}" if kind == "random" else kind
     records = {}
@@ -182,10 +179,8 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None, utt_fallback="
             ]
             if present:
                 predicted = present[0]
-            elif utt_fallback == "soc":
-                predicted = argmax_object(stats.soc_counts(subject, candidates))
             else:
-                predicted = candidates[0]
+                predicted = argmax_object(stats.soc_counts(subject, candidates))
         records[key] = PredictionRecord(
             subject=subject,
             relation=relation,

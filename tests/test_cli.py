@@ -56,7 +56,7 @@ class TestIndexCommand:
 
     def test_missing_corpus_is_input_error(self, tmp_path):
         result = invoke("index", tmp_path / "missing.txt", "-o", tmp_path / "x.idx")
-        assert result.exit_code != 0
+        assert result.exit_code == 1, result.output
 
 
 class TestEstimateCommand:
@@ -90,6 +90,19 @@ class TestEstimateCommand:
         config = write_config(crossed_files)
         result = invoke("estimate", "--config", config, "--kb", "does-not-exist.jsonl")
         assert result.exit_code == 1
+
+    def test_usage_errors_exit_code_1(self):
+        # exit 2 is reserved for estimation errors; click's message is kept
+        for args, message in [
+            (("estimate", "--tie-break", "x"), "No such option '--tie-break'"),
+            (("no-such-command",), "No such command 'no-such-command'"),
+            (("estimate", "--min-poc-frequency", "abc"), "'abc' is not a valid integer"),
+        ]:
+            result = invoke(*args)
+            assert result.exit_code == 1, (args, result.output)
+            assert message in result.output
+        assert invoke("--help").exit_code == 0
+        assert invoke("estimate", "--help").exit_code == 0
 
     def test_estimation_failure_exit_code_2(self, crossed_files, tmp_path):
         # a corpus with no stored utterances leaves the utt population empty

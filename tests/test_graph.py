@@ -158,6 +158,47 @@ class TestAlgorithmAgreement:
                             is_d_separated_by_enumeration(g, x, y, set(z))
                         ), (g.edges, x, y, z)
 
+    def test_reachability_matches_enumeration_on_reference_graph(self):
+        g = reference_graph()
+        rng = random.Random(17)
+        for x, y in itertools.combinations(g.nodes, 2):
+            rest = [v for v in g.nodes if v not in (x, y)]
+            conditioning = [set()]
+            conditioning += [
+                adj.adjustment_set
+                for adj in CANONICAL_ADJUSTMENTS
+                if not adj.adjustment_set & {x, y}
+            ]
+            conditioning += [
+                {v for v in rest if rng.random() < p} for p in (0.15, 0.3, 0.5)
+            ]
+            for z in conditioning:
+                assert is_d_separated(g, x, y, z) == (
+                    is_d_separated_by_enumeration(g, x, y, z)
+                ), (x, y, z)
+
+    def test_descendants_match_brute_force_reachability(self):
+        g = reference_graph()
+
+        def reaches(a, b):
+            frontier = {a}
+            while frontier:
+                if b in frontier:
+                    return True
+                frontier = {w for v, w in g.edges if v in frontier}
+            return False
+
+        for v in g.nodes:
+            expected = {w for w in g.nodes if w != v and reaches(v, w)}
+            assert g.descendants(v) == expected, v
+
+    def test_long_chain(self):
+        names = [f"v{i}" for i in range(200)]
+        g = build_graph(names, list(zip(names, names[1:])))
+        assert is_d_separated(g, "v0", "v199", {"v100"})
+        assert not is_d_separated(g, "v0", "v199", set())
+        assert g.descendants("v0") == set(names[1:])
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, seed):

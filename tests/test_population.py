@@ -12,6 +12,7 @@ from corpuscausal.errors import (
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
 from corpuscausal.population import (
     MATCH_KEYS,
+    STRATIFY_COLUMNS,
     build_structure,
     build_table,
     match_controls,
@@ -321,6 +322,14 @@ class TestCommonBehavior:
                     if p.relation == rel:
                         keys.append((s, rel, p.template))
         return keys
+
+    def test_stratify_columns_are_the_verified_adjustment_sets(self):
+        # the columns of each canonical adjustment's stratify set, in order
+        assert STRATIFY_COLUMNS == {
+            "utt": ("template", "kbt", "soc_bin"),
+            "poc": ("utt_present",),
+            "soc": ("soc_bin",),
+        }
 
     def test_type_preservation_all_tables(self, crossed_kb, crossed_index):
         preds = baseline_predict("perfect", crossed_kb, queries=self.all_keys(crossed_kb))
