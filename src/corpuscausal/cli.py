@@ -184,10 +184,9 @@ def build_population_cmd(hypothesis, config_path, **overrides):
         prediction_set = rt.predictions_for(hyp, config.predictions)
         scored, _, _, _ = rt.estimate_hypothesis(hyp, prediction_set)
         write_population(scored, out / f"{hyp}_population.tsv", out / f"{hyp}_pairs.tsv")
-        keys = sorted({(r.subject, r.relation, r.template) for r in scored.rows})
         with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
             fh.write("subject\trelation\ttemplate\tcloze\n")
-            for subject, relation, template in keys:
+            for subject, relation, template in rt.cloze_keys[hyp]:
                 cloze = instantiate(template, subject, config.mask_token)
                 fh.write(f"{subject}\t{relation}\t{template}\t{cloze}\n")
         click.echo(f"{hyp}: {len(scored.rows)} rows, {len(scored.pairs)} pairs -> {out}")

@@ -32,7 +32,6 @@ from .errors import (
 _MAGIC = b"CCIDX001"
 _WORD_RE = re.compile(r"\w+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
-_WS_RE = re.compile(r"\s+")
 _SLOT_RE = re.compile(r"(\[X\]|\[Y\])")
 
 #: Count-bin boundaries: [0,1] XS, (1,10] S, (10,100] M, (100,1000] L, (1000,inf) XL.
@@ -42,7 +41,7 @@ BIN_LABELS = ("XS", "S", "M", "L", "XL")
 
 def normalize_text(text):
     """Collapse whitespace runs to single spaces and strip the ends."""
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def segment_sentences(text):

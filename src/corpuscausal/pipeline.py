@@ -13,12 +13,18 @@ field-identically through JSON.
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index
-from .errors import ConfigError, CorpusCausalError, MissingPredictionError
+from .errors import (
+    ConfigError,
+    CorpusCausalError,
+    MissingPredictionError,
+    ParseError,
+)
 from .estimator import cate, interventional_prob
 from .graph import CANONICAL_ADJUSTMENTS, reference_graph, satisfies_backdoor
 from .kb import KnowledgeBase, load_kb, load_patterns
@@ -26,6 +32,7 @@ from .population import (
     STRATIFY_COLUMNS,
     MatchDiagnostics,
     build_structure,
+    cloze_keys,
     population_observation_table,
     read_population,
     score_population,
@@ -202,6 +209,9 @@ class _Runtime:
         self.populations = {
             hyp: self._structure(hyp) for hyp in HYPOTHESES
         }
+        self.cloze_keys = {
+            hyp: cloze_keys(pop) for hyp, pop in self.populations.items()
+        }
 
     def _verify_adjustments(self):
         graph = reference_graph()
@@ -222,6 +232,12 @@ class _Runtime:
         return h.hexdigest()
 
     def _structure(self, hypothesis):
+        """The hypothesis's population, from the cache when an entry reads back.
+
+        A cache entry is three files: table, pairs and ``diag.json``. One
+        that is incomplete or does not parse is a miss: the population is
+        rebuilt and the entry overwritten.
+        """
         cache_dir = self.config.cache_dir
         if cache_dir:
             base = Path(cache_dir) / f"{hypothesis}-{self._cache_key}"
@@ -229,12 +245,10 @@ class _Runtime:
             pairs = base.with_suffix(".pairs.tsv")
             diag = base.with_suffix(".diag.json")
             if table.exists() and pairs.exists() and diag.exists():
-                pop = read_population(table, pairs, hypothesis)
-                data = json.loads(diag.read_text(encoding="utf-8"))
-                data["unmatched_samples"] = tuple(
-                    tuple(s) for s in data["unmatched_samples"]
-                )
-                return replace(pop, diagnostics=MatchDiagnostics(**data))
+                try:
+                    return _read_cache_entry(table, pairs, diag, hypothesis)
+                except (ParseError, OSError, ValueError, KeyError, TypeError):
+                    pass  # rebuilt and overwritten below
         pop = build_structure(
             hypothesis,
             self.kb,
@@ -244,25 +258,11 @@ class _Runtime:
         )
         if cache_dir:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            base = Path(cache_dir) / f"{hypothesis}-{self._cache_key}"
-            write_population(pop, base.with_suffix(".tsv"), base.with_suffix(".pairs.tsv"))
-            d = pop.diagnostics
-            base.with_suffix(".diag.json").write_text(
-                json.dumps(
-                    {
-                        "unmatched_treated": d.unmatched_treated,
-                        "unmatched_samples": [list(s) for s in d.unmatched_samples],
-                        "low_frequency_removed": d.low_frequency_removed,
-                    }
-                ),
-                encoding="utf-8",
-            )
+            _write_cache_entry(pop, table, pairs, diag)
         return pop
 
     def predictions_for(self, hypothesis, spec):
         """Resolve a predictions spec into a PredictionSet for one hypothesis."""
-        pop = self.populations[hypothesis]
-        keys = sorted({(r.subject, r.relation, r.template) for r in pop.rows})
         if spec.startswith("baseline:"):
             parts = spec.split(":")
             kind = parts[1]
@@ -276,7 +276,11 @@ class _Runtime:
             if kind not in ("heuristic-utt", "heuristic-poc", "heuristic-soc", "perfect", "random"):
                 raise ConfigError(f"unknown baseline kind in {spec!r}")
             return baseline_predict(
-                kind, self.kb, stats=self.stats, queries=keys, seed=seed
+                kind,
+                self.kb,
+                stats=self.stats,
+                queries=self.cloze_keys[hypothesis],
+                seed=seed,
             )
         if spec not in self._loaded_predictions:
             self._loaded_predictions[spec] = load_predictions(spec, self.kb)
@@ -310,8 +314,7 @@ class _Runtime:
 
     def accuracy(self, prediction_set):
         """Share of utt-population cloze keys answered with a KB gold object."""
-        pop = self.populations["utt"]
-        keys = sorted({(r.subject, r.relation, r.template) for r in pop.rows})
+        keys = self.cloze_keys["utt"]
         if not keys:
             return None
         hits = 0
@@ -322,6 +325,38 @@ class _Runtime:
             ):
                 hits += 1
         return hits / len(keys)
+
+
+def _read_cache_entry(table, pairs, diag, hypothesis):
+    pop = read_population(table, pairs, hypothesis)
+    data = json.loads(diag.read_text(encoding="utf-8"))
+    data["unmatched_samples"] = tuple(tuple(s) for s in data["unmatched_samples"])
+    return replace(pop, diagnostics=MatchDiagnostics(**data))
+
+
+def _write_cache_entry(pop, table, pairs, diag):
+    """Write an entry's three files, each to a temp name, then rename it.
+
+    ``diag.json`` goes first out and last in: a reader needs all three
+    files, so it never pairs a new table with an old pairs file.
+    """
+    tmp = {p: p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (table, pairs, diag)}
+    d = pop.diagnostics
+    data = {
+        "unmatched_treated": d.unmatched_treated,
+        "unmatched_samples": [list(s) for s in d.unmatched_samples],
+        "low_frequency_removed": d.low_frequency_removed,
+    }
+    try:
+        write_population(pop, tmp[table], tmp[pairs])
+        tmp[diag].write_text(json.dumps(data), encoding="utf-8")
+        diag.unlink(missing_ok=True)
+        os.replace(tmp[table], table)
+        os.replace(tmp[pairs], pairs)
+        os.replace(tmp[diag], diag)
+    finally:
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
 
 
 def run_estimate(config, emit_populations=False):

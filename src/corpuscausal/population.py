@@ -15,6 +15,14 @@ columns its estimation stratifies on:
     the subject's most co-occurring candidate (treated) vs the next most
     (control).
 
+Rows are structure: a `PopulationRow` holds what the corpus, the KB and
+the matching fix, and it does not change once built. Scores are columns:
+`score_population` returns the same rows with a ``predicted`` and an
+``outcomes`` tuple aligned with them, so re-scoring a population for
+another prediction set (one per checkpoint) copies no row. Emitted
+tables join the two back into one file with a ``prediction`` and an
+``outcome`` column; an unscored population writes ``""`` and ``0`` there.
+
 Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
 """
@@ -70,14 +78,15 @@ class PopulationRow:
     utt_present: bool
     so_hc: bool
     po_hc: bool
-    prediction: str = ""
-    outcome: int = 0
 
     def sort_key(self):
         return (self.relation, self.subject, self.object, self.template, self.is_anti)
 
 
-POPULATION_FIELDS = tuple(f.name for f in fields(PopulationRow))
+ROW_FIELDS = tuple(f.name for f in fields(PopulationRow))
+
+#: Columns of an emitted population table: the row fields, then the scores.
+POPULATION_FIELDS = ROW_FIELDS + ("prediction", "outcome")
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,8 @@ class MatchedPopulation:
     rows: tuple
     pairs: tuple  # (treated row index, control row index)
     diagnostics: MatchDiagnostics = MatchDiagnostics()
+    predicted: tuple = ()  # predicted object per row, aligned with `rows`
+    outcomes: tuple = ()  # outcome flag (0/1) per row, aligned with `rows`
 
 
 def restrict_candidates(relation, kb):
@@ -171,26 +182,9 @@ class _StatsView:
         )
 
 
-def _attach_predictions(hypothesis, rows, predictions):
-    keys = {(r.subject, r.relation, r.template) for r in rows}
-    missing = predictions.missing_keys(keys)
-    if missing:
-        sample = ", ".join(map(repr, missing[:5]))
-        raise MissingPredictionError(
-            f"{len(missing)} cloze keys lack predictions (e.g. {sample})",
-            missing=missing,
-        )
-    out = []
-    for row in rows:
-        rec = predictions.get(row.subject, row.relation, row.template)
-        out.append(
-            replace(
-                row,
-                prediction=rec.predicted_object,
-                outcome=outcome_flag(hypothesis, row.object, rec.predicted_object),
-            )
-        )
-    return out
+def cloze_keys(pop):
+    """The population's distinct (subject, relation, template) keys, sorted."""
+    return sorted({(r.subject, r.relation, r.template) for r in pop.rows})
 
 
 def _finalize(hypothesis, paired_rows, pair_keys, diagnostics):
@@ -319,13 +313,26 @@ def build_structure(hypothesis, kb, stats, min_poc_frequency=5, bin_edges=BIN_ED
 
 
 def score_population(pop, predictions):
-    """Attach predictions and outcome flags to a built population.
+    """Score a built population against one prediction set.
 
-    Row order is unchanged (the sort key ignores predictions), so pair
-    indices stay valid.
+    Returns the population with its ``predicted`` and ``outcomes`` columns
+    set; the rows and pairs are shared, not copied. Raises
+    `MissingPredictionError` when a row's cloze key has no prediction.
     """
-    rows = _attach_predictions(pop.hypothesis, pop.rows, predictions)
-    return replace(pop, rows=tuple(rows))
+    keys = [(r.subject, r.relation, r.template) for r in pop.rows]
+    missing = predictions.missing_keys(keys)
+    if missing:
+        sample = ", ".join(map(repr, missing[:5]))
+        raise MissingPredictionError(
+            f"{len(missing)} cloze keys lack predictions (e.g. {sample})",
+            missing=missing,
+        )
+    predicted = tuple(predictions.get(*key).predicted_object for key in keys)
+    outcomes = tuple(
+        outcome_flag(pop.hypothesis, row.object, prediction)
+        for row, prediction in zip(pop.rows, predicted)
+    )
+    return replace(pop, predicted=predicted, outcomes=outcomes)
 
 
 def build_table(
@@ -353,14 +360,15 @@ def _cell(value):
 
 
 def write_population(pop, table_path, pairs_path=None):
-    """Emit the population as TSV (header = row field names) plus pair ids."""
+    """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids."""
+    predicted = pop.predicted or ("",) * len(pop.rows)
+    outcomes = pop.outcomes or (0,) * len(pop.rows)
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(POPULATION_FIELDS) + "\n")
-        for row in pop.rows:
-            fh.write(
-                "\t".join(_cell(getattr(row, name)) for name in POPULATION_FIELDS)
-                + "\n"
-            )
+        for row, prediction, outcome in zip(pop.rows, predicted, outcomes, strict=True):
+            cells = [_cell(getattr(row, name)) for name in ROW_FIELDS]
+            cells += (prediction, str(outcome))
+            fh.write("\t".join(cells) + "\n")
     if pairs_path is not None:
         with open(pairs_path, "w", encoding="utf-8") as fh:
             fh.write("treated\tcontrol\n")
@@ -368,22 +376,29 @@ def write_population(pop, table_path, pairs_path=None):
                 fh.write(f"{i}\t{j}\n")
 
 
+_BOOL = {"True": True, "False": False}
+
+
 def _parse_cell(name, value, lineno):
     try:
         if name in ("is_anti", "utt_present", "so_hc", "po_hc"):
-            if value not in ("True", "False"):
-                raise ValueError(value)
-            return value == "True"
+            return _BOOL[value]
         if name in ("treatment", "soc_count", "outcome"):
             return int(value)
         return value
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ParseError(f"bad value {value!r} for column {name!r}", line=lineno) from exc
 
 
 def read_population(table_path, pairs_path, hypothesis):
-    """Read back a population emitted by `write_population`."""
+    """Read back a population emitted by `write_population`.
+
+    The file's ``prediction``/``outcome`` cells come back as the
+    ``predicted``/``outcomes`` columns.
+    """
     rows = []
+    predicted = []
+    outcomes = []
     with open(table_path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != POPULATION_FIELDS:
@@ -395,14 +410,23 @@ def read_population(table_path, pairs_path, hypothesis):
             cells = line.split("\t")
             if len(cells) != len(POPULATION_FIELDS):
                 raise ParseError("wrong cell count", line=lineno)
-            rows.append(
-                PopulationRow(
-                    **{
-                        name: _parse_cell(name, cell, lineno)
-                        for name, cell in zip(POPULATION_FIELDS, cells)
-                    }
+            (subject, obj, relation, template, is_anti, treatment, soc_count,
+             soc_bin, utt_present, so_hc, po_hc, prediction, outcome) = cells
+            try:
+                rows.append(
+                    PopulationRow(
+                        subject, obj, relation, template, _BOOL[is_anti],
+                        int(treatment), int(soc_count), soc_bin,
+                        _BOOL[utt_present], _BOOL[so_hc], _BOOL[po_hc],
+                    )
                 )
-            )
+                outcomes.append(int(outcome))
+            except (KeyError, ValueError):
+                # name the first bad cell, as a per-cell parse would
+                for name, cell in zip(POPULATION_FIELDS, cells):
+                    _parse_cell(name, cell, lineno)
+                raise
+            predicted.append(prediction)
     pairs = []
     with open(pairs_path, encoding="utf-8") as fh:
         fh.readline()
@@ -428,7 +452,11 @@ def read_population(table_path, pairs_path, hypothesis):
                     )
             pairs.append((i, j))
     return MatchedPopulation(
-        hypothesis=hypothesis, rows=tuple(rows), pairs=tuple(pairs)
+        hypothesis=hypothesis,
+        rows=tuple(rows),
+        pairs=tuple(pairs),
+        predicted=tuple(predicted),
+        outcomes=tuple(outcomes),
     )
 
 
@@ -438,6 +466,7 @@ def population_observation_table(pop):
     Adds the derived ``kbt`` column (1 on non-anti rows of KB-triplet
     populations, 0 on anti-pattern rows) alongside the stratification
     columns; values stay native (ints and bools), as on `PopulationRow`.
+    ``outcome`` is the scored `outcomes` column, so `pop` must be scored.
     """
     columns = (
         "relation",
@@ -456,8 +485,8 @@ def population_observation_table(pop):
             row.soc_bin,
             row.utt_present,
             row.treatment,
-            row.outcome,
+            outcome,
         )
-        for row in pop.rows
+        for row, outcome in zip(pop.rows, pop.outcomes, strict=True)
     ]
     return ObservationTable(columns, tuple(rows))

@@ -57,6 +57,17 @@ class TestSegmentation:
     def test_whitespace_normalization(self):
         assert normalize_text("  a\t b   c ") == "a b c"
 
+    def test_every_whitespace_code_point_matches_the_regex_form(self):
+        # str.split() and re's \s must agree on what whitespace is
+        ws = re.compile(r"\s")
+        spaces = [
+            c for c in map(chr, range(0x110000)) if c.isspace() or ws.fullmatch(c)
+        ]
+        assert "\u3000" in spaces and "\x1c" in spaces
+        for c in spaces:
+            for text in (f"a{c}b", f"{c}a b{c}", f"{c}{c}a {c}{c}b{c}{c}"):
+                assert normalize_text(text) == re.sub(r"\s+", " ", text).strip()
+
 
 class TestBuildIndex:
     def test_two_line_file(self, tmp_path):

@@ -114,6 +114,25 @@ class TestRunEstimate:
         second = run_estimate(config)
         assert first == second
 
+    @pytest.mark.parametrize("damage", ["truncated_table", "garbage_diag"])
+    def test_unreadable_cache_entry_is_rebuilt(self, crossed_files, damage):
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
+        cold = run_estimate(config)
+        entry = {
+            p.name.split(".", 1)[1]: p for p in cache.iterdir() if p.name.startswith("poc-")
+        }
+        assert set(entry) == {"tsv", "pairs.tsv", "diag.json"}
+        original = {name: p.read_bytes() for name, p in entry.items()}
+        if damage == "truncated_table":
+            lines = original["tsv"].splitlines(keepends=True)
+            entry["tsv"].write_bytes(b"".join(lines[: len(lines) // 2]))
+        else:
+            entry["diag.json"].write_text("{not json", encoding="utf-8")
+        assert run_estimate(config) == cold
+        assert {name: p.read_bytes() for name, p in entry.items()} == original
+        assert not [p for p in cache.iterdir() if p.name.endswith(".tmp")]
+
     def test_prebuilt_index_equals_corpus_build(self, crossed_files):
         from corpuscausal.corpus import build_index
         from dataclasses import replace

@@ -41,6 +41,11 @@ def manual_predictions(mapping, source="handmade"):
     return PredictionSet(records=records, source_id=source)
 
 
+def outcome_of(pop, row):
+    """The scored outcome aligned with `row` in `pop.outcomes`."""
+    return pop.outcomes[pop.rows.index(row)]
+
+
 def keys_of(pop):
     return sorted({(r.subject, r.relation, r.template) for r in pop.rows})
 
@@ -124,11 +129,11 @@ class TestUttTable:
         assert not td_control.utt_present and td_control.treatment == 0
         assert td_treated.soc_count == 116 and td_treated.soc_bin == "L"
         assert td_control.soc_count == 116
-        assert td_treated.outcome == 0 and td_control.outcome == 0  # Netflix != HBO
+        assert outcome_of(pop, td_treated) == 0 and outcome_of(pop, td_control) == 0  # Netflix != HBO
         bbt_treated = rows[("The Big Bang Theory", "[Y] is to debut [X].")]
         bbt_control = rows[("The Big Bang Theory", "[Y] released [X].")]
         assert bbt_treated.soc_count == 200 and bbt_treated.soc_bin == "L"
-        assert bbt_treated.outcome == 1 and bbt_control.outcome == 1  # CBS == CBS
+        assert outcome_of(pop, bbt_treated) == 1 and outcome_of(pop, bbt_control) == 1  # CBS == CBS
         assert len(pop.pairs) == 2
         for i, j in pop.pairs:
             t, c = pop.rows[i], pop.rows[j]
@@ -198,10 +203,10 @@ class TestPocTable:
         rows = {(r.subject, r.object): r for r in pop.rows}
         assert rows[("Daria", "MTV")].treatment == 1
         assert rows[("Daria", "MTV")].po_hc
-        assert rows[("Daria", "MTV")].outcome == 1
+        assert outcome_of(pop, rows[("Daria", "MTV")]) == 1
         assert rows[("Daria", "BBC")].treatment == 0
         assert not rows[("Daria", "BBC")].po_hc
-        assert rows[("Daria", "BBC")].outcome == 0
+        assert outcome_of(pop, rows[("Daria", "BBC")]) == 0
         assert len(pop.pairs) == 3
         for i, j in pop.pairs:
             t, c = pop.rows[i], pop.rows[j]
@@ -277,7 +282,7 @@ class TestSocTable:
         assert control.soc_count == 256 and control.soc_bin == "L"
         assert treated.so_hc and treated.treatment == 1
         assert not control.so_hc and control.treatment == 0
-        assert treated.outcome == 1 and control.outcome == 0
+        assert outcome_of(pop, treated) == 1 and outcome_of(pop, control) == 0
         anti_treated = rows[("Safari", "Apple", anti)]
         assert anti_treated.is_anti
         assert not rows[("Safari", "Apple", para)].is_anti
@@ -368,6 +373,28 @@ class TestEmission:
         loaded = read_population(table, pairs, "soc")
         assert loaded.rows == pop.rows
         assert loaded.pairs == pop.pairs
+        assert loaded.predicted == pop.predicted
+        assert loaded.outcomes == pop.outcomes
+
+    def test_unscored_population_writes_empty_scores(self, tmp_path, crossed_kb, crossed_index):
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        assert pop.predicted == pop.outcomes == ()
+        table = tmp_path / "soc.tsv"
+        write_population(pop, table, tmp_path / "soc_pairs.tsv")
+        lines = table.read_text(encoding="utf-8").splitlines()
+        assert all(line.endswith("\t\t0") for line in lines[1:])
+        loaded = read_population(table, tmp_path / "soc_pairs.tsv", "soc")
+        assert loaded.rows == pop.rows
+        assert loaded.predicted == ("",) * len(pop.rows)
+        assert loaded.outcomes == (0,) * len(pop.rows)
+
+    def test_scoring_shares_the_rows(self, crossed_kb, crossed_index):
+        keys = TestCommonBehavior().all_keys(crossed_kb)
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        scored = score_population(pop, baseline_predict("perfect", crossed_kb, queries=keys))
+        assert scored.rows is pop.rows
+        assert scored.pairs is pop.pairs
+        assert len(scored.predicted) == len(scored.outcomes) == len(pop.rows)
 
     def _written(self, tmp_path, crossed_kb, crossed_index):
         keys = TestCommonBehavior().all_keys(crossed_kb)
@@ -397,6 +424,28 @@ class TestEmission:
             read_population(table, pairs, "soc")
         assert err.value.line == 3
         assert "expected 1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "lineno, edit, message",
+        [
+            (1, lambda cells: ["subject", "object"], "unexpected population header"),
+            (3, lambda cells: cells[:4] + ["yes"] + cells[5:], "bad value 'yes' for column 'is_anti'"),
+            (4, lambda cells: cells[:6] + ["x"] + cells[7:], "bad value 'x' for column 'soc_count'"),
+            (5, lambda cells: cells[:-1] + ["x"], "bad value 'x' for column 'outcome'"),
+            (6, lambda cells: cells[:-2], "wrong cell count"),
+        ],
+    )
+    def test_bad_cells_rejected_with_line(
+        self, tmp_path, crossed_kb, crossed_index, lineno, edit, message
+    ):
+        pop, table, pairs = self._written(tmp_path, crossed_kb, crossed_index)
+        lines = table.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = "\t".join(edit(lines[lineno - 1].split("\t")))
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_population(table, pairs, "soc")
+        assert err.value.line == lineno
+        assert message in str(err.value)
 
     def test_rows_sorted_canonically(self, crossed_kb, crossed_index):
         keys = TestCommonBehavior().all_keys(crossed_kb)
