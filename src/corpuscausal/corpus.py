@@ -1,11 +1,16 @@
-"""Corpus indexing and the co-occurrence statistics derived from it.
+r"""Corpus indexing and the co-occurrence statistics derived from it.
 
 The index stores normalized sentences plus a token-level inverted index.
-Entity postings are resolved lazily: token postings are intersected to
-get candidate sentences (the hot kernel), then a word-boundary regex
-verifies the surface string. Pair and pattern counts are cached, and so
-are the per-subject and per-template count maps over a candidate set, so
-each count is computed once per index.
+Entity postings are resolved lazily. A surface that is one ``\w+`` token
+reads that token's postings directly: the index tokenises with the same
+``\w+``, so they are exactly its word-boundary matches. A multi-token
+surface intersects its tokens' postings to get candidate sentences (the
+hot kernel), then a word-boundary regex verifies the surface string. A
+pattern count prefilters on the template's literal tokens the same way,
+then tests each candidate for the literal prefix and suffix around the
+[X] wildcard. Templates are split once. Pair and pattern counts are
+cached, and so are the per-subject and per-template count maps over a
+candidate set, so each count is computed once per index.
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -14,6 +19,7 @@ Conventions, fixed for determinism:
   - a sentence contributes at most 1 to any pair count.
 """
 
+import functools
 import re
 import struct
 from pathlib import Path
@@ -79,12 +85,15 @@ def ranked_objects(counts):
     return sorted(counts, key=lambda obj: (-counts[obj], obj))
 
 
+@functools.lru_cache(maxsize=4096)
 def template_parts(template):
     """Split a template around its slots.
 
     Returns (pieces, slots) where pieces has three literal segments and
     slots is the two slot names in textual order. Raises
     MalformedPatternError unless exactly one [X] and one [Y] are present.
+    Memoised on the template string; a malformed template raises on
+    every call, since a raised call is never cached.
     """
     segments = _SLOT_RE.split(template)
     slots = [s for s in segments if s in ("[X]", "[Y]")]
@@ -102,6 +111,21 @@ def template_parts(template):
             current.append(seg)
     pieces.append("".join(current))
     return tuple(pieces), tuple(slots)
+
+
+def split_around(template, slot, value):
+    """The raw text on either side of `slot`, the other slot filled by `value`.
+
+    Returns (left, right) such that ``normalize_text(left + v + right)``
+    is the template instantiated with `v` in `slot` and `value` in the
+    other slot.
+    """
+    pieces, slots = template_parts(template)
+    if slot not in slots:
+        raise ValueError(f"unknown slot: {slot!r}")
+    if slots[0] == slot:
+        return pieces[0], pieces[1] + value + pieces[2]
+    return pieces[0] + value + pieces[1], pieces[2]
 
 
 def instantiate(template, subject, obj):
@@ -179,12 +203,17 @@ class CorpusIndex:
             ids = np.empty(0, dtype=np.int32)
             self._entity_cache[surface] = ids
             return ids
-        candidates = self._candidates_for_tokens(_WORD_RE.findall(surface))
-        rx = re.compile(r"(?<!\w)" + re.escape(surface) + r"(?!\w)")
-        ids = np.asarray(
-            [i for i in candidates.tolist() if rx.search(self.sentences[i])],
-            dtype=np.int32,
-        )
+        tokens = _WORD_RE.findall(surface)
+        if tokens == [surface]:
+            # a whole token matches exactly where the index found the token
+            ids = np.asarray(self._token_postings.get(surface, ()), dtype=np.int32)
+        else:
+            candidates = self._candidates_for_tokens(tokens)
+            rx = re.compile(r"(?<!\w)" + re.escape(surface) + r"(?!\w)")
+            ids = np.asarray(
+                [i for i in candidates.tolist() if rx.search(self.sentences[i])],
+                dtype=np.int32,
+            )
         self._entity_cache[surface] = ids
         return ids
 
@@ -243,21 +272,24 @@ class CorpusIndex:
         cached = self._pattern_cache.get(key)
         if cached is not None:
             return cached
-        pieces, slots = template_parts(template)
-        # The literal runs either side of [X], with the object spliced in.
-        if slots[0] == "[X]":
-            left, right = pieces[0], pieces[1] + obj + pieces[2]
-        else:
-            left, right = pieces[0] + obj + pieces[1], pieces[2]
-        rx = re.compile(re.escape(left) + "(.+)" + re.escape(right))
+        left, right = split_around(template, "[X]", obj)
         # A word of a run is a whole sentence token unless it touches [X],
         # where the wildcard may extend it.
         tokens = [m.group() for m in _WORD_RE.finditer(left) if m.end() < len(left)]
         tokens += [m.group() for m in _WORD_RE.finditer(right) if m.start() > 0]
         candidates = self._candidates_for_tokens(tokens)
-        count = sum(
-            1 for i in candidates.tolist() if rx.fullmatch(self.sentences[i])
-        )
+        # the same test as fullmatch(left + "(.+)" + right): "." stops at "\n"
+        head, tail = len(left), len(right)
+        count = 0
+        for i in candidates.tolist():
+            s = self.sentences[i]
+            if (
+                len(s) > head + tail
+                and s.startswith(left)
+                and s.endswith(right)
+                and "\n" not in s[head : len(s) - tail]
+            ):
+                count += 1
         self._pattern_cache[key] = count
         return count
 

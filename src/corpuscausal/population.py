@@ -29,6 +29,7 @@ template), so identical inputs produce identical files.
 
 from collections import deque
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from .corpus import BIN_EDGES, bin_count, instantiate, ranked_objects
 from .errors import (
@@ -353,25 +354,22 @@ def build_table(
 # --- table emission and estimation adapters ---------------------------------
 
 
-def _cell(value):
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    return str(value)
+_PAIRS_HEADER = "treated\tcontrol"
 
 
 def write_population(pop, table_path, pairs_path=None):
     """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids."""
     predicted = pop.predicted or ("",) * len(pop.rows)
     outcomes = pop.outcomes or (0,) * len(pop.rows)
+    row_cells = attrgetter(*ROW_FIELDS)
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(POPULATION_FIELDS) + "\n")
         for row, prediction, outcome in zip(pop.rows, predicted, outcomes, strict=True):
-            cells = [_cell(getattr(row, name)) for name in ROW_FIELDS]
-            cells += (prediction, str(outcome))
-            fh.write("\t".join(cells) + "\n")
+            cells = "\t".join(map(str, row_cells(row)))
+            fh.write(f"{cells}\t{prediction}\t{outcome}\n")
     if pairs_path is not None:
         with open(pairs_path, "w", encoding="utf-8") as fh:
-            fh.write("treated\tcontrol\n")
+            fh.write(_PAIRS_HEADER + "\n")
             for i, j in pop.pairs:
                 fh.write(f"{i}\t{j}\n")
 
@@ -429,7 +427,8 @@ def read_population(table_path, pairs_path, hypothesis):
             predicted.append(prediction)
     pairs = []
     with open(pairs_path, encoding="utf-8") as fh:
-        fh.readline()
+        if fh.readline().rstrip("\n") != _PAIRS_HEADER:
+            raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:

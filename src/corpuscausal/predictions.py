@@ -10,7 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .corpus import argmax_object, instantiate
+from .corpus import argmax_object, split_around
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -172,10 +172,9 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
         elif kind == "heuristic-poc":
             predicted = argmax_object(stats.poc_counts(template, candidates))
         else:  # heuristic-utt
+            left, right = split_around(template, "[Y]", subject)
             present = [
-                o
-                for o in candidates
-                if stats.utterance_present(instantiate(template, subject, o))
+                o for o in candidates if stats.utterance_present(left + o + right)
             ]
             if present:
                 predicted = present[0]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from corpuscausal.corpus import (
     normalize_text,
     ranked_objects,
     segment_sentences,
+    split_around,
     template_parts,
 )
 from corpuscausal.errors import (
@@ -30,6 +32,9 @@ from corpuscausal.errors import (
     IoFailureError,
     MalformedPatternError,
 )
+
+import golden_fixture
+from conftest import CROSSED_PATTERNS
 
 
 class TestSegmentation:
@@ -347,6 +352,34 @@ class TestTemplates:
         out = instantiate("[X] likes [Y].", "[Y]", "cake")
         assert out == "[Y] likes cake."
 
+    def test_malformed_template_raises_on_every_call(self):
+        for template in ("[X] was born.", "[X] and [X] like [Y]."):
+            for _ in range(2):
+                with pytest.raises(MalformedPatternError):
+                    template_parts(template)
+            with pytest.raises(MalformedPatternError):
+                split_around(template, "[Y]", "Paris")
+
+    @pytest.mark.parametrize(
+        "template",
+        sorted(
+            {t for _, t, _ in golden_fixture.PATTERNS + CROSSED_PATTERNS}
+            | {"[X] is [Y]ian.", "[Y] is the [X]ian capital.", " [Y]  [X] "}
+        ),
+    )
+    def test_split_around_rebuilds_instantiate(self, template):
+        values = ["Paris", "True Detective", " edge ", "in  ner\tspace", "[X]", "a [Y] b"]
+        for v in values:
+            for other in values:
+                left, right = split_around(template, "[X]", other)
+                assert normalize_text(left + v + right) == instantiate(
+                    template, v, other
+                )
+                left, right = split_around(template, "[Y]", other)
+                assert normalize_text(left + v + right) == instantiate(
+                    template, other, v
+                )
+
 
 class TestArgmax:
     def test_larger_count_wins(self):
@@ -450,6 +483,139 @@ class TestAgainstNaiveScan:
                 assert idx.poc_count(template, obj) == naive_poc(
                     sentences, template, obj
                 )
+
+
+def hand_index(sentences):
+    """A CorpusIndex over raw sentences, tokenised by the ``\\w+`` rule."""
+    postings = {}
+    for sid, sentence in enumerate(sentences):
+        for tok in set(re.findall(r"\w+", sentence)):
+            postings.setdefault(tok, []).append(sid)
+    return CorpusIndex(
+        sentences,
+        {tok: np.asarray(ids, dtype=np.int32) for tok, ids in postings.items()},
+    )
+
+
+def naive_entity(sentences, surface):
+    rx = re.compile(r"(?<!\w)" + re.escape(surface) + r"(?!\w)")
+    return [i for i, s in enumerate(sentences) if rx.search(s)]
+
+
+class TestFastPathsAgainstRegex:
+    SENTENCES = [
+        "Zürich is in Switzerland.",
+        "Zürichsee is a lake near Zürich",
+        "The Zürich-based bank.",
+        "東京 is big.",
+        "東京都 is the prefecture.",
+        "In 東京, people.",
+        "a_b is snake case.",
+        "a_bc differs from a b.",
+        "x a_b!",
+        "42 is the answer.",
+        "42nd street in 1942.",
+        "C++ is a language.",
+        "C is a letter.",
+        "St. Louis is a city.",
+        "St Louis lacks the dot.",
+        "Louis\nSt. Louis spans a line.",
+    ]
+
+    @pytest.mark.parametrize("surface", ["Zürich", "東京", "a_b", "42", "C++", "St. Louis"])
+    def test_entity_postings_equal_the_regex_scan(self, surface):
+        idx = hand_index(self.SENTENCES)
+        assert idx.entity_postings(surface).tolist() == naive_entity(
+            self.SENTENCES, surface
+        )
+
+    @pytest.mark.parametrize("surface, token", [("C++", "C"), ("St. Louis", "St")])
+    def test_surfaces_beyond_one_token_are_verified(self, surface, token):
+        # their token postings hold sentences the surface is not in
+        idx = hand_index(self.SENTENCES)
+        assert idx.entity_postings(surface).tolist() != idx.entity_postings(
+            token
+        ).tolist()
+
+    def test_random_surfaces_equal_the_regex_scan(self):
+        rng = random.Random(29)
+        alphabet = ["a", "b", "é", "東", "_", "1", " ", ".", "+", "-", "\n"]
+        sentences = [
+            "".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(60)
+        ]
+        idx = hand_index(sentences)
+        for _ in range(300):
+            surface = normalize_text("".join(rng.choices(alphabet, k=rng.randint(1, 4))))
+            if not surface:
+                continue  # an empty surface has no postings by definition
+            assert idx.entity_postings(surface).tolist() == naive_entity(
+                sentences, surface
+            ), surface
+
+    @pytest.mark.parametrize(
+        "template, obj",
+        [
+            ("[X] is the capital of [Y].", "Italy"),
+            ("In [X] lies [Y].", "Italy"),
+            ("[Y] released [X].", "HBO"),
+            ("ab[X]b[Y]", "a"),
+        ],
+    )
+    def test_poc_count_equals_fullmatch(self, template, obj):
+        sentences = [
+            "Rome is the capital of Italy.",
+            "R is the capital of Italy.",  # one-character wildcard
+            " is the capital of Italy.",  # one character too short
+            "is the capital of Italy.",
+            "Ro\nme is the capital of Italy.",  # "\n" inside the wildcard
+            "Rome is the capital of Italy.\n",
+            "In Rome lies Italy.",
+            "In R lies Italy.",
+            "In  lies Italy.",
+            "In lies Italy.",
+            "In Ro\nme lies Italy.",
+            "HBO released True\nDetective.",
+            "HBO released X.",
+            "HBO released .",
+            "abba",
+            "abXba",
+            "aba",
+            "ab\nba",
+        ]
+        idx = hand_index(sentences)
+        expected = naive_poc(sentences, template, obj)
+        assert expected > 0
+        assert idx.poc_count(template, obj) == expected
+
+    def test_random_templates_equal_fullmatch(self):
+        rng = random.Random(31)
+
+        def text(k):
+            return "".join(rng.choices(["a", "b", " ", ".", "é"], k=k))
+
+        templates = []
+        for _ in range(40):
+            slots = rng.sample(["[X]", "[Y]"], 2)
+            raw = text(rng.randint(0, 3)) + slots[0] + text(rng.randint(0, 3))
+            templates.append(normalize_text(raw + slots[1] + text(rng.randint(0, 3))))
+        objects = ["a", "b", "ab", "a b", "é"]
+        fillers = ["a", "b", "a b", "a\nb", "\n", "ba", "é."]
+        # raw splices keep the "\n" fillers that instantiate would normalise
+        sentences = [
+            pieces[0] + rng.choice(fillers) + pieces[1]
+            for pieces in (
+                split_around(rng.choice(templates), "[X]", rng.choice(objects))
+                for _ in range(150)
+            )
+        ] + [text(rng.randint(0, 8)) for _ in range(50)]
+        idx = hand_index(sentences)
+        hits = 0
+        for template in templates:
+            for obj in objects:
+                expected = naive_poc(sentences, template, obj)
+                assert idx.poc_count(template, obj) == expected, (template, obj)
+                hits += expected
+        assert hits > 0
 
 
 class TestSharding:

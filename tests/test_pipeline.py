@@ -114,7 +114,9 @@ class TestRunEstimate:
         second = run_estimate(config)
         assert first == second
 
-    @pytest.mark.parametrize("damage", ["truncated_table", "garbage_diag"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated_table", "garbage_diag", "headerless_pairs"]
+    )
     def test_unreadable_cache_entry_is_rebuilt(self, crossed_files, damage):
         cache = crossed_files["dir"] / "cache"
         config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
@@ -127,6 +129,9 @@ class TestRunEstimate:
         if damage == "truncated_table":
             lines = original["tsv"].splitlines(keepends=True)
             entry["tsv"].write_bytes(b"".join(lines[: len(lines) // 2]))
+        elif damage == "headerless_pairs":
+            lines = original["pairs.tsv"].splitlines(keepends=True)
+            entry["pairs.tsv"].write_bytes(b"".join(lines[1:]))
         else:
             entry["diag.json"].write_text("{not json", encoding="utf-8")
         assert run_estimate(config) == cold

@@ -426,6 +426,22 @@ class TestEmission:
         assert "expected 1" in str(err.value)
 
     @pytest.mark.parametrize(
+        "edit",
+        [lambda lines: lines[1:], lambda lines: ["control\ttreated"] + lines[1:]],
+        ids=["missing", "swapped"],
+    )
+    def test_pairs_header_required(self, tmp_path, crossed_kb, crossed_index, edit):
+        # without the check, a pairs file that lost its header loads with
+        # its first pair silently dropped
+        pop, table, pairs = self._written(tmp_path, crossed_kb, crossed_index)
+        lines = pairs.read_text(encoding="utf-8").splitlines()
+        pairs.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_population(table, pairs, "soc")
+        assert err.value.line == 1
+        assert "unexpected pairs header" in str(err.value)
+
+    @pytest.mark.parametrize(
         "lineno, edit, message",
         [
             (1, lambda cells: ["subject", "object"], "unexpected population header"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpuscausal.corpus import build_index
+from corpuscausal.corpus import argmax_object, build_index, instantiate
 from corpuscausal.errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -18,6 +18,7 @@ from corpuscausal.predictions import (
     save_predictions,
 )
 
+import golden_fixture
 from conftest import crossed_corpus_lines, write_jsonl
 
 
@@ -154,6 +155,35 @@ class TestBaselines:
         # fallback picks Rome's most co-occurring candidate (France)
         assert preds.get("Paris", "capital-of", "[X] is the capital of [Y].").predicted_object == "France"
         assert preds.get("Rome", "capital-of", "[X] is the capital of [Y].").predicted_object == "France"
+
+    @pytest.mark.parametrize("fixture", ["golden", "crossed"])
+    def test_heuristic_utt_equals_the_per_candidate_scan(self, fixture, crossed_kb):
+        if fixture == "golden":
+            kb, idx = golden_fixture.knowledge_base(), golden_fixture.corpus_index()
+        else:
+            kb, idx = crossed_kb, build_index(crossed_corpus_lines())
+        queries = [
+            (s, p.relation, p.template)
+            for p in kb.patterns
+            for s in kb.subjects(p.relation)
+        ]
+        preds = baseline_predict("heuristic-utt", kb, stats=idx, queries=queries)
+        stored = 0
+        for subject, relation, template in queries:
+            candidates = kb.candidate_objects(relation)
+            present = [
+                o
+                for o in candidates
+                if idx.utterance_present(instantiate(template, subject, o))
+            ]
+            stored += bool(present)
+            expected = (
+                present[0] if present
+                else argmax_object(idx.soc_counts(subject, candidates))
+            )
+            rec = preds.get(subject, relation, template)
+            assert rec.predicted_object == expected, (subject, template)
+        assert 0 < stored < len(queries)
 
     def test_perfect_reads_kb(self, crossed_kb):
         preds = baseline_predict(
