@@ -133,12 +133,10 @@ def main():
 @main.command("index")
 @click.argument("corpus", type=click.Path(exists=True))
 @click.option("-o", "--output", required=True, type=click.Path())
-@click.option("--shards", default=1, type=int, show_default=True,
-              help="Shard the build; results are identical to sequential.")
 @_exit_codes
-def index_cmd(corpus, output, shards):
+def index_cmd(corpus, output):
     """Index a corpus file or directory and write the binary index."""
-    idx = build_index(corpus, shards=shards)
+    idx = build_index(corpus)
     idx.save(output)
     click.echo(f"indexed {len(idx)} sentences -> {output}")
 

@@ -10,7 +10,8 @@ pattern count prefilters on the template's literal tokens the same way,
 then tests each candidate for the literal prefix and suffix around the
 [X] wildcard. Templates are split once. Pair and pattern counts are
 cached, and so are the per-subject and per-template count maps over a
-candidate set, so each count is computed once per index.
+candidate set with their rankings, so each count is computed and each
+map ranked once per index.
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -83,6 +84,12 @@ def ranked_objects(counts):
     if not counts:
         raise EmptyCandidateSetError("ranking an empty candidate mapping")
     return sorted(counts, key=lambda obj: (-counts[obj], obj))
+
+
+def _nonempty(ranking):
+    if not ranking:
+        raise EmptyCandidateSetError("ranking an empty candidate mapping")
+    return ranking
 
 
 @functools.lru_cache(maxsize=4096)
@@ -195,6 +202,10 @@ class CorpusIndex:
         Containment is exact and case-sensitive at word boundaries
         (``Paris`` does not match inside ``Parisian``).
         """
+        cached = self._entity_cache.get(surface)
+        if cached is not None:
+            # keys are normalised, so a hit needs no normalising
+            return cached
         surface = normalize_text(surface)
         cached = self._entity_cache.get(surface)
         if cached is not None:
@@ -241,24 +252,39 @@ class CorpusIndex:
         candidates again get the same mapping back without recounting.
         The mapping is read-only because every caller shares it.
         """
-        return self._count_map(self._soc_maps, self.soc_count, subject, objects)
+        return self._count_map(self._soc_maps, self.soc_count, subject, objects)[0]
+
+    def soc_ranking(self, subject, objects):
+        """`soc_counts` ranked as `ranked_objects` ranks it, as a tuple.
+
+        Sorted once, when the map is counted, and memoised with it.
+        """
+        entry = self._count_map(self._soc_maps, self.soc_count, subject, objects)
+        return _nonempty(entry[1])
 
     def poc_counts(self, template, objects):
         """``{object: poc_count(template, object)}`` over a candidate tuple.
 
         Memoised per (template, objects), like `soc_counts`.
         """
-        return self._count_map(self._poc_maps, self.poc_count, template, objects)
+        return self._count_map(self._poc_maps, self.poc_count, template, objects)[0]
+
+    def poc_ranking(self, template, objects):
+        """`poc_counts` ranked as `ranked_objects` ranks it, as a tuple."""
+        entry = self._count_map(self._poc_maps, self.poc_count, template, objects)
+        return _nonempty(entry[1])
 
     @staticmethod
     def _count_map(maps, count, first, objects):
+        """The memoised ``(counts, ranking)`` entry of (first, objects)."""
         objects = tuple(objects)
         key = (normalize_text(first), objects)
-        cached = maps.get(key)
-        if cached is None:
-            cached = MappingProxyType({o: count(first, o) for o in objects})
-            maps[key] = cached
-        return cached
+        entry = maps.get(key)
+        if entry is None:
+            counts = {o: count(first, o) for o in objects}
+            ranking = tuple(ranked_objects(counts)) if counts else ()
+            entry = maps[key] = (MappingProxyType(counts), ranking)
+        return entry
 
     def poc_count(self, template, obj):
         """Sentences matching the template with [Y]=object and [X] wildcarded.
@@ -330,17 +356,32 @@ class CorpusIndex:
             raise IoFailureError(f"cannot read index from {path}: {exc}") from exc
         if blob[: len(_MAGIC)] != _MAGIC:
             raise IoFailureError(f"{path} is not a corpus index (bad magic/version)")
+
+        def corrupt(what):
+            return IoFailureError(f"corrupt index structure in {path}: {what}")
+
+        header = struct.Struct("<IQ")
         pos = len(_MAGIC)
-        n_sent, sent_len = struct.unpack_from("<IQ", blob, pos)
-        pos += struct.calcsize("<IQ")
-        sent_blob = blob[pos : pos + sent_len]
-        pos += sent_len
-        n_tok, tok_len = struct.unpack_from("<IQ", blob, pos)
-        pos += struct.calcsize("<IQ")
-        tok_blob = blob[pos : pos + tok_len]
-        pos += tok_len
+        blocks = []
+        for _ in range(2):
+            if pos + header.size > len(blob):
+                raise corrupt("header past the end of the file")
+            count, length = header.unpack_from(blob, pos)
+            pos += header.size
+            if pos + length > len(blob):
+                raise corrupt("text block past the end of the file")
+            blocks.append((count, blob[pos : pos + length]))
+            pos += length
+        (n_sent, sent_blob), (n_tok, tok_blob) = blocks
+        offsets_size = (n_tok + 1) * 8
+        if pos + offsets_size > len(blob):
+            raise corrupt("posting offsets past the end of the file")
         offsets = np.frombuffer(blob, dtype=np.int64, count=n_tok + 1, offset=pos)
-        pos += offsets.nbytes
+        pos += offsets_size
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise corrupt("posting offsets do not start at 0 and rise")
+        if len(blob) - pos != int(offsets[-1]) * 4:
+            raise corrupt("postings do not end where the file ends")
         flat = np.frombuffer(blob, dtype=np.int32, offset=pos)
         try:
             sentences = sent_blob.decode("utf-8").split("\n") if n_sent else []
@@ -348,7 +389,7 @@ class CorpusIndex:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"corrupt index text block in {path}") from exc
         if len(sentences) != n_sent or len(tokens) != n_tok:
-            raise IoFailureError(f"corrupt index structure in {path}")
+            raise corrupt("entry counts do not match the text blocks")
         postings = {
             tok: flat[offsets[i] : offsets[i + 1]].copy()
             for i, tok in enumerate(tokens)
@@ -376,42 +417,18 @@ def _read_corpus_lines(source):
         yield from source
 
 
-def _postings_from_sentences(sentences, base_id=0):
+def build_index(source):
+    """Segment, normalize, and index a corpus."""
+    sentences = []
+    for line in _read_corpus_lines(source):
+        sentences.extend(segment_sentences(line))
     postings = {}
-    for sid, sentence in enumerate(sentences, start=base_id):
+    for sid, sentence in enumerate(sentences):
         for tok in _WORD_RE.findall(sentence):
             lst = postings.setdefault(tok, [])
             if not lst or lst[-1] != sid:
                 lst.append(sid)
-    return postings
-
-
-def _merge_postings(parts):
-    merged = {}
-    for part in parts:
-        for tok, lst in part.items():
-            merged.setdefault(tok, []).extend(lst)
-    return {
-        tok: np.asarray(lst, dtype=np.int32) for tok, lst in merged.items()
-    }
-
-
-def build_index(source, shards=1):
-    """Segment, normalize, and index a corpus.
-
-    `shards` splits the sentence stream into contiguous chunks indexed
-    independently and merged; the result is identical to sequential
-    construction (merging is associative, ids are global).
-    """
-    sentences = []
-    for line in _read_corpus_lines(source):
-        sentences.extend(segment_sentences(line))
-    if shards <= 1:
-        parts = [_postings_from_sentences(sentences)]
-    else:
-        size = max(1, -(-len(sentences) // shards))
-        parts = [
-            _postings_from_sentences(sentences[i : i + size], base_id=i)
-            for i in range(0, max(len(sentences), 1), size)
-        ]
-    return CorpusIndex(sentences, _merge_postings(parts))
+    return CorpusIndex(
+        sentences,
+        {tok: np.asarray(lst, dtype=np.int32) for tok, lst in postings.items()},
+    )

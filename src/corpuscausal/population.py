@@ -15,8 +15,12 @@ columns its estimation stratifies on:
     the subject's most co-occurring candidate (treated) vs the next most
     (control).
 
-Rows are structure: a `PopulationRow` holds what the corpus, the KB and
-the matching fix, and it does not change once built. Scores are columns:
+Rows are structure: a `PopulationRow` is a plain named tuple of what the
+corpus, the KB and the matching fix, so rows are built positionally,
+keyed with `itemgetter` and written cell by cell, and none changes once
+built. The most and next most co-occurring objects come from the
+rankings the corpus index keeps beside each count map, sorted once per
+index rather than once per population or per query. Scores are columns:
 `score_population` returns the same rows with a ``predicted`` and an
 ``outcomes`` tuple aligned with them, so re-scoring a population for
 another prediction set (one per checkpoint) copies no row. Emitted
@@ -28,10 +32,11 @@ template), so identical inputs produce identical files.
 """
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import NamedTuple
 
-from .corpus import BIN_EDGES, bin_count, instantiate, ranked_objects
+from .corpus import BIN_EDGES, bin_count, instantiate
 from .errors import (
     EmptyPopulationError,
     MissingPredictionError,
@@ -66,8 +71,7 @@ MATCH_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class PopulationRow:
+class PopulationRow(NamedTuple):
     subject: str
     object: str
     relation: str
@@ -81,10 +85,15 @@ class PopulationRow:
     po_hc: bool
 
     def sort_key(self):
-        return (self.relation, self.subject, self.object, self.template, self.is_anti)
+        return _sort_key(self)
 
 
-ROW_FIELDS = tuple(f.name for f in fields(PopulationRow))
+ROW_FIELDS = PopulationRow._fields
+
+#: The canonical row order: (relation, subject, object, template, is_anti).
+_sort_key = itemgetter(
+    *map(ROW_FIELDS.index, ("relation", "subject", "object", "template", "is_anti"))
+)
 
 #: Columns of an emitted population table: the row fields, then the scores.
 POPULATION_FIELDS = ROW_FIELDS + ("prediction", "outcome")
@@ -115,20 +124,22 @@ def restrict_candidates(relation, kb):
 def match_controls(treated, pool, discrete=()):
     """Pair each treated record with the first unused eligible pool record.
 
-    Records are mappings. A pool record is eligible when it agrees with
-    the treated record on every `discrete` column; matching is exact on
-    those keys, and among eligible records input order decides. Greedy
-    without replacement: a pool record backs at most one treated record.
-    Returns (pairs, dropped_indices) over input positions.
+    Records are mappings, or tuples with `discrete` given as positions.
+    A pool record is eligible when it agrees with the treated record on
+    every `discrete` column; matching is exact on those keys, and among
+    eligible records input order decides. Greedy without replacement: a
+    pool record backs at most one treated record. Returns
+    (pairs, dropped_indices) over input positions.
     """
     discrete = tuple(discrete)
+    key = itemgetter(*discrete) if discrete else (lambda rec: ())
     free = {}
     for j, rec in enumerate(pool):
-        free.setdefault(tuple(rec[c] for c in discrete), deque()).append(j)
+        free.setdefault(key(rec), deque()).append(j)
     pairs = []
     dropped = []
     for i, rec in enumerate(treated):
-        candidates = free.get(tuple(rec[c] for c in discrete))
+        candidates = free.get(key(rec))
         if candidates:
             pairs.append((i, candidates.popleft()))
         else:
@@ -137,7 +148,11 @@ def match_controls(treated, pool, discrete=()):
 
 
 class _StatsView:
-    """Cached per-(relation, subject) and per-(relation, template) rankings."""
+    """Per-(relation, subject) and per-(relation, template) rankings.
+
+    The index ranks each count map once; the view only saves looking the
+    candidate set and the map up again for every row.
+    """
 
     def __init__(self, kb, stats, bin_edges):
         if stats is None:
@@ -151,15 +166,21 @@ class _StatsView:
     def soc_ranked(self, relation, subject):
         key = (relation, subject)
         if key not in self._soc_rank:
-            counts = self.stats.soc_counts(subject, self.kb.candidate_objects(relation))
-            self._soc_rank[key] = (ranked_objects(counts), counts)
+            objects = self.kb.candidate_objects(relation)
+            self._soc_rank[key] = (
+                self.stats.soc_ranking(subject, objects),
+                self.stats.soc_counts(subject, objects),
+            )
         return self._soc_rank[key]
 
     def poc_ranked(self, relation, template):
         key = (relation, template)
         if key not in self._poc_rank:
-            counts = self.stats.poc_counts(template, self.kb.candidate_objects(relation))
-            self._poc_rank[key] = (ranked_objects(counts), counts)
+            objects = self.kb.candidate_objects(relation)
+            self._poc_rank[key] = (
+                self.stats.poc_ranking(template, objects),
+                self.stats.poc_counts(template, objects),
+            )
         return self._poc_rank[key]
 
     def make_row(self, relation, subject, obj, template, is_anti, treatment):
@@ -167,19 +188,17 @@ class _StatsView:
         poc_ranked, _ = self.poc_ranked(relation, template)
         soc = soc_counts[obj]
         return PopulationRow(
-            subject=subject,
-            object=obj,
-            relation=relation,
-            template=template,
-            is_anti=is_anti,
-            treatment=treatment,
-            soc_count=soc,
-            soc_bin=bin_count(soc, self.bin_edges),
-            utt_present=self.stats.utterance_present(
-                instantiate(template, subject, obj)
-            ),
-            so_hc=obj == soc_ranked[0],
-            po_hc=obj == poc_ranked[0],
+            subject,
+            obj,
+            relation,
+            template,
+            is_anti,
+            treatment,
+            soc,
+            bin_count(soc, self.bin_edges),
+            self.stats.utterance_present(instantiate(template, subject, obj)),
+            obj == soc_ranked[0],
+            obj == poc_ranked[0],
         )
 
 
@@ -194,8 +213,8 @@ def _finalize(hypothesis, paired_rows, pair_keys, diagnostics):
         raise EmptyPopulationError(
             f"{hypothesis} population has no matched pairs"
         )
-    rows = sorted(paired_rows.values(), key=PopulationRow.sort_key)
-    index = {r.sort_key(): i for i, r in enumerate(rows)}
+    rows = sorted(paired_rows.values(), key=_sort_key)
+    index = {key: i for i, key in enumerate(map(_sort_key, rows))}
     pairs = tuple(
         sorted((index[tk], index[ck]) for tk, ck in pair_keys)
     )
@@ -216,7 +235,7 @@ def _build_utt(kb, view):
                 trip.relation, trip.subject, trip.object, pat.template, False, 0
             )
             if row.utt_present:
-                treated.append(replace(row, treatment=1))
+                treated.append(row._replace(treatment=1))
             else:
                 pool.append(row)
     return _match_on_keys("utt", treated, pool, 0)
@@ -274,16 +293,12 @@ def _build_soc(kb, view):
 
 def _match_on_keys(hypothesis, treated, pool, removed):
     """Pair treated rows with controls on the recipe's `MATCH_KEYS`."""
-    keys = MATCH_KEYS[hypothesis]
-    pairs, dropped = match_controls(
-        [{k: getattr(r, k) for k in keys} for r in treated],
-        [{k: getattr(r, k) for k in keys} for r in pool],
-        discrete=keys,
-    )
+    keys = tuple(map(ROW_FIELDS.index, MATCH_KEYS[hypothesis]))
+    pairs, dropped = match_controls(treated, pool, discrete=keys)
     paired_rows = {}
     pair_keys = []
     for i, j in pairs:
-        t_key, c_key = treated[i].sort_key(), pool[j].sort_key()
+        t_key, c_key = _sort_key(treated[i]), _sort_key(pool[j])
         paired_rows[t_key] = treated[i]
         paired_rows[c_key] = pool[j]
         pair_keys.append((t_key, c_key))
@@ -329,10 +344,13 @@ def score_population(pop, predictions):
             missing=missing,
         )
     predicted = tuple(predictions.get(*key).predicted_object for key in keys)
-    outcomes = tuple(
-        outcome_flag(pop.hypothesis, row.object, prediction)
-        for row, prediction in zip(pop.rows, predicted)
-    )
+    # a hit depends only on (object, prediction), so each distinct pair is
+    # flagged once, in row order
+    scored = [(row.object, prediction) for row, prediction in zip(pop.rows, predicted)]
+    flags = {
+        pair: outcome_flag(pop.hypothesis, *pair) for pair in dict.fromkeys(scored)
+    }
+    outcomes = tuple(map(flags.__getitem__, scored))
     return replace(pop, predicted=predicted, outcomes=outcomes)
 
 
@@ -361,11 +379,10 @@ def write_population(pop, table_path, pairs_path=None):
     """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids."""
     predicted = pop.predicted or ("",) * len(pop.rows)
     outcomes = pop.outcomes or (0,) * len(pop.rows)
-    row_cells = attrgetter(*ROW_FIELDS)
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(POPULATION_FIELDS) + "\n")
         for row, prediction, outcome in zip(pop.rows, predicted, outcomes, strict=True):
-            cells = "\t".join(map(str, row_cells(row)))
+            cells = "\t".join(map(str, row))
             fh.write(f"{cells}\t{prediction}\t{outcome}\n")
     if pairs_path is not None:
         with open(pairs_path, "w", encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .corpus import argmax_object, split_around
+from .corpus import split_around
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -168,9 +168,9 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
                 _random_index(seed, subject, relation, template, len(candidates))
             ]
         elif kind == "heuristic-soc":
-            predicted = argmax_object(stats.soc_counts(subject, candidates))
+            predicted = stats.soc_ranking(subject, candidates)[0]
         elif kind == "heuristic-poc":
-            predicted = argmax_object(stats.poc_counts(template, candidates))
+            predicted = stats.poc_ranking(template, candidates)[0]
         else:  # heuristic-utt
             left, right = split_around(template, "[Y]", subject)
             present = [
@@ -179,7 +179,7 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
             if present:
                 predicted = present[0]
             else:
-                predicted = argmax_object(stats.soc_counts(subject, candidates))
+                predicted = stats.soc_ranking(subject, candidates)[0]
         records[key] = PredictionRecord(
             subject=subject,
             relation=relation,

@@ -44,15 +44,20 @@ class TestIndexCommand:
         assert "Paris\tFrance\t3" in lines
         assert "Paris\tItaly\t4" in lines
 
-    def test_sharded_index_identical_file(self, crossed_files, tmp_path):
-        a = tmp_path / "a.idx"
-        b = tmp_path / "b.idx"
-        assert invoke("index", crossed_files["corpus"], "-o", a).exit_code == 0
-        assert (
-            invoke("index", crossed_files["corpus"], "-o", b, "--shards", 3).exit_code
-            == 0
+    def test_truncated_index_is_input_error(self, crossed_files):
+        idx_path = crossed_files["dir"] / "corpus.idx"
+        assert invoke("index", crossed_files["corpus"], "-o", idx_path).exit_code == 0
+        idx_path.write_bytes(idx_path.read_bytes()[:-4])
+        result = invoke(
+            "stats",
+            idx_path,
+            "--kb",
+            crossed_files["kb"],
+            "--patterns",
+            crossed_files["patterns"],
         )
-        assert a.read_bytes() == b.read_bytes()
+        assert result.exit_code == 1, result.output
+        assert "corrupt index structure" in result.output
 
     def test_missing_corpus_is_input_error(self, tmp_path):
         result = invoke("index", tmp_path / "missing.txt", "-o", tmp_path / "x.idx")

@@ -325,6 +325,49 @@ class TestBatchedCounts:
         with pytest.raises(TypeError):
             counts["France"] = 7
 
+    def test_rankings_equal_ranked_objects_of_their_maps(self):
+        sentences = self.SENTENCES + ["Italy and Spain.", "Rome in Spain."]
+        idx = build_index(sentences)
+        # Rome co-occurs once each with France, Italy and Spain: a three-way tie
+        objects = ("Spain", "France", "Rome", "Italy", "Lyon")
+        template = "[X] is the capital of [Y]."
+        cases = [
+            (idx.soc_ranking, idx.soc_counts, naive_soc, subject)
+            for subject in ("Rome", "Paris")
+        ] + [(idx.poc_ranking, idx.poc_counts, naive_poc, template)]
+        for ranking, counts, naive, first in cases:
+            ranked = ranking(first, objects)
+            assert isinstance(ranked, tuple)
+            assert list(ranked) == ranked_objects(counts(first, objects))
+            assert list(ranked) == ranked_objects(
+                {o: naive(sentences, first, o) for o in objects}
+            )
+            assert ranking(f"  {first} ", list(objects)) is ranked
+            assert ranking(first.replace(" ", "   "), objects) is ranked
+        assert idx.soc_ranking("Rome", objects)[:4] == ("Rome", "France", "Italy", "Spain")
+
+    def test_ranking_an_empty_candidate_set_is_rejected(self):
+        idx = build_index(self.SENTENCES)
+        assert dict(idx.soc_counts("Rome", ())) == {}
+        with pytest.raises(EmptyCandidateSetError):
+            idx.soc_ranking("Rome", ())
+        with pytest.raises(EmptyCandidateSetError):
+            idx.poc_ranking("[X] is the capital of [Y].", ())
+
+    def test_soc_count_normalises_each_surface_once(self, monkeypatch):
+        idx = build_index(self.SENTENCES)
+        idx.soc_count("Rome", "France")
+        idx.soc_count("Paris", "Italy")
+        calls = []
+        monkeypatch.setattr(
+            corpuscausal.corpus,
+            "normalize_text",
+            lambda text: calls.append(text) or normalize_text(text),
+        )
+        # a new pair of surfaces whose postings are already cached
+        assert idx.soc_count("Rome", "Italy") == naive_soc(self.SENTENCES, "Rome", "Italy")
+        assert calls == ["Rome", "Italy"]
+
 
 class TestTemplates:
     def test_parts(self):
@@ -618,19 +661,6 @@ class TestFastPathsAgainstRegex:
         assert hits > 0
 
 
-class TestSharding:
-    def test_sharded_equals_sequential(self):
-        rng = random.Random(3)
-        _, sentences = synthetic_corpus(rng, 200)
-        seq = build_index(sentences)
-        for shards in (2, 3, 7):
-            sharded = build_index(sentences, shards=shards)
-            assert sharded.sentences == seq.sentences
-            assert set(sharded._token_postings) == set(seq._token_postings)
-            for tok, arr in seq._token_postings.items():
-                assert sharded._token_postings[tok].tolist() == arr.tolist()
-
-
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = random.Random(7)
@@ -648,6 +678,43 @@ class TestPersistence:
         path = tmp_path / "bogus.idx"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 32)
         with pytest.raises(IoFailureError):
+            CorpusIndex.load(path)
+
+    @staticmethod
+    def saved_index(tmp_path):
+        idx = build_index(synthetic_corpus(random.Random(7), 120)[1])
+        path = tmp_path / "corpus.idx"
+        idx.save(path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda blob: blob[:-8], id="cut-two-postings"),
+            pytest.param(lambda blob: blob[:-9], id="cut-inside-a-posting"),
+            # the magic, the sentence header and 40 bytes of sentences
+            pytest.param(lambda blob: blob[:60], id="cut-inside-the-sentences"),
+            pytest.param(lambda blob: blob + bytes(8), id="padded"),
+        ],
+    )
+    def test_index_of_the_wrong_length_is_rejected(self, tmp_path, damage):
+        path, blob = self.saved_index(tmp_path)
+        path.write_bytes(damage(blob))
+        with pytest.raises(IoFailureError, match="corrupt index structure"):
+            CorpusIndex.load(path)
+
+    def test_falling_offsets_are_rejected(self, tmp_path):
+        path, blob = self.saved_index(tmp_path)
+        idx = CorpusIndex.load(path)
+        flat_start = len(blob) - 4 * sum(map(len, idx._token_postings.values()))
+        offsets_start = flat_start - 8 * (len(idx._token_postings) + 1)
+        offsets = np.frombuffer(blob, dtype=np.int64, count=3, offset=offsets_start)
+        assert offsets[1] > 0
+        swapped = np.array([offsets[0], offsets[2], offsets[1]], dtype=np.int64)
+        path.write_bytes(
+            blob[:offsets_start] + swapped.tobytes() + blob[offsets_start + 24 :]
+        )
+        with pytest.raises(IoFailureError, match="corrupt index structure"):
             CorpusIndex.load(path)
 
     def test_empty_round_trip(self, tmp_path):

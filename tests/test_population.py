@@ -10,9 +10,13 @@ from corpuscausal.errors import (
     UnknownRelationError,
 )
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
+from corpuscausal import population
 from corpuscausal.population import (
     MATCH_KEYS,
+    POPULATION_FIELDS,
+    ROW_FIELDS,
     STRATIFY_COLUMNS,
+    PopulationRow,
     build_structure,
     build_table,
     match_controls,
@@ -22,7 +26,12 @@ from corpuscausal.population import (
     score_population,
     write_population,
 )
-from corpuscausal.predictions import PredictionRecord, PredictionSet, baseline_predict
+from corpuscausal.predictions import (
+    PredictionRecord,
+    PredictionSet,
+    baseline_predict,
+    outcome_flag,
+)
 
 from conftest import crossed_corpus_lines
 
@@ -356,6 +365,13 @@ class TestCommonBehavior:
             build_table("soc", crossed_kb, crossed_index, empty)
         assert err.value.missing
 
+    def test_row_and_table_columns_are_fixed(self):
+        assert ROW_FIELDS == (
+            "subject", "object", "relation", "template", "is_anti", "treatment",
+            "soc_count", "soc_bin", "utt_present", "so_hc", "po_hc",
+        )
+        assert POPULATION_FIELDS == ROW_FIELDS + ("prediction", "outcome")
+
     def test_match_keys_agree_with_recipes(self):
         assert MATCH_KEYS["utt"] == ("relation", "subject", "object")
         assert MATCH_KEYS["poc"] == ("relation", "subject", "template")
@@ -375,6 +391,46 @@ class TestEmission:
         assert loaded.pairs == pop.pairs
         assert loaded.predicted == pop.predicted
         assert loaded.outcomes == pop.outcomes
+
+    def test_rows_are_plain_tuples_that_round_trip(self, tmp_path, crossed_kb, crossed_index):
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        write_population(pop, tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv")
+        loaded = read_population(tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv", "soc")
+        for row, back in zip(pop.rows, loaded.rows, strict=True):
+            assert type(row) is type(back) is PopulationRow
+            assert isinstance(row, tuple)
+            assert back == row == tuple(getattr(row, name) for name in ROW_FIELDS)
+            assert row.sort_key() == (
+                row.relation, row.subject, row.object, row.template, row.is_anti
+            )
+
+    def test_whitespace_in_predictions_scores_as_a_per_row_flag(
+        self, monkeypatch, crossed_kb, crossed_index
+    ):
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        candidates = {r: crossed_kb.candidate_objects(r) for r in crossed_kb.relations}
+        padding = ("", " ", "\t", "  ")
+        preds = manual_predictions(
+            {
+                key: padding[i % 4] + candidates[key[1]][i % 2] + padding[(i + 1) % 4]
+                for i, key in enumerate(keys_of(pop))
+            }
+        )
+        flags = []
+        monkeypatch.setattr(
+            population,
+            "outcome_flag",
+            lambda *args: flags.append(args[1:]) or outcome_flag(*args),
+        )
+        scored = score_population(pop, preds)
+        per_row = [
+            outcome_flag("soc", row.object, prediction)
+            for row, prediction in zip(pop.rows, scored.predicted)
+        ]
+        assert list(scored.outcomes) == per_row
+        assert 0 < sum(per_row) < len(per_row)
+        assert sorted(flags) == sorted(set(zip((r.object for r in pop.rows), scored.predicted)))
+        assert len(flags) < len(pop.rows)
 
     def test_unscored_population_writes_empty_scores(self, tmp_path, crossed_kb, crossed_index):
         pop = build_structure("soc", crossed_kb, crossed_index)

@@ -185,6 +185,31 @@ class TestBaselines:
             assert rec.predicted_object == expected, (subject, template)
         assert 0 < stored < len(queries)
 
+    @pytest.mark.parametrize("kind", ["heuristic-soc", "heuristic-poc"])
+    @pytest.mark.parametrize("fixture", ["golden", "crossed"])
+    def test_heuristic_argmax_equals_the_per_query_form(self, fixture, kind, crossed_kb):
+        if fixture == "golden":
+            kb, idx = golden_fixture.knowledge_base(), golden_fixture.corpus_index()
+        else:
+            kb, idx = crossed_kb, build_index(crossed_corpus_lines())
+        queries = [
+            (s, p.relation, p.template)
+            for p in kb.patterns
+            for s in kb.subjects(p.relation)
+        ]
+        preds = baseline_predict(kind, kb, stats=idx, queries=queries)
+        # the oracle counts on a fresh index, so no ranking is shared with it
+        fresh = build_index(idx.sentences)
+        for subject, relation, template in queries:
+            candidates = kb.candidate_objects(relation)
+            counts = (
+                fresh.soc_counts(subject, candidates)
+                if kind == "heuristic-soc"
+                else fresh.poc_counts(template, candidates)
+            )
+            rec = preds.get(subject, relation, template)
+            assert rec.predicted_object == argmax_object(counts), (subject, template)
+
     def test_perfect_reads_kb(self, crossed_kb):
         preds = baseline_predict(
             "perfect",
