@@ -30,8 +30,8 @@ from .errors import (
     ParseError,
     UnknownRelationError,
 )
-from .kb import KnowledgeBase, load_kb, load_patterns
-from .population import write_population
+from .kb import load_knowledge_base
+from .population import score_population, write_population
 from .predictions import HYPOTHESES
 
 _INPUT_ERRORS = (
@@ -151,8 +151,7 @@ def index_cmd(corpus, output):
 def stats_cmd(index_path, kb_path, patterns_path, output):
     """Dump subject/object co-occurrence counts as tab-separated text."""
     idx = CorpusIndex.load(index_path)
-    triplets, _ = load_kb(kb_path)
-    kb = KnowledgeBase(triplets=triplets, patterns=load_patterns(patterns_path))
+    kb, _ = load_knowledge_base(kb_path, patterns_path)
     lines = []
     for relation in kb.relations:
         candidates = kb.candidate_objects(relation)
@@ -180,7 +179,7 @@ def build_population_cmd(hypothesis, config_path, **overrides):
     chosen = HYPOTHESES if hypothesis == "all" else (hypothesis,)
     for hyp in chosen:
         prediction_set = rt.predictions_for(hyp, config.predictions)
-        scored, _, _, _ = rt.estimate_hypothesis(hyp, prediction_set)
+        scored = score_population(rt.populations[hyp], prediction_set)
         write_population(scored, out / f"{hyp}_population.tsv", out / f"{hyp}_pairs.tsv")
         with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
             fh.write("subject\trelation\ttemplate\tcloze\n")

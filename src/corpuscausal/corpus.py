@@ -8,10 +8,10 @@ surface intersects its tokens' postings to get candidate sentences (the
 hot kernel), then a word-boundary regex verifies the surface string. A
 pattern count prefilters on the template's literal tokens the same way,
 then tests each candidate for the literal prefix and suffix around the
-[X] wildcard. Templates are split once. Pair and pattern counts are
-cached, and so are the per-subject and per-template count maps over a
-candidate set with their rankings, so each count is computed and each
-map ranked once per index.
+[X] wildcard. Templates are split once. Entity postings are cached, and
+so are the per-subject and per-template count maps over a candidate set
+with their rankings, so each map is counted and ranked once per index;
+a single `soc_count` or `poc_count` call is not memoised.
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -156,8 +156,6 @@ class CorpusIndex:
         self._sentence_set = set(self.sentences)
         self._token_postings = token_postings
         self._entity_cache = {}
-        self._pair_cache = {}
-        self._pattern_cache = {}
         self._soc_maps = {}
         self._poc_maps = {}
 
@@ -233,17 +231,9 @@ class CorpusIndex:
 
     def soc_count(self, subject, obj):
         """Number of sentences mentioning both surface strings."""
-        a = normalize_text(subject)
-        b = normalize_text(obj)
-        key = (a, b) if a <= b else (b, a)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        count = int(
-            kernels.intersect_count(self.entity_postings(a), self.entity_postings(b))
-        )
-        self._pair_cache[key] = count
-        return count
+        a = self.entity_postings(normalize_text(subject))
+        b = self.entity_postings(normalize_text(obj))
+        return int(kernels.intersect_count(a, b))
 
     def soc_counts(self, subject, objects):
         """``{object: soc_count(subject, object)}`` over a candidate tuple.
@@ -293,12 +283,7 @@ class CorpusIndex:
         instantiated template must match the whole sentence.
         """
         template = normalize_text(template)
-        obj = normalize_text(obj)
-        key = (template, obj)
-        cached = self._pattern_cache.get(key)
-        if cached is not None:
-            return cached
-        left, right = split_around(template, "[X]", obj)
+        left, right = split_around(template, "[X]", normalize_text(obj))
         # A word of a run is a whole sentence token unless it touches [X],
         # where the wildcard may extend it.
         tokens = [m.group() for m in _WORD_RE.finditer(left) if m.end() < len(left)]
@@ -316,7 +301,6 @@ class CorpusIndex:
                 and "\n" not in s[head : len(s) - tail]
             ):
                 count += 1
-        self._pattern_cache[key] = count
         return count
 
     # --- persistence -------------------------------------------------------

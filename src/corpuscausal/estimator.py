@@ -121,31 +121,24 @@ def _check_adjustment_columns(table, treatment, outcome, z):
 
 
 def _do_from_counts(mass, arm_mass, arm_hits, total):
-    """Per-arm backdoor sums from stratum mass/hit accumulators.
+    """Per-arm backdoor sums from `Counter`s of integer stratum row counts.
 
-    Accumulators hold integer row counts or exact probabilities; either
-    way the ratios below are exact. Each arm's sum runs over the strata
-    where that arm has support, with the stratum distribution
-    renormalized to that support; covered_mass reports the both-arm
-    stratum mass.
+    Each arm's sum runs over the strata where that arm has rows, with the
+    stratum distribution renormalized to them; covered_mass reports the
+    share of rows in strata holding both arms.
     """
     p_do = {}
     dropped = 0
     for x in (0, 1):
-        supported = [key for key in mass if arm_mass.get((key, x), 0) > 0]
+        supported = [key for key in mass if arm_mass[key, x]]
         dropped += len(mass) - len(supported)
-        support_total = sum(mass[k] for k in supported)
-        if support_total == 0:
-            continue
-        acc = Fraction(0)
-        for key in supported:
-            acc += Fraction(arm_hits.get((key, x), 0), arm_mass[(key, x)]) * mass[key]
-        p_do[x] = acc / support_total
-    covered_total = sum(
-        mass[k]
-        for k in mass
-        if arm_mass.get((k, 0), 0) > 0 and arm_mass.get((k, 1), 0) > 0
-    )
+        if supported:
+            acc = sum(
+                Fraction(arm_hits[key, x] * mass[key], arm_mass[key, x])
+                for key in supported
+            )
+            p_do[x] = acc / sum(mass[key] for key in supported)
+    covered_total = sum(mass[k] for k in mass if arm_mass[k, 0] and arm_mass[k, 1])
     return p_do, Fraction(covered_total, total), dropped
 
 
@@ -233,6 +226,8 @@ def exact_joint_do(joint, names, treatment, outcome, z=()):
     `interventional_prob`; the two agree exactly on the empirical joint of
     any table. Arms with no support anywhere are simply absent from the
     returned mapping (a point-mass joint reports its one configuration).
+    It shares no arithmetic with `interventional_prob`: the sum below is
+    written straight from the formula, over probabilities, not counts.
     """
     names = tuple(names)
     idx = {}
@@ -251,9 +246,9 @@ def exact_joint_do(joint, names, treatment, outcome, z=()):
     oi = idx[outcome]
     zis = sorted(idx[name] for name in z)
 
-    mass = {}
-    arm_mass = {}
-    arm_hits = {}
+    p_z = {}  # P(z)
+    p_xz = {}  # P(x, z), positive entries only
+    p_yxz = {}  # P(Y=1, x, z)
     for assignment, p in joint.items():
         p = Fraction(p)
         if p == 0:
@@ -263,14 +258,24 @@ def exact_joint_do(joint, names, treatment, outcome, z=()):
         x = _as01(assignment[ti], treatment)
         y = _as01(assignment[oi], outcome)
         key = tuple(assignment[i] for i in zis)
-        mass[key] = mass.get(key, Fraction(0)) + p
-        arm_mass[(key, x)] = arm_mass.get((key, x), Fraction(0)) + p
+        p_z[key] = p_z.get(key, 0) + p
+        p_xz[x, key] = p_xz.get((x, key), 0) + p
         if y:
-            arm_hits[(key, x)] = arm_hits.get((key, x), Fraction(0)) + p
+            p_yxz[x, key] = p_yxz.get((x, key), 0) + p
 
-    p_do, covered_mass, dropped = _do_from_counts(mass, arm_mass, arm_hits, total)
+    # P(Y=1 | do(x)) = sum_z P(Y=1 | x, z) P(z), with P(z) renormalised
+    # over the strata where arm x is observed
+    p_do = {}
+    dropped = 0
+    for x in (0, 1):
+        support = [key for key in p_z if (x, key) in p_xz]
+        dropped += len(p_z) - len(support)
+        if support:
+            backdoor = sum(p_yxz.get((x, k), 0) / p_xz[x, k] * p_z[k] for k in support)
+            p_do[x] = backdoor / sum(p_z[k] for k in support)
+    covered = sum(p for key, p in p_z.items() if (0, key) in p_xz and (1, key) in p_xz)
     return DoEstimate(
         p_outcome_given_do=p_do,
-        covered_mass=covered_mass,
+        covered_mass=covered / total,
         dropped_strata=dropped,
     )

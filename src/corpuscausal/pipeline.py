@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index
@@ -38,7 +38,7 @@ from .population import (
     score_population,
     write_population,
 )
-from .predictions import HYPOTHESES, baseline_predict, load_predictions
+from .predictions import BASELINE_KINDS, HYPOTHESES, baseline_predict, load_predictions
 
 REPORT_FORMATS = ("table", "structured", "delimited")
 
@@ -191,20 +191,11 @@ class _Runtime:
         self.kb = KnowledgeBase(triplets=triplets, patterns=load_patterns(config.patterns))
         if config.index:
             self.stats = CorpusIndex.load(config.index)
-            stats_fingerprint = _file_digest(config.index)
         else:
             self.stats = build_index(config.corpus)
-            path = Path(config.corpus)
-            files = (
-                sorted(p for p in path.iterdir() if p.is_file())
-                if path.is_dir()
-                else [path]
-            )
-            stats_fingerprint = hashlib.blake2b(
-                "".join(_file_digest(p) for p in files).encode(), digest_size=16
-            ).hexdigest()
         self._verify_adjustments()
-        self._cache_key = self._population_cache_key(stats_fingerprint)
+        # the key digests every input file, so it is taken only for a cache
+        self._cache_key = self._population_cache_key() if config.cache_dir else None
         self._loaded_predictions = {}
         self.populations = {
             hyp: self._structure(hyp) for hyp in HYPOTHESES
@@ -222,7 +213,20 @@ class _Runtime:
                     f"backdoor verification against the built-in graph"
                 )
 
-    def _population_cache_key(self, stats_fingerprint):
+    def _population_cache_key(self):
+        """Digest of every input a population depends on."""
+        if self.config.index:
+            stats_fingerprint = _file_digest(self.config.index)
+        else:
+            path = Path(self.config.corpus)
+            files = (
+                sorted(p for p in path.iterdir() if p.is_file())
+                if path.is_dir()
+                else [path]
+            )
+            stats_fingerprint = hashlib.blake2b(
+                "".join(_file_digest(p) for p in files).encode(), digest_size=16
+            ).hexdigest()
         h = hashlib.blake2b(digest_size=16)
         h.update(_file_digest(self.config.kb).encode())
         h.update(_file_digest(self.config.patterns).encode())
@@ -273,7 +277,7 @@ class _Runtime:
                 seed = int(parts[2])
             elif kind == "heuristic":
                 kind = f"heuristic-{hypothesis}"
-            if kind not in ("heuristic-utt", "heuristic-poc", "heuristic-soc", "perfect", "random"):
+            if kind not in BASELINE_KINDS:
                 raise ConfigError(f"unknown baseline kind in {spec!r}")
             return baseline_predict(
                 kind,
@@ -329,9 +333,10 @@ class _Runtime:
 
 def _read_cache_entry(table, pairs, diag, hypothesis):
     pop = read_population(table, pairs, hypothesis)
-    data = json.loads(diag.read_text(encoding="utf-8"))
-    data["unmatched_samples"] = tuple(tuple(s) for s in data["unmatched_samples"])
-    return replace(pop, diagnostics=MatchDiagnostics(**data))
+    diagnostics = MatchDiagnostics(**json.loads(diag.read_text(encoding="utf-8")))
+    if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
+        raise ValueError(f"diagnostics in {diag} are not counts")
+    return replace(pop, diagnostics=diagnostics)
 
 
 def _write_cache_entry(pop, table, pairs, diag):
@@ -341,15 +346,9 @@ def _write_cache_entry(pop, table, pairs, diag):
     files, so it never pairs a new table with an old pairs file.
     """
     tmp = {p: p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (table, pairs, diag)}
-    d = pop.diagnostics
-    data = {
-        "unmatched_treated": d.unmatched_treated,
-        "unmatched_samples": [list(s) for s in d.unmatched_samples],
-        "low_frequency_removed": d.low_frequency_removed,
-    }
     try:
         write_population(pop, tmp[table], tmp[pairs])
-        tmp[diag].write_text(json.dumps(data), encoding="utf-8")
+        tmp[diag].write_text(json.dumps(asdict(pop.diagnostics)), encoding="utf-8")
         diag.unlink(missing_ok=True)
         os.replace(tmp[table], table)
         os.replace(tmp[pairs], pairs)

@@ -102,7 +102,6 @@ POPULATION_FIELDS = ROW_FIELDS + ("prediction", "outcome")
 @dataclass(frozen=True)
 class MatchDiagnostics:
     unmatched_treated: int = 0
-    unmatched_samples: tuple = ()
     low_frequency_removed: int = 0
 
 
@@ -207,25 +206,6 @@ def cloze_keys(pop):
     return sorted({(r.subject, r.relation, r.template) for r in pop.rows})
 
 
-def _finalize(hypothesis, paired_rows, pair_keys, diagnostics):
-    """Sort rows canonically and re-index the pairs."""
-    if not pair_keys:
-        raise EmptyPopulationError(
-            f"{hypothesis} population has no matched pairs"
-        )
-    rows = sorted(paired_rows.values(), key=_sort_key)
-    index = {key: i for i, key in enumerate(map(_sort_key, rows))}
-    pairs = tuple(
-        sorted((index[tk], index[ck]) for tk, ck in pair_keys)
-    )
-    return MatchedPopulation(
-        hypothesis=hypothesis,
-        rows=tuple(rows),
-        pairs=pairs,
-        diagnostics=diagnostics,
-    )
-
-
 def _build_utt(kb, view):
     treated = []
     pool = []
@@ -292,25 +272,27 @@ def _build_soc(kb, view):
 
 
 def _match_on_keys(hypothesis, treated, pool, removed):
-    """Pair treated rows with controls on the recipe's `MATCH_KEYS`."""
+    """Pair treated rows with controls on the recipe's `MATCH_KEYS`.
+
+    The paired rows are sorted canonically and the pairs re-indexed into
+    them; no two rows of a population are equal, so each row is its own
+    index key.
+    """
     keys = tuple(map(ROW_FIELDS.index, MATCH_KEYS[hypothesis]))
-    pairs, dropped = match_controls(treated, pool, discrete=keys)
-    paired_rows = {}
-    pair_keys = []
-    for i, j in pairs:
-        t_key, c_key = _sort_key(treated[i]), _sort_key(pool[j])
-        paired_rows[t_key] = treated[i]
-        paired_rows[c_key] = pool[j]
-        pair_keys.append((t_key, c_key))
-    diagnostics = MatchDiagnostics(
-        unmatched_treated=len(dropped),
-        unmatched_samples=tuple(
-            (treated[i].subject, treated[i].relation, treated[i].template)
-            for i in dropped[:5]
+    matched, dropped = match_controls(treated, pool, discrete=keys)
+    if not matched:
+        raise EmptyPopulationError(f"{hypothesis} population has no matched pairs")
+    matched = [(treated[i], pool[j]) for i, j in matched]
+    rows = tuple(sorted({row for pair in matched for row in pair}, key=_sort_key))
+    index = {row: i for i, row in enumerate(rows)}
+    return MatchedPopulation(
+        hypothesis=hypothesis,
+        rows=rows,
+        pairs=tuple(sorted((index[t], index[c]) for t, c in matched)),
+        diagnostics=MatchDiagnostics(
+            unmatched_treated=len(dropped), low_frequency_removed=removed
         ),
-        low_frequency_removed=removed,
     )
-    return _finalize(hypothesis, paired_rows, pair_keys, diagnostics)
 
 
 def build_structure(hypothesis, kb, stats, min_poc_frequency=5, bin_edges=BIN_EDGES):

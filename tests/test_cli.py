@@ -6,6 +6,8 @@ from click.testing import CliRunner
 
 from corpuscausal.cli import main
 
+from conftest import write_corpus, write_kb_files
+
 
 def invoke(*args):
     return CliRunner().invoke(main, list(map(str, args)))
@@ -149,6 +151,28 @@ class TestBuildPopulationCommand:
             encoding="utf-8"
         )
         assert "<mask>" in queries and "[MASK]" not in queries
+
+    def test_positivity_gap_does_not_block_the_tables(self, tmp_path):
+        # poc stratifies on utt_present: both treated utterances ("A in X.",
+        # "B in X.") are in the corpus and neither control one is, so no
+        # stratum holds both arms and the ATE is undefined.
+        kb, patterns = write_kb_files(
+            tmp_path,
+            [("A", "r", "X"), ("B", "r", "Y")],
+            [("r", "[X] in [Y].", False), ("r", "[X] near [Y].", False)],
+        )
+        corpus = write_corpus(tmp_path, ["A in X.", "B in X.", "C in Y."])
+        out = tmp_path / "out"
+        result = invoke(
+            "build-population", "poc", "--kb", kb, "--patterns", patterns,
+            "--corpus", corpus, "--predictions", "baseline:perfect",
+            "--min-poc-frequency", 0, "--output-dir", out,
+        )
+        assert result.exit_code == 0, result.output
+        assert "poc: 4 rows, 2 pairs" in result.output
+        table = (out / "poc_population.tsv").read_text(encoding="utf-8")
+        assert len(table.splitlines()) == 5
+        assert (out / "poc_queries.tsv").exists()
 
 
 class TestDynamicsAndReport:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpuscausal import estimator
 from corpuscausal.errors import (
     EmptyTableError,
     NotNormalizedError,
@@ -258,6 +259,35 @@ class TestExactJointDo:
     def test_not_normalized(self):
         with pytest.raises(NotNormalizedError):
             exact_joint_do({(1, 0, 1): 0.5}, ("X", "Z", "Y"), "X", "Y", ())
+
+    def test_independent_of_the_table_estimator(self, monkeypatch):
+        # Z=2 holds treated rows only, so arm 0 renormalises over Z in {0, 1}
+        joint = {
+            (0, 0, 1): Fraction(1, 8),
+            (0, 0, 0): Fraction(1, 8),
+            (1, 0, 1): Fraction(3, 16),
+            (1, 0, 0): Fraction(1, 16),
+            (0, 1, 0): Fraction(1, 8),
+            (1, 1, 1): Fraction(1, 8),
+            (1, 2, 1): Fraction(1, 16),
+            (1, 2, 0): Fraction(3, 16),
+        }
+        rows = [key for key, p in joint.items() for _ in range(int(p * 16))]
+        table = ObservationTable.from_rows(("X", "Z", "Y"), rows)
+        # P(Y|do(1)) = 1/2*3/4 + 1/4*1 + 1/4*1/4; P(Y|do(0)) = (1/2*1/2 + 1/4*0) / (3/4)
+        expected = {0: Fraction(1, 3), 1: Fraction(11, 16)}
+        assert interventional_prob(table, "X", "Y", {"Z"}).p_outcome_given_do == expected
+
+        def wrong_core(mass, arm_mass, arm_hits, total):
+            return {0: Fraction(0), 1: Fraction(1)}, Fraction(1), 0
+
+        monkeypatch.setattr(estimator, "_do_from_counts", wrong_core)
+        assert interventional_prob(table, "X", "Y", {"Z"}).ate == 100
+        est = exact_joint_do(joint, ("X", "Z", "Y"), "X", "Y", {"Z"})
+        assert est.p_outcome_given_do == expected
+        assert est.covered_mass == Fraction(3, 4)
+        assert est.dropped_strata == 1
+        assert est.ate == Fraction(425, 12)
 
     def test_agrees_with_table_estimator_exactly(self):
         rng = random.Random(9)

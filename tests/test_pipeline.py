@@ -1,9 +1,11 @@
 """End-to-end runs, config handling, reports, dynamics."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from corpuscausal import pipeline
 from corpuscausal.errors import ConfigError, MissingPredictionError
 from corpuscausal.estimator import ate, read_table
 from corpuscausal.pipeline import (
@@ -115,7 +117,14 @@ class TestRunEstimate:
         assert first == second
 
     @pytest.mark.parametrize(
-        "damage", ["truncated_table", "garbage_diag", "headerless_pairs"]
+        "damage",
+        [
+            "truncated_table",
+            "garbage_diag",
+            "headerless_pairs",
+            "unmatched_samples_diag",
+            "mistyped_diag",
+        ],
     )
     def test_unreadable_cache_entry_is_rebuilt(self, crossed_files, damage):
         cache = crossed_files["dir"] / "cache"
@@ -132,15 +141,34 @@ class TestRunEstimate:
         elif damage == "headerless_pairs":
             lines = original["pairs.tsv"].splitlines(keepends=True)
             entry["pairs.tsv"].write_bytes(b"".join(lines[1:]))
+        elif damage == "unmatched_samples_diag":
+            # an older format: diag.json also listed a few unmatched rows
+            data = json.loads(original["diag.json"])
+            data["unmatched_samples"] = [["Paris", "capital-of", "[X] is the capital of [Y]."]]
+            entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
+        elif damage == "mistyped_diag":
+            data = json.loads(original["diag.json"])
+            data["unmatched_treated"] = "many"
+            entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
         else:
             entry["diag.json"].write_text("{not json", encoding="utf-8")
         assert run_estimate(config) == cold
         assert {name: p.read_bytes() for name, p in entry.items()} == original
         assert not [p for p in cache.iterdir() if p.name.endswith(".tmp")]
 
+    def test_inputs_are_not_digested_without_a_cache(self, crossed_files, monkeypatch):
+        def no_digest(path):
+            raise AssertionError(f"digested {path} with no cache to key")
+
+        config = config_for(crossed_files, "baseline:heuristic")
+        expected = run_estimate(config)
+        monkeypatch.setattr(pipeline, "_file_digest", no_digest)
+        assert run_estimate(config) == expected
+        with pytest.raises(AssertionError, match="digested"):
+            run_estimate(replace(config, cache_dir=str(crossed_files["dir"] / "cache")))
+
     def test_prebuilt_index_equals_corpus_build(self, crossed_files):
         from corpuscausal.corpus import build_index
-        from dataclasses import replace
 
         idx_path = crossed_files["dir"] / "corpus.idx"
         build_index(crossed_files["corpus"]).save(idx_path)
