@@ -74,7 +74,6 @@ from .population import (
     write_population,
 )
 from .predictions import (
-    PredictionRecord,
     PredictionSet,
     baseline_predict,
     load_predictions,

@@ -173,12 +173,13 @@ def stats_cmd(index_path, kb_path, patterns_path, output):
 def build_population_cmd(hypothesis, config_path, **overrides):
     """Build matched population tables and their cloze query files."""
     config = _build_config(config_path, **overrides).validate()
+    spec = config.predictions_spec()
     rt = pipeline._Runtime(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     chosen = HYPOTHESES if hypothesis == "all" else (hypothesis,)
     for hyp in chosen:
-        prediction_set = rt.predictions_for(hyp, config.predictions)
+        prediction_set = rt.predictions_for(hyp, spec)
         scored = score_population(rt.populations[hyp], prediction_set)
         write_population(scored, out / f"{hyp}_population.tsv", out / f"{hyp}_pairs.tsv")
         with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:

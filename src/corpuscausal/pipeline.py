@@ -50,7 +50,8 @@ class RunConfig:
     `predictions` is either a file path or a baseline spec:
     ``baseline:heuristic`` (each hypothesis scored with its own
     heuristic), ``baseline:heuristic-<utt|poc|soc>``, ``baseline:perfect``
-    or ``baseline:random:<seed>``.
+    or ``baseline:random:<seed>``; only `estimate` and `build-population`
+    need one (`predictions_spec`).
     """
 
     kb: str = ""
@@ -70,8 +71,8 @@ class RunConfig:
             raise ConfigError("config must name 'kb' and 'patterns' files")
         if not self.corpus and not self.index:
             raise ConfigError("config must name a 'corpus' or a prebuilt 'index'")
-        if not self.predictions:
-            raise ConfigError("config must name 'predictions' (path or baseline:...)")
+        if self.predictions:
+            _parse_predictions_spec(self.predictions)
         if self.output_format not in REPORT_FORMATS:
             raise ConfigError(f"unsupported output format: {self.output_format!r}")
         edges = tuple(self.bin_edges)
@@ -80,6 +81,28 @@ class RunConfig:
         if self.min_poc_frequency < 0:
             raise ConfigError("min-poc-frequency must be nonnegative")
         return self
+
+    def predictions_spec(self):
+        if not self.predictions:
+            raise ConfigError("config must name 'predictions' (path or baseline:...)")
+        return self.predictions
+
+
+def _parse_predictions_spec(spec):
+    """(kind, seed) of a ``baseline:`` spec, None for a file; only random has a seed."""
+    if not spec.startswith("baseline:"):
+        return None
+    kind, *rest = spec.split(":")[1:]
+    if kind == "random":
+        if len(rest) != 1:
+            raise ConfigError("random baseline spec is baseline:random:<seed>")
+        try:
+            return kind, int(rest[0])
+        except ValueError:
+            raise ConfigError(f"random baseline seed is not an integer in {spec!r}") from None
+    if rest or (kind != "heuristic" and kind not in BASELINE_KINDS):
+        raise ConfigError(f"unknown baseline kind in {spec!r}")
+    return kind, None
 
 
 #: Config-file keys and CLI flags: the RunConfig fields in kebab case.
@@ -267,18 +290,11 @@ class _Runtime:
 
     def predictions_for(self, hypothesis, spec):
         """Resolve a predictions spec into a PredictionSet for one hypothesis."""
-        if spec.startswith("baseline:"):
-            parts = spec.split(":")
-            kind = parts[1]
-            seed = None
-            if kind == "random":
-                if len(parts) != 3:
-                    raise ConfigError("random baseline spec is baseline:random:<seed>")
-                seed = int(parts[2])
-            elif kind == "heuristic":
+        baseline = _parse_predictions_spec(spec)
+        if baseline is not None:
+            kind, seed = baseline
+            if kind == "heuristic":
                 kind = f"heuristic-{hypothesis}"
-            if kind not in BASELINE_KINDS:
-                raise ConfigError(f"unknown baseline kind in {spec!r}")
             return baseline_predict(
                 kind,
                 self.kb,
@@ -290,44 +306,46 @@ class _Runtime:
             self._loaded_predictions[spec] = load_predictions(spec, self.kb)
         return self._loaded_predictions[spec]
 
-    def estimate_hypothesis(self, hypothesis, prediction_set):
-        """Score one population and compute its ATE, CATE, and diagnostics."""
-        scored = score_population(self.populations[hypothesis], prediction_set)
-        table = population_observation_table(scored)
-        z = STRATIFY_COLUMNS[hypothesis]
-        est = interventional_prob(table, "treatment", "outcome", z)
-        ate_value = float(est.ate)
-        cate_map = {}
-        for relation, result in cate(table, "relation", "treatment", "outcome", z).items():
-            cate_map[relation] = {
-                "value": None if result.value is None else float(result.value),
-                "reason": result.reason,
-                "n_rows": result.n_rows,
+    def estimate(self, predictions_of):
+        """Score every population and estimate its ATE, CATE and diagnostics.
+
+        `predictions_of(hypothesis)` gives the hypothesis's PredictionSet; it
+        is called just before that hypothesis is scored, so the first
+        failure raises in hypothesis order. Returns the report, whose
+        source is the first set's, and the scored populations.
+        """
+        ates, cates, diagnostics, scored = {}, {}, {}, {}
+        source_id = None
+        for hyp in HYPOTHESES:
+            prediction_set = predictions_of(hyp)
+            source_id = prediction_set.source_id if source_id is None else source_id
+            pop = scored[hyp] = score_population(self.populations[hyp], prediction_set)
+            table = population_observation_table(pop)
+            z = STRATIFY_COLUMNS[hyp]
+            est = interventional_prob(table, "treatment", "outcome", z)
+            ates[hyp] = float(est.ate)
+            cates[hyp] = {
+                relation: {"value": None if r.value is None else float(r.value),
+                           "reason": r.reason, "n_rows": r.n_rows}
+                for relation, r in cate(table, "relation", "treatment", "outcome", z).items()
             }
-        diag = scored.diagnostics
-        diagnostics = {
-            "covered_mass": float(est.covered_mass),
-            "dropped_strata": est.dropped_strata,
-            "positivity_violated": est.positivity_violated,
-            "rows": len(scored.rows),
-            "pairs": len(scored.pairs),
-            "unmatched_treated": diag.unmatched_treated,
-            "low_frequency_removed": diag.low_frequency_removed,
-        }
-        return scored, ate_value, cate_map, diagnostics
+            diagnostics[hyp] = {
+                "covered_mass": float(est.covered_mass),
+                "dropped_strata": est.dropped_strata,
+                "positivity_violated": est.positivity_violated,
+                "rows": len(pop.rows),
+                "pairs": len(pop.pairs),
+                "unmatched_treated": pop.diagnostics.unmatched_treated,
+                "low_frequency_removed": pop.diagnostics.low_frequency_removed,
+            }
+        return EffectReport(source_id, ates, cates, diagnostics), scored
 
     def accuracy(self, prediction_set):
         """Share of utt-population cloze keys answered with a KB gold object."""
         keys = self.cloze_keys["utt"]
         if not keys:
             return None
-        hits = 0
-        for subject, relation, template in keys:
-            rec = prediction_set.get(subject, relation, template)
-            if rec is not None and self.kb.has_triplet(
-                subject, relation, rec.predicted_object
-            ):
-                hits += 1
+        hits = sum(self.kb.has_triplet(s, r, prediction_set.get(s, r, t)) for s, r, t in keys)
         return hits / len(keys)
 
 
@@ -364,29 +382,15 @@ def run_estimate(config, emit_populations=False):
     With `emit_populations`, the matched tables and pair files are written
     under the configured output directory.
     """
+    spec = config.validate().predictions_spec()
     rt = _Runtime(config)
-    ates = {}
-    cates = {}
-    diagnostics = {}
-    source_id = None
-    for hyp in HYPOTHESES:
-        prediction_set = rt.predictions_for(hyp, config.predictions)
-        source_id = prediction_set.source_id if source_id is None else source_id
-        scored, ate_value, cate_map, diag = rt.estimate_hypothesis(hyp, prediction_set)
-        ates[hyp] = ate_value
-        cates[hyp] = cate_map
-        diagnostics[hyp] = diag
-        if emit_populations:
-            out = Path(config.output_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            write_population(
-                scored,
-                out / f"{hyp}_population.tsv",
-                out / f"{hyp}_pairs.tsv",
-            )
-    return EffectReport(
-        source_id=source_id, ate=ates, cate=cates, diagnostics=diagnostics
-    )
+    report, scored = rt.estimate(lambda hyp: rt.predictions_for(hyp, spec))
+    if emit_populations:
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for hyp, pop in scored.items():
+            write_population(pop, out / f"{hyp}_population.tsv", out / f"{hyp}_pairs.tsv")
+    return report
 
 
 def run_dynamics(config, checkpoint_paths):
@@ -405,30 +409,16 @@ def run_dynamics(config, checkpoint_paths):
         entry = {"checkpoint": Path(path).stem, "ate": None, "accuracy": None, "error": None}
         try:
             prediction_set = load_predictions(path, rt.kb)
-            ates = {}
-            cates = {}
-            diagnostics = {}
-            for hyp in HYPOTHESES:
-                _, ate_value, cate_map, diag = rt.estimate_hypothesis(hyp, prediction_set)
-                ates[hyp] = ate_value
-                cates[hyp] = cate_map
-                diagnostics[hyp] = diag
-            entry["ate"] = ates
+            report, _ = rt.estimate(lambda hyp: prediction_set)
+            entry["ate"] = report.ate
             entry["accuracy"] = rt.accuracy(prediction_set)
-            last_full = (prediction_set.source_id, ates, cates, diagnostics)
+            last_full = report
         except (CorpusCausalError, OSError) as exc:
             entry["error"] = str(exc)
         series.append(entry)
     if last_full is None:
         raise MissingPredictionError("no checkpoint produced a full estimate")
-    source_id, ates, cates, diagnostics = last_full
-    return EffectReport(
-        source_id=source_id,
-        ate=ates,
-        cate=cates,
-        diagnostics=diagnostics,
-        series=tuple(series),
-    )
+    return replace(last_full, series=tuple(series))
 
 
 # --- emission ----------------------------------------------------------------

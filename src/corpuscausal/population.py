@@ -325,7 +325,7 @@ def score_population(pop, predictions):
             f"{len(missing)} cloze keys lack predictions (e.g. {sample})",
             missing=missing,
         )
-    predicted = tuple(predictions.get(*key).predicted_object for key in keys)
+    predicted = tuple(map(predictions.records.__getitem__, keys))
     # a hit depends only on (object, prediction), so each distinct pair is
     # flagged once, in row order
     scored = [(row.object, prediction) for row, prediction in zip(pop.rows, predicted)]
@@ -391,7 +391,8 @@ def read_population(table_path, pairs_path, hypothesis):
     """Read back a population emitted by `write_population`.
 
     The file's ``prediction``/``outcome`` cells come back as the
-    ``predicted``/``outcomes`` columns.
+    ``predicted``/``outcomes`` columns. The pairs must partition the
+    rows, as a built population's do: each row is in exactly one pair.
     """
     rows = []
     predicted = []
@@ -425,6 +426,7 @@ def read_population(table_path, pairs_path, hypothesis):
                 raise
             predicted.append(prediction)
     pairs = []
+    paired = set()
     with open(pairs_path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != _PAIRS_HEADER:
             raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
@@ -448,7 +450,13 @@ def read_population(table_path, pairs_path, hypothesis):
                         f"{rows[index].treatment}, expected {arm}",
                         line=lineno,
                     )
+                if index in paired:
+                    raise ParseError(f"row {index} is in more than one pair", line=lineno)
+                paired.add(index)
             pairs.append((i, j))
+    if len(paired) != len(rows):
+        unpaired = min(set(range(len(rows))) - paired)
+        raise ParseError(f"row {unpaired} of {table_path} is in no pair in {pairs_path}")
     return MatchedPopulation(
         hypothesis=hypothesis,
         rows=tuple(rows),

@@ -27,21 +27,8 @@ HYPOTHESES = ("utt", "poc", "soc")
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    subject: str
-    relation: str
-    template: str
-    predicted_object: str
-    source_id: str
-
-    @property
-    def key(self):
-        return (self.subject, self.relation, self.template)
-
-
-@dataclass(frozen=True)
 class PredictionSet:
-    """At most one record per (subject, relation, template) key."""
+    """`records` maps each (subject, relation, template) key to its predicted object."""
 
     records: dict
     source_id: str
@@ -63,35 +50,32 @@ def load_predictions(path, kb):
     known_relations = set(kb.relations)
     candidates = {}
     for lineno, record in _jsonl_records(path):
-        rec = PredictionRecord(
-            subject=_required(record, "subject", lineno),
-            relation=_required(record, "relation", lineno),
-            template=_required(record, "template", lineno),
-            predicted_object=_required(record, "prediction", lineno),
-            source_id=_required(record, "source_id", lineno),
-        )
+        subject = _required(record, "subject", lineno)
+        relation = _required(record, "relation", lineno)
+        template = _required(record, "template", lineno)
+        predicted = _required(record, "prediction", lineno)
+        record_source = _required(record, "source_id", lineno)
         if source_id is None:
-            source_id = rec.source_id
-        elif rec.source_id != source_id:
+            source_id = record_source
+        elif record_source != source_id:
             raise ParseError(
-                f"mixed source_id values: {source_id!r} vs {rec.source_id!r}",
+                f"mixed source_id values: {source_id!r} vs {record_source!r}",
                 line=lineno,
             )
-        if rec.relation not in known_relations:
-            raise ParseError(f"unknown relation {rec.relation!r}", line=lineno)
-        if rec.relation not in candidates:
-            candidates[rec.relation] = set(kb.candidate_objects(rec.relation))
-        if rec.predicted_object not in candidates[rec.relation]:
+        if relation not in known_relations:
+            raise ParseError(f"unknown relation {relation!r}", line=lineno)
+        if relation not in candidates:
+            candidates[relation] = set(kb.candidate_objects(relation))
+        if predicted not in candidates[relation]:
             raise CandidateViolationError(
-                f"line {lineno}: prediction {rec.predicted_object!r} for "
-                f"({rec.subject!r}, {rec.relation!r}, {rec.template!r}) is outside "
+                f"line {lineno}: prediction {predicted!r} for "
+                f"({subject!r}, {relation!r}, {template!r}) is outside "
                 f"the relation's candidate set"
             )
-        if rec.key in records:
-            raise DuplicateKeyError(
-                f"line {lineno}: duplicate key {rec.key!r}"
-            )
-        records[rec.key] = rec
+        key = (subject, relation, template)
+        if key in records:
+            raise DuplicateKeyError(f"line {lineno}: duplicate key {key!r}")
+        records[key] = predicted
     if source_id is None:
         raise ParseError(f"no prediction records in {path}")
     return PredictionSet(records=records, source_id=source_id)
@@ -99,21 +83,10 @@ def load_predictions(path, kb):
 
 def save_predictions(predictions, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(predictions.records):
-            rec = predictions.records[key]
-            fh.write(
-                json.dumps(
-                    {
-                        "subject": rec.subject,
-                        "relation": rec.relation,
-                        "template": rec.template,
-                        "prediction": rec.predicted_object,
-                        "source_id": rec.source_id,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        for (subject, relation, template), predicted in sorted(predictions.records.items()):
+            record = {"subject": subject, "relation": relation, "template": template,
+                      "prediction": predicted, "source_id": predictions.source_id}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _random_index(seed, subject, relation, template, n):
@@ -180,13 +153,7 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
                 predicted = present[0]
             else:
                 predicted = stats.soc_ranking(subject, candidates)[0]
-        records[key] = PredictionRecord(
-            subject=subject,
-            relation=relation,
-            template=template,
-            predicted_object=predicted,
-            source_id=source_id,
-        )
+        records[key] = predicted
     return PredictionSet(records=records, source_id=source_id)
 
 

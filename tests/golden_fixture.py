@@ -9,7 +9,7 @@ at 6 so the pattern-object filter keeps exactly that template.
 
 from corpuscausal.corpus import build_index
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
-from corpuscausal.predictions import PredictionRecord, PredictionSet
+from corpuscausal.predictions import PredictionSet
 
 TRIPLETS = [
     ("Paris", "capital-of", "France"),
@@ -96,11 +96,5 @@ def predictions(kb):
                     continue
                 predicted = kb.objects_of(s, rel)[0] if rel == "capital-of" else "MTV"
                 key = (s, rel, p.template)
-                records[key] = PredictionRecord(
-                    subject=s,
-                    relation=rel,
-                    template=p.template,
-                    predicted_object=predicted,
-                    source_id="golden-model",
-                )
+                records[key] = predicted
     return PredictionSet(records=records, source_id="golden-model")

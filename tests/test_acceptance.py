@@ -24,7 +24,7 @@ from corpuscausal.graph import build_graph, is_d_separated
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
 from corpuscausal.pipeline import RunConfig, run_estimate
 from corpuscausal.population import build_table, population_observation_table
-from corpuscausal.predictions import PredictionRecord, PredictionSet
+from corpuscausal.predictions import PredictionSet
 from corpuscausal.errors import PositivityError
 
 import golden_fixture
@@ -197,9 +197,7 @@ def test_criterion_3_heuristic_controls_reproduce_hundred(crossed_files, works_f
     )
     preds = PredictionSet(
         records={
-            ("solo", "rel", "[X] links [Y]."): PredictionRecord(
-                "solo", "rel", "[X] links [Y].", "A", "heuristic-soc"
-            )
+            ("solo", "rel", "[X] links [Y]."): "A"
         },
         source_id="heuristic-soc",
     )
@@ -259,9 +257,7 @@ def _planted_predictions(kb, idx, templates, seed, follow_treated=0.7):
                     / 2**64
                 )
                 predicted = top if u < follow_treated else runner
-                records[(subj, rel, template)] = PredictionRecord(
-                    subj, rel, template, predicted, f"planted:{seed}"
-                )
+                records[(subj, rel, template)] = predicted
     return PredictionSet(records=records, source_id=f"planted:{seed}")
 
 

@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from corpuscausal.cli import main
+from corpuscausal.predictions import baseline_predict, save_predictions
 
 from conftest import write_corpus, write_kb_files
 
@@ -110,6 +112,37 @@ class TestEstimateCommand:
             assert message in result.output
         assert invoke("--help").exit_code == 0
         assert invoke("estimate", "--help").exit_code == 0
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("baseline:random:x", "random baseline seed is not an integer"),
+            ("baseline:", "unknown baseline kind in 'baseline:'"),
+            ("baseline:random", "random baseline spec is baseline:random:<seed>"),
+            ("baseline:perfect:1", "unknown baseline kind in 'baseline:perfect:1'"),
+        ],
+    )
+    def test_bad_predictions_spec_fails_first(self, crossed_files, spec, message):
+        # the spec is checked with the config, before any input is loaded
+        # or any population is built and cached
+        config = write_config(crossed_files, predictions=spec)
+        cache = crossed_files["dir"] / "cache"
+        for command in ("estimate", "build-population all"):
+            result = invoke(*command.split(), "--config", config, "--cache-dir", cache)
+            assert result.exit_code == 1, result.output
+            assert isinstance(result.exception, SystemExit), result.exception
+            assert f"input error: {message}" in result.output
+            assert not cache.exists()
+
+    def test_predictions_required_where_read(self, crossed_files):
+        for command in ("estimate", "build-population all"):
+            result = invoke(
+                *command.split(), "--kb", crossed_files["kb"],
+                "--patterns", crossed_files["patterns"],
+                "--corpus", crossed_files["corpus"],
+            )
+            assert result.exit_code == 1, result.output
+            assert "config must name 'predictions'" in result.output
 
     def test_estimation_failure_exit_code_2(self, crossed_files, tmp_path):
         # a corpus with no stored utterances leaves the utt population empty
@@ -217,3 +250,26 @@ class TestDynamicsAndReport:
         out_tsv = crossed_files["dir"] / "out" / "r.tsv"
         assert invoke("report", report_path, "--format", "delimited", "-o", out_tsv).exit_code == 0
         assert out_tsv.read_text(encoding="utf-8").startswith("hypothesis\tgroup")
+
+    def test_dynamics_needs_no_predictions(self, crossed_files, crossed_kb):
+        # dynamics reads the checkpoint files, never the predictions key
+        ckpts = crossed_files["dir"] / "ckpts"
+        ckpts.mkdir()
+        keys = [
+            (s, p.relation, p.template)
+            for p in crossed_kb.patterns
+            for s in crossed_kb.subjects(p.relation)
+        ]
+        save_predictions(
+            baseline_predict("perfect", crossed_kb, queries=keys), ckpts / "ep0.jsonl"
+        )
+        out = crossed_files["dir"] / "out"
+        result = invoke(
+            "dynamics", "--checkpoints", ckpts, "--kb", crossed_files["kb"],
+            "--patterns", crossed_files["patterns"], "--corpus", crossed_files["corpus"],
+            "--output-dir", out,
+        )
+        assert result.exit_code == 0, result.output
+        data = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert [entry["checkpoint"] for entry in data["series"]] == ["ep0"]
+        assert data["series"][0]["accuracy"] == 1.0

@@ -16,6 +16,7 @@ from corpuscausal.errors import (
     UnknownColumnError,
 )
 from corpuscausal.estimator import (
+    CateEstimate,
     ObservationTable,
     ate,
     cate,
@@ -170,6 +171,26 @@ class TestCate:
         assert result["A"].value == 100
         assert result["B"].value is None
         assert result["B"].reason
+
+    def test_non_binary_group_reported_not_raised(self):
+        rows = [
+            ("A", 1, "s", 1),
+            ("A", 0, "s", 0),
+            ("B", 2, "s", 1),  # treatment cell is not 0/1
+            ("B", 0, "s", 0),
+            ("C", 1, "s", 1),
+            ("C", 0, "s", "yes"),  # outcome cell is not 0/1
+            ("C", 0, "s", "yes"),
+        ]
+        t = ObservationTable.from_rows(("G", "X", "Z", "Y"), rows)
+        result = cate(t, "G", "X", "Y", {"Z"})
+        assert result["A"] == CateEstimate(value=100, n_rows=2)
+        assert result["B"] == CateEstimate(
+            value=None, reason="column 'X' must be binary 0/1, got 2", n_rows=2
+        )
+        assert result["C"] == CateEstimate(
+            value=None, reason="column 'Y' must be binary 0/1, got 'yes'", n_rows=3
+        )
 
     def test_group_in_z_rejected(self):
         t = sixteen_row_table()

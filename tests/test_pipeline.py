@@ -124,6 +124,8 @@ class TestRunEstimate:
             "headerless_pairs",
             "unmatched_samples_diag",
             "mistyped_diag",
+            "repeated_pair",
+            "unpaired_row",
         ],
     )
     def test_unreadable_cache_entry_is_rebuilt(self, crossed_files, damage):
@@ -150,6 +152,15 @@ class TestRunEstimate:
             data = json.loads(original["diag.json"])
             data["unmatched_treated"] = "many"
             entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
+        elif damage == "repeated_pair":
+            lines = original["pairs.tsv"].splitlines(keepends=True)
+            entry["pairs.tsv"].write_bytes(b"".join(lines + [lines[1]]))
+        elif damage == "unpaired_row":
+            # a control row no pair names, in another soc bin
+            lines = original["tsv"].splitlines(keepends=True)
+            cells = next(l for l in lines[1:] if l.split(b"\t")[5] == b"0").split(b"\t")
+            cells[7] = b"XL"
+            entry["tsv"].write_bytes(b"".join(lines) + b"\t".join(cells))
         else:
             entry["diag.json"].write_text("{not json", encoding="utf-8")
         assert run_estimate(config) == cold

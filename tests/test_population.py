@@ -27,7 +27,6 @@ from corpuscausal.population import (
     write_population,
 )
 from corpuscausal.predictions import (
-    PredictionRecord,
     PredictionSet,
     baseline_predict,
     outcome_flag,
@@ -37,17 +36,7 @@ from conftest import crossed_corpus_lines
 
 
 def manual_predictions(mapping, source="handmade"):
-    records = {
-        key: PredictionRecord(
-            subject=key[0],
-            relation=key[1],
-            template=key[2],
-            predicted_object=value,
-            source_id=source,
-        )
-        for key, value in mapping.items()
-    }
-    return PredictionSet(records=records, source_id=source)
+    return PredictionSet(records=dict(mapping), source_id=source)
 
 
 def outcome_of(pop, row):
@@ -480,6 +469,26 @@ class TestEmission:
             read_population(table, pairs, "soc")
         assert err.value.line == 3
         assert "expected 1" in str(err.value)
+
+    def test_row_in_two_pairs_rejected(self, tmp_path, crossed_kb, crossed_index):
+        # a repeated pair line used to load, and raise the reported pair count
+        pop, table, pairs = self._written(tmp_path, crossed_kb, crossed_index)
+        lines = pairs.read_text(encoding="utf-8").splitlines(keepends=True)
+        pairs.write_text("".join(lines + [lines[1]]), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_population(table, pairs, "soc")
+        assert err.value.line == len(lines) + 1
+        assert f"row {pop.pairs[0][0]} is in more than one pair" in str(err.value)
+
+    def test_unpaired_row_rejected(self, tmp_path, crossed_kb, crossed_index):
+        # a row that no pair names used to load, and estimation read it
+        pop, table, pairs = self._written(tmp_path, crossed_kb, crossed_index)
+        lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1 + pop.pairs[0][1]].split("\t")
+        cells[POPULATION_FIELDS.index("soc_bin")] = "XL"
+        table.write_text("".join(lines) + "\t".join(cells), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"row {len(pop.rows)} of .* is in no pair"):
+            read_population(table, pairs, "soc")
 
     @pytest.mark.parametrize(
         "edit",

@@ -57,7 +57,7 @@ class TestLoadPredictions:
         preds = load_predictions(path, aired_kb)
         assert len(preds) == 2
         assert preds.source_id == "model-a"
-        assert preds.get("Daria", "aired-on", t).predicted_object == "HBO"
+        assert preds.get("Daria", "aired-on", t) == "HBO"
 
     def test_candidate_violation(self, tmp_path, aired_kb):
         path = tmp_path / "preds.jsonl"
@@ -128,7 +128,7 @@ class TestBaselines:
             queries=[("Barack Obama", "born-in", "[X] was born in [Y].")],
         )
         rec = preds.get("Barack Obama", "born-in", "[X] was born in [Y].")
-        assert rec.predicted_object == "Chicago"
+        assert rec == "Chicago"
 
     def test_heuristic_poc_picks_pattern_argmax(self, crossed_kb):
         idx = build_index(crossed_corpus_lines())
@@ -138,7 +138,7 @@ class TestBaselines:
             stats=idx,
             queries=[("Daria", "aired-on", "[X] debuted on [Y].")],
         )
-        assert preds.get("Daria", "aired-on", "[X] debuted on [Y].").predicted_object == "MTV"
+        assert preds.get("Daria", "aired-on", "[X] debuted on [Y].") == "MTV"
 
     def test_heuristic_utt_uses_stored_utterance(self, crossed_kb):
         idx = build_index(crossed_corpus_lines())
@@ -153,8 +153,8 @@ class TestBaselines:
         )
         # Paris utterance stored under this template; Rome's is not, so the
         # fallback picks Rome's most co-occurring candidate (France)
-        assert preds.get("Paris", "capital-of", "[X] is the capital of [Y].").predicted_object == "France"
-        assert preds.get("Rome", "capital-of", "[X] is the capital of [Y].").predicted_object == "France"
+        assert preds.get("Paris", "capital-of", "[X] is the capital of [Y].") == "France"
+        assert preds.get("Rome", "capital-of", "[X] is the capital of [Y].") == "France"
 
     @pytest.mark.parametrize("fixture", ["golden", "crossed"])
     def test_heuristic_utt_equals_the_per_candidate_scan(self, fixture, crossed_kb):
@@ -182,7 +182,7 @@ class TestBaselines:
                 else argmax_object(idx.soc_counts(subject, candidates))
             )
             rec = preds.get(subject, relation, template)
-            assert rec.predicted_object == expected, (subject, template)
+            assert rec == expected, (subject, template)
         assert 0 < stored < len(queries)
 
     @pytest.mark.parametrize("kind", ["heuristic-soc", "heuristic-poc"])
@@ -208,7 +208,7 @@ class TestBaselines:
                 else fresh.poc_counts(template, candidates)
             )
             rec = preds.get(subject, relation, template)
-            assert rec.predicted_object == argmax_object(counts), (subject, template)
+            assert rec == argmax_object(counts), (subject, template)
 
     def test_perfect_reads_kb(self, crossed_kb):
         preds = baseline_predict(
@@ -216,7 +216,7 @@ class TestBaselines:
             crossed_kb,
             queries=[("Paris", "capital-of", "[X] is the capital of [Y].")],
         )
-        assert preds.get("Paris", "capital-of", "[X] is the capital of [Y].").predicted_object == "France"
+        assert preds.get("Paris", "capital-of", "[X] is the capital of [Y].") == "France"
 
     def test_random_reproducible(self, crossed_kb):
         queries = [
@@ -262,7 +262,7 @@ class TestBaselines:
             preds = baseline_predict(kind, crossed_kb, stats=idx, queries=queries, seed=seed)
             candidates = set(crossed_kb.candidate_objects("capital-of"))
             for rec in preds.records.values():
-                assert rec.predicted_object in candidates
+                assert rec in candidates
 
 
 class TestOutcomeFlag:
