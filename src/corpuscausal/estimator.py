@@ -142,27 +142,6 @@ def _do_from_counts(mass, arm_mass, arm_hits, total):
     return p_do, Fraction(covered_total, total), dropped
 
 
-def _estimate_cells(cells, treatment, outcome):
-    """`DoEstimate` from ((treatment, outcome, *strata), row count) cells."""
-    mass = Counter()
-    arm_mass = Counter()
-    arm_hits = Counter()
-    for (x, y, *key), n in cells:
-        key = tuple(key)
-        x = _as01(x, treatment)
-        mass[key] += n
-        arm_mass[(key, x)] += n
-        if _as01(y, outcome):
-            arm_hits[(key, x)] += n
-
-    p_do, covered_mass, dropped = _do_from_counts(
-        mass, arm_mass, arm_hits, sum(mass.values())
-    )
-    if covered_mass == 0:
-        raise PositivityError("no confounder stratum contains both treatment arms")
-    return DoEstimate(p_outcome_given_do=p_do, covered_mass=covered_mass, dropped_strata=dropped)
-
-
 def interventional_prob(table, treatment, outcome, z=()):
     """Backdoor-adjusted P(outcome=1 | do(treatment=x)) for x in {0, 1}.
 
@@ -175,8 +154,25 @@ def interventional_prob(table, treatment, outcome, z=()):
     ti, oi, zis = _check_adjustment_columns(table, treatment, outcome, z)
     if not table.rows:
         raise EmptyTableError("observation table has no rows")
+
+    mass = Counter()
+    arm_mass = Counter()
+    arm_hits = Counter()
     cells = Counter(map(itemgetter(ti, oi, *zis), table.rows))
-    return _estimate_cells(cells.items(), treatment, outcome)
+    for (x, y, *key), n in cells.items():
+        key = tuple(key)
+        x = _as01(x, treatment)
+        mass[key] += n
+        arm_mass[(key, x)] += n
+        if _as01(y, outcome):
+            arm_hits[(key, x)] += n
+
+    p_do, covered_mass, dropped = _do_from_counts(
+        mass, arm_mass, arm_hits, len(table.rows)
+    )
+    if covered_mass == 0:
+        raise PositivityError("no confounder stratum contains both treatment arms")
+    return DoEstimate(p_outcome_given_do=p_do, covered_mass=covered_mass, dropped_strata=dropped)
 
 
 def ate(table, treatment, outcome, z=()):
@@ -196,28 +192,29 @@ class CateEstimate:
 
 
 def cate(table, group, treatment, outcome, z=()):
-    """Per-group ATE, each group estimated from its own cells.
+    """Per-group ATE: partition rows by the group column, estimate on each.
 
-    The rows' (group, treatment, outcome, *strata) cells are counted
-    once. Groups that cannot be estimated (no rows in one arm, no covered
-    strata, a non-binary cell) are reported with a null value and the
-    failure reason instead of aborting the rest.
+    Partitions that cannot be estimated (no rows in one arm, no covered
+    strata) are reported with a null value and the failure reason instead
+    of aborting the rest.
     """
     gi = table.column_index(group)
     if group in z:
         raise OverlappingSetsError("group column must be excluded from the adjustment set")
-    ti, oi, zis = _check_adjustment_columns(table, treatment, outcome, z)
-    groups = {}
-    for cell, n in Counter(map(itemgetter(gi, ti, oi, *zis), table.rows)).items():
-        groups.setdefault(cell[0], []).append((cell[1:], n))
+    _check_adjustment_columns(table, treatment, outcome, z)
+    partitions = {}
+    for row in table.rows:
+        partitions.setdefault(row[gi], []).append(row)
     out = {}
-    for value in sorted(groups, key=repr):
-        n_rows = sum(n for _, n in groups[value])
+    for value in sorted(partitions, key=repr):
+        rows = partitions[value]
+        part = ObservationTable(table.columns, tuple(rows))
         try:
-            est = _estimate_cells(groups[value], treatment, outcome)
-            out[value] = CateEstimate(value=est.ate, n_rows=n_rows)
-        except (PositivityError, ValueError) as exc:
-            out[value] = CateEstimate(value=None, reason=str(exc), n_rows=n_rows)
+            out[value] = CateEstimate(
+                value=ate(part, treatment, outcome, z), n_rows=len(rows)
+            )
+        except (PositivityError, EmptyTableError, ValueError) as exc:
+            out[value] = CateEstimate(value=None, reason=str(exc), n_rows=len(rows))
     return out
 
 
