@@ -13,7 +13,6 @@ from .corpus import (
     BIN_EDGES,
     BIN_LABELS,
     CorpusIndex,
-    argmax_object,
     bin_count,
     build_index,
     instantiate,
@@ -69,7 +68,6 @@ from .population import (
     match_controls,
     population_observation_table,
     read_population,
-    restrict_candidates,
     score_population,
     write_population,
 )

@@ -151,7 +151,7 @@ def index_cmd(corpus, output):
 def stats_cmd(index_path, kb_path, patterns_path, output):
     """Dump subject/object co-occurrence counts as tab-separated text."""
     idx = CorpusIndex.load(index_path)
-    kb, _ = load_knowledge_base(kb_path, patterns_path)
+    kb = load_knowledge_base(kb_path, patterns_path)
     lines = []
     for relation in kb.relations:
         candidates = kb.candidate_objects(relation)
@@ -174,10 +174,10 @@ def build_population_cmd(hypothesis, config_path, **overrides):
     """Build matched population tables and their cloze query files."""
     config = _build_config(config_path, **overrides).validate()
     spec = config.predictions_spec()
-    rt = pipeline._Runtime(config)
+    chosen = HYPOTHESES if hypothesis == "all" else (hypothesis,)
+    rt = pipeline._Runtime(config, chosen)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    chosen = HYPOTHESES if hypothesis == "all" else (hypothesis,)
     for hyp in chosen:
         prediction_set = rt.predictions_for(hyp, spec)
         scored = score_population(rt.populations[hyp], prediction_set)

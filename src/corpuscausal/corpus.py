@@ -72,13 +72,6 @@ def bin_count(n, edges=BIN_EDGES):
     return BIN_LABELS[len(edges)]
 
 
-def argmax_object(counts):
-    """Object with the maximal count; ties broken lexicographically."""
-    if not counts:
-        raise EmptyCandidateSetError("argmax over an empty candidate mapping")
-    return min(counts, key=lambda obj: (-counts[obj], obj))
-
-
 def ranked_objects(counts):
     """Objects sorted by descending count, lexicographic within ties."""
     if not counts:
@@ -200,10 +193,6 @@ class CorpusIndex:
         Containment is exact and case-sensitive at word boundaries
         (``Paris`` does not match inside ``Parisian``).
         """
-        cached = self._entity_cache.get(surface)
-        if cached is not None:
-            # keys are normalised, so a hit needs no normalising
-            return cached
         surface = normalize_text(surface)
         cached = self._entity_cache.get(surface)
         if cached is not None:
@@ -226,13 +215,10 @@ class CorpusIndex:
         self._entity_cache[surface] = ids
         return ids
 
-    def entity_sentence_count(self, surface):
-        return int(len(self.entity_postings(surface)))
-
     def soc_count(self, subject, obj):
         """Number of sentences mentioning both surface strings."""
-        a = self.entity_postings(normalize_text(subject))
-        b = self.entity_postings(normalize_text(obj))
+        a = self.entity_postings(subject)
+        b = self.entity_postings(obj)
         return int(kernels.intersect_count(a, b))
 
     def soc_counts(self, subject, objects):

@@ -52,11 +52,6 @@ class ObservationTable:
         except ValueError:
             raise UnknownColumnError(f"unknown column: {name!r}") from None
 
-    def domain(self, name):
-        """Distinct observed values of a column, sorted."""
-        i = self.column_index(name)
-        return sorted({row[i] for row in self.rows}, key=repr)
-
     def __len__(self):
         return len(self.rows)
 

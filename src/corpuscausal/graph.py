@@ -58,9 +58,6 @@ class CausalGraph:
         if name not in self._parents:
             raise UnknownNodeError(f"unknown node: {name!r}")
 
-    def has_node(self, name):
-        return name in self._parents
-
     def parents(self, name):
         self._require(name)
         return set(self._parents[name])

@@ -28,14 +28,6 @@ class PatternSpec:
 
 
 @dataclass(frozen=True)
-class LoadReport:
-    """Per-relation record counts plus a duplicate counter."""
-
-    counts: dict
-    duplicates: int = 0
-
-
-@dataclass(frozen=True)
 class KnowledgeBase:
     """Triplets and patterns, indexed once by relation and by subject.
 
@@ -131,26 +123,18 @@ def _required(record, key, lineno):
 
 
 def load_kb(path):
-    """Load and deduplicate the triplet portion; returns (triplets, LoadReport)."""
-    triplets = []
-    seen = set()
-    counts = {}
-    duplicates = 0
-    for lineno, record in _jsonl_records(path):
-        trip = Triplet(
+    """Load the triplet records as a tuple, dropping repeats (first one kept)."""
+    triplets = dict.fromkeys(
+        Triplet(
             subject=_required(record, "subject", lineno),
             relation=_required(record, "relation", lineno),
             object=_required(record, "object", lineno),
         )
-        if trip in seen:
-            duplicates += 1
-            continue
-        seen.add(trip)
-        triplets.append(trip)
-        counts[trip.relation] = counts.get(trip.relation, 0) + 1
+        for lineno, record in _jsonl_records(path)
+    )
     if not triplets:
         raise EmptyKbError(f"no triplets found in {path}")
-    return tuple(triplets), LoadReport(counts=counts, duplicates=duplicates)
+    return tuple(triplets)
 
 
 def load_patterns(path):
@@ -173,9 +157,7 @@ def load_patterns(path):
 
 def load_knowledge_base(triplet_path, pattern_path):
     """Assemble a validated KnowledgeBase from the two input files."""
-    triplets, report = load_kb(triplet_path)
-    patterns = load_patterns(pattern_path)
-    return KnowledgeBase(triplets=triplets, patterns=patterns), report
+    return KnowledgeBase(load_kb(triplet_path), load_patterns(pattern_path))
 
 
 def save_triplets(triplets, path):

@@ -110,10 +110,13 @@ _CONFIG_KEYS = frozenset(f.name.replace("_", "-") for f in fields(RunConfig))
 
 
 def _parse_value(key, raw):
-    if key == "min-poc-frequency":
-        return int(raw)
-    if key == "bin-edges":
-        return tuple(int(v) for v in raw.replace(",", " ").split())
+    try:
+        if key == "min-poc-frequency":
+            return int(raw)
+        if key == "bin-edges":
+            return tuple(int(v) for v in raw.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"{key} takes integers, got {raw!r}") from None
     return raw
 
 
@@ -133,11 +136,6 @@ def load_config(path):
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = _parse_value(key, value)
-    return make_config(values)
-
-
-def make_config(values):
-    """Build a RunConfig from kebab-case key/value mappings."""
     return merge_config(RunConfig(), values)
 
 
@@ -205,13 +203,12 @@ def _file_digest(path):
 
 
 class _Runtime:
-    """Loaded inputs shared by estimate/dynamics runs."""
+    """Loaded inputs shared by estimate/dynamics runs, with the populations of `hypotheses`."""
 
-    def __init__(self, config):
+    def __init__(self, config, hypotheses=HYPOTHESES):
         config.validate()
         self.config = config
-        triplets, _ = load_kb(config.kb)
-        self.kb = KnowledgeBase(triplets=triplets, patterns=load_patterns(config.patterns))
+        self.kb = KnowledgeBase(load_kb(config.kb), load_patterns(config.patterns))
         if config.index:
             self.stats = CorpusIndex.load(config.index)
         else:
@@ -220,9 +217,7 @@ class _Runtime:
         # the key digests every input file, so it is taken only for a cache
         self._cache_key = self._population_cache_key() if config.cache_dir else None
         self._loaded_predictions = {}
-        self.populations = {
-            hyp: self._structure(hyp) for hyp in HYPOTHESES
-        }
+        self.populations = {hyp: self._structure(hyp) for hyp in hypotheses}
         self.cloze_keys = {
             hyp: cloze_keys(pop) for hyp, pop in self.populations.items()
         }
@@ -501,4 +496,11 @@ def emit_report(report, fmt, path):
 def load_report(path):
     """Reload a structured report; field-identical with the emitted one."""
     with open(path, encoding="utf-8") as fh:
-        return EffectReport.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not JSON: {exc.msg}", line=exc.lineno) from None
+    for name in ("source_id", "ate", "cate", "diagnostics"):
+        if not isinstance(data, dict) or name not in data:
+            raise ParseError(f"{path} is not a structured report: no {name!r} field")
+    return EffectReport.from_dict(data)

@@ -84,9 +84,6 @@ class PopulationRow(NamedTuple):
     so_hc: bool
     po_hc: bool
 
-    def sort_key(self):
-        return _sort_key(self)
-
 
 ROW_FIELDS = PopulationRow._fields
 
@@ -113,11 +110,6 @@ class MatchedPopulation:
     diagnostics: MatchDiagnostics = MatchDiagnostics()
     predicted: tuple = ()  # predicted object per row, aligned with `rows`
     outcomes: tuple = ()  # outcome flag (0/1) per row, aligned with `rows`
-
-
-def restrict_candidates(relation, kb):
-    """Gold objects of the relation: the type-preserving candidate set."""
-    return kb.candidate_objects(relation)
 
 
 def match_controls(treated, pool, discrete=()):

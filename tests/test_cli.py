@@ -144,6 +144,20 @@ class TestEstimateCommand:
             assert result.exit_code == 1, result.output
             assert "config must name 'predictions'" in result.output
 
+    def test_non_integer_values_are_input_errors_naming_the_key(self, crossed_files):
+        config = write_config(crossed_files)
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write("min-poc-frequency = five\n")
+        result = invoke("estimate", "--config", config)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "input error: min-poc-frequency takes integers" in result.output
+        result = invoke("estimate", "--config", write_config(crossed_files),
+                        "--bin-edges", "1,10,x,1000")
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "input error: bin-edges takes integers" in result.output
+
     def test_estimation_failure_exit_code_2(self, crossed_files, tmp_path):
         # a corpus with no stored utterances leaves the utt population empty
         empty_corpus = tmp_path / "none.txt"
@@ -184,6 +198,19 @@ class TestBuildPopulationCommand:
             encoding="utf-8"
         )
         assert "<mask>" in queries and "[MASK]" not in queries
+
+    def test_builds_only_the_hypothesis_asked_for(self, crossed_files):
+        # no poc row clears this floor, so building poc would fail
+        config = write_config(crossed_files, predictions="baseline:perfect")
+        cache = crossed_files["dir"] / "cache"
+        args = ("--config", config, "--min-poc-frequency", 1000000, "--cache-dir", cache)
+        result = invoke("build-population", "utt", *args)
+        assert result.exit_code == 0, result.output
+        assert "utt: 8 rows, 4 pairs" in result.output
+        assert {p.name.split("-")[0] for p in cache.iterdir()} == {"utt"}
+        result = invoke("build-population", "all", *args)
+        assert result.exit_code == 2, result.output
+        assert "poc population has no matched pairs" in result.output
 
     def test_positivity_gap_does_not_block_the_tables(self, tmp_path):
         # poc stratifies on utt_present: both treated utterances ("A in X.",
@@ -250,6 +277,22 @@ class TestDynamicsAndReport:
         out_tsv = crossed_files["dir"] / "out" / "r.tsv"
         assert invoke("report", report_path, "--format", "delimited", "-o", out_tsv).exit_code == 0
         assert out_tsv.read_text(encoding="utf-8").startswith("hypothesis\tgroup")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "is not JSON"),
+            ('{"source_id": "x"}', "no 'ate' field"),
+            ("[1, 2]", "no 'source_id' field"),
+        ],
+    )
+    def test_malformed_report_is_input_error(self, tmp_path, text, message):
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8")
+        result = invoke("report", path)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "input error:" in result.output and message in result.output
 
     def test_dynamics_needs_no_predictions(self, crossed_files, crossed_kb):
         # dynamics reads the checkpoint files, never the predictions key

@@ -17,7 +17,6 @@ from corpuscausal import kernels
 from corpuscausal.corpus import (
     BIN_LABELS,
     CorpusIndex,
-    argmax_object,
     bin_count,
     build_index,
     instantiate,
@@ -154,7 +153,7 @@ class TestSocCount:
     def test_bounded_by_entity_counts(self):
         idx = build_index(["A met B.", "A alone.", "B alone.", "A met B again."])
         assert idx.soc_count("A", "B") <= min(
-            idx.entity_sentence_count("A"), idx.entity_sentence_count("B")
+            len(idx.entity_postings("A")), len(idx.entity_postings("B"))
         )
 
 
@@ -280,7 +279,7 @@ class TestBatchedCounts:
             obj: naive_soc(self.SENTENCES, "Rome", obj)
             for obj in ("France", "Rome", "Italy")
         }
-        assert counts["Rome"] == idx.entity_sentence_count("Rome") == 3
+        assert counts["Rome"] == len(idx.entity_postings("Rome")) == 3
 
     def test_object_without_postings(self):
         idx = build_index(self.SENTENCES)
@@ -425,18 +424,20 @@ class TestTemplates:
 
 
 class TestArgmax:
+    """The argmax is the head of `ranked_objects`."""
+
     def test_larger_count_wins(self):
-        assert argmax_object({"Apple": 269, "Google": 256}) == "Apple"
+        assert ranked_objects({"Apple": 269, "Google": 256})[0] == "Apple"
 
     def test_tie_breaks_lexicographic(self):
-        assert argmax_object({"B": 5, "A": 5}) == "A"
+        assert ranked_objects({"B": 5, "A": 5})[0] == "A"
 
     def test_singleton_zero(self):
-        assert argmax_object({"X": 0}) == "X"
+        assert ranked_objects({"X": 0}) == ["X"]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCandidateSetError):
-            argmax_object({})
+            ranked_objects({})
 
     def test_ranked_objects(self):
         assert ranked_objects({"B": 5, "A": 5, "C": 9}) == ["C", "A", "B"]

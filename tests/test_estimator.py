@@ -380,4 +380,3 @@ class TestTableIo:
         assert t.columns == ("X", "Z", "Y")
         assert t.rows == (("1", "a", "1"), ("0", "a", "0"))
         assert ate(t, "X", "Y", {"Z"}) == 100
-        assert t.domain("Z") == ["a"]

@@ -35,18 +35,14 @@ class TestLoadKb:
                 {"subject": "Daria", "relation": "aired-on", "object": "MTV"},
             ],
         )
-        triplets, report = load_kb(path)
-        assert len(triplets) == 3
-        assert report.counts == {"capital-of": 2, "aired-on": 1}
-        assert report.duplicates == 0
+        triplets = load_kb(path)
+        assert [t.relation for t in triplets] == ["capital-of", "capital-of", "aired-on"]
 
     def test_duplicates_deduplicated_with_counter(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         rec = {"subject": "Paris", "relation": "capital-of", "object": "France"}
         write_jsonl(path, [rec, rec])
-        triplets, report = load_kb(path)
-        assert len(triplets) == 1
-        assert report.duplicates == 1
+        assert load_kb(path) == (Triplet("Paris", "capital-of", "France"),)
 
     def test_missing_object_field_names_line(self, tmp_path):
         path = tmp_path / "kb.jsonl"
@@ -207,8 +203,7 @@ class TestRoundTrip:
         p_path = tmp_path / "p.jsonl"
         save_triplets(crossed_kb.triplets, t_path)
         save_patterns(crossed_kb.patterns, p_path)
-        kb2, report = load_knowledge_base(t_path, p_path)
-        assert set(kb2.triplets) == set(crossed_kb.triplets)
+        kb2 = load_knowledge_base(t_path, p_path)
+        assert kb2.triplets == crossed_kb.triplets
         assert set(kb2.patterns) == set(crossed_kb.patterns)
         assert kb2.relations == crossed_kb.relations
-        assert report.duplicates == 0

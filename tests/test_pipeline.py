@@ -14,7 +14,6 @@ from corpuscausal.pipeline import (
     emit_report,
     load_config,
     load_report,
-    make_config,
     merge_config,
     render_report,
     run_dynamics,
@@ -229,24 +228,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig().validate()
         with pytest.raises(ConfigError):
-            make_config(
+            merge_config(
+                RunConfig(),
                 {
                     "kb": "a",
                     "patterns": "b",
                     "corpus": "c",
                     "predictions": "d",
                     "bin-edges": "5, 4, 3, 2",
-                }
+                },
             ).validate()
         with pytest.raises(ConfigError):
-            make_config(
+            merge_config(
+                RunConfig(),
                 {
                     "kb": "a",
                     "patterns": "b",
                     "corpus": "c",
                     "predictions": "d",
                     "tie-break": "random",
-                }
+                },
             ).validate()
 
 

@@ -7,7 +7,6 @@ from corpuscausal.errors import (
     EmptyPopulationError,
     MissingPredictionError,
     ParseError,
-    UnknownRelationError,
 )
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
 from corpuscausal import population
@@ -17,12 +16,12 @@ from corpuscausal.population import (
     ROW_FIELDS,
     STRATIFY_COLUMNS,
     PopulationRow,
+    _sort_key,
     build_structure,
     build_table,
     match_controls,
     population_observation_table,
     read_population,
-    restrict_candidates,
     score_population,
     write_population,
 )
@@ -51,22 +50,6 @@ def keys_of(pop):
 @pytest.fixture
 def crossed_index():
     return build_index(crossed_corpus_lines())
-
-
-class TestRestrictCandidates:
-    def test_objects_of_relation(self, crossed_kb):
-        assert restrict_candidates("capital-of", crossed_kb) == ["France", "Italy"]
-
-    def test_singleton(self):
-        kb = KnowledgeBase(
-            triplets=(Triplet("a", "r", "b"),),
-            patterns=(PatternSpec("r", "[X] r [Y]."),),
-        )
-        assert restrict_candidates("r", kb) == ["b"]
-
-    def test_unknown_relation(self, crossed_kb):
-        with pytest.raises(UnknownRelationError):
-            restrict_candidates("nope", crossed_kb)
 
 
 class TestMatchControls:
@@ -339,7 +322,7 @@ class TestCommonBehavior:
         for hyp in ("utt", "poc", "soc"):
             pop = build_table(hyp, crossed_kb, crossed_index, preds)
             for row in pop.rows:
-                assert row.object in restrict_candidates(row.relation, crossed_kb)
+                assert row.object in crossed_kb.candidate_objects(row.relation)
 
     def test_deterministic_construction(self, crossed_kb, crossed_index):
         preds = baseline_predict("perfect", crossed_kb, queries=self.all_keys(crossed_kb))
@@ -389,7 +372,7 @@ class TestEmission:
             assert type(row) is type(back) is PopulationRow
             assert isinstance(row, tuple)
             assert back == row == tuple(getattr(row, name) for name in ROW_FIELDS)
-            assert row.sort_key() == (
+            assert _sort_key(row) == (
                 row.relation, row.subject, row.object, row.template, row.is_anti
             )
 
@@ -532,7 +515,7 @@ class TestEmission:
         keys = TestCommonBehavior().all_keys(crossed_kb)
         preds = baseline_predict("perfect", crossed_kb, queries=keys)
         pop = build_table("soc", crossed_kb, crossed_index, preds)
-        sort_keys = [r.sort_key() for r in pop.rows]
+        sort_keys = list(map(_sort_key, pop.rows))
         assert sort_keys == sorted(sort_keys)
 
     def test_observation_table_adapter(self, crossed_kb, crossed_index):

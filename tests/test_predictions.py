@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpuscausal.corpus import argmax_object, build_index, instantiate
+from corpuscausal.corpus import build_index, instantiate, ranked_objects
 from corpuscausal.errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -179,7 +179,7 @@ class TestBaselines:
             stored += bool(present)
             expected = (
                 present[0] if present
-                else argmax_object(idx.soc_counts(subject, candidates))
+                else ranked_objects(idx.soc_counts(subject, candidates))[0]
             )
             rec = preds.get(subject, relation, template)
             assert rec == expected, (subject, template)
@@ -208,7 +208,7 @@ class TestBaselines:
                 else fresh.poc_counts(template, candidates)
             )
             rec = preds.get(subject, relation, template)
-            assert rec == argmax_object(counts), (subject, template)
+            assert rec == ranked_objects(counts)[0], (subject, template)
 
     def test_perfect_reads_kb(self, crossed_kb):
         preds = baseline_predict(
