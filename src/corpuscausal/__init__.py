@@ -34,8 +34,6 @@ from .graph import (
     CausalGraph,
     build_graph,
     canonical_adjustments,
-    graph_from_text,
-    graph_to_text,
     is_d_separated,
     is_d_separated_by_enumeration,
     reference_graph,
@@ -65,7 +63,6 @@ from .population import (
     PopulationRow,
     build_structure,
     build_table,
-    match_controls,
     population_observation_table,
     read_population,
     score_population,

@@ -14,7 +14,6 @@ from .errors import (
     CyclicGraphError,
     DuplicateNodeError,
     OverlappingSetsError,
-    ParseError,
     UnknownNodeError,
 )
 
@@ -345,54 +344,3 @@ def satisfies_backdoor(g, treatment, outcome, z):
         g.nodes, [(a, b) for a, b in g.edges if a != treatment]
     )
     return is_d_separated(trimmed, treatment, outcome, zset)
-
-
-# --- edge-list serialization -------------------------------------------------
-
-
-def graph_to_text(g):
-    """Render a graph in the plain-text edge-list format.
-
-    One ``parent -> child`` line per edge; isolated nodes appear as bare
-    name lines so round-trips preserve the node set.
-    """
-    lines = []
-    touched = set()
-    for a, b in g.edges:
-        touched.add(a)
-        touched.add(b)
-        lines.append(f"{a} -> {b}")
-    for name in g.nodes:
-        if name not in touched:
-            lines.append(name)
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text):
-    """Parse the ``parent -> child`` edge-list format; ``#`` starts a comment."""
-    nodes = []
-    seen = set()
-    edges = []
-
-    def add_node(name):
-        if name not in seen:
-            seen.add(name)
-            nodes.append(name)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" in line:
-            left, _, right = line.partition("->")
-            a, b = left.strip(), right.strip()
-            if not a or not b:
-                raise ParseError("malformed edge", line=lineno)
-            add_node(a)
-            add_node(b)
-            edges.append((a, b))
-        else:
-            if " " in line:
-                raise ParseError("malformed node line", line=lineno)
-            add_node(line)
-    return build_graph(nodes, edges)

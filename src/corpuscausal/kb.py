@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from .corpus import normalize_text, template_parts
-from .errors import EmptyKbError, ParseError, UnknownRelationError
+from .errors import EmptyKbError, EncodingError, ParseError, UnknownRelationError
 
 
 @dataclass(frozen=True, order=True)
@@ -99,18 +99,21 @@ class KnowledgeBase:
 
 
 def _jsonl_records(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON record: {exc.msg}", line=lineno) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record must be a JSON object", line=lineno)
-            yield lineno, record
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON record: {exc.msg}", line=lineno) from exc
+                if not isinstance(record, dict):
+                    raise ParseError("record must be a JSON object", line=lineno)
+                yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path} is not valid UTF-8") from exc
 
 
 def _required(record, key, lineno):

@@ -188,10 +188,10 @@ class EffectReport:
 
 
 def _natural_key(name):
-    return tuple(
-        int(part) if part.isdigit() else part
-        for part in re.split(r"(\d+)", str(name))
-    )
+    # odd parts are the digit runs; "²".isdigit() holds but int("²") fails
+    parts = re.split(r"(\d+)", str(name))
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 def _file_digest(path):
@@ -493,6 +493,43 @@ def emit_report(report, fmt, path):
     return path
 
 
+def _number(value):
+    return value is None or isinstance(value, (int, float))
+
+
+def _map_of(value, valid):
+    return isinstance(value, dict) and all(map(valid, value.values()))
+
+
+def _cate_cell(cell):
+    return (
+        isinstance(cell, dict)
+        and "n_rows" in cell
+        and "value" in cell
+        and _number(cell["value"])
+    )
+
+
+def _series_entry(entry):
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("checkpoint"), str)
+        and (bool(entry.get("error")) or _map_of(entry.get("ate"), _number))
+        and _number(entry.get("accuracy"))
+    )
+
+
+#: What the renderers read of each report field; only ``series`` may be missing.
+_REPORT_FIELDS = {
+    "source_id": lambda value: isinstance(value, str),
+    "ate": lambda value: _map_of(value, _number),
+    "cate": lambda value: _map_of(value, lambda cells: _map_of(cells, _cate_cell)),
+    "diagnostics": lambda value: _map_of(value, lambda diag: isinstance(diag, dict)),
+    "series": lambda value: value is None
+    or (isinstance(value, list) and all(map(_series_entry, value))),
+}
+
+
 def load_report(path):
     """Reload a structured report; field-identical with the emitted one."""
     with open(path, encoding="utf-8") as fh:
@@ -500,7 +537,9 @@ def load_report(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not JSON: {exc.msg}", line=exc.lineno) from None
-    for name in ("source_id", "ate", "cate", "diagnostics"):
-        if not isinstance(data, dict) or name not in data:
+    for name, valid in _REPORT_FIELDS.items():
+        if name != "series" and (not isinstance(data, dict) or name not in data):
             raise ParseError(f"{path} is not a structured report: no {name!r} field")
+        if not valid(data.get(name)):
+            raise ParseError(f"{path} is not a structured report: bad {name!r} field")
     return EffectReport.from_dict(data)

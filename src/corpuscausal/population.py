@@ -1,22 +1,24 @@
-"""Hypothesis population tables: construction, matching, and emission.
+"""Hypothesis population tables: construction, pairing, and emission.
 
 Each hypothesis defines a population over (subject, object, relation,
-template) units, a treatment flag, a matching recipe, and the confounder
-columns its estimation stratifies on:
+template) units, a treatment flag, a pairing recipe, and the confounder
+columns its estimation stratifies on. Each builder emits its (treated,
+control) pairs as it makes the rows, and counts a treated row with no
+partner as unmatched where it arises:
 
-  - ``utt``:  KB triplets x relation paraphrases; treated rows have the
-    instantiated utterance stored in the corpus; controls share the
-    triplet but use another, absent pattern.
+  - ``utt``:  per KB triplet, over its sorted paraphrases, the i-th one
+    whose instantiated utterance is stored in the corpus (treated) pairs
+    with the i-th one whose utterance is absent (control).
   - ``poc``:  per (subject, template), the template's most co-occurring
     candidate object (treated) vs the next most co-occurring (control);
-    rows whose (template, object) count is not above the frequency floor
-    are removed before matching.
+    an object whose (template, object) count is not above the frequency
+    floor is removed, and its unit with it.
   - ``soc``:  per (subject, template) over paraphrases and anti-patterns,
     the subject's most co-occurring candidate (treated) vs the next most
     (control).
 
 Rows are structure: a `PopulationRow` is a plain named tuple of what the
-corpus, the KB and the matching fix, so rows are built positionally,
+corpus, the KB and the pairing fix, so rows are built positionally,
 keyed with `itemgetter` and written cell by cell, and none changes once
 built. The most and next most co-occurring objects come from the
 rankings the corpus index keeps beside each count map, sorted once per
@@ -31,7 +33,6 @@ Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
 """
 
-from collections import deque
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import NamedTuple
@@ -62,14 +63,6 @@ STRATIFY_COLUMNS = {
     adj.hypothesis: tuple(NODE_TO_COLUMN[node] for node in adj.stratify)
     for adj in CANONICAL_ADJUSTMENTS
 }
-
-#: Discrete keys each recipe matches treated and control rows on.
-MATCH_KEYS = {
-    "utt": ("relation", "subject", "object"),
-    "poc": ("relation", "subject", "template"),
-    "soc": ("relation", "subject", "template"),
-}
-
 
 class PopulationRow(NamedTuple):
     subject: str
@@ -110,32 +103,6 @@ class MatchedPopulation:
     diagnostics: MatchDiagnostics = MatchDiagnostics()
     predicted: tuple = ()  # predicted object per row, aligned with `rows`
     outcomes: tuple = ()  # outcome flag (0/1) per row, aligned with `rows`
-
-
-def match_controls(treated, pool, discrete=()):
-    """Pair each treated record with the first unused eligible pool record.
-
-    Records are mappings, or tuples with `discrete` given as positions.
-    A pool record is eligible when it agrees with the treated record on
-    every `discrete` column; matching is exact on those keys, and among
-    eligible records input order decides. Greedy without replacement: a
-    pool record backs at most one treated record. Returns
-    (pairs, dropped_indices) over input positions.
-    """
-    discrete = tuple(discrete)
-    key = itemgetter(*discrete) if discrete else (lambda rec: ())
-    free = {}
-    for j, rec in enumerate(pool):
-        free.setdefault(key(rec), deque()).append(j)
-    pairs = []
-    dropped = []
-    for i, rec in enumerate(treated):
-        candidates = free.get(key(rec))
-        if candidates:
-            pairs.append((i, candidates.popleft()))
-        else:
-            dropped.append(i)
-    return pairs, dropped
 
 
 class _StatsView:
@@ -192,6 +159,13 @@ class _StatsView:
             obj == poc_ranked[0],
         )
 
+    def make_pair(self, relation, subject, top, runner, template, is_anti=False):
+        """The (treated, control) rows of one unit: its top and runner-up objects."""
+        return (
+            self.make_row(relation, subject, top, template, is_anti, 1),
+            self.make_row(relation, subject, runner, template, is_anti, 0),
+        )
+
 
 def cloze_keys(pop):
     """The population's distinct (subject, relation, template) keys, sorted."""
@@ -199,91 +173,69 @@ def cloze_keys(pop):
 
 
 def _build_utt(kb, view):
-    treated = []
-    pool = []
+    pairs = []
+    unmatched = 0
     for trip in sorted(kb.triplets):
-        for pat in sorted(kb.paraphrases(trip.relation)):
-            row = view.make_row(
-                trip.relation, trip.subject, trip.object, pat.template, False, 0
-            )
-            if row.utt_present:
-                treated.append(row._replace(treatment=1))
-            else:
-                pool.append(row)
-    return _match_on_keys("utt", treated, pool, 0)
+        rows = [
+            view.make_row(trip.relation, trip.subject, trip.object, pat.template, False, 0)
+            for pat in sorted(kb.paraphrases(trip.relation))
+        ]
+        present = [row._replace(treatment=1) for row in rows if row.utt_present]
+        absent = [row for row in rows if not row.utt_present]
+        pairs += zip(present, absent)
+        unmatched += max(0, len(present) - len(absent))
+    return _sorted_population("utt", pairs, unmatched)
 
 
 def _build_poc(kb, view, min_poc_frequency):
-    treated = []
-    pool = []
-    removed = 0
+    pairs = []
+    unmatched = removed = 0
     for relation in kb.relations:
         subjects = kb.subjects(relation)
         for pat in sorted(kb.paraphrases(relation)):
             ranked, counts = view.poc_ranked(relation, pat.template)
-            top = ranked[0]
-            runner = ranked[1] if len(ranked) > 1 else None
-            top_ok = counts[top] > min_poc_frequency
-            runner_ok = runner is not None and counts[runner] > min_poc_frequency
-            for subject in subjects:
-                if top_ok:
-                    treated.append(
-                        view.make_row(relation, subject, top, pat.template, False, 1)
-                    )
-                else:
-                    removed += 1
-                if runner is not None and runner_ok:
-                    pool.append(
-                        view.make_row(relation, subject, runner, pat.template, False, 0)
-                    )
-                elif runner is not None:
-                    removed += 1
-    return _match_on_keys("poc", treated, pool, removed)
+            # the floor keeps a prefix: the top object has the largest count
+            top_two = ranked[:2]
+            kept = [obj for obj in top_two if counts[obj] > min_poc_frequency]
+            removed += (len(top_two) - len(kept)) * len(subjects)
+            if len(kept) == 1:
+                unmatched += len(subjects)
+            elif kept:
+                pairs += (view.make_pair(relation, s, *kept, pat.template) for s in subjects)
+    return _sorted_population("poc", pairs, unmatched, removed)
 
 
 def _build_soc(kb, view):
-    treated = []
-    pool = []
+    pairs = []
+    unmatched = 0
     for relation in kb.relations:
         patterns = sorted(kb.paraphrases(relation)) + sorted(kb.anti_patterns(relation))
         for subject in kb.subjects(relation):
             ranked, _ = view.soc_ranked(relation, subject)
-            top = ranked[0]
-            runner = ranked[1] if len(ranked) > 1 else None
-            for pat in patterns:
-                treated.append(
-                    view.make_row(relation, subject, top, pat.template, pat.is_anti, 1)
-                )
-                if runner is not None:
-                    pool.append(
-                        view.make_row(
-                            relation, subject, runner, pat.template, pat.is_anti, 0
-                        )
-                    )
-    return _match_on_keys("soc", treated, pool, 0)
+            if len(ranked) < 2:
+                unmatched += len(patterns)
+                continue
+            pairs += (
+                view.make_pair(relation, subject, *ranked[:2], pat.template, pat.is_anti)
+                for pat in patterns
+            )
+    return _sorted_population("soc", pairs, unmatched)
 
 
-def _match_on_keys(hypothesis, treated, pool, removed):
-    """Pair treated rows with controls on the recipe's `MATCH_KEYS`.
+def _sorted_population(hypothesis, pairs, unmatched, removed=0):
+    """Sort the paired rows canonically and re-index the pairs into them.
 
-    The paired rows are sorted canonically and the pairs re-indexed into
-    them; no two rows of a population are equal, so each row is its own
-    index key.
+    No two rows are equal, so each row is its own index key.
     """
-    keys = tuple(map(ROW_FIELDS.index, MATCH_KEYS[hypothesis]))
-    matched, dropped = match_controls(treated, pool, discrete=keys)
-    if not matched:
+    if not pairs:
         raise EmptyPopulationError(f"{hypothesis} population has no matched pairs")
-    matched = [(treated[i], pool[j]) for i, j in matched]
-    rows = tuple(sorted({row for pair in matched for row in pair}, key=_sort_key))
+    rows = tuple(sorted({row for pair in pairs for row in pair}, key=_sort_key))
     index = {row: i for i, row in enumerate(rows)}
     return MatchedPopulation(
         hypothesis=hypothesis,
         rows=rows,
-        pairs=tuple(sorted((index[t], index[c]) for t, c in matched)),
-        diagnostics=MatchDiagnostics(
-            unmatched_treated=len(dropped), low_frequency_removed=removed
-        ),
+        pairs=tuple(sorted((index[t], index[c]) for t, c in pairs)),
+        diagnostics=MatchDiagnostics(unmatched_treated=unmatched, low_frequency_removed=removed),
     )
 
 

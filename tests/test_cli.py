@@ -100,6 +100,16 @@ class TestEstimateCommand:
         result = invoke("estimate", "--config", config, "--kb", "does-not-exist.jsonl")
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("key", ["kb", "patterns", "predictions"])
+    def test_non_utf8_input_is_input_error_naming_the_file(self, crossed_files, key):
+        garbled = crossed_files["dir"] / "garbled.jsonl"
+        garbled.write_bytes(b"\xff\xfe")
+        result = invoke("estimate", "--config", write_config(crossed_files), f"--{key}", garbled)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "input error:" in result.output
+        assert "garbled.jsonl is not valid UTF-8" in result.output
+
     def test_usage_errors_exit_code_1(self):
         # exit 2 is reserved for estimation errors; click's message is kept
         for args, message in [
@@ -284,6 +294,11 @@ class TestDynamicsAndReport:
             ("{not json", "is not JSON"),
             ('{"source_id": "x"}', "no 'ate' field"),
             ("[1, 2]", "no 'source_id' field"),
+            ('{"source_id": "x", "ate": 5, "cate": {}, "diagnostics": {}}', "bad 'ate' field"),
+            ('{"source_id": "x", "ate": {}, "cate": {"utt": {"r": {}}}, "diagnostics": {}}',
+             "bad 'cate' field"),
+            ('{"source_id": "x", "ate": {}, "cate": {}, "diagnostics": {}, '
+             '"series": [{"checkpoint": "c", "ate": null}]}', "bad 'series' field"),
         ],
     )
     def test_malformed_report_is_input_error(self, tmp_path, text, message):

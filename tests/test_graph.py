@@ -11,7 +11,6 @@ from corpuscausal.errors import (
     CyclicGraphError,
     DuplicateNodeError,
     OverlappingSetsError,
-    ParseError,
     UnknownNodeError,
 )
 from corpuscausal.graph import (
@@ -19,8 +18,6 @@ from corpuscausal.graph import (
     build_graph,
     canonical_adjustments,
     enumerate_paths,
-    graph_from_text,
-    graph_to_text,
     is_d_separated,
     is_d_separated_by_enumeration,
     reference_graph,
@@ -253,29 +250,6 @@ class TestBackdoor:
         assert set(adj) == {"utt", "poc", "soc"}
         assert adj["soc"].treatment == "SO_hC"
         assert adj["utt"].stratify == ("pattern", "KBT", "SOC_so")
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = reference_graph()
-        text = graph_to_text(g)
-        g2 = graph_from_text(text)
-        assert set(g2.nodes) == set(g.nodes)
-        assert set(g2.edges) == set(g.edges)
-
-    def test_comments_and_blanks(self):
-        g = graph_from_text("# a comment\nA -> B\n\nB -> C  # trailing\nD\n")
-        assert set(g.nodes) == {"A", "B", "C", "D"}
-        assert set(g.edges) == {("A", "B"), ("B", "C")}
-
-    def test_malformed_edge(self):
-        with pytest.raises(ParseError):
-            graph_from_text("A -> \n")
-
-    def test_isolated_nodes_survive(self):
-        g = build_graph(["A", "B", "lonely"], [("A", "B")])
-        g2 = graph_from_text(graph_to_text(g))
-        assert "lonely" in g2.nodes
 
 
 class TestEnumerationHelpers:

@@ -6,6 +6,7 @@ import pytest
 
 from corpuscausal.errors import (
     EmptyKbError,
+    EncodingError,
     MalformedPatternError,
     ParseError,
     UnknownRelationError,
@@ -68,6 +69,14 @@ class TestLoadKb:
         path.write_text("{not json\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_kb(path)
+
+    @pytest.mark.parametrize("load", [load_kb, load_patterns])
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, load):
+        # they used to escape as a bare UnicodeDecodeError
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(EncodingError, match="records.jsonl is not valid UTF-8"):
+            load(path)
 
 
 class TestLoadPatterns:

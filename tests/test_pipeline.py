@@ -342,6 +342,23 @@ class TestDynamics:
         assert len(errored) == 1
         assert len(report.series) == 2
 
+    def test_non_utf8_checkpoint_reported_without_aborting(self, crossed_files, crossed_kb):
+        # its UnicodeDecodeError used to escape and lose the whole series
+        paths = self.checkpoint_files(crossed_files, crossed_kb, n=2)
+        garbled = crossed_files["dir"] / "ckpts" / "epoch01.jsonl"
+        garbled.write_bytes(b"\xff\xfe")
+        config = config_for(crossed_files, "unused-but-validated")
+        report = run_dynamics(config, paths)
+        good, bad = report.series
+        assert good["error"] is None and good["accuracy"] == 1.0
+        assert bad["ate"] is None and "epoch01.jsonl is not valid UTF-8" in bad["error"]
+
+    def test_checkpoints_sort_by_digit_runs(self):
+        names = ["step10", "step2", "step1\u00b2", "step1", "step"]
+        assert sorted(names, key=pipeline._natural_key) == [
+            "step", "step1", "step1\u00b2", "step2", "step10"
+        ]
+
     def test_all_checkpoints_failing_raises(self, crossed_files):
         empty = crossed_files["dir"] / "empty.jsonl"
         empty.write_text("", encoding="utf-8")

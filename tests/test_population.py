@@ -1,8 +1,12 @@
-"""Population construction: matching recipes, filters, emission."""
+"""Population construction: pairing recipes, filters, emission."""
+
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpuscausal.corpus import build_index
+from corpuscausal.corpus import BIN_EDGES, build_index, instantiate
 from corpuscausal.errors import (
     EmptyPopulationError,
     MissingPredictionError,
@@ -11,15 +15,14 @@ from corpuscausal.errors import (
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
 from corpuscausal import population
 from corpuscausal.population import (
-    MATCH_KEYS,
     POPULATION_FIELDS,
+    MatchDiagnostics,
     ROW_FIELDS,
     STRATIFY_COLUMNS,
     PopulationRow,
     _sort_key,
     build_structure,
     build_table,
-    match_controls,
     population_observation_table,
     read_population,
     score_population,
@@ -50,29 +53,6 @@ def keys_of(pop):
 @pytest.fixture
 def crossed_index():
     return build_index(crossed_corpus_lines())
-
-
-class TestMatchControls:
-    def test_no_discrete_match_drops(self):
-        treated = [{"a": 1}]
-        pool = [{"a": 2}]
-        pairs, dropped = match_controls(treated, pool, discrete=("a",))
-        assert pairs == []
-        assert dropped == [0]
-
-    def test_tie_broken_by_input_order(self):
-        treated = [{"a": 0}, {"a": 1}, {"a": 0}]
-        pool = [{"a": 1}, {"a": 0}, {"a": 0}, {"a": 0}]
-        pairs, dropped = match_controls(treated, pool, discrete=("a",))
-        assert pairs == [(0, 1), (1, 0), (2, 2)]
-        assert dropped == []
-
-    def test_without_replacement(self):
-        treated = [{"a": 0}, {"a": 0}]
-        pool = [{"a": 0}]
-        pairs, dropped = match_controls(treated, pool, discrete=("a",))
-        assert pairs == [(0, 0)]
-        assert dropped == [1]
 
 
 class TestUttTable:
@@ -344,10 +324,185 @@ class TestCommonBehavior:
         )
         assert POPULATION_FIELDS == ROW_FIELDS + ("prediction", "outcome")
 
-    def test_match_keys_agree_with_recipes(self):
-        assert MATCH_KEYS["utt"] == ("relation", "subject", "object")
-        assert MATCH_KEYS["poc"] == ("relation", "subject", "template")
-        assert MATCH_KEYS["soc"] == ("relation", "subject", "template")
+    def test_match_keys_agree_with_recipes(self, crossed_kb, crossed_index):
+        # utt pairs share the triplet; poc and soc pairs share the
+        # (subject, template) unit
+        for hyp in ("utt", "poc", "soc"):
+            key = attrgetter(*RECIPE_KEYS[hyp])
+            pop = build_structure(hyp, crossed_kb, crossed_index)
+            assert pop.pairs
+            for i, j in pop.pairs:
+                t, c = pop.rows[i], pop.rows[j]
+                assert (t.treatment, c.treatment) == (1, 0)
+                assert key(t) == key(c)
+
+
+#: The keys each recipe pairs a treated and a control row on.
+RECIPE_KEYS = {
+    "utt": ("relation", "subject", "object"),
+    "poc": ("relation", "subject", "template"),
+    "soc": ("relation", "subject", "template"),
+}
+
+
+def greedy_oracle(hypothesis, kb, stats, min_poc_frequency):
+    """Pairs and diagnostics by build-then-match.
+
+    Builds every candidate row, splits them into treated and control pools
+    in build order, then gives each treated row the first unused control
+    that agrees on the recipe's keys.
+    """
+    view = population._StatsView(kb, stats, BIN_EDGES)
+    treated, pool = [], []
+    removed = 0
+    if hypothesis == "utt":
+        for trip in sorted(kb.triplets):
+            for pat in sorted(kb.paraphrases(trip.relation)):
+                row = view.make_row(
+                    trip.relation, trip.subject, trip.object, pat.template, False, 0
+                )
+                if row.utt_present:
+                    treated.append(row._replace(treatment=1))
+                else:
+                    pool.append(row)
+    elif hypothesis == "poc":
+        for relation in kb.relations:
+            for pat in sorted(kb.paraphrases(relation)):
+                ranked, counts = view.poc_ranked(relation, pat.template)
+                for subject in kb.subjects(relation):
+                    for arm, obj, flag in zip((treated, pool), ranked, (1, 0)):
+                        if counts[obj] > min_poc_frequency:
+                            arm.append(
+                                view.make_row(relation, subject, obj, pat.template, False, flag)
+                            )
+                        else:
+                            removed += 1
+    else:
+        for relation in kb.relations:
+            patterns = sorted(kb.paraphrases(relation)) + sorted(kb.anti_patterns(relation))
+            for subject in kb.subjects(relation):
+                ranked, _ = view.soc_ranked(relation, subject)
+                for pat in patterns:
+                    for arm, obj, flag in zip((treated, pool), ranked, (1, 0)):
+                        arm.append(
+                            view.make_row(relation, subject, obj, pat.template, pat.is_anti, flag)
+                        )
+    key = attrgetter(*RECIPE_KEYS[hypothesis])
+    free = {}
+    for row in pool:
+        free.setdefault(key(row), []).append(row)
+    pairs = []
+    unmatched = 0
+    for row in treated:
+        controls = free.get(key(row))
+        if controls:
+            pairs.append((row, controls.pop(0)))
+        else:
+            unmatched += 1
+    return pairs, MatchDiagnostics(unmatched_treated=unmatched, low_frequency_removed=removed)
+
+
+_SUBJECTS = ("Ann", "Bo", "Cy", "Di")
+_OBJECTS = ("Xo", "Yu", "Zed", "Wim")
+_TEMPLATES = ("[X] likes [Y].", "[X] knows [Y].", "[Y] hosts [X].", "[X] left [Y].")
+
+
+@st.composite
+def kb_and_corpus(draw):
+    """A small KB, its patterns and a corpus of utterances, template
+    sentences with outside subjects, and co-mentions."""
+    triplets = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from("rs"),
+                      st.sampled_from(_OBJECTS)),
+            min_size=2, max_size=8, unique=True,
+        )
+    )
+    relations = sorted({r for _, r, _ in triplets})
+    patterns = []
+    for relation in relations:
+        # the first template is always a paraphrase, so every relation has one
+        patterns.append(PatternSpec(relation, _TEMPLATES[0]))
+        for template, is_anti in draw(
+            st.lists(st.tuples(st.sampled_from(_TEMPLATES), st.booleans()),
+                     max_size=5, unique=True)
+        ):
+            patterns.append(PatternSpec(relation, template, is_anti))
+    kb = KnowledgeBase(
+        triplets=tuple(Triplet(*t) for t in triplets),
+        patterns=tuple(dict.fromkeys(patterns)),
+    )
+    template = st.sampled_from(_TEMPLATES)
+    obj = st.sampled_from(_OBJECTS)
+    lines = draw(
+        st.lists(
+            st.one_of(
+                # a triplet's utterance under some template
+                st.builds(lambda t, trip: instantiate(t, trip[0], trip[2]), template,
+                          st.sampled_from(triplets)),
+                st.builds("{} and {} met.".format, st.sampled_from(_SUBJECTS), obj),
+            ),
+            max_size=20,
+        )
+    )
+    # 0-3 template sentences per (template, object), with subjects outside
+    # the KB, so pattern-object counts straddle the floors
+    cells = [(t, o) for t in _TEMPLATES for o in _OBJECTS]
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
+    for (t, o), n in zip(cells, counts):
+        lines += [instantiate(t, f"Q{i}", o) for i in range(n)]
+    return kb, build_index(lines)
+
+
+class TestPairsByConstruction:
+    """Every builder emits exactly the greedy key matcher's pairs."""
+
+    @given(kb_and_corpus(), st.integers(min_value=0, max_value=2))
+    @settings(max_examples=150, deadline=None)
+    def test_builders_equal_the_greedy_matcher(self, inputs, floor):
+        kb, idx = inputs
+        for hyp in ("utt", "poc", "soc"):
+            pairs, diagnostics = greedy_oracle(hyp, kb, idx, floor)
+            if not pairs:
+                with pytest.raises(EmptyPopulationError):
+                    build_structure(hyp, kb, idx, min_poc_frequency=floor)
+                continue
+            pop = build_structure(hyp, kb, idx, min_poc_frequency=floor)
+            assert pop.diagnostics == diagnostics
+            assert set(pop.rows) == {row for pair in pairs for row in pair}
+            assert sorted((pop.rows[i], pop.rows[j]) for i, j in pop.pairs) == sorted(pairs)
+            assert list(pop.rows) == sorted(pop.rows, key=_sort_key)
+            assert list(pop.pairs) == sorted(pop.pairs)
+
+    def test_shared_template_pairs_within_each_pattern(self):
+        # a template that is both a paraphrase and an anti-pattern pairs
+        # paraphrase with paraphrase and anti-pattern with anti-pattern
+        kb = KnowledgeBase(
+            triplets=(Triplet("Ann", "r", "Xo"), Triplet("Bo", "r", "Yu")),
+            patterns=(PatternSpec("r", _TEMPLATES[0]), PatternSpec("r", _TEMPLATES[0], True)),
+        )
+        idx = build_index(["Ann and Xo met.", "Ann and Xo met again.", "Ann and Yu met."])
+        pop = build_structure("soc", kb, idx)
+        assert len(pop.pairs) == 4
+        for i, j in pop.pairs:
+            assert pop.rows[i].is_anti == pop.rows[j].is_anti
+
+    def test_floor_counts_removed_and_unmatched_units(self):
+        # likes: the runner-up fails the floor, so its rows are removed and
+        # the top rows left unmatched; hosts: both objects fail; knows pairs
+        kb = KnowledgeBase(
+            triplets=(Triplet("Ann", "r", "Xo"), Triplet("Bo", "r", "Yu")),
+            patterns=tuple(PatternSpec("r", t) for t in _TEMPLATES[:3]),
+        )
+        lines = [f"Q{i} likes Xo." for i in range(3)] + ["Q9 likes Yu."]
+        lines += [f"Q{i} knows Xo." for i in range(3)] + ["Q8 knows Yu.", "Q9 knows Yu."]
+        lines += ["Xo hosts Q1."]
+        pop = build_structure("poc", kb, build_index(lines), min_poc_frequency=1)
+        assert pop.diagnostics == MatchDiagnostics(
+            unmatched_treated=2, low_frequency_removed=2 + 4
+        )
+        assert {r.template for r in pop.rows} == {"[X] knows [Y]."}
+        assert len(pop.pairs) == 2
 
 
 class TestEmission:
