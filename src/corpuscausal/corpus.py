@@ -21,6 +21,7 @@ Conventions, fixed for determinism:
 """
 
 import functools
+import hashlib
 import re
 import struct
 from pathlib import Path
@@ -36,7 +37,8 @@ from .errors import (
     MalformedPatternError,
 )
 
-_MAGIC = b"CCIDX001"
+_MAGIC = b"CCIDX002"
+_DIGEST_SIZE = 16
 _WORD_RE = re.compile(r"\w+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 _SLOT_RE = re.compile(r"(\[X\]|\[Y\])")
@@ -77,12 +79,6 @@ def ranked_objects(counts):
     if not counts:
         raise EmptyCandidateSetError("ranking an empty candidate mapping")
     return sorted(counts, key=lambda obj: (-counts[obj], obj))
-
-
-def _nonempty(ranking):
-    if not ranking:
-        raise EmptyCandidateSetError("ranking an empty candidate mapping")
-    return ranking
 
 
 @functools.lru_cache(maxsize=4096)
@@ -221,45 +217,29 @@ class CorpusIndex:
         b = self.entity_postings(obj)
         return int(kernels.intersect_count(a, b))
 
-    def soc_counts(self, subject, objects):
-        """``{object: soc_count(subject, object)}`` over a candidate tuple.
+    def soc_ranked(self, subject, objects):
+        """The memoised ``(ranking, counts)`` pair of (subject, objects).
 
-        Memoised per (subject, objects), so callers that rank the same
-        candidates again get the same mapping back without recounting.
-        The mapping is read-only because every caller shares it.
+        ``counts`` maps each object to ``soc_count(subject, object)`` and is
+        read-only because every caller shares it; ``ranking`` orders it as
+        `ranked_objects` does, sorted once when the map is counted.
+        Whitespace variants of `subject` share one entry. Raises
+        `EmptyCandidateSetError` on an empty candidate set.
         """
-        return self._count_map(self._soc_maps, self.soc_count, subject, objects)[0]
+        return self._ranked(self._soc_maps, self.soc_count, subject, objects)
 
-    def soc_ranking(self, subject, objects):
-        """`soc_counts` ranked as `ranked_objects` ranks it, as a tuple.
-
-        Sorted once, when the map is counted, and memoised with it.
-        """
-        entry = self._count_map(self._soc_maps, self.soc_count, subject, objects)
-        return _nonempty(entry[1])
-
-    def poc_counts(self, template, objects):
-        """``{object: poc_count(template, object)}`` over a candidate tuple.
-
-        Memoised per (template, objects), like `soc_counts`.
-        """
-        return self._count_map(self._poc_maps, self.poc_count, template, objects)[0]
-
-    def poc_ranking(self, template, objects):
-        """`poc_counts` ranked as `ranked_objects` ranks it, as a tuple."""
-        entry = self._count_map(self._poc_maps, self.poc_count, template, objects)
-        return _nonempty(entry[1])
+    def poc_ranked(self, template, objects):
+        """`soc_ranked` for ``poc_count(template, object)``."""
+        return self._ranked(self._poc_maps, self.poc_count, template, objects)
 
     @staticmethod
-    def _count_map(maps, count, first, objects):
-        """The memoised ``(counts, ranking)`` entry of (first, objects)."""
+    def _ranked(maps, count, first, objects):
         objects = tuple(objects)
         key = (normalize_text(first), objects)
         entry = maps.get(key)
         if entry is None:
             counts = {o: count(first, o) for o in objects}
-            ranking = tuple(ranked_objects(counts)) if counts else ()
-            entry = maps[key] = (MappingProxyType(counts), ranking)
+            entry = maps[key] = (tuple(ranked_objects(counts)), MappingProxyType(counts))
         return entry
 
     def poc_count(self, template, obj):
@@ -292,7 +272,7 @@ class CorpusIndex:
     # --- persistence -------------------------------------------------------
 
     def save(self, path):
-        """Write the index in the versioned binary format."""
+        """Write the index in the versioned binary format: magic, digest, payload."""
         tokens = sorted(self._token_postings)
         offsets = np.zeros(len(tokens) + 1, dtype=np.int64)
         chunks = []
@@ -305,15 +285,21 @@ class CorpusIndex:
         ).astype(np.int32)
         sent_blob = "\n".join(self.sentences).encode("utf-8")
         tok_blob = "\n".join(tokens).encode("utf-8")
+        payload = [
+            struct.pack("<IQ", len(self.sentences), len(sent_blob)),
+            sent_blob,
+            struct.pack("<IQ", len(tokens), len(tok_blob)),
+            tok_blob,
+            offsets.tobytes(),
+            flat.tobytes(),
+        ]
+        digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+        for part in payload:
+            digest.update(part)
         try:
             with open(path, "wb") as fh:
-                fh.write(_MAGIC)
-                fh.write(struct.pack("<IQ", len(self.sentences), len(sent_blob)))
-                fh.write(sent_blob)
-                fh.write(struct.pack("<IQ", len(tokens), len(tok_blob)))
-                fh.write(tok_blob)
-                fh.write(offsets.tobytes())
-                fh.write(flat.tobytes())
+                fh.write(_MAGIC + digest.digest())
+                fh.writelines(payload)
         except OSError as exc:
             raise IoFailureError(f"cannot write index to {path}: {exc}") from exc
 
@@ -324,14 +310,21 @@ class CorpusIndex:
                 blob = fh.read()
         except OSError as exc:
             raise IoFailureError(f"cannot read index from {path}: {exc}") from exc
+        if blob.startswith(b"CCIDX001"):
+            raise IoFailureError(
+                f"{path} is a version-1 index: re-run `corpuscausal index`"
+            )
         if blob[: len(_MAGIC)] != _MAGIC:
             raise IoFailureError(f"{path} is not a corpus index (bad magic/version)")
 
         def corrupt(what):
             return IoFailureError(f"corrupt index structure in {path}: {what}")
 
+        pos = len(_MAGIC) + _DIGEST_SIZE
+        digest = hashlib.blake2b(memoryview(blob)[pos:], digest_size=_DIGEST_SIZE)
+        if blob[len(_MAGIC) : pos] != digest.digest():
+            raise corrupt("the digest does not match the contents")
         header = struct.Struct("<IQ")
-        pos = len(_MAGIC)
         blocks = []
         for _ in range(2):
             if pos + header.size > len(blob):

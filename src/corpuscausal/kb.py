@@ -31,8 +31,8 @@ class PatternSpec:
 class KnowledgeBase:
     """Triplets and patterns, indexed once by relation and by subject.
 
-    Lookups read the indexes built at construction and return fresh lists,
-    so callers may mutate what they get back.
+    Repeated triplets and patterns are dropped, the first one kept. Lookups
+    return the tuples built at construction, shared by every caller.
     """
 
     triplets: tuple
@@ -40,6 +40,8 @@ class KnowledgeBase:
     relations: tuple = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "triplets", tuple(dict.fromkeys(self.triplets)))
+        object.__setattr__(self, "patterns", tuple(dict.fromkeys(self.patterns)))
         relations = tuple(sorted({t.relation for t in self.triplets}))
         object.__setattr__(self, "relations", relations)
         subjects = {r: set() for r in relations}
@@ -66,8 +68,8 @@ class KnowledgeBase:
             ("_subjects", {r: tuple(sorted(v)) for r, v in subjects.items()}),
             ("_candidates", {r: tuple(sorted(v)) for r, v in candidates.items()}),
             ("_objects", {k: tuple(sorted(v)) for k, v in objects.items()}),
-            ("_paraphrases", paraphrases),
-            ("_anti_patterns", anti_patterns),
+            ("_paraphrases", {r: tuple(v) for r, v in paraphrases.items()}),
+            ("_anti_patterns", {r: tuple(v) for r, v in anti_patterns.items()}),
             ("_triplet_set", frozenset(self.triplets)),
         ):
             object.__setattr__(self, name, index)
@@ -75,7 +77,7 @@ class KnowledgeBase:
     def _of_relation(self, index, relation):
         if relation not in index:
             raise UnknownRelationError(f"unknown relation: {relation!r}")
-        return list(index[relation])
+        return index[relation]
 
     def candidate_objects(self, relation):
         """Gold objects of a relation (the type-preserving candidate set)."""
@@ -86,13 +88,13 @@ class KnowledgeBase:
 
     def objects_of(self, subject, relation):
         """Gold objects recorded for one subject under one relation."""
-        return list(self._objects.get((subject, relation), ()))
+        return self._objects.get((subject, relation), ())
 
     def paraphrases(self, relation):
-        return list(self._paraphrases.get(relation, ()))
+        return self._paraphrases.get(relation, ())
 
     def anti_patterns(self, relation):
-        return list(self._anti_patterns.get(relation, ()))
+        return self._anti_patterns.get(relation, ())
 
     def has_triplet(self, subject, relation, obj):
         return Triplet(subject, relation, obj) in self._triplet_set
@@ -141,9 +143,11 @@ def load_kb(path):
 
 
 def load_patterns(path):
-    """Load pattern records, validating both slots in every template."""
+    """Load pattern records, validating both slots in every template.
+
+    Repeats are dropped, the first one kept.
+    """
     patterns = []
-    seen = set()
     for lineno, record in _jsonl_records(path):
         relation = _required(record, "relation", lineno)
         template = _required(record, "template", lineno)
@@ -151,11 +155,8 @@ def load_patterns(path):
         is_anti = record.get("is_anti", False)
         if not isinstance(is_anti, bool):
             raise ParseError("field 'is_anti' must be a boolean", line=lineno)
-        pat = PatternSpec(relation=relation, template=template, is_anti=is_anti)
-        if pat not in seen:
-            seen.add(pat)
-            patterns.append(pat)
-    return tuple(patterns)
+        patterns.append(PatternSpec(relation=relation, template=template, is_anti=is_anti))
+    return tuple(dict.fromkeys(patterns))
 
 
 def load_knowledge_base(triplet_path, pattern_path):

@@ -257,8 +257,8 @@ class _Runtime:
         """The hypothesis's population, from the cache when an entry reads back.
 
         A cache entry is three files: table, pairs and ``diag.json``. One
-        that is incomplete or does not parse is a miss: the population is
-        rebuilt and the entry overwritten.
+        that is incomplete, was changed after it was written or does not
+        parse is a miss: the population is rebuilt and the entry overwritten.
         """
         cache_dir = self.config.cache_dir
         if cache_dir:
@@ -345,8 +345,12 @@ class _Runtime:
 
 
 def _read_cache_entry(table, pairs, diag, hypothesis):
+    counts = json.loads(diag.read_text(encoding="utf-8"))
+    if counts["digests"] != [_file_digest(table), _file_digest(pairs)]:
+        raise ValueError(f"{table} or {pairs} changed after {diag} was written")
+    del counts["digests"]
     pop = read_population(table, pairs, hypothesis)
-    diagnostics = MatchDiagnostics(**json.loads(diag.read_text(encoding="utf-8")))
+    diagnostics = MatchDiagnostics(**counts)
     if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
         raise ValueError(f"diagnostics in {diag} are not counts")
     return replace(pop, diagnostics=diagnostics)
@@ -355,13 +359,16 @@ def _read_cache_entry(table, pairs, diag, hypothesis):
 def _write_cache_entry(pop, table, pairs, diag):
     """Write an entry's three files, each to a temp name, then rename it.
 
-    ``diag.json`` goes first out and last in: a reader needs all three
-    files, so it never pairs a new table with an old pairs file.
+    ``diag.json`` holds the diagnostics and the digests of the other two
+    files. It goes first out and last in: a reader needs all three files,
+    and it checks both digests before it parses either file.
     """
     tmp = {p: p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (table, pairs, diag)}
     try:
         write_population(pop, tmp[table], tmp[pairs])
-        tmp[diag].write_text(json.dumps(asdict(pop.diagnostics)), encoding="utf-8")
+        digests = [_file_digest(tmp[table]), _file_digest(tmp[pairs])]
+        counts = {**asdict(pop.diagnostics), "digests": digests}
+        tmp[diag].write_text(json.dumps(counts), encoding="utf-8")
         diag.unlink(missing_ok=True)
         os.replace(tmp[table], table)
         os.replace(tmp[pairs], pairs)

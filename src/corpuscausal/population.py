@@ -124,27 +124,23 @@ class _StatsView:
     def soc_ranked(self, relation, subject):
         key = (relation, subject)
         if key not in self._soc_rank:
-            objects = self.kb.candidate_objects(relation)
-            self._soc_rank[key] = (
-                self.stats.soc_ranking(subject, objects),
-                self.stats.soc_counts(subject, objects),
+            self._soc_rank[key] = self.stats.soc_ranked(
+                subject, self.kb.candidate_objects(relation)
             )
         return self._soc_rank[key]
 
     def poc_ranked(self, relation, template):
         key = (relation, template)
         if key not in self._poc_rank:
-            objects = self.kb.candidate_objects(relation)
-            self._poc_rank[key] = (
-                self.stats.poc_ranking(template, objects),
-                self.stats.poc_counts(template, objects),
+            self._poc_rank[key] = self.stats.poc_ranked(
+                template, self.kb.candidate_objects(relation)
             )
         return self._poc_rank[key]
 
     def make_row(self, relation, subject, obj, template, is_anti, treatment):
-        soc_ranked, soc_counts = self.soc_ranked(relation, subject)
-        poc_ranked, _ = self.poc_ranked(relation, template)
-        soc = soc_counts[obj]
+        soc_order, soc_map = self.soc_ranked(relation, subject)
+        poc_order, _ = self.poc_ranked(relation, template)
+        soc = soc_map[obj]
         return PopulationRow(
             subject,
             obj,
@@ -155,8 +151,8 @@ class _StatsView:
             soc,
             bin_count(soc, self.bin_edges),
             self.stats.utterance_present(instantiate(template, subject, obj)),
-            obj == soc_ranked[0],
-            obj == poc_ranked[0],
+            obj == soc_order[0],
+            obj == poc_order[0],
         )
 
     def make_pair(self, relation, subject, top, runner, template, is_anti=False):

@@ -14,7 +14,6 @@ from .corpus import split_around
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
-    EmptyCandidateSetError,
     MissingReferenceError,
     MissingStatsError,
     ParseError,
@@ -118,17 +117,11 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
 
     source_id = f"random:{seed}" if kind == "random" else kind
     records = {}
-    candidate_cache = {}
     for subject, relation, template in queries:
         key = (subject, relation, template)
         if key in records:
             continue
-        if relation not in candidate_cache:
-            candidate_cache[relation] = kb.candidate_objects(relation)
-        candidates = candidate_cache[relation]
-        if not candidates:
-            raise EmptyCandidateSetError(f"relation {relation!r} has no candidates")
-
+        candidates = kb.candidate_objects(relation)
         if kind == "perfect":
             golds = kb.objects_of(subject, relation)
             if not golds:
@@ -141,9 +134,9 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
                 _random_index(seed, subject, relation, template, len(candidates))
             ]
         elif kind == "heuristic-soc":
-            predicted = stats.soc_ranking(subject, candidates)[0]
+            predicted = stats.soc_ranked(subject, candidates)[0][0]
         elif kind == "heuristic-poc":
-            predicted = stats.poc_ranking(template, candidates)[0]
+            predicted = stats.poc_ranked(template, candidates)[0][0]
         else:  # heuristic-utt
             left, right = split_around(template, "[Y]", subject)
             present = [
@@ -152,7 +145,7 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
             if present:
                 predicted = present[0]
             else:
-                predicted = stats.soc_ranking(subject, candidates)[0]
+                predicted = stats.soc_ranked(subject, candidates)[0][0]
         records[key] = predicted
     return PredictionSet(records=records, source_id=source_id)
 

@@ -340,14 +340,14 @@ def test_criterion_6_cooccurrence_matches_quadratic_oracle():
         # on a fresh index, so the batched calls do the counting themselves
         for a in entities:
             expected = {b: soc_oracle[a, b] for b in entities}
-            assert dict(index.soc_counts(a, entities)) == expected
-            assert list(index.soc_ranking(a, entities)) == ranked_objects(expected)
+            ranking, counts = index.soc_ranked(a, entities)
+            assert dict(counts) == expected
+            assert list(ranking) == ranked_objects(expected)
         for template in templates:
             expected = {obj: poc_oracle[template, obj] for obj in entities[:5]}
-            assert dict(index.poc_counts(template, entities[:5])) == expected
-            assert list(index.poc_ranking(template, entities[:5])) == ranked_objects(
-                expected
-            )
+            ranking, counts = index.poc_ranked(template, entities[:5])
+            assert dict(counts) == expected
+            assert list(ranking) == ranked_objects(expected)
 
     check_batched(build_index(sentences))
     sequential = build_index(sentences)

@@ -63,6 +63,38 @@ class TestIndexCommand:
         assert result.exit_code == 1, result.output
         assert "corrupt index structure" in result.output
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            # one bit of the last posting: the structure still reads
+            pytest.param(
+                lambda blob: blob[:-3] + bytes([blob[-3] ^ 1]) + blob[-2:],
+                "corrupt index structure",
+                id="flipped-bit",
+            ),
+            # the version-1 layout is the version-2 one without the digest
+            pytest.param(
+                lambda blob: b"CCIDX001" + blob[24:],
+                "re-run `corpuscausal index`",
+                id="version-1",
+            ),
+        ],
+    )
+    def test_damaged_or_old_index_is_input_error(self, crossed_files, damage, message):
+        idx_path = crossed_files["dir"] / "corpus.idx"
+        assert invoke("index", crossed_files["corpus"], "-o", idx_path).exit_code == 0
+        idx_path.write_bytes(damage(idx_path.read_bytes()))
+        result = invoke(
+            "stats",
+            idx_path,
+            "--kb",
+            crossed_files["kb"],
+            "--patterns",
+            crossed_files["patterns"],
+        )
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+
     def test_missing_corpus_is_input_error(self, tmp_path):
         result = invoke("index", tmp_path / "missing.txt", "-o", tmp_path / "x.idx")
         assert result.exit_code == 1, result.output

@@ -1,5 +1,6 @@
 """Indexing, membership, co-occurrence counts, binning, persistence."""
 
+import hashlib
 import os
 import random
 import re
@@ -274,7 +275,7 @@ class TestBatchedCounts:
 
     def test_subject_among_objects(self):
         idx = build_index(self.SENTENCES)
-        counts = idx.soc_counts("Rome", ("France", "Rome", "Italy"))
+        _, counts = idx.soc_ranked("Rome", ("France", "Rome", "Italy"))
         assert dict(counts) == {
             obj: naive_soc(self.SENTENCES, "Rome", obj)
             for obj in ("France", "Rome", "Italy")
@@ -283,12 +284,12 @@ class TestBatchedCounts:
 
     def test_object_without_postings(self):
         idx = build_index(self.SENTENCES)
-        assert dict(idx.soc_counts("Rome", ("Spain", "Italy"))) == {
+        assert dict(idx.soc_ranked("Rome", ("Spain", "Italy"))[1]) == {
             "Spain": 0,
             "Italy": 1,
         }
         template = "[X] is the capital of [Y]."
-        assert dict(idx.poc_counts(template, ("Spain", "France"))) == {
+        assert dict(idx.poc_ranked(template, ("Spain", "France"))[1]) == {
             "Spain": 0,
             "France": 2,
         }
@@ -296,31 +297,32 @@ class TestBatchedCounts:
     def test_whitespace_variants_share_one_key(self, monkeypatch):
         idx = build_index(self.SENTENCES)
         kernel = CountingKernels(monkeypatch)
-        counts = idx.soc_counts("Rome", ("France", " France  "))
+        soc = idx.soc_ranked("Rome", ("France", " France  "))
+        counts = soc[1]
         assert counts["France"] == counts[" France  "] == 1
         assert kernel.calls == 2
-        assert idx.soc_counts(" Rome ", ("France", " France  ")) is counts
+        assert idx.soc_ranked(" Rome ", ("France", " France  ")) is soc
         template = "[X] is the capital of [Y]."
-        pocs = idx.poc_counts(template, ("France", "France "))
-        assert pocs["France"] == pocs["France "] == 2
-        assert idx.poc_counts(template.replace(" ", "  "), ("France", "France ")) is pocs
+        poc = idx.poc_ranked(template, ("France", "France "))
+        assert poc[1]["France"] == poc[1]["France "] == 2
+        assert idx.poc_ranked(template.replace(" ", "  "), ("France", "France ")) is poc
 
     def test_second_call_is_cached(self, monkeypatch):
         idx = build_index(self.SENTENCES)
         kernel = CountingKernels(monkeypatch)
         objects = ("France", "Italy", "Rome")
         template = "[X] is the capital of [Y]."
-        soc = idx.soc_counts("Paris", objects)
-        poc = idx.poc_counts(template, objects)
+        soc = idx.soc_ranked("Paris", objects)
+        poc = idx.poc_ranked(template, objects)
         assert kernel.calls > 0
         kernel.calls = 0
-        assert idx.soc_counts("Paris", objects) is soc
-        assert idx.poc_counts(template, list(objects)) is poc
+        assert idx.soc_ranked("Paris", objects) is soc
+        assert idx.poc_ranked(template, list(objects)) is poc
         assert kernel.calls == 0
 
     def test_counts_are_read_only(self):
         idx = build_index(self.SENTENCES)
-        counts = idx.soc_counts("Rome", ("France",))
+        _, counts = idx.soc_ranked("Rome", ("France",))
         with pytest.raises(TypeError):
             counts["France"] = 7
 
@@ -330,28 +332,28 @@ class TestBatchedCounts:
         # Rome co-occurs once each with France, Italy and Spain: a three-way tie
         objects = ("Spain", "France", "Rome", "Italy", "Lyon")
         template = "[X] is the capital of [Y]."
-        cases = [
-            (idx.soc_ranking, idx.soc_counts, naive_soc, subject)
-            for subject in ("Rome", "Paris")
-        ] + [(idx.poc_ranking, idx.poc_counts, naive_poc, template)]
-        for ranking, counts, naive, first in cases:
-            ranked = ranking(first, objects)
+        cases = [(idx.soc_ranked, naive_soc, subject) for subject in ("Rome", "Paris")]
+        cases += [(idx.poc_ranked, naive_poc, template)]
+        for ranked_pair, naive, first in cases:
+            entry = ranked_pair(first, objects)
+            ranked, counts = entry
             assert isinstance(ranked, tuple)
-            assert list(ranked) == ranked_objects(counts(first, objects))
+            assert list(ranked) == ranked_objects(counts)
             assert list(ranked) == ranked_objects(
                 {o: naive(sentences, first, o) for o in objects}
             )
-            assert ranking(f"  {first} ", list(objects)) is ranked
-            assert ranking(first.replace(" ", "   "), objects) is ranked
-        assert idx.soc_ranking("Rome", objects)[:4] == ("Rome", "France", "Italy", "Spain")
+            assert ranked_pair(f"  {first} ", list(objects)) is entry
+            assert ranked_pair(first.replace(" ", "   "), objects) is entry
+        ranked, _ = idx.soc_ranked("Rome", objects)
+        assert ranked[:4] == ("Rome", "France", "Italy", "Spain")
 
     def test_ranking_an_empty_candidate_set_is_rejected(self):
         idx = build_index(self.SENTENCES)
-        assert dict(idx.soc_counts("Rome", ())) == {}
-        with pytest.raises(EmptyCandidateSetError):
-            idx.soc_ranking("Rome", ())
-        with pytest.raises(EmptyCandidateSetError):
-            idx.poc_ranking("[X] is the capital of [Y].", ())
+        for _ in range(2):  # a rejected set is not memoised
+            with pytest.raises(EmptyCandidateSetError):
+                idx.soc_ranked("Rome", ())
+            with pytest.raises(EmptyCandidateSetError):
+                idx.poc_ranked("[X] is the capital of [Y].", ())
 
     def test_soc_count_normalises_each_surface_once(self, monkeypatch):
         idx = build_index(self.SENTENCES)
@@ -688,20 +690,48 @@ class TestPersistence:
         idx.save(path)
         return path, path.read_bytes()
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            pytest.param(lambda blob: blob[:-8], id="cut-two-postings"),
-            pytest.param(lambda blob: blob[:-9], id="cut-inside-a-posting"),
-            # the magic, the sentence header and 40 bytes of sentences
-            pytest.param(lambda blob: blob[:60], id="cut-inside-the-sentences"),
-            pytest.param(lambda blob: blob + bytes(8), id="padded"),
-        ],
-    )
+    @staticmethod
+    def redigested(blob):
+        """The file with its digest recomputed, so the structure checks run."""
+        digest = hashlib.blake2b(blob[24:], digest_size=16).digest()
+        return blob[:8] + digest + blob[24:]
+
+    WRONG_LENGTHS = [
+        pytest.param(lambda blob: blob[:-8], id="cut-two-postings"),
+        pytest.param(lambda blob: blob[:-9], id="cut-inside-a-posting"),
+        # the magic, the digest, the sentence header and 24 bytes of sentences
+        pytest.param(lambda blob: blob[:60], id="cut-inside-the-sentences"),
+        pytest.param(lambda blob: blob + bytes(8), id="padded"),
+    ]
+
+    @pytest.mark.parametrize("damage", WRONG_LENGTHS)
     def test_index_of_the_wrong_length_is_rejected(self, tmp_path, damage):
         path, blob = self.saved_index(tmp_path)
         path.write_bytes(damage(blob))
         with pytest.raises(IoFailureError, match="corrupt index structure"):
+            CorpusIndex.load(path)
+
+    @pytest.mark.parametrize("damage", WRONG_LENGTHS)
+    def test_redigested_index_of_the_wrong_length_is_rejected(self, tmp_path, damage):
+        path, blob = self.saved_index(tmp_path)
+        path.write_bytes(self.redigested(damage(blob)))
+        with pytest.raises(IoFailureError, match="corrupt index structure") as info:
+            CorpusIndex.load(path)
+        assert "digest does not match" not in str(info.value)
+
+    def test_flipped_bit_fails_the_digest(self, tmp_path):
+        path, blob = self.saved_index(tmp_path)
+        flipped = bytearray(blob)
+        flipped[len(blob) // 2] ^= 1
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(IoFailureError, match="digest does not match"):
+            CorpusIndex.load(path)
+
+    def test_version_1_index_asks_for_a_rebuild(self, tmp_path):
+        path, blob = self.saved_index(tmp_path)
+        assert blob[:8] == b"CCIDX002"
+        path.write_bytes(b"CCIDX001" + blob[24:])
+        with pytest.raises(IoFailureError, match="re-run `corpuscausal index`"):
             CorpusIndex.load(path)
 
     def test_falling_offsets_are_rejected(self, tmp_path):
@@ -713,7 +743,9 @@ class TestPersistence:
         assert offsets[1] > 0
         swapped = np.array([offsets[0], offsets[2], offsets[1]], dtype=np.int64)
         path.write_bytes(
-            blob[:offsets_start] + swapped.tobytes() + blob[offsets_start + 24 :]
+            self.redigested(
+                blob[:offsets_start] + swapped.tobytes() + blob[offsets_start + 24 :]
+            )
         )
         with pytest.raises(IoFailureError, match="corrupt index structure"):
             CorpusIndex.load(path)

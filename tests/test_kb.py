@@ -125,15 +125,15 @@ class TestLoadPatterns:
 
 class TestKnowledgeBase:
     def test_candidates_and_subjects(self, crossed_kb):
-        assert crossed_kb.candidate_objects("capital-of") == ["France", "Italy"]
-        assert crossed_kb.subjects("aired-on") == ["Daria", "True Detective"]
+        assert crossed_kb.candidate_objects("capital-of") == ("France", "Italy")
+        assert crossed_kb.subjects("aired-on") == ("Daria", "True Detective")
 
     def test_singleton_candidates(self):
         kb = KnowledgeBase(
             triplets=(Triplet("a", "r", "b"),),
             patterns=(PatternSpec("r", "[X] r [Y]."),),
         )
-        assert kb.candidate_objects("r") == ["b"]
+        assert kb.candidate_objects("r") == ("b",)
 
     def test_unknown_relation(self, crossed_kb):
         with pytest.raises(UnknownRelationError):
@@ -175,35 +175,49 @@ class TestKnowledgeBase:
         )
         kb = KnowledgeBase(triplets=triplets, patterns=patterns)
         for rel in ("r", "s"):
-            assert kb.subjects(rel) == sorted({t.subject for t in triplets if t.relation == rel})
-            assert kb.candidate_objects(rel) == sorted(
-                {t.object for t in triplets if t.relation == rel}
+            assert kb.subjects(rel) == tuple(
+                sorted({t.subject for t in triplets if t.relation == rel})
             )
-            assert kb.paraphrases(rel) == [
+            assert kb.candidate_objects(rel) == tuple(
+                sorted({t.object for t in triplets if t.relation == rel})
+            )
+            assert kb.paraphrases(rel) == tuple(
                 p for p in patterns if p.relation == rel and not p.is_anti
-            ]
-            assert kb.anti_patterns(rel) == [
+            )
+            assert kb.anti_patterns(rel) == tuple(
                 p for p in patterns if p.relation == rel and p.is_anti
-            ]
-        assert kb.objects_of("a", "r") == ["x", "y"]
-        assert kb.objects_of("a", "nope") == []
-        assert kb.paraphrases("nope") == []
+            )
+        assert kb.objects_of("a", "r") == ("x", "y")
+        assert kb.objects_of("a", "nope") == ()
+        assert kb.paraphrases("nope") == ()
         assert kb.has_triplet("a", "s", "z")
         assert not kb.has_triplet("b", "s", "z")
         with pytest.raises(UnknownRelationError):
             kb.subjects("nope")
 
-    def test_lookups_return_fresh_lists(self, crossed_kb):
+    def test_lookups_return_shared_tuples(self, crossed_kb):
         for lookup in (
             lambda: crossed_kb.candidate_objects("capital-of"),
             lambda: crossed_kb.subjects("capital-of"),
             lambda: crossed_kb.objects_of("Paris", "capital-of"),
             lambda: crossed_kb.paraphrases("capital-of"),
+            lambda: crossed_kb.anti_patterns("capital-of"),
         ):
             first = lookup()
-            expected = list(first)
-            first.clear()
-            assert lookup() == expected
+            assert isinstance(first, tuple) and first
+            assert lookup() is first
+            with pytest.raises(AttributeError):
+                first.clear()  # no lookup result can change the KB
+
+    def test_repeats_are_dropped_at_construction(self):
+        # a repeated triplet or pattern would pair the same rows twice
+        ann, bo = Triplet("Ann", "r", "Xo"), Triplet("Bo", "r", "Yu")
+        likes = PatternSpec("r", "[X] likes [Y].")
+        knows = PatternSpec("r", "[X] knows [Y].")
+        kb = KnowledgeBase(triplets=(ann, ann, bo), patterns=(likes, knows, likes))
+        assert kb.triplets == (ann, bo)
+        assert kb.patterns == (likes, knows)
+        assert kb.paraphrases("r") == (likes, knows)
 
 
 class TestRoundTrip:

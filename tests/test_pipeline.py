@@ -21,7 +21,7 @@ from corpuscausal.pipeline import (
 )
 from corpuscausal.population import STRATIFY_COLUMNS
 
-from conftest import write_jsonl
+from conftest import CROSSED_PATTERNS, CROSSED_TRIPLETS, write_jsonl, write_kb_files
 
 
 def config_for(files, predictions, **extra):
@@ -122,6 +122,7 @@ class TestRunEstimate:
             "garbage_diag",
             "headerless_pairs",
             "unmatched_samples_diag",
+            "undigested_diag",
             "mistyped_diag",
             "repeated_pair",
             "unpaired_row",
@@ -147,6 +148,11 @@ class TestRunEstimate:
             data = json.loads(original["diag.json"])
             data["unmatched_samples"] = [["Paris", "capital-of", "[X] is the capital of [Y]."]]
             entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
+        elif damage == "undigested_diag":
+            # an older format: diag.json held the counts alone
+            data = json.loads(original["diag.json"])
+            del data["digests"]
+            entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
         elif damage == "mistyped_diag":
             data = json.loads(original["diag.json"])
             data["unmatched_treated"] = "many"
@@ -165,6 +171,29 @@ class TestRunEstimate:
         assert run_estimate(config) == cold
         assert {name: p.read_bytes() for name, p in entry.items()} == original
         assert not [p for p in cache.iterdir() if p.name.endswith(".tmp")]
+
+    def test_cache_entry_changed_in_place_is_rebuilt(self, crossed_files):
+        # paraphrases only: two rows per (subject, object), so relabelling
+        # every third soc row moves rows of one arm more than the other
+        write_kb_files(
+            crossed_files["dir"],
+            CROSSED_TRIPLETS,
+            [p for p in CROSSED_PATTERNS if not p[2]],
+        )
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:random:7", cache_dir=str(cache))
+        cold = run_estimate(config)
+        (table,) = cache.glob("soc-*[0-9a-f].tsv")
+        original = table.read_bytes()
+        lines = original.decode("utf-8").splitlines(keepends=True)
+        soc_bin = lines[0].split("\t").index("soc_bin")
+        for i in range(1, len(lines), 3):
+            cells = lines[i].split("\t")
+            cells[soc_bin] = "XL"
+            lines[i] = "\t".join(cells)
+        table.write_text("".join(lines), encoding="utf-8")
+        assert run_estimate(config) == cold
+        assert table.read_bytes() == original
 
     def test_inputs_are_not_digested_without_a_cache(self, crossed_files, monkeypatch):
         def no_digest(path):

@@ -487,6 +487,20 @@ class TestPairsByConstruction:
         for i, j in pop.pairs:
             assert pop.rows[i].is_anti == pop.rows[j].is_anti
 
+    @pytest.mark.parametrize("hyp", ["utt", "soc"])
+    def test_repeated_kb_records_pair_each_row_once(self, tmp_path, hyp):
+        ann = Triplet("Ann", "r", "Xo")
+        likes = PatternSpec("r", _TEMPLATES[0])
+        kb = KnowledgeBase(
+            triplets=(ann, ann, Triplet("Bo", "r", "Yu")),
+            patterns=(likes, PatternSpec("r", _TEMPLATES[1]), likes),
+        )
+        pop = build_structure(hyp, kb, build_index(["Ann likes Xo."]))
+        assert len(set(pop.pairs)) == len(pop.pairs) > 0
+        table, pairs = tmp_path / "pop.tsv", tmp_path / "pairs.tsv"
+        write_population(pop, table, pairs)
+        assert read_population(table, pairs, hyp).pairs == pop.pairs
+
     def test_floor_counts_removed_and_unmatched_units(self):
         # likes: the runner-up fails the floor, so its rows are removed and
         # the top rows left unmatched; hosts: both objects fail; knows pairs

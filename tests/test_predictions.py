@@ -179,7 +179,7 @@ class TestBaselines:
             stored += bool(present)
             expected = (
                 present[0] if present
-                else ranked_objects(idx.soc_counts(subject, candidates))[0]
+                else ranked_objects(idx.soc_ranked(subject, candidates)[1])[0]
             )
             rec = preds.get(subject, relation, template)
             assert rec == expected, (subject, template)
@@ -202,10 +202,10 @@ class TestBaselines:
         fresh = build_index(idx.sentences)
         for subject, relation, template in queries:
             candidates = kb.candidate_objects(relation)
-            counts = (
-                fresh.soc_counts(subject, candidates)
+            _, counts = (
+                fresh.soc_ranked(subject, candidates)
                 if kind == "heuristic-soc"
-                else fresh.poc_counts(template, candidates)
+                else fresh.poc_ranked(template, candidates)
             )
             rec = preds.get(subject, relation, template)
             assert rec == ranked_objects(counts)[0], (subject, template)
