@@ -33,7 +33,6 @@ from .graph import (
     CANONICAL_ADJUSTMENTS,
     CausalGraph,
     build_graph,
-    canonical_adjustments,
     is_d_separated,
     is_d_separated_by_enumeration,
     reference_graph,
@@ -55,6 +54,7 @@ from .pipeline import (
     emit_report,
     load_config,
     load_report,
+    run_build_population,
     run_dynamics,
     run_estimate,
 )

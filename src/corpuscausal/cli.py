@@ -1,68 +1,26 @@
-"""Command-line interface.
+"""Command-line interface: parse flags, call one `pipeline` run, print.
 
-Exit codes: 0 success, 1 input error (unreadable/malformed inputs or
-configuration, and command-line usage errors such as an unknown flag),
-2 estimation error (empty populations, zero covered mass, uncovered
-cloze keys). Configuration lives in a flat ``key = value`` file; every
-key can be overridden by the flag of the same name. Environment
-variables are never consulted for run configuration.
+Exit codes follow the class of the error that ends a command: 0
+success, 1 input error (an `errors.InputError`, `OSError` or
+`UnicodeDecodeError`, and command-line usage errors such as an unknown
+flag), 2 estimation error (any other `CorpusCausalError`: empty
+populations, zero covered mass, uncovered cloze keys). Configuration
+lives in a flat ``key = value`` file; every key can be overridden by the
+flag of the same name. Environment variables are never consulted for
+run configuration.
 """
 
 import contextlib
-import functools
 import sys
 from pathlib import Path
 
 import click
 
 from . import pipeline
-from .corpus import CorpusIndex, build_index, instantiate
-from .errors import (
-    CandidateViolationError,
-    ConfigError,
-    CorpusCausalError,
-    DuplicateKeyError,
-    EmptyKbError,
-    EncodingError,
-    IoFailureError,
-    MalformedPatternError,
-    MissingStatsError,
-    ParseError,
-    UnknownRelationError,
-)
+from .corpus import CorpusIndex, build_index
+from .errors import CorpusCausalError, InputError
 from .kb import load_knowledge_base
-from .population import score_population, write_population
 from .predictions import HYPOTHESES
-
-_INPUT_ERRORS = (
-    ConfigError,
-    ParseError,
-    IoFailureError,
-    EncodingError,
-    EmptyKbError,
-    UnknownRelationError,
-    CandidateViolationError,
-    DuplicateKeyError,
-    MalformedPatternError,
-    MissingStatsError,
-    OSError,
-    UnicodeDecodeError,
-)
-
-
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(1)
-        except CorpusCausalError as exc:
-            click.echo(f"estimation error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 def _config_options(fn):
@@ -100,29 +58,39 @@ def _build_config(config_path, **overrides):
 
 
 class _Group(click.Group):
-    """A click group whose usage errors exit 1, the input-error code.
+    """A click group that maps every failure of a run to its exit code.
 
-    click exits 2 on a usage error (unknown option or subcommand, bad or
-    missing argument), which this CLI reserves for estimation errors.
-    Top-level arguments fail in `parse_args`, a subcommand's inside `invoke`.
+    Top-level arguments fail in `parse_args`, a subcommand's arguments
+    and body inside `invoke`.
     """
 
     def parse_args(self, ctx, args):
-        with _usage_errors_exit_1():
+        with _exit_codes():
             return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
-        with _usage_errors_exit_1():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
 @contextlib.contextmanager
-def _usage_errors_exit_1():
+def _exit_codes():
+    """Usage and input errors exit 1, other library errors 2.
+
+    click exits 2 on a usage error (unknown option or subcommand, bad or
+    missing argument), which this CLI reserves for estimation errors.
+    """
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = 1
         raise
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        click.echo(f"input error: {exc}", err=True)
+        sys.exit(1)
+    except CorpusCausalError as exc:
+        click.echo(f"estimation error: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group(cls=_Group)
@@ -133,7 +101,6 @@ def main():
 @main.command("index")
 @click.argument("corpus", type=click.Path(exists=True))
 @click.option("-o", "--output", required=True, type=click.Path())
-@_exit_codes
 def index_cmd(corpus, output):
     """Index a corpus file or directory and write the binary index."""
     idx = build_index(corpus)
@@ -147,7 +114,6 @@ def index_cmd(corpus, output):
 @click.option("--patterns", "patterns_path", required=True, type=click.Path(exists=True))
 @click.option("-o", "--output", default=None, type=click.Path(),
               help="Write the dump here instead of stdout.")
-@_exit_codes
 def stats_cmd(index_path, kb_path, patterns_path, output):
     """Dump subject/object co-occurrence counts as tab-separated text."""
     idx = CorpusIndex.load(index_path)
@@ -169,24 +135,12 @@ def stats_cmd(index_path, kb_path, patterns_path, output):
 @main.command("build-population")
 @click.argument("hypothesis", type=click.Choice(HYPOTHESES + ("all",)))
 @_config_options
-@_exit_codes
 def build_population_cmd(hypothesis, config_path, **overrides):
     """Build matched population tables and their cloze query files."""
-    config = _build_config(config_path, **overrides).validate()
-    spec = config.predictions_spec()
+    config = _build_config(config_path, **overrides)
     chosen = HYPOTHESES if hypothesis == "all" else (hypothesis,)
-    rt = pipeline._Runtime(config, chosen)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for hyp in chosen:
-        prediction_set = rt.predictions_for(hyp, spec)
-        scored = score_population(rt.populations[hyp], prediction_set)
-        write_population(scored, out / f"{hyp}_population.tsv", out / f"{hyp}_pairs.tsv")
-        with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
-            fh.write("subject\trelation\ttemplate\tcloze\n")
-            for subject, relation, template in rt.cloze_keys[hyp]:
-                cloze = instantiate(template, subject, config.mask_token)
-                fh.write(f"{subject}\t{relation}\t{template}\t{cloze}\n")
+    for hyp, scored in pipeline.run_build_population(config, chosen):
         click.echo(f"{hyp}: {len(scored.rows)} rows, {len(scored.pairs)} pairs -> {out}")
 
 
@@ -197,12 +151,10 @@ def _report_path(config):
 
 @main.command("estimate")
 @_config_options
-@_exit_codes
 def estimate_cmd(config_path, **overrides):
     """Run the full estimation workflow and write the effect report."""
-    config = _build_config(config_path, **overrides).validate()
+    config = _build_config(config_path, **overrides)
     report = pipeline.run_estimate(config, emit_populations=True)
-    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     path = pipeline.emit_report(report, config.output_format, _report_path(config))
     click.echo(
         "ATE: "
@@ -216,13 +168,10 @@ def estimate_cmd(config_path, **overrides):
               type=click.Path(exists=True),
               help="Directory of per-checkpoint prediction files.")
 @_config_options
-@_exit_codes
 def dynamics_cmd(checkpoints_dir, config_path, **overrides):
     """Score every checkpoint's predictions and emit the ATE series."""
-    config = _build_config(config_path, **overrides).validate()
-    paths = sorted(
-        str(p) for p in Path(checkpoints_dir).iterdir() if p.is_file()
-    )
+    config = _build_config(config_path, **overrides)
+    paths = [str(p) for p in Path(checkpoints_dir).iterdir() if p.is_file()]
     report = pipeline.run_dynamics(config, paths)
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     path = pipeline.emit_report(report, config.output_format, _report_path(config))
@@ -234,7 +183,6 @@ def dynamics_cmd(checkpoints_dir, config_path, **overrides):
 @click.option("--format", "fmt", default="table",
               type=click.Choice(pipeline.REPORT_FORMATS), show_default=True)
 @click.option("-o", "--output", default=None, type=click.Path())
-@_exit_codes
 def report_cmd(report_path, fmt, output):
     """Re-render a structured report in another format."""
     report = pipeline.load_report(report_path)

@@ -147,6 +147,7 @@ class CorpusIndex:
         self._entity_cache = {}
         self._soc_maps = {}
         self._poc_maps = {}
+        self.digest = None  # the stored digest `load` checked; None when built here
 
     def __len__(self):
         return len(self.sentences)
@@ -357,7 +358,9 @@ class CorpusIndex:
             tok: flat[offsets[i] : offsets[i + 1]].copy()
             for i, tok in enumerate(tokens)
         }
-        return cls(sentences, postings)
+        index = cls(sentences, postings)
+        index.digest = digest.digest()
+        return index
 
 
 def _read_corpus_lines(source):

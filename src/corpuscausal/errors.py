@@ -5,6 +5,13 @@ class CorpusCausalError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(CorpusCausalError):
+    """An input file, record or configuration value is unreadable or invalid.
+
+    The CLI exits 1 on these and 2 on every other `CorpusCausalError`.
+    """
+
+
 # --- graph ---------------------------------------------------------------
 
 
@@ -46,15 +53,15 @@ class NotNormalizedError(CorpusCausalError):
 # --- corpus --------------------------------------------------------------
 
 
-class IoFailureError(CorpusCausalError):
+class IoFailureError(InputError):
     """An underlying file operation failed."""
 
 
-class EncodingError(CorpusCausalError):
+class EncodingError(InputError):
     """Input bytes are not valid UTF-8."""
 
 
-class MalformedPatternError(CorpusCausalError):
+class MalformedPatternError(InputError):
     """A template does not contain exactly one [X] and one [Y] slot."""
 
 
@@ -65,7 +72,7 @@ class EmptyCandidateSetError(CorpusCausalError):
 # --- kb / predictions ----------------------------------------------------
 
 
-class ParseError(CorpusCausalError):
+class ParseError(InputError):
     """A record could not be parsed; carries the 1-based line number."""
 
     def __init__(self, message, line=None):
@@ -75,23 +82,23 @@ class ParseError(CorpusCausalError):
         self.line = line
 
 
-class EmptyKbError(CorpusCausalError):
+class EmptyKbError(InputError):
     """A knowledge-base file yielded zero triplets."""
 
 
-class UnknownRelationError(CorpusCausalError):
+class UnknownRelationError(InputError):
     """A relation id is not present in the knowledge base."""
 
 
-class CandidateViolationError(CorpusCausalError):
+class CandidateViolationError(InputError):
     """A prediction lies outside its relation's candidate set."""
 
 
-class DuplicateKeyError(CorpusCausalError):
+class DuplicateKeyError(InputError):
     """Two prediction records share the same (subject, relation, template) key."""
 
 
-class MissingStatsError(CorpusCausalError):
+class MissingStatsError(InputError):
     """A corpus index is required but was not supplied."""
 
 
@@ -114,5 +121,5 @@ class EmptyPopulationError(CorpusCausalError):
     """A population table ended up with no matched pairs."""
 
 
-class ConfigError(CorpusCausalError):
+class ConfigError(InputError):
     """A run configuration value is missing or invalid."""

@@ -56,18 +56,18 @@ class ObservationTable:
         return len(self.rows)
 
 
-def read_table(path, delimiter="\t"):
-    """Read a delimited text table with a header row; values stay strings."""
+def read_table(path):
+    """Read a tab-separated table with a header row; values stay strings."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header:
             raise EmptyTableError(f"no header row in {path}")
-        columns = header.split(delimiter)
+        columns = header.split("\t")
         rows = []
         for line in fh:
             line = line.rstrip("\n")
             if line:
-                rows.append(tuple(line.split(delimiter)))
+                rows.append(tuple(line.split("\t")))
     return ObservationTable.from_rows(columns, rows)
 
 

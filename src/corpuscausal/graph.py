@@ -208,11 +208,6 @@ CANONICAL_ADJUSTMENTS = (
 )
 
 
-def canonical_adjustments():
-    """The three (treatment, outcome, adjustment) triples, by hypothesis."""
-    return {adj.hypothesis: adj for adj in CANONICAL_ADJUSTMENTS}
-
-
 # --- d-separation ----------------------------------------------------------
 
 

@@ -4,7 +4,9 @@
 canonical adjustment sets against the built-in graph, build the three
 matched populations, score them with predictions, and estimate ATE and
 per-relation CATE with the backdoor formula. `run_dynamics` re-scores
-the same populations once per checkpoint file.
+the same populations once per checkpoint file. `run_build_population`
+builds, scores and writes populations and their cloze queries without
+estimating anything.
 
 Reports hold plain floats (conversion from the estimator's exact
 rationals happens exactly once, here), so a structured report round-trips
@@ -18,7 +20,7 @@ import re
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
-from .corpus import BIN_EDGES, CorpusIndex, build_index
+from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate
 from .errors import (
     ConfigError,
     CorpusCausalError,
@@ -203,10 +205,12 @@ def _file_digest(path):
 
 
 class _Runtime:
-    """Loaded inputs shared by estimate/dynamics runs, with the populations of `hypotheses`."""
+    """Loaded inputs of one run, with the populations of `hypotheses`.
+
+    `config` is validated: each `run_*` checks it before inputs load.
+    """
 
     def __init__(self, config, hypotheses=HYPOTHESES):
-        config.validate()
         self.config = config
         self.kb = KnowledgeBase(load_kb(config.kb), load_patterns(config.patterns))
         if config.index:
@@ -216,7 +220,8 @@ class _Runtime:
         self._verify_adjustments()
         # the key digests every input file, so it is taken only for a cache
         self._cache_key = self._population_cache_key() if config.cache_dir else None
-        self._loaded_predictions = {}
+        self._baseline = _parse_predictions_spec(config.predictions)
+        self._loaded = None  # the predictions file, once read
         self.populations = {hyp: self._structure(hyp) for hyp in hypotheses}
         self.cloze_keys = {
             hyp: cloze_keys(pop) for hyp, pop in self.populations.items()
@@ -234,7 +239,7 @@ class _Runtime:
     def _population_cache_key(self):
         """Digest of every input a population depends on."""
         if self.config.index:
-            stats_fingerprint = _file_digest(self.config.index)
+            stats_fingerprint = self.stats.digest.hex()
         else:
             path = Path(self.config.corpus)
             files = (
@@ -283,23 +288,22 @@ class _Runtime:
             _write_cache_entry(pop, table, pairs, diag)
         return pop
 
-    def predictions_for(self, hypothesis, spec):
-        """Resolve a predictions spec into a PredictionSet for one hypothesis."""
-        baseline = _parse_predictions_spec(spec)
-        if baseline is not None:
-            kind, seed = baseline
-            if kind == "heuristic":
-                kind = f"heuristic-{hypothesis}"
-            return baseline_predict(
-                kind,
-                self.kb,
-                stats=self.stats,
-                queries=self.cloze_keys[hypothesis],
-                seed=seed,
-            )
-        if spec not in self._loaded_predictions:
-            self._loaded_predictions[spec] = load_predictions(spec, self.kb)
-        return self._loaded_predictions[spec]
+    def predictions_for(self, hypothesis):
+        """The PredictionSet the configured predictions give one hypothesis."""
+        if self._baseline is None:
+            if self._loaded is None:
+                self._loaded = load_predictions(self.config.predictions, self.kb)
+            return self._loaded
+        kind, seed = self._baseline
+        if kind == "heuristic":
+            kind = f"heuristic-{hypothesis}"
+        return baseline_predict(
+            kind,
+            self.kb,
+            stats=self.stats,
+            queries=self.cloze_keys[hypothesis],
+            seed=seed,
+        )
 
     def estimate(self, predictions_of):
         """Score every population and estimate its ATE, CATE and diagnostics.
@@ -384,27 +388,57 @@ def run_estimate(config, emit_populations=False):
     With `emit_populations`, the matched tables and pair files are written
     under the configured output directory.
     """
-    spec = config.validate().predictions_spec()
+    config.validate().predictions_spec()
     rt = _Runtime(config)
-    report, scored = rt.estimate(lambda hyp: rt.predictions_for(hyp, spec))
+    report, scored = rt.estimate(rt.predictions_for)
     if emit_populations:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for hyp, pop in scored.items():
-            write_population(pop, out / f"{hyp}_population.tsv", out / f"{hyp}_pairs.tsv")
+            _write_tables(pop, out, hyp)
     return report
+
+
+def run_build_population(config, hypotheses):
+    """Build, score and write the populations of `hypotheses`, one at a time.
+
+    A generator: nothing runs until it is iterated. Each hypothesis's
+    table and pairs go to the output directory with ``<hyp>_queries.tsv``
+    (the cloze strings, mask token applied, for external inference);
+    then ``(hypothesis, scored population)`` is yielded.
+    """
+    config.validate().predictions_spec()
+    rt = _Runtime(config, hypotheses)
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for hyp in hypotheses:
+        scored = score_population(rt.populations[hyp], rt.predictions_for(hyp))
+        _write_tables(scored, out, hyp)
+        with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
+            fh.write("subject\trelation\ttemplate\tcloze\n")
+            for subject, relation, template in rt.cloze_keys[hyp]:
+                cloze = instantiate(template, subject, config.mask_token)
+                fh.write(f"{subject}\t{relation}\t{template}\t{cloze}\n")
+        yield hyp, scored
+
+
+def _write_tables(pop, out, hypothesis):
+    write_population(pop, out / f"{hypothesis}_population.tsv", out / f"{hypothesis}_pairs.tsv")
 
 
 def run_dynamics(config, checkpoint_paths):
     """One ATE triple per checkpoint, populations built once.
 
+    Checkpoints run in natural name order (``ep2`` before ``ep10``; paths
+    with equal keys, such as ``ep1`` and ``ep01``, by plain order).
     Checkpoints failing to score (for instance with uncovered cloze keys)
     contribute an error entry instead of aborting the series.
     """
+    config.validate()
     if not checkpoint_paths:
         raise ConfigError("dynamics requires at least one checkpoint file")
     rt = _Runtime(config)
-    ordered = sorted(checkpoint_paths, key=_natural_key)
+    ordered = sorted(sorted(checkpoint_paths), key=_natural_key)
     series = []
     last_full = None
     for path in ordered:

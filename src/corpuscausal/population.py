@@ -297,7 +297,7 @@ def build_table(
 _PAIRS_HEADER = "treated\tcontrol"
 
 
-def write_population(pop, table_path, pairs_path=None):
+def write_population(pop, table_path, pairs_path):
     """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids."""
     predicted = pop.predicted or ("",) * len(pop.rows)
     outcomes = pop.outcomes or (0,) * len(pop.rows)
@@ -306,11 +306,10 @@ def write_population(pop, table_path, pairs_path=None):
         for row, prediction, outcome in zip(pop.rows, predicted, outcomes, strict=True):
             cells = "\t".join(map(str, row))
             fh.write(f"{cells}\t{prediction}\t{outcome}\n")
-    if pairs_path is not None:
-        with open(pairs_path, "w", encoding="utf-8") as fh:
-            fh.write(_PAIRS_HEADER + "\n")
-            for i, j in pop.pairs:
-                fh.write(f"{i}\t{j}\n")
+    with open(pairs_path, "w", encoding="utf-8") as fh:
+        fh.write(_PAIRS_HEADER + "\n")
+        for i, j in pop.pairs:
+            fh.write(f"{i}\t{j}\n")
 
 
 _BOOL = {"True": True, "False": False}

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from corpuscausal import errors, pipeline
 from corpuscausal.cli import main
 from corpuscausal.predictions import baseline_predict, save_predictions
 
@@ -215,6 +216,51 @@ class TestEstimateCommand:
         assert invoke("estimate", "--config", config, "--output-dir", out_a).exit_code == 0
         assert invoke("estimate", "--config", config, "--output-dir", out_b).exit_code == 0
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+
+_LIBRARY_ERRORS = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.CorpusCausalError)),
+    key=lambda c: c.__name__,
+)
+_BUILTIN_INPUT_ERRORS = [
+    OSError("disk gone"),
+    UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+]
+
+
+class TestExitCodes:
+    """The error's class alone decides the exit code and the message prefix."""
+
+    def test_input_errors_are_the_ten_input_classes(self):
+        subclasses = {c for c in _LIBRARY_ERRORS if issubclass(c, errors.InputError)}
+        assert {c.__name__ for c in subclasses - {errors.InputError}} == {
+            "ConfigError", "ParseError", "IoFailureError", "EncodingError",
+            "EmptyKbError", "UnknownRelationError", "CandidateViolationError",
+            "DuplicateKeyError", "MalformedPatternError", "MissingStatsError",
+        }
+
+    @pytest.mark.parametrize(
+        "exc",
+        [cls("boom") for cls in _LIBRARY_ERRORS] + _BUILTIN_INPUT_ERRORS,
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_exit_code_follows_the_error_class(self, monkeypatch, exc):
+        def fail(config, emit_populations=False):
+            raise exc
+
+        monkeypatch.setattr(pipeline, "run_estimate", fail)
+        result = invoke("estimate")
+        assert isinstance(result.exception, SystemExit), result.exception
+        if isinstance(exc, (errors.InputError, OSError, UnicodeDecodeError)):
+            assert (result.exit_code, result.output) == (1, f"input error: {exc}\n")
+        else:
+            assert (result.exit_code, result.output) == (2, f"estimation error: {exc}\n")
+
+    def test_subcommand_usage_error_exits_1(self):
+        result = invoke("dynamics")
+        assert result.exit_code == 1, result.output
+        assert "Missing option '--checkpoints'" in result.output
 
 
 class TestBuildPopulationCommand:

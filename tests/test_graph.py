@@ -16,7 +16,6 @@ from corpuscausal.errors import (
 from corpuscausal.graph import (
     CANONICAL_ADJUSTMENTS,
     build_graph,
-    canonical_adjustments,
     enumerate_paths,
     is_d_separated,
     is_d_separated_by_enumeration,
@@ -246,8 +245,8 @@ class TestBackdoor:
             satisfies_backdoor(chain_graph(), "A", "A", set())
 
     def test_canonical_adjustments_mapping(self):
-        adj = canonical_adjustments()
-        assert set(adj) == {"utt", "poc", "soc"}
+        adj = {a.hypothesis: a for a in CANONICAL_ADJUSTMENTS}
+        assert [a.hypothesis for a in CANONICAL_ADJUSTMENTS] == ["utt", "poc", "soc"]
         assert adj["soc"].treatment == "SO_hC"
         assert adj["utt"].stratify == ("pattern", "KBT", "SOC_so")
 

@@ -1,6 +1,7 @@
 """End-to-end runs, config handling, reports, dynamics."""
 
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from corpuscausal.pipeline import (
     load_report,
     merge_config,
     render_report,
+    run_build_population,
     run_dynamics,
     run_estimate,
 )
@@ -221,6 +223,50 @@ class TestRunEstimate:
         assert from_index.ate == from_corpus.ate
         assert from_index.cate == from_corpus.cate
 
+    def test_cache_key_reuses_the_digest_the_index_load_checked(
+        self, crossed_files, monkeypatch
+    ):
+        from corpuscausal.corpus import build_index
+
+        idx_path = crossed_files["dir"] / "corpus.idx"
+        build_index(crossed_files["corpus"]).save(idx_path)
+        config = replace(
+            config_for(crossed_files, "baseline:heuristic"),
+            corpus="",
+            index=str(idx_path),
+            cache_dir=str(crossed_files["dir"] / "cache"),
+        )
+        cold = run_estimate(config)
+        digested = []
+        file_digest = pipeline._file_digest
+        monkeypatch.setattr(
+            pipeline, "_file_digest", lambda path: digested.append(path) or file_digest(path)
+        )
+        assert run_estimate(config) == cold
+        assert digested, "the cache key digests the KB and pattern files"
+        assert str(idx_path) not in map(str, digested)
+
+
+class TestRunBuildPopulation:
+    def test_each_hypothesis_is_written_before_it_is_yielded(self, crossed_files):
+        config = config_for(crossed_files, "baseline:heuristic")
+        out = crossed_files["dir"] / "out"
+        written = []
+        for hyp, scored in run_build_population(config, ("utt", "soc")):
+            written.append((hyp, sorted(p.name for p in out.iterdir())))
+            assert len(scored.outcomes) == len(scored.rows)
+        assert written == [
+            ("utt", ["utt_pairs.tsv", "utt_population.tsv", "utt_queries.tsv"]),
+            ("soc", ["soc_pairs.tsv", "soc_population.tsv", "soc_queries.tsv",
+                     "utt_pairs.tsv", "utt_population.tsv", "utt_queries.tsv"]),
+        ]
+
+    def test_nothing_runs_until_iterated(self, crossed_files):
+        runs = run_build_population(config_for(crossed_files, "baseline:"), ("utt",))
+        assert not (crossed_files["dir"] / "out").exists()
+        with pytest.raises(ConfigError, match="unknown baseline kind"):
+            next(runs)
+
 
 class TestConfig:
     def test_load_and_override(self, tmp_path):
@@ -387,6 +433,17 @@ class TestDynamics:
         assert sorted(names, key=pipeline._natural_key) == [
             "step", "step1", "step1\u00b2", "step2", "step10"
         ]
+
+    def test_equal_digit_runs_keep_plain_order(self, crossed_files, crossed_kb):
+        # epoch0 and epoch00 share a natural key; the order must not
+        # depend on the order the paths were listed in
+        (path,) = self.checkpoint_files(crossed_files, crossed_kb, n=1)
+        twin = path.replace("epoch00", "epoch0")
+        shutil.copy(path, twin)
+        config = config_for(crossed_files, "unused-but-validated")
+        for paths in ([path, twin], [twin, path]):
+            report = run_dynamics(config, paths)
+            assert [e["checkpoint"] for e in report.series] == ["epoch0", "epoch00"]
 
     def test_all_checkpoints_failing_raises(self, crossed_files):
         empty = crossed_files["dir"] / "empty.jsonl"
