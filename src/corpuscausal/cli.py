@@ -4,7 +4,8 @@ Exit codes follow the class of the error that ends a command: 0
 success, 1 input error (an `errors.InputError`, `OSError` or
 `UnicodeDecodeError`, and command-line usage errors such as an unknown
 flag), 2 estimation error (any other `CorpusCausalError`: empty
-populations, zero covered mass, uncovered cloze keys). Configuration
+populations, zero covered mass, uncovered cloze keys; `estimate` writes
+its report before it exits 2 when only some hypotheses fail). Configuration
 lives in a flat ``key = value`` file; every key can be overridden by the
 flag of the same name. Environment variables are never consulted for
 run configuration.
@@ -18,7 +19,7 @@ import click
 
 from . import pipeline
 from .corpus import CorpusIndex, build_index
-from .errors import CorpusCausalError, InputError
+from .errors import CorpusCausalError, IncompleteReportError, InputError
 from .kb import load_knowledge_base
 from .predictions import HYPOTHESES
 
@@ -152,15 +153,24 @@ def _report_path(config):
 @main.command("estimate")
 @_config_options
 def estimate_cmd(config_path, **overrides):
-    """Run the full estimation workflow and write the effect report."""
+    """Run the full estimation workflow and write the effect report.
+
+    A hypothesis with no estimate is reported as ``n/a``; the report is
+    still written, then the command exits as on an estimation error.
+    """
     config = _build_config(config_path, **overrides)
     report = pipeline.run_estimate(config, emit_populations=True)
     path = pipeline.emit_report(report, config.output_format, _report_path(config))
     click.echo(
         "ATE: "
-        + "  ".join(f"{h}={report.ate[h]:.2f}" for h in HYPOTHESES)
+        + "  ".join(f"{h}={pipeline.format_value(report.ate[h])}" for h in HYPOTHESES)
         + f"  -> {path}"
     )
+    failures = report.failures()
+    if failures:
+        raise IncompleteReportError(
+            "; ".join(f"{hyp}: {reason}" for hyp, reason in failures.items())
+        )
 
 
 @main.command("dynamics")

@@ -121,5 +121,9 @@ class EmptyPopulationError(CorpusCausalError):
     """A population table ended up with no matched pairs."""
 
 
+class IncompleteReportError(CorpusCausalError):
+    """Some hypotheses have no estimate; the report written holds the others."""
+
+
 class ConfigError(InputError):
     """A run configuration value is missing or invalid."""

@@ -38,9 +38,8 @@ class ObservationTable:
         ncol = len(self.columns)
         if len(set(self.columns)) != ncol:
             raise UnknownColumnError("column names must be unique")
-        for row in self.rows:
-            if len(row) != ncol:
-                raise ValueError("row length does not match column count")
+        if any(map(ncol.__ne__, map(len, self.rows))):
+            raise ValueError("row length does not match column count")
 
     @classmethod
     def from_rows(cls, columns, rows):

@@ -100,6 +100,11 @@ class KnowledgeBase:
         return Triplet(subject, relation, obj) in self._triplet_set
 
 
+#: Decodes one JSON value at the start of a string; `json.loads` adds two
+#: Python calls per line around it.
+_decode = json.JSONDecoder().raw_decode
+
+
 def _jsonl_records(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -108,9 +113,16 @@ def _jsonl_records(path):
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON record: {exc.msg}", line=lineno) from exc
+                    record, end = _decode(line)
+                    if end != len(line):
+                        raise ValueError("extra data")
+                except ValueError:
+                    try:  # json.loads names the error
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(
+                            f"invalid JSON record: {exc.msg}", line=lineno
+                        ) from exc
                 if not isinstance(record, dict):
                     raise ParseError("record must be a JSON object", line=lineno)
                 yield lineno, record

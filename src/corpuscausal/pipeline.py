@@ -18,14 +18,18 @@ import json
 import os
 import re
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from functools import cached_property
+from operator import contains
 from pathlib import Path
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate
 from .errors import (
     ConfigError,
     CorpusCausalError,
+    EmptyPopulationError,
     MissingPredictionError,
     ParseError,
+    PositivityError,
 )
 from .estimator import cate, interventional_prob
 from .graph import CANONICAL_ADJUSTMENTS, reference_graph, satisfies_backdoor
@@ -33,9 +37,11 @@ from .kb import KnowledgeBase, load_kb, load_patterns
 from .population import (
     STRATIFY_COLUMNS,
     MatchDiagnostics,
+    _population_from_bytes,
     build_structure,
-    cloze_keys,
     population_observation_table,
+    # not called here: a cache entry is parsed from the bytes its digests
+    # were checked on; perfbench traces the name in this module
     read_population,
     score_population,
     write_population,
@@ -168,6 +174,10 @@ class EffectReport:
     diagnostics: dict  # hypothesis -> coverage/drop counters
     series: tuple = None  # per-checkpoint entries, in checkpoint order
 
+    def failures(self):
+        """Hypothesis -> reason, for each hypothesis with no estimate."""
+        return {hyp: diag["error"] for hyp, diag in self.diagnostics.items() if "error" in diag}
+
     def to_dict(self):
         return {
             "source_id": self.source_id,
@@ -204,10 +214,17 @@ def _file_digest(path):
     return h.hexdigest()
 
 
+def _digest(data):
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
 class _Runtime:
     """Loaded inputs of one run, with the populations of `hypotheses`.
 
-    `config` is validated: each `run_*` checks it before inputs load.
+    `config` is validated: each `run_*` checks it before inputs load. A
+    population with no matched pairs is kept in `failures` (hypothesis ->
+    its `EmptyPopulationError`) instead of `populations`; when none of
+    them can be built, the first failure is raised.
     """
 
     def __init__(self, config, hypotheses=HYPOTHESES):
@@ -222,10 +239,14 @@ class _Runtime:
         self._cache_key = self._population_cache_key() if config.cache_dir else None
         self._baseline = _parse_predictions_spec(config.predictions)
         self._loaded = None  # the predictions file, once read
-        self.populations = {hyp: self._structure(hyp) for hyp in hypotheses}
-        self.cloze_keys = {
-            hyp: cloze_keys(pop) for hyp, pop in self.populations.items()
-        }
+        self.populations, self.failures = {}, {}
+        for hyp in hypotheses:
+            try:
+                self.populations[hyp] = self._structure(hyp)
+            except EmptyPopulationError as exc:
+                self.failures[hyp] = exc
+        if not self.populations:
+            raise self.failures[hypotheses[0]]
 
     def _verify_adjustments(self):
         graph = reference_graph()
@@ -301,7 +322,7 @@ class _Runtime:
             kind,
             self.kb,
             stats=self.stats,
-            queries=self.cloze_keys[hypothesis],
+            queries=self.populations[hypothesis].cloze_keys,
             seed=seed,
         )
 
@@ -310,18 +331,38 @@ class _Runtime:
 
         `predictions_of(hypothesis)` gives the hypothesis's PredictionSet; it
         is called just before that hypothesis is scored, so the first
-        failure raises in hypothesis order. Returns the report, whose
-        source is the first set's, and the scored populations.
+        failure raises in hypothesis order. A hypothesis whose population
+        could not be built, or whose estimate has no stratum holding both
+        arms, reports a null ATE with the reason in its diagnostics'
+        ``error``; when every hypothesis fails, the first failure is raised.
+        Returns the report, whose source is the first set's, and the
+        scored populations.
         """
         ates, cates, diagnostics, scored = {}, {}, {}, {}
+        failures = dict(self.failures)
         source_id = None
         for hyp in HYPOTHESES:
+            ates[hyp], cates[hyp] = None, {}
+            if hyp in failures:
+                diagnostics[hyp] = {"error": str(failures[hyp])}
+                continue
             prediction_set = predictions_of(hyp)
             source_id = prediction_set.source_id if source_id is None else source_id
             pop = scored[hyp] = score_population(self.populations[hyp], prediction_set)
+            counts = {
+                "rows": len(pop.rows),
+                "pairs": len(pop.pairs),
+                "unmatched_treated": pop.diagnostics.unmatched_treated,
+                "low_frequency_removed": pop.diagnostics.low_frequency_removed,
+            }
             table = population_observation_table(pop)
             z = STRATIFY_COLUMNS[hyp]
-            est = interventional_prob(table, "treatment", "outcome", z)
+            try:
+                est = interventional_prob(table, "treatment", "outcome", z)
+            except PositivityError as exc:
+                failures[hyp] = exc
+                diagnostics[hyp] = {"error": str(exc), **counts}
+                continue
             ates[hyp] = float(est.ate)
             cates[hyp] = {
                 relation: {"value": None if r.value is None else float(r.value),
@@ -332,28 +373,34 @@ class _Runtime:
                 "covered_mass": float(est.covered_mass),
                 "dropped_strata": est.dropped_strata,
                 "positivity_violated": est.positivity_violated,
-                "rows": len(pop.rows),
-                "pairs": len(pop.pairs),
-                "unmatched_treated": pop.diagnostics.unmatched_treated,
-                "low_frequency_removed": pop.diagnostics.low_frequency_removed,
+                **counts,
             }
+        if len(failures) == len(HYPOTHESES):
+            raise next(iter(failures.values()))  # build failures first, as they arose
         return EffectReport(source_id, ates, cates, diagnostics), scored
+
+    @cached_property
+    def _utt_golds(self):
+        """The gold objects of each utt cloze key's (subject, relation)."""
+        return tuple(self.kb.objects_of(s, r) for s, r, _ in self.populations["utt"].cloze_keys)
 
     def accuracy(self, prediction_set):
         """Share of utt-population cloze keys answered with a KB gold object."""
-        keys = self.cloze_keys["utt"]
-        if not keys:
+        if "utt" not in self.populations:
             return None
-        hits = sum(self.kb.has_triplet(s, r, prediction_set.get(s, r, t)) for s, r, t in keys)
-        return hits / len(keys)
+        keys = self.populations["utt"].cloze_keys
+        predicted = map(prediction_set.records.get, keys)
+        return sum(map(contains, self._utt_golds, predicted)) / len(keys)
 
 
 def _read_cache_entry(table, pairs, diag, hypothesis):
+    """Read each file once: the digests are checked on the bytes then parsed."""
     counts = json.loads(diag.read_text(encoding="utf-8"))
-    if counts["digests"] != [_file_digest(table), _file_digest(pairs)]:
+    table_data, pairs_data = table.read_bytes(), pairs.read_bytes()
+    if counts["digests"] != [_digest(table_data), _digest(pairs_data)]:
         raise ValueError(f"{table} or {pairs} changed after {diag} was written")
     del counts["digests"]
-    pop = read_population(table, pairs, hypothesis)
+    pop = _population_from_bytes(table_data, pairs_data, hypothesis, table, pairs)
     diagnostics = MatchDiagnostics(**counts)
     if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
         raise ValueError(f"diagnostics in {diag} are not counts")
@@ -409,6 +456,8 @@ def run_build_population(config, hypotheses):
     """
     config.validate().predictions_spec()
     rt = _Runtime(config, hypotheses)
+    if rt.failures:  # a population asked for by name must be built
+        raise next(iter(rt.failures.values()))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for hyp in hypotheses:
@@ -416,7 +465,7 @@ def run_build_population(config, hypotheses):
         _write_tables(scored, out, hyp)
         with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
             fh.write("subject\trelation\ttemplate\tcloze\n")
-            for subject, relation, template in rt.cloze_keys[hyp]:
+            for subject, relation, template in scored.cloze_keys:
                 cloze = instantiate(template, subject, config.mask_token)
                 fh.write(f"{subject}\t{relation}\t{template}\t{cloze}\n")
         yield hyp, scored
@@ -460,7 +509,7 @@ def run_dynamics(config, checkpoint_paths):
 # --- emission ----------------------------------------------------------------
 
 
-def _format_value(value):
+def format_value(value):
     return "n/a" if value is None else f"{value:.2f}"
 
 
@@ -470,7 +519,7 @@ def _render_table(report):
     lines.append(f"{'model':<24}{'utt':>10}{'poc':>10}{'soc':>10}")
     lines.append(
         f"{report.source_id:<24}"
-        + "".join(f"{_format_value(report.ate.get(h)):>10}" for h in HYPOTHESES)
+        + "".join(f"{format_value(report.ate.get(h)):>10}" for h in HYPOTHESES)
     )
     has_cate = any(report.cate.get(h) for h in HYPOTHESES)
     if has_cate:
@@ -480,7 +529,7 @@ def _render_table(report):
             for relation in sorted(report.cate.get(hyp, {})):
                 cell = report.cate[hyp][relation]
                 lines.append(
-                    f"{hyp:<6}{relation:<28}{_format_value(cell['value']):>10}"
+                    f"{hyp:<6}{relation:<28}{format_value(cell['value']):>10}"
                 )
     if report.series is not None:
         lines.append("")
@@ -490,7 +539,7 @@ def _render_table(report):
                 lines.append(f"{entry['checkpoint']:<24}error: {entry['error']}")
             else:
                 cells = "".join(
-                    f"{_format_value(entry['ate'].get(h)):>10}" for h in HYPOTHESES
+                    f"{format_value(entry['ate'].get(h)):>10}" for h in HYPOTHESES
                 )
                 acc = (
                     f"  acc={entry['accuracy']:.4f}"

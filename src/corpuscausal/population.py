@@ -33,8 +33,10 @@ Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
 """
 
-from dataclasses import dataclass, replace
-from operator import itemgetter
+import io
+from array import array
+from dataclasses import dataclass, field, replace
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .corpus import BIN_EDGES, bin_count, instantiate
@@ -85,6 +87,10 @@ _sort_key = itemgetter(
     *map(ROW_FIELDS.index, ("relation", "subject", "object", "template", "is_anti"))
 )
 
+#: A row's cloze key, (subject, relation, template), and its object.
+_cloze_key = itemgetter(*map(ROW_FIELDS.index, ("subject", "relation", "template")))
+_object = itemgetter(ROW_FIELDS.index("object"))
+
 #: Columns of an emitted population table: the row fields, then the scores.
 POPULATION_FIELDS = ROW_FIELDS + ("prediction", "outcome")
 
@@ -97,12 +103,36 @@ class MatchDiagnostics:
 
 @dataclass(frozen=True)
 class MatchedPopulation:
+    """Matched rows and pairs, with the scores of one prediction set.
+
+    The last three fields encode the rows, so that scoring against each
+    prediction set needs one lookup per distinct cloze key: the sorted
+    distinct keys, each row's index into them, and each row's object with
+    its whitespace trimmed. They follow from the rows, so they are set
+    when the population is made (built or read back), not passed in.
+    """
+
     hypothesis: str
     rows: tuple
     pairs: tuple  # (treated row index, control row index)
     diagnostics: MatchDiagnostics = MatchDiagnostics()
     predicted: tuple = ()  # predicted object per row, aligned with `rows`
     outcomes: tuple = ()  # outcome flag (0/1) per row, aligned with `rows`
+    cloze_keys: tuple = field(default=(), repr=False, compare=False)
+    key_index: array = field(default=(), repr=False, compare=False)
+    stripped_objects: tuple = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.key_index) == len(self.rows):
+            return  # encoded already: `replace` passes the fields on
+        keys = tuple(sorted(dict.fromkeys(map(_cloze_key, self.rows))))
+        position = dict(zip(keys, range(len(keys))))
+        index = array("I", map(position.__getitem__, map(_cloze_key, self.rows)))
+        stripped = tuple(map(str.strip, map(_object, self.rows)))
+        for name, value in (
+            ("cloze_keys", keys), ("key_index", index), ("stripped_objects", stripped)
+        ):
+            object.__setattr__(self, name, value)
 
 
 class _StatsView:
@@ -161,11 +191,6 @@ class _StatsView:
             self.make_row(relation, subject, top, template, is_anti, 1),
             self.make_row(relation, subject, runner, template, is_anti, 0),
         )
-
-
-def cloze_keys(pop):
-    """The population's distinct (subject, relation, template) keys, sorted."""
-    return sorted({(r.subject, r.relation, r.template) for r in pop.rows})
 
 
 def _build_utt(kb, view):
@@ -256,24 +281,28 @@ def score_population(pop, predictions):
     Returns the population with its ``predicted`` and ``outcomes`` columns
     set; the rows and pairs are shared, not copied. Raises
     `MissingPredictionError` when a row's cloze key has no prediction.
+    Each distinct cloze key is looked up and its prediction stripped once;
+    a row's outcome is then its stripped object == its key's stripped
+    prediction, which is what `outcome_flag` tests.
     """
-    keys = [(r.subject, r.relation, r.template) for r in pop.rows]
-    missing = predictions.missing_keys(keys)
-    if missing:
+    records = predictions.records
+    try:
+        by_key = tuple(map(records.__getitem__, pop.cloze_keys))
+    except KeyError:
+        missing = [key for key in pop.cloze_keys if key not in records]
         sample = ", ".join(map(repr, missing[:5]))
         raise MissingPredictionError(
             f"{len(missing)} cloze keys lack predictions (e.g. {sample})",
             missing=missing,
-        )
-    predicted = tuple(map(predictions.records.__getitem__, keys))
-    # a hit depends only on (object, prediction), so each distinct pair is
-    # flagged once, in row order
-    scored = [(row.object, prediction) for row, prediction in zip(pop.rows, predicted)]
-    flags = {
-        pair: outcome_flag(pop.hypothesis, *pair) for pair in dict.fromkeys(scored)
-    }
-    outcomes = tuple(map(flags.__getitem__, scored))
-    return replace(pop, predicted=predicted, outcomes=outcomes)
+        ) from None
+    predicted = tuple(map(by_key.__getitem__, pop.key_index))
+    if pop.hypothesis not in HYPOTHESES or None in by_key or "" in pop.stripped_objects:
+        # raise what `outcome_flag` raises, for the first row it rejects
+        for row, prediction in zip(pop.rows, predicted):
+            outcome_flag(pop.hypothesis, row.object, prediction)
+    stripped = tuple(map(str.strip, map(str, by_key)))
+    hits = map(eq, pop.stripped_objects, map(stripped.__getitem__, pop.key_index))
+    return replace(pop, predicted=predicted, outcomes=tuple(map(int, hits)))
 
 
 def build_table(
@@ -333,66 +362,86 @@ def read_population(table_path, pairs_path, hypothesis):
     ``predicted``/``outcomes`` columns. The pairs must partition the
     rows, as a built population's do: each row is in exactly one pair.
     """
+    return _parse_population(
+        _lines(table_path), _lines(pairs_path), hypothesis, table_path, pairs_path
+    )
+
+
+def _lines(path):
+    """The text lines of a file; it is opened when the first line is asked for."""
+    with open(path, encoding="utf-8") as fh:
+        yield from fh
+
+
+def _population_from_bytes(table_data, pairs_data, hypothesis, table_path, pairs_path):
+    """`read_population` on file contents already read; the paths name them in errors."""
+    table, pairs = (
+        io.StringIO(data.decode("utf-8"), newline=None) for data in (table_data, pairs_data)
+    )
+    return _parse_population(table, pairs, hypothesis, table_path, pairs_path)
+
+
+def _parse_population(table_lines, pairs_lines, hypothesis, table_path, pairs_path):
     rows = []
     predicted = []
     outcomes = []
-    with open(table_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if tuple(header) != POPULATION_FIELDS:
-            raise ParseError(f"unexpected population header in {table_path}", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(POPULATION_FIELDS):
-                raise ParseError("wrong cell count", line=lineno)
-            (subject, obj, relation, template, is_anti, treatment, soc_count,
-             soc_bin, utt_present, so_hc, po_hc, prediction, outcome) = cells
-            try:
-                rows.append(
-                    PopulationRow(
-                        subject, obj, relation, template, _BOOL[is_anti],
-                        int(treatment), int(soc_count), soc_bin,
-                        _BOOL[utt_present], _BOOL[so_hc], _BOOL[po_hc],
-                    )
+    table_lines = iter(table_lines)
+    header = next(table_lines, "").rstrip("\n").split("\t")
+    if tuple(header) != POPULATION_FIELDS:
+        raise ParseError(f"unexpected population header in {table_path}", line=1)
+    for lineno, line in enumerate(table_lines, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(POPULATION_FIELDS):
+            raise ParseError("wrong cell count", line=lineno)
+        (subject, obj, relation, template, is_anti, treatment, soc_count,
+         soc_bin, utt_present, so_hc, po_hc, prediction, outcome) = cells
+        try:
+            rows.append(
+                PopulationRow(
+                    subject, obj, relation, template, _BOOL[is_anti],
+                    int(treatment), int(soc_count), soc_bin,
+                    _BOOL[utt_present], _BOOL[so_hc], _BOOL[po_hc],
                 )
-                outcomes.append(int(outcome))
-            except (KeyError, ValueError):
-                # name the first bad cell, as a per-cell parse would
-                for name, cell in zip(POPULATION_FIELDS, cells):
-                    _parse_cell(name, cell, lineno)
-                raise
-            predicted.append(prediction)
+            )
+            outcomes.append(int(outcome))
+        except (KeyError, ValueError):
+            # name the first bad cell, as a per-cell parse would
+            for name, cell in zip(POPULATION_FIELDS, cells):
+                _parse_cell(name, cell, lineno)
+            raise
+        predicted.append(prediction)
     pairs = []
     paired = set()
-    with open(pairs_path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != _PAIRS_HEADER:
-            raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                i, j = map(int, line.split("\t"))
-            except ValueError as exc:
-                raise ParseError("bad pair line", line=lineno) from exc
-            for index, arm in ((i, 1), (j, 0)):
-                if not 0 <= index < len(rows):
-                    raise ParseError(
-                        f"pair index {index} outside the {len(rows)} table rows",
-                        line=lineno,
-                    )
-                if rows[index].treatment != arm:
-                    raise ParseError(
-                        f"pair row {index} has treatment "
-                        f"{rows[index].treatment}, expected {arm}",
-                        line=lineno,
-                    )
-                if index in paired:
-                    raise ParseError(f"row {index} is in more than one pair", line=lineno)
-                paired.add(index)
-            pairs.append((i, j))
+    pairs_lines = iter(pairs_lines)
+    if next(pairs_lines, "").rstrip("\n") != _PAIRS_HEADER:
+        raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
+    for lineno, line in enumerate(pairs_lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            i, j = map(int, line.split("\t"))
+        except ValueError as exc:
+            raise ParseError("bad pair line", line=lineno) from exc
+        for index, arm in ((i, 1), (j, 0)):
+            if not 0 <= index < len(rows):
+                raise ParseError(
+                    f"pair index {index} outside the {len(rows)} table rows",
+                    line=lineno,
+                )
+            if rows[index].treatment != arm:
+                raise ParseError(
+                    f"pair row {index} has treatment "
+                    f"{rows[index].treatment}, expected {arm}",
+                    line=lineno,
+                )
+            if index in paired:
+                raise ParseError(f"row {index} is in more than one pair", line=lineno)
+            paired.add(index)
+        pairs.append((i, j))
     if len(paired) != len(rows):
         unpaired = min(set(range(len(rows))) - paired)
         raise ParseError(f"row {unpaired} of {table_path} is in no pair in {pairs_path}")

@@ -9,8 +9,9 @@ at load time rather than silently projected.
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .corpus import split_around
+from .corpus import normalize_text, split_around
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -35,25 +36,48 @@ class PredictionSet:
     def get(self, subject, relation, template):
         return self.records.get((subject, relation, template))
 
-    def missing_keys(self, keys):
-        return sorted(k for k in set(keys) if k not in self.records)
-
     def __len__(self):
         return len(self.records)
 
 
+#: The fields of a prediction record, in the order they are checked.
+_FIELDS = ("subject", "relation", "template", "prediction", "source_id")
+_raw_fields = itemgetter(*_FIELDS)
+
+
+class _Normalised(dict):
+    """Raw field string -> normalised value, each distinct string checked once.
+
+    A value `_required` would reject is never stored; looking it up raises
+    `KeyError`, and the caller lets `_required` name the error.
+    """
+
+    def __missing__(self, raw):
+        if not isinstance(raw, str) or not raw.strip():
+            raise KeyError(raw)
+        value = self[raw] = normalize_text(raw)
+        return value
+
+
 def load_predictions(path, kb):
-    """Load a prediction file, enforcing candidate restriction per relation."""
+    """Load a prediction file, enforcing candidate restriction per relation.
+
+    A file repeats a few hundred distinct strings over all its records, so
+    each distinct raw string is checked and normalised once, and each
+    record's (relation, prediction) is one lookup in the set of the KB's
+    (relation, candidate) pairs; an error still names the first line it
+    occurs on.
+    """
     records = {}
     source_id = None
-    known_relations = set(kb.relations)
-    candidates = {}
+    normal = _Normalised()
+    allowed = {(r, obj) for r in kb.relations for obj in kb.candidate_objects(r)}
     for lineno, record in _jsonl_records(path):
-        subject = _required(record, "subject", lineno)
-        relation = _required(record, "relation", lineno)
-        template = _required(record, "template", lineno)
-        predicted = _required(record, "prediction", lineno)
-        record_source = _required(record, "source_id", lineno)
+        try:
+            fields = tuple(map(normal.__getitem__, _raw_fields(record)))
+        except (KeyError, TypeError):  # a field missing, unhashable or rejected
+            fields = tuple(_required(record, key, lineno) for key in _FIELDS)
+        subject, relation, template, predicted, record_source = fields
         if source_id is None:
             source_id = record_source
         elif record_source != source_id:
@@ -61,11 +85,9 @@ def load_predictions(path, kb):
                 f"mixed source_id values: {source_id!r} vs {record_source!r}",
                 line=lineno,
             )
-        if relation not in known_relations:
-            raise ParseError(f"unknown relation {relation!r}", line=lineno)
-        if relation not in candidates:
-            candidates[relation] = set(kb.candidate_objects(relation))
-        if predicted not in candidates[relation]:
+        if (relation, predicted) not in allowed:
+            if relation not in kb.relations:
+                raise ParseError(f"unknown relation {relation!r}", line=lineno)
             raise CandidateViolationError(
                 f"line {lineno}: prediction {predicted!r} for "
                 f"({subject!r}, {relation!r}, {template!r}) is outside "

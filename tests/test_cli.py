@@ -209,6 +209,21 @@ class TestEstimateCommand:
         result = invoke("estimate", "--config", config, "--corpus", empty_corpus)
         assert result.exit_code == 2
 
+    def test_failed_hypothesis_is_reported_and_exits_2(self, crossed_files):
+        # no poc row clears this floor; utt and soc are still estimated
+        config = write_config(crossed_files, predictions="baseline:perfect")
+        result = invoke("estimate", "--config", config, "--min-poc-frequency", 1000000)
+        assert result.exit_code == 2, result.output
+        assert "ATE: utt=0.00  poc=n/a  soc=-100.00  -> " in result.output
+        assert result.output.endswith(
+            "estimation error: poc: poc population has no matched pairs\n"
+        )
+        report = json.loads((crossed_files["dir"] / "out" / "report.json").read_text())
+        assert report["ate"]["poc"] is None
+        assert report["diagnostics"]["poc"] == {"error": "poc population has no matched pairs"}
+        assert isinstance(report["ate"]["utt"], float)
+        assert isinstance(report["ate"]["soc"], float)
+
     def test_byte_identical_reports(self, crossed_files):
         config = write_config(crossed_files)
         out_a = crossed_files["dir"] / "a"

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from corpuscausal import pipeline
-from corpuscausal.errors import ConfigError, MissingPredictionError
+from corpuscausal.errors import ConfigError, EmptyPopulationError, MissingPredictionError
 from corpuscausal.estimator import ate, read_table
 from corpuscausal.pipeline import (
     EffectReport,
@@ -245,6 +245,83 @@ class TestRunEstimate:
         assert run_estimate(config) == cold
         assert digested, "the cache key digests the KB and pattern files"
         assert str(idx_path) not in map(str, digested)
+
+
+def tiny_files(tmp_path, triplets, corpus):
+    """A one-relation KB with two paraphrases, and its corpus."""
+    patterns = [("r", "[X] in [Y].", False), ("r", "[X] near [Y].", False)]
+    kb_path, pattern_path = write_kb_files(tmp_path, triplets, patterns)
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text("".join(f"{line}\n" for line in corpus), encoding="utf-8")
+    return {"dir": tmp_path, "kb": kb_path, "patterns": pattern_path, "corpus": corpus_path}
+
+
+class TestOneFailingHypothesis:
+    """A hypothesis that cannot be estimated reports a null ATE and its reason."""
+
+    def test_empty_population_keeps_the_others(self, crossed_files):
+        full = run_estimate(config_for(crossed_files, "baseline:perfect"))
+        config = config_for(crossed_files, "baseline:perfect", min_poc_frequency=1000000)
+        report = run_estimate(config, emit_populations=True)
+        assert report.ate["poc"] is None
+        assert report.cate["poc"] == {}
+        assert report.diagnostics["poc"] == {"error": "poc population has no matched pairs"}
+        assert report.failures() == {"poc": "poc population has no matched pairs"}
+        for hyp in ("utt", "soc"):
+            assert report.ate[hyp] == full.ate[hyp]
+            assert report.cate[hyp] == full.cate[hyp]
+            assert report.diagnostics[hyp] == full.diagnostics[hyp]
+        out = crossed_files["dir"] / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "soc_pairs.tsv", "soc_population.tsv", "utt_pairs.tsv", "utt_population.tsv",
+        ]
+
+    def test_positivity_failure_keeps_the_others(self, tmp_path):
+        files = tiny_files(
+            tmp_path, [("A", "r", "X"), ("B", "r", "Y")], ["A in X.", "B in X.", "C in Y."]
+        )
+        report = run_estimate(config_for(files, "baseline:perfect", min_poc_frequency=0))
+        reason = "no confounder stratum contains both treatment arms"
+        assert report.failures() == {"utt": reason, "poc": reason}
+        assert report.ate == {"utt": None, "poc": None, "soc": 0.0}
+        assert report.diagnostics["utt"] == {
+            "error": reason, "rows": 2, "pairs": 1,
+            "unmatched_treated": 0, "low_frequency_removed": 0,
+        }
+        assert report.cate["utt"] == report.cate["poc"] == {}
+        rendered = render_report(report, "table")
+        assert "n/a" in rendered
+        assert load_report_text(tmp_path, report) == report
+
+    def test_every_hypothesis_failing_raises_the_first_failure(self, tmp_path):
+        # one candidate: no poc or soc pair; utt's arms differ in template
+        files = tiny_files(tmp_path, [("A", "r", "X")], ["A in X."])
+        config = config_for(files, "baseline:perfect", min_poc_frequency=0)
+        with pytest.raises(EmptyPopulationError, match="poc population has no matched pairs"):
+            run_estimate(config)
+
+    def test_dynamics_series_keeps_the_others(self, crossed_files, crossed_kb):
+        paths = TestDynamics().checkpoint_files(crossed_files, crossed_kb, n=2)
+        config = config_for(crossed_files, "unused", min_poc_frequency=1000000)
+        report = run_dynamics(config, paths)
+        full = run_dynamics(config_for(crossed_files, "unused"), paths)
+        for entry, full_entry in zip(report.series, full.series, strict=True):
+            assert entry["error"] is None
+            assert entry["ate"] == dict(full_entry["ate"], poc=None)
+            assert entry["accuracy"] == full_entry["accuracy"]
+        assert report.failures() == {"poc": "poc population has no matched pairs"}
+
+    def test_build_population_still_raises_for_a_population_asked_for(self, crossed_files):
+        config = config_for(crossed_files, "baseline:perfect", min_poc_frequency=1000000)
+        for hypotheses in (("poc",), ("utt", "poc", "soc")):
+            with pytest.raises(EmptyPopulationError, match="poc population has no"):
+                next(run_build_population(config, hypotheses))
+        assert not (crossed_files["dir"] / "out").exists()
+
+
+def load_report_text(tmp_path, report):
+    path = emit_report(report, "structured", tmp_path / "report.json")
+    return load_report(path)
 
 
 class TestRunBuildPopulation:

@@ -1,6 +1,9 @@
 """Population construction: pairing recipes, filters, emission."""
 
+import importlib.util
+from dataclasses import replace
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,10 @@ from corpuscausal.corpus import BIN_EDGES, build_index, instantiate
 from corpuscausal.errors import (
     EmptyPopulationError,
     MissingPredictionError,
+    MissingReferenceError,
     ParseError,
 )
-from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
+from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet, load_knowledge_base
 from corpuscausal import population
 from corpuscausal.population import (
     POPULATION_FIELDS,
@@ -31,9 +35,11 @@ from corpuscausal.population import (
 from corpuscausal.predictions import (
     PredictionSet,
     baseline_predict,
+    load_predictions,
     outcome_flag,
 )
 
+import golden_fixture
 from conftest import crossed_corpus_lines
 
 
@@ -546,7 +552,7 @@ class TestEmission:
             )
 
     def test_whitespace_in_predictions_scores_as_a_per_row_flag(
-        self, monkeypatch, crossed_kb, crossed_index
+        self, crossed_kb, crossed_index
     ):
         pop = build_structure("soc", crossed_kb, crossed_index)
         candidates = {r: crossed_kb.candidate_objects(r) for r in crossed_kb.relations}
@@ -557,12 +563,6 @@ class TestEmission:
                 for i, key in enumerate(keys_of(pop))
             }
         )
-        flags = []
-        monkeypatch.setattr(
-            population,
-            "outcome_flag",
-            lambda *args: flags.append(args[1:]) or outcome_flag(*args),
-        )
         scored = score_population(pop, preds)
         per_row = [
             outcome_flag("soc", row.object, prediction)
@@ -570,8 +570,6 @@ class TestEmission:
         ]
         assert list(scored.outcomes) == per_row
         assert 0 < sum(per_row) < len(per_row)
-        assert sorted(flags) == sorted(set(zip((r.object for r in pop.rows), scored.predicted)))
-        assert len(flags) < len(pop.rows)
 
     def test_unscored_population_writes_empty_scores(self, tmp_path, crossed_kb, crossed_index):
         pop = build_structure("soc", crossed_kb, crossed_index)
@@ -701,3 +699,128 @@ class TestEmission:
         ]
         kbt_idx = table.columns.index("kbt")
         assert all(r[kbt_idx] == 0 for r in anti_rows)
+
+
+def _load_generator():
+    """The benchmark's seeded input generator, which never calls the library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def padded(predictions):
+    """The same predictions with whitespace around every other one."""
+    return manual_predictions(
+        {key: (" \t" + obj + " " if i % 2 else obj)
+         for i, (key, obj) in enumerate(sorted(predictions.records.items()))},
+        source=predictions.source_id,
+    )
+
+
+def assert_scored_per_row(pop, predictions):
+    """Oracle: one records[key] lookup and one `outcome_flag` call per row."""
+    scored = score_population(pop, predictions)
+    keys = [(r.subject, r.relation, r.template) for r in pop.rows]
+    expected = [predictions.records[key] for key in keys]
+    assert list(scored.predicted) == expected
+    assert list(scored.outcomes) == [
+        outcome_flag(pop.hypothesis, row.object, prediction)
+        for row, prediction in zip(pop.rows, expected)
+    ]
+    assert all(type(flag) is int for flag in scored.outcomes)
+
+
+class TestScoringOracle:
+    """Scoring by distinct cloze key equals the per-row definition of a hit."""
+
+    def prediction_sets(self, kb, stats, keys):
+        sets = [baseline_predict(kind, kb, stats=stats, queries=keys)
+                for kind in ("perfect", "heuristic-utt", "heuristic-poc", "heuristic-soc")]
+        sets += [baseline_predict("random", kb, queries=keys, seed=seed) for seed in range(3)]
+        return sets + [padded(p) for p in sets]
+
+    @pytest.mark.parametrize("fixture", ["golden", "crossed"])
+    def test_fixture_populations(self, fixture, crossed_kb, crossed_index):
+        if fixture == "golden":
+            kb, stats = golden_fixture.knowledge_base(), golden_fixture.corpus_index()
+            min_poc = 5
+        else:
+            kb, stats, min_poc = crossed_kb, crossed_index, 0
+        keys = TestCommonBehavior().all_keys(kb)
+        sets = self.prediction_sets(kb, stats, keys)
+        if fixture == "golden":
+            sets.append(golden_fixture.predictions(kb))
+        for hyp in ("utt", "poc", "soc"):
+            pop = build_structure(hyp, kb, stats, min_poc_frequency=min_poc)
+            for predictions in sets:
+                assert_scored_per_row(pop, predictions)
+
+    def test_generated_checkpoints(self, tmp_path):
+        gen = _load_generator()
+        sizes = gen.Sizes(relations=3, subjects=12, candidates=6, sentences=1500,
+                          comention_max=30, checkpoints=(0.0, 0.5, 1.0))
+        paths = gen.Corpus(sizes, seed=3).write(tmp_path)
+        kb = load_knowledge_base(paths["kb"], paths["patterns"])
+        stats = build_index(str(paths["corpus"]))
+        pops = [build_structure(hyp, kb, stats) for hyp in ("utt", "poc", "soc")]
+        for name in sorted(p for p in paths if p.startswith("checkpoint")):
+            predictions = load_predictions(paths[name], kb)
+            for pop in pops:
+                assert_scored_per_row(pop, predictions)
+
+    def test_read_back_population_scores_the_same(self, tmp_path, crossed_kb, crossed_index):
+        keys = TestCommonBehavior().all_keys(crossed_kb)
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        write_population(pop, tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv")
+        loaded = read_population(tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv", "soc")
+        assert loaded.cloze_keys == pop.cloze_keys
+        assert loaded.key_index == pop.key_index
+        assert loaded.stripped_objects == pop.stripped_objects
+        for predictions in self.prediction_sets(crossed_kb, crossed_index, keys):
+            assert score_population(loaded, predictions) == score_population(pop, predictions)
+
+    def test_population_carries_its_cloze_key_index(self, crossed_kb, crossed_index):
+        for hyp in ("utt", "poc", "soc"):
+            pop = build_structure(hyp, crossed_kb, crossed_index, min_poc_frequency=0)
+            assert list(pop.cloze_keys) == keys_of(pop)
+            assert [pop.cloze_keys[i] for i in pop.key_index] == [
+                (r.subject, r.relation, r.template) for r in pop.rows
+            ]
+            assert pop.stripped_objects == tuple(r.object.strip() for r in pop.rows)
+            scored = score_population(pop, baseline_predict(
+                "perfect", crossed_kb, queries=pop.cloze_keys))
+            assert scored.cloze_keys is pop.cloze_keys
+            assert scored.key_index is pop.key_index
+
+    def test_missing_keys_listed_sorted_once(self, crossed_kb, crossed_index):
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        keys = keys_of(pop)
+        kept = manual_predictions({key: "France" for key in keys[1::2]})
+        with pytest.raises(MissingPredictionError) as err:
+            score_population(pop, kept)
+        missing = tuple(keys[::2])
+        assert err.value.missing == missing
+        sample = ", ".join(map(repr, missing[:5]))
+        assert str(err.value) == f"{len(missing)} cloze keys lack predictions (e.g. {sample})"
+
+    def test_outcome_flag_errors_still_raise(self, tmp_path, crossed_kb, crossed_index):
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        keys = keys_of(pop)
+        with pytest.raises(MissingReferenceError, match="no prediction to compare"):
+            score_population(pop, manual_predictions(dict.fromkeys(keys)))
+        perfect = baseline_predict("perfect", crossed_kb, queries=keys)
+        with pytest.raises(ValueError, match="unknown hypothesis"):
+            score_population(replace(pop, hypothesis="nope"), perfect)
+        # a read-back table whose object cell is blank has no reference object
+        table, pairs = tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv"
+        write_population(pop, table, pairs)
+        lines = table.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split("\t")
+        lines[3] = "\t".join(cells[:1] + [" "] + cells[2:])
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        blank = read_population(table, pairs, "soc")
+        records = {(r.subject, r.relation, r.template): "France" for r in blank.rows}
+        with pytest.raises(MissingReferenceError, match="no reference object"):
+            score_population(blank, manual_predictions(records))

@@ -1,5 +1,7 @@
 """Prediction loading, control baselines, outcome flags."""
 
+import json
+
 import pytest
 
 from corpuscausal.corpus import build_index, instantiate, ranked_objects
@@ -104,6 +106,127 @@ class TestLoadPredictions:
         save_predictions(preds, out)
         again = load_predictions(out, aired_kb)
         assert again == preds
+
+
+class TestLoadPredictionsOncePerDistinctValue:
+    """Each distinct string is checked once, yet every line is still checked."""
+
+    T = "[X] was originally aired on [Y]."
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("subject", 7, "field 'subject' must be a non-empty string"),
+            ("subject", "   ", "field 'subject' must be a non-empty string"),
+            ("template", ["Daria"], "field 'template' must be a non-empty string"),
+            ("prediction", None, "field 'prediction' must be a non-empty string"),
+            ("source_id", "", "field 'source_id' must be a non-empty string"),
+            ("relation", ..., "missing field 'relation'"),
+        ],
+    )
+    def test_bad_field_after_the_same_value_was_valid(
+        self, tmp_path, aired_kb, field, bad, message
+    ):
+        path = tmp_path / "preds.jsonl"
+        good = prediction_record("Daria", "aired-on", self.T, "MTV")
+        later = prediction_record("True Detective", "aired-on", self.T, "MTV")
+        if bad is ...:
+            del later[field]
+        else:
+            later[field] = bad
+        write_jsonl(path, [good, good | {"subject": "Archer"}, later])
+        with pytest.raises(ParseError) as err:
+            load_predictions(path, aired_kb)
+        assert err.value.line == 3
+        assert message in str(err.value)
+
+    def test_whitespace_variants_of_one_value(self, tmp_path, aired_kb):
+        path = tmp_path / "preds.jsonl"
+        write_jsonl(
+            path,
+            [
+                prediction_record("Daria", "aired-on", self.T, "MTV"),
+                prediction_record("True  Detective", " aired-on", self.T + " ", " MTV "),
+                prediction_record("Archer", "aired-on\t", "[X] was  originally aired on [Y].",
+                                  "\tHBO", source=" model-a"),
+            ],
+        )
+        preds = load_predictions(path, aired_kb)
+        assert preds.records == {
+            ("Daria", "aired-on", self.T): "MTV",
+            ("True Detective", "aired-on", self.T): "MTV",
+            ("Archer", "aired-on", self.T): "HBO",
+        }
+        assert preds.source_id == "model-a"
+
+    def test_whitespace_variant_of_a_key_is_a_duplicate(self, tmp_path, aired_kb):
+        path = tmp_path / "preds.jsonl"
+        write_jsonl(
+            path,
+            [
+                prediction_record("Daria", "aired-on", self.T, "MTV"),
+                prediction_record("Daria ", "aired-on", self.T, "HBO"),
+            ],
+        )
+        with pytest.raises(DuplicateKeyError, match="line 2: duplicate key"):
+            load_predictions(path, aired_kb)
+
+    def test_candidate_violation_on_a_repeated_value(self, tmp_path):
+        # "HBO" is a candidate of aired-on but not of sold-to
+        kb = KnowledgeBase(
+            triplets=(
+                Triplet("Daria", "aired-on", "MTV"),
+                Triplet("True Detective", "aired-on", "HBO"),
+                Triplet("Archer", "sold-to", "FX"),
+            ),
+            patterns=(
+                PatternSpec("aired-on", self.T),
+                PatternSpec("sold-to", "[X] was sold to [Y]."),
+            ),
+        )
+        path = tmp_path / "preds.jsonl"
+        write_jsonl(
+            path,
+            [
+                prediction_record("Daria", "aired-on", self.T, "HBO"),
+                prediction_record("True Detective", "aired-on", self.T, "HBO"),
+                prediction_record("Archer", "sold-to", "[X] was sold to [Y].", "HBO"),
+                prediction_record("Dexter", "sold-to", "[X] was sold to [Y].", "HBO"),
+            ],
+        )
+        with pytest.raises(CandidateViolationError) as err:
+            load_predictions(path, kb)
+        assert str(err.value).startswith("line 3: prediction 'HBO' for ('Archer', 'sold-to'")
+
+    def test_unknown_relation_named_on_each_first_line(self, tmp_path, aired_kb):
+        path = tmp_path / "preds.jsonl"
+        write_jsonl(
+            path,
+            [
+                prediction_record("Daria", "aired-on", self.T, "MTV"),
+                prediction_record("Daria", "sold-to", self.T, "MTV"),
+            ],
+        )
+        with pytest.raises(ParseError, match="line 2: unknown relation 'sold-to'"):
+            load_predictions(path, aired_kb)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"subject": "Daria"} {"x": 1}', "invalid JSON record: Extra data"),
+            ("\ufeff{}", "invalid JSON record: Unexpected UTF-8 BOM"),
+            ("[1, 2]", "record must be a JSON object"),
+            ('{"subject": ', "invalid JSON record: Expecting value"),
+        ],
+    )
+    def test_bad_json_line_named_as_json_loads_names_it(self, tmp_path, aired_kb, line, message):
+        path = tmp_path / "preds.jsonl"
+        good = json.dumps(prediction_record("Daria", "aired-on", self.T, "MTV"))
+        path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_predictions(path, aired_kb)
+        assert err.value.line == 3
+        assert message in str(err.value)
 
 
 class TestBaselines:
