@@ -45,8 +45,6 @@ from .kb import (
     load_kb,
     load_knowledge_base,
     load_patterns,
-    save_patterns,
-    save_triplets,
 )
 from .pipeline import (
     EffectReport,

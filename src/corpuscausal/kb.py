@@ -70,7 +70,6 @@ class KnowledgeBase:
             ("_objects", {k: tuple(sorted(v)) for k, v in objects.items()}),
             ("_paraphrases", {r: tuple(v) for r, v in paraphrases.items()}),
             ("_anti_patterns", {r: tuple(v) for r, v in anti_patterns.items()}),
-            ("_triplet_set", frozenset(self.triplets)),
         ):
             object.__setattr__(self, name, index)
 
@@ -95,9 +94,6 @@ class KnowledgeBase:
 
     def anti_patterns(self, relation):
         return self._anti_patterns.get(relation, ())
-
-    def has_triplet(self, subject, relation, obj):
-        return Triplet(subject, relation, obj) in self._triplet_set
 
 
 #: Decodes one JSON value at the start of a string; `json.loads` adds two
@@ -175,30 +171,3 @@ def load_knowledge_base(triplet_path, pattern_path):
     """Assemble a validated KnowledgeBase from the two input files."""
     return KnowledgeBase(load_kb(triplet_path), load_patterns(pattern_path))
 
-
-def save_triplets(triplets, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps(
-                    {"subject": t.subject, "relation": t.relation, "object": t.object},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
-def save_patterns(patterns, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in patterns:
-            fh.write(
-                json.dumps(
-                    {
-                        "relation": p.relation,
-                        "template": p.template,
-                        "is_anti": p.is_anti,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )

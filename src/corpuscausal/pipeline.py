@@ -19,7 +19,8 @@ import os
 import re
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property
-from operator import contains
+from itertools import chain, starmap
+from operator import contains, itemgetter
 from pathlib import Path
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate
@@ -35,13 +36,15 @@ from .estimator import cate, interventional_prob
 from .graph import CANONICAL_ADJUSTMENTS, reference_graph, satisfies_backdoor
 from .kb import KnowledgeBase, load_kb, load_patterns
 from .population import (
+    ROW_FIELDS,
     STRATIFY_COLUMNS,
     MatchDiagnostics,
-    _population_from_bytes,
+    MatchedPopulation,
+    PopulationRow,
     build_structure,
     population_observation_table,
-    # not called here: a cache entry is parsed from the bytes its digests
-    # were checked on; perfbench traces the name in this module
+    # not called here: a cache entry has its own format (`_read_cache_entry`);
+    # perfbench traces the name in this module
     read_population,
     score_population,
     write_population,
@@ -214,10 +217,6 @@ def _file_digest(path):
     return h.hexdigest()
 
 
-def _digest(data):
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
 class _Runtime:
     """Loaded inputs of one run, with the populations of `hypotheses`.
 
@@ -280,23 +279,20 @@ class _Runtime:
         return h.hexdigest()
 
     def _structure(self, hypothesis):
-        """The hypothesis's population, from the cache when an entry reads back.
+        """The hypothesis's population, from the cache when its entry reads back.
 
-        A cache entry is three files: table, pairs and ``diag.json``. One
-        that is incomplete, was changed after it was written or does not
-        parse is a miss: the population is rebuilt and the entry overwritten.
+        An entry is one ``<hyp>-<key>.pop`` file. One that is missing, of
+        another version, changed after it was written or unsound in its
+        structure is a miss: the population is rebuilt and the entry
+        overwritten.
         """
         cache_dir = self.config.cache_dir
         if cache_dir:
-            base = Path(cache_dir) / f"{hypothesis}-{self._cache_key}"
-            table = base.with_suffix(".tsv")
-            pairs = base.with_suffix(".pairs.tsv")
-            diag = base.with_suffix(".diag.json")
-            if table.exists() and pairs.exists() and diag.exists():
-                try:
-                    return _read_cache_entry(table, pairs, diag, hypothesis)
-                except (ParseError, OSError, ValueError, KeyError, TypeError):
-                    pass  # rebuilt and overwritten below
+            entry = Path(cache_dir) / f"{hypothesis}-{self._cache_key}.pop"
+            try:
+                return _read_cache_entry(entry, hypothesis)
+            except (OSError, ValueError, KeyError, TypeError, IndexError):
+                pass  # rebuilt and overwritten below
         pop = build_structure(
             hypothesis,
             self.kb,
@@ -306,7 +302,7 @@ class _Runtime:
         )
         if cache_dir:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            _write_cache_entry(pop, table, pairs, diag)
+            _write_cache_entry(pop, entry)
         return pop
 
     def predictions_for(self, hypothesis):
@@ -393,40 +389,87 @@ class _Runtime:
         return sum(map(contains, self._utt_golds, predicted)) / len(keys)
 
 
-def _read_cache_entry(table, pairs, diag, hypothesis):
-    """Read each file once: the digests are checked on the bytes then parsed."""
-    counts = json.loads(diag.read_text(encoding="utf-8"))
-    table_data, pairs_data = table.read_bytes(), pairs.read_bytes()
-    if counts["digests"] != [_digest(table_data), _digest(pairs_data)]:
-        raise ValueError(f"{table} or {pairs} changed after {diag} was written")
-    del counts["digests"]
-    pop = _population_from_bytes(table_data, pairs_data, hypothesis, table, pairs)
-    diagnostics = MatchDiagnostics(**counts)
-    if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
-        raise ValueError(f"diagnostics in {diag} are not counts")
-    return replace(pop, diagnostics=diagnostics)
+#: A population-cache entry starts with this magic, then a blake2b digest of
+#: the rest. Bump the version whenever `build_structure` can give different
+#: rows, pairs or diagnostics for the same inputs: the cache key digests only
+#: the inputs, so entries of the old build logic would be read back as current.
+_CACHE_MAGIC = b"CCPOP001"
+_CACHE_BODY = len(_CACHE_MAGIC) + 16  # where the digest ends and the body begins
+
+#: Row fields an entry stores as indices into its string table.
+_STRING_COLUMNS = tuple(
+    ROW_FIELDS.index(name) for name in ("subject", "object", "relation", "template", "soc_bin")
+)
+_TREATMENT = ROW_FIELDS.index("treatment")
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _write_cache_entry(pop, table, pairs, diag):
-    """Write an entry's three files, each to a temp name, then rename it.
+def _write_cache_entry(pop, path):
+    """Write the entry to a temporary name, then rename it into place.
 
-    ``diag.json`` holds the diagnostics and the digests of the other two
-    files. It goes first out and last in: a reader needs all three files,
-    and it checks both digests before it parses either file.
+    The body is JSON lines, each encoded on its own: a header with the
+    diagnostics and the string table, one column per `PopulationRow` field
+    in field order, then the treated and the control row of each pair.
     """
-    tmp = {p: p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (table, pairs, diag)}
+    strings = dict.fromkeys(
+        chain.from_iterable(map(itemgetter(i), pop.rows) for i in _STRING_COLUMNS)
+    )
+    position = dict(zip(strings, range(len(strings))))
+    header = {"diagnostics": asdict(pop.diagnostics), "strings": list(strings)}
+    # one column at a time, by field: `zip(*pop.rows)` would make an iterator
+    # per row, enough to set off a full pass of the cyclic garbage collector
+    columns = (
+        tuple(map(position.__getitem__, map(itemgetter(i), pop.rows)))
+        if i in _STRING_COLUMNS
+        else tuple(map(itemgetter(i), pop.rows))
+        for i in range(len(ROW_FIELDS))
+    )
+    arms = (tuple(map(itemgetter(i), pop.pairs)) for i in (0, 1))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = hashlib.blake2b(digest_size=16)
     try:
-        write_population(pop, tmp[table], tmp[pairs])
-        digests = [_file_digest(tmp[table]), _file_digest(tmp[pairs])]
-        counts = {**asdict(pop.diagnostics), "digests": digests}
-        tmp[diag].write_text(json.dumps(counts), encoding="utf-8")
-        diag.unlink(missing_ok=True)
-        os.replace(tmp[table], table)
-        os.replace(tmp[pairs], pairs)
-        os.replace(tmp[diag], diag)
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(_CACHE_BODY))  # the magic and digest go in last
+            for line in chain([header], columns, arms):
+                data = _encode(line).encode() + b"\n"
+                digest.update(data)
+                fh.write(data)
+            fh.seek(0)
+            fh.write(_CACHE_MAGIC + digest.digest())
+        os.replace(tmp, path)
     finally:
-        for path in tmp.values():
-            path.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
+
+
+def _read_cache_entry(path, hypothesis):
+    """Read an entry back, checking its digest and then its structure.
+
+    Raises `OSError`, `ValueError`, `KeyError`, `TypeError` or `IndexError`
+    for an entry that cannot be used.
+    """
+    data = path.read_bytes()
+    body = data[_CACHE_BODY:]
+    if data[:_CACHE_BODY] != _CACHE_MAGIC + hashlib.blake2b(body, digest_size=16).digest():
+        raise ValueError(f"{path} is not a current cache entry, or it changed")
+    header, *columns, treated, control = map(json.loads, body.splitlines())
+    strings = header["strings"]
+    for i in _STRING_COLUMNS:
+        columns[i] = map(strings.__getitem__, columns[i])
+    rows = tuple(starmap(PopulationRow, zip(*columns, strict=True)))
+    treatment = columns[_TREATMENT]
+    if (
+        sorted(treated + control) != list(range(len(rows)))
+        or {treatment[i] for i in treated} != {1}
+        or {treatment[i] for i in control} != {0}
+    ):
+        raise ValueError(f"the pairs in {path} do not partition its rows by arm")
+    diagnostics = MatchDiagnostics(**header["diagnostics"])
+    if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
+        raise ValueError(f"the diagnostics in {path} are not counts")
+    return MatchedPopulation(
+        hypothesis, rows, tuple(zip(treated, control, strict=True)), diagnostics
+    )
 
 
 def run_estimate(config, emit_populations=False):

@@ -33,7 +33,6 @@ Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
 """
 
-import io
 from array import array
 from dataclasses import dataclass, field, replace
 from operator import eq, itemgetter
@@ -362,86 +361,66 @@ def read_population(table_path, pairs_path, hypothesis):
     ``predicted``/``outcomes`` columns. The pairs must partition the
     rows, as a built population's do: each row is in exactly one pair.
     """
-    return _parse_population(
-        _lines(table_path), _lines(pairs_path), hypothesis, table_path, pairs_path
-    )
-
-
-def _lines(path):
-    """The text lines of a file; it is opened when the first line is asked for."""
-    with open(path, encoding="utf-8") as fh:
-        yield from fh
-
-
-def _population_from_bytes(table_data, pairs_data, hypothesis, table_path, pairs_path):
-    """`read_population` on file contents already read; the paths name them in errors."""
-    table, pairs = (
-        io.StringIO(data.decode("utf-8"), newline=None) for data in (table_data, pairs_data)
-    )
-    return _parse_population(table, pairs, hypothesis, table_path, pairs_path)
-
-
-def _parse_population(table_lines, pairs_lines, hypothesis, table_path, pairs_path):
     rows = []
     predicted = []
     outcomes = []
-    table_lines = iter(table_lines)
-    header = next(table_lines, "").rstrip("\n").split("\t")
-    if tuple(header) != POPULATION_FIELDS:
-        raise ParseError(f"unexpected population header in {table_path}", line=1)
-    for lineno, line in enumerate(table_lines, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(POPULATION_FIELDS):
-            raise ParseError("wrong cell count", line=lineno)
-        (subject, obj, relation, template, is_anti, treatment, soc_count,
-         soc_bin, utt_present, so_hc, po_hc, prediction, outcome) = cells
-        try:
-            rows.append(
-                PopulationRow(
-                    subject, obj, relation, template, _BOOL[is_anti],
-                    int(treatment), int(soc_count), soc_bin,
-                    _BOOL[utt_present], _BOOL[so_hc], _BOOL[po_hc],
+    with open(table_path, encoding="utf-8") as table_lines:
+        header = next(table_lines, "").rstrip("\n").split("\t")
+        if tuple(header) != POPULATION_FIELDS:
+            raise ParseError(f"unexpected population header in {table_path}", line=1)
+        for lineno, line in enumerate(table_lines, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(POPULATION_FIELDS):
+                raise ParseError("wrong cell count", line=lineno)
+            (subject, obj, relation, template, is_anti, treatment, soc_count,
+             soc_bin, utt_present, so_hc, po_hc, prediction, outcome) = cells
+            try:
+                rows.append(
+                    PopulationRow(
+                        subject, obj, relation, template, _BOOL[is_anti],
+                        int(treatment), int(soc_count), soc_bin,
+                        _BOOL[utt_present], _BOOL[so_hc], _BOOL[po_hc],
+                    )
                 )
-            )
-            outcomes.append(int(outcome))
-        except (KeyError, ValueError):
-            # name the first bad cell, as a per-cell parse would
-            for name, cell in zip(POPULATION_FIELDS, cells):
-                _parse_cell(name, cell, lineno)
-            raise
-        predicted.append(prediction)
+                outcomes.append(int(outcome))
+            except (KeyError, ValueError):
+                # name the first bad cell, as a per-cell parse would
+                for name, cell in zip(POPULATION_FIELDS, cells):
+                    _parse_cell(name, cell, lineno)
+                raise
+            predicted.append(prediction)
     pairs = []
     paired = set()
-    pairs_lines = iter(pairs_lines)
-    if next(pairs_lines, "").rstrip("\n") != _PAIRS_HEADER:
-        raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
-    for lineno, line in enumerate(pairs_lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            i, j = map(int, line.split("\t"))
-        except ValueError as exc:
-            raise ParseError("bad pair line", line=lineno) from exc
-        for index, arm in ((i, 1), (j, 0)):
-            if not 0 <= index < len(rows):
-                raise ParseError(
-                    f"pair index {index} outside the {len(rows)} table rows",
-                    line=lineno,
-                )
-            if rows[index].treatment != arm:
-                raise ParseError(
-                    f"pair row {index} has treatment "
-                    f"{rows[index].treatment}, expected {arm}",
-                    line=lineno,
-                )
-            if index in paired:
-                raise ParseError(f"row {index} is in more than one pair", line=lineno)
-            paired.add(index)
-        pairs.append((i, j))
+    with open(pairs_path, encoding="utf-8") as pairs_lines:
+        if next(pairs_lines, "").rstrip("\n") != _PAIRS_HEADER:
+            raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
+        for lineno, line in enumerate(pairs_lines, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                i, j = map(int, line.split("\t"))
+            except ValueError as exc:
+                raise ParseError("bad pair line", line=lineno) from exc
+            for index, arm in ((i, 1), (j, 0)):
+                if not 0 <= index < len(rows):
+                    raise ParseError(
+                        f"pair index {index} outside the {len(rows)} table rows",
+                        line=lineno,
+                    )
+                if rows[index].treatment != arm:
+                    raise ParseError(
+                        f"pair row {index} has treatment "
+                        f"{rows[index].treatment}, expected {arm}",
+                        line=lineno,
+                    )
+                if index in paired:
+                    raise ParseError(f"row {index} is in more than one pair", line=lineno)
+                paired.add(index)
+            pairs.append((i, j))
     if len(paired) != len(rows):
         unpaired = min(set(range(len(rows))) - paired)
         raise ParseError(f"row {unpaired} of {table_path} is in no pair in {pairs_path}")

@@ -1,4 +1,4 @@
-"""Knowledge-base loading, validation, and round-trips."""
+"""Knowledge-base loading, validation, and lookups."""
 
 import json
 
@@ -16,10 +16,7 @@ from corpuscausal.kb import (
     PatternSpec,
     Triplet,
     load_kb,
-    load_knowledge_base,
     load_patterns,
-    save_patterns,
-    save_triplets,
 )
 
 from conftest import write_jsonl
@@ -190,8 +187,6 @@ class TestKnowledgeBase:
         assert kb.objects_of("a", "r") == ("x", "y")
         assert kb.objects_of("a", "nope") == ()
         assert kb.paraphrases("nope") == ()
-        assert kb.has_triplet("a", "s", "z")
-        assert not kb.has_triplet("b", "s", "z")
         with pytest.raises(UnknownRelationError):
             kb.subjects("nope")
 
@@ -219,14 +214,3 @@ class TestKnowledgeBase:
         assert kb.patterns == (likes, knows)
         assert kb.paraphrases("r") == (likes, knows)
 
-
-class TestRoundTrip:
-    def test_save_load_identical(self, tmp_path, crossed_kb):
-        t_path = tmp_path / "t.jsonl"
-        p_path = tmp_path / "p.jsonl"
-        save_triplets(crossed_kb.triplets, t_path)
-        save_patterns(crossed_kb.patterns, p_path)
-        kb2 = load_knowledge_base(t_path, p_path)
-        assert kb2.triplets == crossed_kb.triplets
-        assert set(kb2.patterns) == set(crossed_kb.patterns)
-        assert kb2.relations == crossed_kb.relations

@@ -3,6 +3,8 @@
 import json
 import shutil
 from dataclasses import replace
+from hashlib import blake2b
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from corpuscausal.pipeline import (
     run_dynamics,
     run_estimate,
 )
-from corpuscausal.population import STRATIFY_COLUMNS
+from corpuscausal.population import ROW_FIELDS, STRATIFY_COLUMNS, build_structure
 
 from conftest import CROSSED_PATTERNS, CROSSED_TRIPLETS, write_jsonl, write_kb_files
 
@@ -109,69 +111,100 @@ class TestRunEstimate:
                 if row[ti] == "1":
                     assert row[oi] == "1"
 
-    def test_population_cache_round_trip(self, crossed_files):
+    def test_population_cache_round_trip(self, crossed_files, monkeypatch):
         cache = crossed_files["dir"] / "cache"
         config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
         first = run_estimate(config)
-        assert any(cache.iterdir())
+        entries = sorted(p.name for p in cache.iterdir())
+        assert [name.split("-")[0] for name in entries] == ["poc", "soc", "utt"]
+        assert {Path(name).suffix for name in entries} == {".pop"}
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a warm run rebuilt a population")
+
+        monkeypatch.setattr(pipeline, "build_structure", no_build)
         second = run_estimate(config)
         assert first == second
+        assert sorted(p.name for p in cache.iterdir()) == entries
+
+    def test_cached_rows_keep_their_types(self, crossed_files, crossed_kb):
+        from corpuscausal.corpus import build_index
+
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
+        out = Path(config.output_dir)
+        run_estimate(config, emit_populations=True)
+        cold = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        run_estimate(config, emit_populations=True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
+        stats = build_index(crossed_files["corpus"])
+        for entry in cache.iterdir():
+            hyp = entry.name.split("-")[0]
+            pop = pipeline._read_cache_entry(entry, hyp)
+            assert pop == build_structure(hyp, crossed_kb, stats)
+            # a bool read back as 1 would be written as 1, not True
+            for row in pop.rows:
+                for name in ("is_anti", "utt_present", "so_hc", "po_hc"):
+                    assert type(getattr(row, name)) is bool, (hyp, name)
+                for name in ("treatment", "soc_count"):
+                    assert type(getattr(row, name)) is int, (hyp, name)
+            assert all(type(i) is int for pair in pop.pairs for i in pair)
 
     @pytest.mark.parametrize(
         "damage",
         [
-            "truncated_table",
-            "garbage_diag",
-            "headerless_pairs",
-            "unmatched_samples_diag",
-            "undigested_diag",
-            "mistyped_diag",
+            "truncated",
+            "garbage",
+            "flipped_body_byte",
+            "other_version",
             "repeated_pair",
             "unpaired_row",
+            "relabelled_treated_row",
+            "relabelled_control_row",
+            "non_count_diagnostic",
+            "extra_diagnostics_key",
         ],
     )
     def test_unreadable_cache_entry_is_rebuilt(self, crossed_files, damage):
         cache = crossed_files["dir"] / "cache"
         config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
         cold = run_estimate(config)
-        entry = {
-            p.name.split(".", 1)[1]: p for p in cache.iterdir() if p.name.startswith("poc-")
-        }
-        assert set(entry) == {"tsv", "pairs.tsv", "diag.json"}
-        original = {name: p.read_bytes() for name, p in entry.items()}
-        if damage == "truncated_table":
-            lines = original["tsv"].splitlines(keepends=True)
-            entry["tsv"].write_bytes(b"".join(lines[: len(lines) // 2]))
-        elif damage == "headerless_pairs":
-            lines = original["pairs.tsv"].splitlines(keepends=True)
-            entry["pairs.tsv"].write_bytes(b"".join(lines[1:]))
-        elif damage == "unmatched_samples_diag":
-            # an older format: diag.json also listed a few unmatched rows
-            data = json.loads(original["diag.json"])
-            data["unmatched_samples"] = [["Paris", "capital-of", "[X] is the capital of [Y]."]]
-            entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
-        elif damage == "undigested_diag":
-            # an older format: diag.json held the counts alone
-            data = json.loads(original["diag.json"])
-            del data["digests"]
-            entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
-        elif damage == "mistyped_diag":
-            data = json.loads(original["diag.json"])
-            data["unmatched_treated"] = "many"
-            entry["diag.json"].write_text(json.dumps(data), encoding="utf-8")
-        elif damage == "repeated_pair":
-            lines = original["pairs.tsv"].splitlines(keepends=True)
-            entry["pairs.tsv"].write_bytes(b"".join(lines + [lines[1]]))
-        elif damage == "unpaired_row":
-            # a control row no pair names, in another soc bin
-            lines = original["tsv"].splitlines(keepends=True)
-            cells = next(l for l in lines[1:] if l.split(b"\t")[5] == b"0").split(b"\t")
-            cells[7] = b"XL"
-            entry["tsv"].write_bytes(b"".join(lines) + b"\t".join(cells))
+        (entry,) = cache.glob("poc-*")
+        original = entry.read_bytes()
+        magic, body = original[:8], original[24:]
+        lines = [json.loads(line) for line in body.splitlines()]
+        header, treated, control = lines[0], lines[-2], lines[-1]
+        if damage == "truncated":
+            entry.write_bytes(original[: len(original) // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"not a cache entry\n")
+        elif damage == "flipped_body_byte":
+            middle = 24 + len(body) // 2
+            entry.write_bytes(
+                original[:middle] + bytes([original[middle] ^ 1]) + original[middle + 1 :]
+            )
+        elif damage == "other_version":
+            entry.write_bytes(b"CCPOP000" + original[8:])
         else:
-            entry["diag.json"].write_text("{not json", encoding="utf-8")
+            # re-digested, so that the edit reaches the structure checks
+            if damage == "repeated_pair":
+                treated.append(treated[0])
+                control.append(control[0])
+            elif damage == "unpaired_row":
+                del treated[-1], control[-1]
+            elif damage == "relabelled_treated_row":
+                lines[1 + ROW_FIELDS.index("treatment")][treated[0]] = 0
+            elif damage == "relabelled_control_row":
+                lines[1 + ROW_FIELDS.index("treatment")][control[0]] = 1
+            elif damage == "non_count_diagnostic":
+                header["diagnostics"]["unmatched_treated"] = "many"
+            else:
+                header["diagnostics"]["unmatched_samples"] = [["Paris", "capital-of"]]
+            body = b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+            entry.write_bytes(magic + blake2b(body, digest_size=16).digest() + body)
         assert run_estimate(config) == cold
-        assert {name: p.read_bytes() for name, p in entry.items()} == original
+        assert entry.read_bytes() == original
         assert not [p for p in cache.iterdir() if p.name.endswith(".tmp")]
 
     def test_cache_entry_changed_in_place_is_rebuilt(self, crossed_files):
@@ -185,17 +218,46 @@ class TestRunEstimate:
         cache = crossed_files["dir"] / "cache"
         config = config_for(crossed_files, "baseline:random:7", cache_dir=str(cache))
         cold = run_estimate(config)
-        (table,) = cache.glob("soc-*[0-9a-f].tsv")
-        original = table.read_bytes()
-        lines = original.decode("utf-8").splitlines(keepends=True)
-        soc_bin = lines[0].split("\t").index("soc_bin")
-        for i in range(1, len(lines), 3):
-            cells = lines[i].split("\t")
-            cells[soc_bin] = "XL"
-            lines[i] = "\t".join(cells)
-        table.write_text("".join(lines), encoding="utf-8")
+        (entry,) = cache.glob("soc-*")
+        original = entry.read_bytes()
+        lines = original[24:].splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["strings"].append("XL")
+        soc_bin = 1 + ROW_FIELDS.index("soc_bin")
+        column = json.loads(lines[soc_bin])
+        column[::3] = [len(header["strings"]) - 1] * len(column[::3])
+        lines[0] = json.dumps(header).encode() + b"\n"
+        lines[soc_bin] = json.dumps(column).encode() + b"\n"
+        body = b"".join(lines)
+        entry.write_bytes(original[:24] + body)  # the old digest kept
         assert run_estimate(config) == cold
-        assert table.read_bytes() == original
+        assert entry.read_bytes() == original
+        # the edit matters: re-digested, it is read back and moves the report
+        entry.write_bytes(original[:8] + blake2b(body, digest_size=16).digest() + body)
+        assert run_estimate(config) != cold
+
+    def test_previous_three_file_entry_is_ignored(self, crossed_files):
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
+        cold = run_estimate(config, emit_populations=True)
+        out = Path(config.output_dir)
+        # the layout older versions wrote: table, pairs and their digests
+        old = {}
+        for entry in list(cache.iterdir()):
+            hyp = entry.name.split("-")[0]
+            table = (out / f"{hyp}_population.tsv").read_bytes()
+            pairs = (out / f"{hyp}_pairs.tsv").read_bytes()
+            digests = [blake2b(data, digest_size=16).hexdigest() for data in (table, pairs)]
+            diag = json.dumps({"unmatched_treated": 0, "low_frequency_removed": 0,
+                               "digests": digests}).encode()
+            for suffix, data in ((".tsv", table), (".pairs.tsv", pairs), (".diag.json", diag)):
+                old[entry.stem + suffix] = data
+            entry.unlink()
+        for name, data in old.items():
+            (cache / name).write_bytes(data)
+        assert run_estimate(config) == cold
+        assert {p.name: p.read_bytes() for p in cache.iterdir() if p.suffix != ".pop"} == old
+        assert len(list(cache.glob("*.pop"))) == 3
 
     def test_inputs_are_not_digested_without_a_cache(self, crossed_files, monkeypatch):
         def no_digest(path):
