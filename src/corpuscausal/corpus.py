@@ -11,7 +11,8 @@ then tests each candidate for the literal prefix and suffix around the
 [X] wildcard. Templates are split once. Entity postings are cached, and
 so are the per-subject and per-template count maps over a candidate set
 with their rankings, so each map is counted and ranked once per index;
-a single `soc_count` or `poc_count` call is not memoised.
+a single `soc_count` or `poc_count` call is not memoised. A saved index,
+like a population-cache entry, is a sealed file (`write_sealed`, `unseal`).
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -22,6 +23,7 @@ Conventions, fixed for determinism:
 
 import functools
 import hashlib
+import os
 import re
 import struct
 from pathlib import Path
@@ -92,20 +94,12 @@ def template_parts(template):
     every call, since a raised call is never cached.
     """
     segments = _SLOT_RE.split(template)
-    slots = [s for s in segments if s in ("[X]", "[Y]")]
+    # the split pattern is one group, so literals and slots alternate
+    pieces, slots = segments[0::2], segments[1::2]
     if sorted(slots) != ["[X]", "[Y]"]:
         raise MalformedPatternError(
             f"template must contain exactly one [X] and one [Y]: {template!r}"
         )
-    pieces = []
-    current = []
-    for seg in segments:
-        if seg in ("[X]", "[Y]"):
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(seg)
-    pieces.append("".join(current))
     return tuple(pieces), tuple(slots)
 
 
@@ -137,6 +131,48 @@ def instantiate(template, subject, obj):
     )
 
 
+def _blake2b(data=b""):
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE)
+
+
+def write_sealed(path, magic, chunks):
+    """Write `magic`, a blake2b digest of the body, then the body: the byte `chunks`.
+
+    The chunks are digested as they stream to a temporary name, the magic
+    and digest go in last, and a rename puts the file in place: a reader
+    sees the old file or the whole new one, and a failure leaves no trace.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = _blake2b()
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(len(magic) + _DIGEST_SIZE))
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.seek(0)
+            fh.write(magic + digest.digest())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def unseal(blob, magic):
+    """The ``(body, digest)`` of the bytes of a `write_sealed` file; body is a memoryview.
+
+    Raises `ValueError` unless `blob` starts with `magic` and its digest matches.
+    """
+    start = len(magic) + _DIGEST_SIZE
+    if blob[: len(magic)] != magic:
+        raise ValueError(f"the file does not start with {magic.decode()}")
+    body = memoryview(blob)[start:]
+    digest = _blake2b(body).digest()
+    if blob[len(magic) : start] != digest:
+        raise ValueError("the digest does not match the contents")
+    return body, digest
+
+
 class CorpusIndex:
     """Immutable sentence index with lazy entity postings and count caches."""
 
@@ -147,7 +183,6 @@ class CorpusIndex:
         self._entity_cache = {}
         self._soc_maps = {}
         self._poc_maps = {}
-        self.digest = None  # the stored digest `load` checked; None when built here
 
     def __len__(self):
         return len(self.sentences)
@@ -272,21 +307,15 @@ class CorpusIndex:
 
     # --- persistence -------------------------------------------------------
 
-    def save(self, path):
-        """Write the index in the versioned binary format: magic, digest, payload."""
+    def _body(self):
+        """The chunks of the saved form's body: counts, text blocks, postings."""
         tokens = sorted(self._token_postings)
-        offsets = np.zeros(len(tokens) + 1, dtype=np.int64)
-        chunks = []
-        for i, tok in enumerate(tokens):
-            arr = self._token_postings[tok]
-            offsets[i + 1] = offsets[i] + len(arr)
-            chunks.append(arr)
-        flat = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
-        ).astype(np.int32)
+        arrays = [self._token_postings[tok] for tok in tokens]
+        offsets = np.cumsum([0, *map(len, arrays)], dtype=np.int64)
+        flat = np.concatenate([np.empty(0, dtype=np.int32), *arrays]).astype(np.int32)
         sent_blob = "\n".join(self.sentences).encode("utf-8")
         tok_blob = "\n".join(tokens).encode("utf-8")
-        payload = [
+        return [
             struct.pack("<IQ", len(self.sentences), len(sent_blob)),
             sent_blob,
             struct.pack("<IQ", len(tokens), len(tok_blob)),
@@ -294,62 +323,64 @@ class CorpusIndex:
             offsets.tobytes(),
             flat.tobytes(),
         ]
-        digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-        for part in payload:
-            digest.update(part)
+
+    @functools.cached_property
+    def digest(self):
+        """The body digest: set by `load` from the file, else of what `save` would write."""
+        digest = _blake2b()
+        for chunk in self._body():
+            digest.update(chunk)
+        return digest.digest()
+
+    def save(self, path):
+        """Write the index as a sealed file: magic, digest, then the body."""
         try:
-            with open(path, "wb") as fh:
-                fh.write(_MAGIC + digest.digest())
-                fh.writelines(payload)
+            write_sealed(path, _MAGIC, self._body())
         except OSError as exc:
             raise IoFailureError(f"cannot write index to {path}: {exc}") from exc
 
     @classmethod
     def load(cls, path):
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
+            blob = Path(path).read_bytes()
         except OSError as exc:
             raise IoFailureError(f"cannot read index from {path}: {exc}") from exc
         if blob.startswith(b"CCIDX001"):
-            raise IoFailureError(
-                f"{path} is a version-1 index: re-run `corpuscausal index`"
-            )
-        if blob[: len(_MAGIC)] != _MAGIC:
-            raise IoFailureError(f"{path} is not a corpus index (bad magic/version)")
+            raise IoFailureError(f"{path} is a version-1 index: re-run `corpuscausal index`")
 
         def corrupt(what):
             return IoFailureError(f"corrupt index structure in {path}: {what}")
 
-        pos = len(_MAGIC) + _DIGEST_SIZE
-        digest = hashlib.blake2b(memoryview(blob)[pos:], digest_size=_DIGEST_SIZE)
-        if blob[len(_MAGIC) : pos] != digest.digest():
-            raise corrupt("the digest does not match the contents")
+        try:
+            body, digest = unseal(blob, _MAGIC)
+        except ValueError as exc:
+            raise corrupt(exc) from None
         header = struct.Struct("<IQ")
         blocks = []
+        pos = 0
         for _ in range(2):
-            if pos + header.size > len(blob):
+            if pos + header.size > len(body):
                 raise corrupt("header past the end of the file")
-            count, length = header.unpack_from(blob, pos)
+            count, length = header.unpack_from(body, pos)
             pos += header.size
-            if pos + length > len(blob):
+            if pos + length > len(body):
                 raise corrupt("text block past the end of the file")
-            blocks.append((count, blob[pos : pos + length]))
+            blocks.append((count, body[pos : pos + length]))
             pos += length
         (n_sent, sent_blob), (n_tok, tok_blob) = blocks
         offsets_size = (n_tok + 1) * 8
-        if pos + offsets_size > len(blob):
+        if pos + offsets_size > len(body):
             raise corrupt("posting offsets past the end of the file")
-        offsets = np.frombuffer(blob, dtype=np.int64, count=n_tok + 1, offset=pos)
+        offsets = np.frombuffer(body, dtype=np.int64, count=n_tok + 1, offset=pos)
         pos += offsets_size
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise corrupt("posting offsets do not start at 0 and rise")
-        if len(blob) - pos != int(offsets[-1]) * 4:
+        if len(body) - pos != int(offsets[-1]) * 4:
             raise corrupt("postings do not end where the file ends")
-        flat = np.frombuffer(blob, dtype=np.int32, offset=pos)
+        flat = np.frombuffer(body, dtype=np.int32, offset=pos)
         try:
-            sentences = sent_blob.decode("utf-8").split("\n") if n_sent else []
-            tokens = tok_blob.decode("utf-8").split("\n") if n_tok else []
+            sentences = str(sent_blob, "utf-8").split("\n") if n_sent else []
+            tokens = str(tok_blob, "utf-8").split("\n") if n_tok else []
         except UnicodeDecodeError as exc:
             raise EncodingError(f"corrupt index text block in {path}") from exc
         if len(sentences) != n_sent or len(tokens) != n_tok:
@@ -359,7 +390,7 @@ class CorpusIndex:
             for i, tok in enumerate(tokens)
         }
         index = cls(sentences, postings)
-        index.digest = digest.digest()
+        index.digest = digest
         return index
 
 

@@ -22,9 +22,9 @@ from .errors import (
 class CausalGraph:
     """An immutable DAG over named variables.
 
-    Construct through `build_graph`, which validates edge endpoints; the
-    parent and child sets are built once, and a directed cycle raises
-    `CyclicGraphError` here.
+    Construction builds the parent and child sets once and raises
+    `DuplicateNodeError` on a repeated node, `UnknownNodeError` on an edge
+    endpoint that is no node, and `CyclicGraphError` on a directed cycle.
     """
 
     nodes: tuple
@@ -33,9 +33,16 @@ class CausalGraph:
     _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parents = {name: set() for name in self.nodes}
+        parents = {}
+        for name in self.nodes:
+            if name in parents:
+                raise DuplicateNodeError(f"duplicate node name: {name!r}")
+            parents[name] = set()
         children = {name: set() for name in self.nodes}
         for a, b in self.edges:
+            for end in (a, b):
+                if end not in parents:
+                    raise UnknownNodeError(f"edge references undeclared node: {end!r}")
             parents[b].add(a)
             children[a].add(b)
         object.__setattr__(self, "_parents", parents)
@@ -79,30 +86,8 @@ class CausalGraph:
 
 
 def build_graph(nodes, edges):
-    """Validate and build a `CausalGraph` from node names and edge pairs.
-
-    Raises `DuplicateNodeError` on repeated names, `UnknownNodeError` when
-    an edge endpoint is undeclared, and `CyclicGraphError` when the edges
-    contain a directed cycle.
-    """
-    node_tuple = tuple(nodes)
-    seen = set()
-    for name in node_tuple:
-        if name in seen:
-            raise DuplicateNodeError(f"duplicate node name: {name!r}")
-        seen.add(name)
-    edge_list = []
-    edge_seen = set()
-    for a, b in edges:
-        if a not in seen:
-            raise UnknownNodeError(f"edge references undeclared node: {a!r}")
-        if b not in seen:
-            raise UnknownNodeError(f"edge references undeclared node: {b!r}")
-        if (a, b) not in edge_seen:
-            edge_seen.add((a, b))
-            edge_list.append((a, b))
-    # CausalGraph.__post_init__ raises CyclicGraphError on a directed cycle.
-    return CausalGraph(nodes=node_tuple, edges=tuple(edge_list))
+    """A `CausalGraph` of node names and edge pairs (which it validates), repeats dropped."""
+    return CausalGraph(tuple(nodes), tuple(dict.fromkeys((a, b) for a, b in edges)))
 
 
 # --- the built-in graph ----------------------------------------------------

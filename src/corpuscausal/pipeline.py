@@ -15,12 +15,10 @@ field-identically through JSON.
 
 import hashlib
 import json
-import os
 import re
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import chain, starmap
-from operator import contains, itemgetter
+from operator import contains
 from pathlib import Path
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate
@@ -36,17 +34,15 @@ from .estimator import cate, interventional_prob
 from .graph import CANONICAL_ADJUSTMENTS, reference_graph, satisfies_backdoor
 from .kb import KnowledgeBase, load_kb, load_patterns
 from .population import (
-    ROW_FIELDS,
     STRATIFY_COLUMNS,
-    MatchDiagnostics,
-    MatchedPopulation,
-    PopulationRow,
     build_structure,
     population_observation_table,
-    # not called here: a cache entry has its own format (`_read_cache_entry`);
+    read_cache_entry,
+    # not called here: a cache entry has its own format (`read_cache_entry`);
     # perfbench traces the name in this module
     read_population,
     score_population,
+    write_cache_entry,
     write_population,
 )
 from .predictions import BASELINE_KINDS, HYPOTHESES, baseline_predict, load_predictions
@@ -234,7 +230,7 @@ class _Runtime:
         else:
             self.stats = build_index(config.corpus)
         self._verify_adjustments()
-        # the key digests every input file, so it is taken only for a cache
+        # the key digests input files (and a built index): taken only for a cache
         self._cache_key = self._population_cache_key() if config.cache_dir else None
         self._baseline = _parse_predictions_spec(config.predictions)
         self._loaded = None  # the predictions file, once read
@@ -257,23 +253,15 @@ class _Runtime:
                 )
 
     def _population_cache_key(self):
-        """Digest of every input a population depends on."""
-        if self.config.index:
-            stats_fingerprint = self.stats.digest.hex()
-        else:
-            path = Path(self.config.corpus)
-            files = (
-                sorted(p for p in path.iterdir() if p.is_file())
-                if path.is_dir()
-                else [path]
-            )
-            stats_fingerprint = hashlib.blake2b(
-                "".join(_file_digest(p) for p in files).encode(), digest_size=16
-            ).hexdigest()
+        """Digest of every input a population depends on.
+
+        The corpus enters as the index digest, so a built index and its
+        saved and loaded form give one key.
+        """
         h = hashlib.blake2b(digest_size=16)
         h.update(_file_digest(self.config.kb).encode())
         h.update(_file_digest(self.config.patterns).encode())
-        h.update(stats_fingerprint.encode())
+        h.update(self.stats.digest.hex().encode())
         h.update(str(self.config.min_poc_frequency).encode())
         h.update(repr(tuple(self.config.bin_edges)).encode())
         return h.hexdigest()
@@ -290,7 +278,7 @@ class _Runtime:
         if cache_dir:
             entry = Path(cache_dir) / f"{hypothesis}-{self._cache_key}.pop"
             try:
-                return _read_cache_entry(entry, hypothesis)
+                return read_cache_entry(entry, hypothesis)
             except (OSError, ValueError, KeyError, TypeError, IndexError):
                 pass  # rebuilt and overwritten below
         pop = build_structure(
@@ -302,7 +290,7 @@ class _Runtime:
         )
         if cache_dir:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            _write_cache_entry(pop, entry)
+            write_cache_entry(pop, entry)
         return pop
 
     def predictions_for(self, hypothesis):
@@ -387,89 +375,6 @@ class _Runtime:
         keys = self.populations["utt"].cloze_keys
         predicted = map(prediction_set.records.get, keys)
         return sum(map(contains, self._utt_golds, predicted)) / len(keys)
-
-
-#: A population-cache entry starts with this magic, then a blake2b digest of
-#: the rest. Bump the version whenever `build_structure` can give different
-#: rows, pairs or diagnostics for the same inputs: the cache key digests only
-#: the inputs, so entries of the old build logic would be read back as current.
-_CACHE_MAGIC = b"CCPOP001"
-_CACHE_BODY = len(_CACHE_MAGIC) + 16  # where the digest ends and the body begins
-
-#: Row fields an entry stores as indices into its string table.
-_STRING_COLUMNS = tuple(
-    ROW_FIELDS.index(name) for name in ("subject", "object", "relation", "template", "soc_bin")
-)
-_TREATMENT = ROW_FIELDS.index("treatment")
-
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _write_cache_entry(pop, path):
-    """Write the entry to a temporary name, then rename it into place.
-
-    The body is JSON lines, each encoded on its own: a header with the
-    diagnostics and the string table, one column per `PopulationRow` field
-    in field order, then the treated and the control row of each pair.
-    """
-    strings = dict.fromkeys(
-        chain.from_iterable(map(itemgetter(i), pop.rows) for i in _STRING_COLUMNS)
-    )
-    position = dict(zip(strings, range(len(strings))))
-    header = {"diagnostics": asdict(pop.diagnostics), "strings": list(strings)}
-    # one column at a time, by field: `zip(*pop.rows)` would make an iterator
-    # per row, enough to set off a full pass of the cyclic garbage collector
-    columns = (
-        tuple(map(position.__getitem__, map(itemgetter(i), pop.rows)))
-        if i in _STRING_COLUMNS
-        else tuple(map(itemgetter(i), pop.rows))
-        for i in range(len(ROW_FIELDS))
-    )
-    arms = (tuple(map(itemgetter(i), pop.pairs)) for i in (0, 1))
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    digest = hashlib.blake2b(digest_size=16)
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes(_CACHE_BODY))  # the magic and digest go in last
-            for line in chain([header], columns, arms):
-                data = _encode(line).encode() + b"\n"
-                digest.update(data)
-                fh.write(data)
-            fh.seek(0)
-            fh.write(_CACHE_MAGIC + digest.digest())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _read_cache_entry(path, hypothesis):
-    """Read an entry back, checking its digest and then its structure.
-
-    Raises `OSError`, `ValueError`, `KeyError`, `TypeError` or `IndexError`
-    for an entry that cannot be used.
-    """
-    data = path.read_bytes()
-    body = data[_CACHE_BODY:]
-    if data[:_CACHE_BODY] != _CACHE_MAGIC + hashlib.blake2b(body, digest_size=16).digest():
-        raise ValueError(f"{path} is not a current cache entry, or it changed")
-    header, *columns, treated, control = map(json.loads, body.splitlines())
-    strings = header["strings"]
-    for i in _STRING_COLUMNS:
-        columns[i] = map(strings.__getitem__, columns[i])
-    rows = tuple(starmap(PopulationRow, zip(*columns, strict=True)))
-    treatment = columns[_TREATMENT]
-    if (
-        sorted(treated + control) != list(range(len(rows)))
-        or {treatment[i] for i in treated} != {1}
-        or {treatment[i] for i in control} != {0}
-    ):
-        raise ValueError(f"the pairs in {path} do not partition its rows by arm")
-    diagnostics = MatchDiagnostics(**header["diagnostics"])
-    if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
-        raise ValueError(f"the diagnostics in {path} are not counts")
-    return MatchedPopulation(
-        hypothesis, rows, tuple(zip(treated, control, strict=True)), diagnostics
-    )
 
 
 def run_estimate(config, emit_populations=False):

@@ -31,14 +31,19 @@ tables join the two back into one file with a ``prediction`` and an
 
 Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
+
+Both stored forms of a population live here, the emitted tables and the
+population-cache entry, and their readers share one pair check.
 """
 
+import json
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
+from itertools import chain, starmap
 from operator import eq, itemgetter
 from typing import NamedTuple
 
-from .corpus import BIN_EDGES, bin_count, instantiate
+from .corpus import BIN_EDGES, bin_count, instantiate, unseal, write_sealed
 from .errors import (
     EmptyPopulationError,
     MissingPredictionError,
@@ -354,6 +359,38 @@ def _parse_cell(name, value, lineno):
         raise ParseError(f"bad value {value!r} for column {name!r}", line=lineno) from exc
 
 
+class _PairingError(ValueError):
+    """Pairs that are no partition: `pair` is the first one at fault, else `row` is unpaired."""
+
+    def __init__(self, message, pair=None, row=None):
+        super().__init__(message)
+        self.pair, self.row = pair, row
+
+
+def _check_pairs(treatment, pairs):
+    """Check that `pairs` partition the rows by arm, as a built population's do.
+
+    Every row is in exactly one pair, as its treated row if its
+    `treatment` is 1 and as its control row if 0.
+    """
+    n = len(treatment)
+    paired = bytearray(n)
+    for k, (i, j) in enumerate(pairs):
+        for index, arm in ((i, 1), (j, 0)):
+            if not 0 <= index < n:
+                raise _PairingError(f"pair index {index} outside the {n} table rows", k)
+            if treatment[index] != arm:
+                raise _PairingError(
+                    f"pair row {index} has treatment {treatment[index]}, expected {arm}", k
+                )
+            if paired[index]:
+                raise _PairingError(f"row {index} is in more than one pair", k)
+            paired[index] = 1
+    if 2 * len(pairs) != n:
+        row = paired.index(0)
+        raise _PairingError(f"row {row} is in no pair", row=row)
+
+
 def read_population(table_path, pairs_path, hypothesis):
     """Read back a population emitted by `write_population`.
 
@@ -375,25 +412,13 @@ def read_population(table_path, pairs_path, hypothesis):
             cells = line.split("\t")
             if len(cells) != len(POPULATION_FIELDS):
                 raise ParseError("wrong cell count", line=lineno)
-            (subject, obj, relation, template, is_anti, treatment, soc_count,
-             soc_bin, utt_present, so_hc, po_hc, prediction, outcome) = cells
-            try:
-                rows.append(
-                    PopulationRow(
-                        subject, obj, relation, template, _BOOL[is_anti],
-                        int(treatment), int(soc_count), soc_bin,
-                        _BOOL[utt_present], _BOOL[so_hc], _BOOL[po_hc],
-                    )
-                )
-                outcomes.append(int(outcome))
-            except (KeyError, ValueError):
-                # name the first bad cell, as a per-cell parse would
-                for name, cell in zip(POPULATION_FIELDS, cells):
-                    _parse_cell(name, cell, lineno)
-                raise
+            *values, prediction, outcome = (
+                _parse_cell(name, cell, lineno) for name, cell in zip(POPULATION_FIELDS, cells)
+            )
+            rows.append(PopulationRow(*values))
             predicted.append(prediction)
-    pairs = []
-    paired = set()
+            outcomes.append(outcome)
+    pairs, linenos = [], []
     with open(pairs_path, encoding="utf-8") as pairs_lines:
         if next(pairs_lines, "").rstrip("\n") != _PAIRS_HEADER:
             raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
@@ -405,25 +430,15 @@ def read_population(table_path, pairs_path, hypothesis):
                 i, j = map(int, line.split("\t"))
             except ValueError as exc:
                 raise ParseError("bad pair line", line=lineno) from exc
-            for index, arm in ((i, 1), (j, 0)):
-                if not 0 <= index < len(rows):
-                    raise ParseError(
-                        f"pair index {index} outside the {len(rows)} table rows",
-                        line=lineno,
-                    )
-                if rows[index].treatment != arm:
-                    raise ParseError(
-                        f"pair row {index} has treatment "
-                        f"{rows[index].treatment}, expected {arm}",
-                        line=lineno,
-                    )
-                if index in paired:
-                    raise ParseError(f"row {index} is in more than one pair", line=lineno)
-                paired.add(index)
             pairs.append((i, j))
-    if len(paired) != len(rows):
-        unpaired = min(set(range(len(rows))) - paired)
-        raise ParseError(f"row {unpaired} of {table_path} is in no pair in {pairs_path}")
+            linenos.append(lineno)
+    try:
+        _check_pairs([row.treatment for row in rows], pairs)
+    except _PairingError as exc:
+        if exc.pair is None:
+            message = f"row {exc.row} of {table_path} is in no pair in {pairs_path}"
+            raise ParseError(message) from None
+        raise ParseError(str(exc), line=linenos[exc.pair]) from None
     return MatchedPopulation(
         hypothesis=hypothesis,
         rows=tuple(rows),
@@ -431,6 +446,69 @@ def read_population(table_path, pairs_path, hypothesis):
         predicted=tuple(predicted),
         outcomes=tuple(outcomes),
     )
+
+
+# --- the population cache ---------------------------------------------------
+
+
+#: A population-cache entry is a sealed file (`write_sealed`) with this magic.
+#: Bump the version whenever `build_structure` can give different rows, pairs
+#: or diagnostics for the same inputs: the cache key digests only the inputs,
+#: so entries of the old build logic would be read back as current.
+_CACHE_MAGIC = b"CCPOP001"
+
+#: Row fields an entry stores as indices into its string table.
+_STRING_COLUMNS = tuple(
+    ROW_FIELDS.index(name) for name in ("subject", "object", "relation", "template", "soc_bin")
+)
+_TREATMENT = ROW_FIELDS.index("treatment")
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_cache_entry(pop, path):
+    """Write a built population as a cache entry, a sealed file of JSON lines.
+
+    Each line is encoded on its own: a header with the diagnostics and the
+    string table, one column per `PopulationRow` field in field order, then
+    the treated and the control row of each pair.
+    """
+    strings = dict.fromkeys(
+        chain.from_iterable(map(itemgetter(i), pop.rows) for i in _STRING_COLUMNS)
+    )
+    position = dict(zip(strings, range(len(strings))))
+    header = {"diagnostics": asdict(pop.diagnostics), "strings": list(strings)}
+    # one column at a time, by field: `zip(*pop.rows)` would make an iterator
+    # per row, enough to set off a full pass of the cyclic garbage collector
+    columns = (
+        tuple(map(position.__getitem__, map(itemgetter(i), pop.rows)))
+        if i in _STRING_COLUMNS
+        else tuple(map(itemgetter(i), pop.rows))
+        for i in range(len(ROW_FIELDS))
+    )
+    arms = (tuple(map(itemgetter(i), pop.pairs)) for i in (0, 1))
+    lines = chain([header], columns, arms)
+    write_sealed(path, _CACHE_MAGIC, (_encode(line).encode() + b"\n" for line in lines))
+
+
+def read_cache_entry(path, hypothesis):
+    """Read a cache entry back, checking its seal and then its structure.
+
+    Raises `OSError`, `ValueError`, `KeyError`, `TypeError` or `IndexError`
+    for an entry that cannot be used.
+    """
+    body, _ = unseal(path.read_bytes(), _CACHE_MAGIC)
+    header, *columns, treated, control = map(json.loads, bytes(body).splitlines())
+    strings = header["strings"]
+    for i in _STRING_COLUMNS:
+        columns[i] = map(strings.__getitem__, columns[i])
+    rows = tuple(starmap(PopulationRow, zip(*columns, strict=True)))
+    pairs = tuple(zip(treated, control, strict=True))
+    _check_pairs(columns[_TREATMENT], pairs)
+    diagnostics = MatchDiagnostics(**header["diagnostics"])
+    if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
+        raise ValueError(f"the diagnostics in {path} are not counts")
+    return MatchedPopulation(hypothesis, rows, pairs, diagnostics)
 
 
 def population_observation_table(pop):

@@ -7,9 +7,10 @@ from click.testing import CliRunner
 
 from corpuscausal import errors, pipeline
 from corpuscausal.cli import main
+from corpuscausal.corpus import CorpusIndex
 from corpuscausal.predictions import baseline_predict, save_predictions
 
-from conftest import write_corpus, write_kb_files
+from conftest import crossed_corpus_lines, write_corpus, write_kb_files
 
 
 def invoke(*args):
@@ -99,6 +100,27 @@ class TestIndexCommand:
     def test_missing_corpus_is_input_error(self, tmp_path):
         result = invoke("index", tmp_path / "missing.txt", "-o", tmp_path / "x.idx")
         assert result.exit_code == 1, result.output
+
+    def test_failed_index_write_keeps_the_old_index(self, crossed_files, monkeypatch):
+        out = crossed_files["dir"] / "idx"
+        out.mkdir()
+        idx_path = out / "corpus.idx"
+        assert invoke("index", crossed_files["corpus"], "-o", idx_path).exit_code == 0
+        old = idx_path.read_bytes()
+        body = CorpusIndex._body
+
+        def fail_after_first_chunk(index):
+            yield body(index)[0]
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(CorpusIndex, "_body", fail_after_first_chunk)
+        crossed_files["corpus"].write_text("A different corpus.\n", encoding="utf-8")
+        result = invoke("index", crossed_files["corpus"], "-o", idx_path)
+        assert result.exit_code == 1, result.output
+        assert "cannot write index" in result.output
+        assert idx_path.read_bytes() == old
+        assert len(CorpusIndex.load(idx_path)) == len(crossed_corpus_lines())
+        assert list(out.iterdir()) == [idx_path]
 
 
 class TestEstimateCommand:

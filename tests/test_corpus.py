@@ -26,6 +26,8 @@ from corpuscausal.corpus import (
     segment_sentences,
     split_around,
     template_parts,
+    unseal,
+    write_sealed,
 )
 from corpuscausal.errors import (
     EmptyCandidateSetError,
@@ -375,6 +377,9 @@ class TestTemplates:
         pieces, slots = template_parts("[X] is the capital of [Y].")
         assert pieces == ("", " is the capital of ", ".")
         assert slots == ("[X]", "[Y]")
+
+    def test_parts_of_adjacent_slots_in_either_order(self):
+        assert template_parts("[Y][X]") == (("", "", ""), ("[Y]", "[X]"))
 
     def test_instantiate(self):
         assert (
@@ -756,3 +761,49 @@ class TestPersistence:
         idx.save(path)
         loaded = CorpusIndex.load(path)
         assert len(loaded) == 0
+
+    def test_built_index_digest_is_the_saved_files(self, tmp_path):
+        path, blob = self.saved_index(tmp_path)
+        built = build_index(synthetic_corpus(random.Random(7), 120)[1])
+        assert built.digest == blob[8:24] == CorpusIndex.load(path).digest
+
+    def test_failed_save_keeps_the_old_index(self, tmp_path, monkeypatch):
+        path, blob = self.saved_index(tmp_path)
+        body = CorpusIndex._body
+
+        def fail_after_first_chunk(index):
+            yield body(index)[0]
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(CorpusIndex, "_body", fail_after_first_chunk)
+        with pytest.raises(IoFailureError, match="cannot write index"):
+            build_index(["Another corpus."]).save(path)
+        assert path.read_bytes() == blob
+        assert len(CorpusIndex.load(path)) == 120
+        assert sorted(tmp_path.iterdir()) == [path]
+
+
+class TestSealedFiles:
+    def test_round_trip_streams_the_chunks(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_sealed(path, b"MAGIC001", iter([b"ab", b"", b"cd"]))
+        blob = path.read_bytes()
+        body, digest = unseal(blob, b"MAGIC001")
+        assert isinstance(body, memoryview) and body == b"abcd"
+        assert blob == b"MAGIC001" + digest + b"abcd"
+        assert digest == hashlib.blake2b(b"abcd", digest_size=16).digest()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda blob: b"MAGIC002" + blob[8:], "does not start with MAGIC001"),
+            (lambda blob: blob[:-1], "digest does not match"),
+            (lambda blob: blob[:5], "does not start with MAGIC001"),
+            (lambda blob: blob[:8], "digest does not match"),
+        ],
+    )
+    def test_bad_seal_is_a_value_error(self, tmp_path, damage, message):
+        path = tmp_path / "f.bin"
+        write_sealed(path, b"MAGIC001", [b"body"])
+        with pytest.raises(ValueError, match=message):
+            unseal(damage(path.read_bytes()), b"MAGIC001")

@@ -15,6 +15,7 @@ from corpuscausal.errors import (
 )
 from corpuscausal.graph import (
     CANONICAL_ADJUSTMENTS,
+    CausalGraph,
     build_graph,
     enumerate_paths,
     is_d_separated,
@@ -53,6 +54,19 @@ class TestBuildGraph:
     def test_duplicate_node(self):
         with pytest.raises(DuplicateNodeError):
             build_graph(["A", "B", "A"], [])
+
+    # a graph constructed directly is held to the same checks
+    def test_direct_construction_rejects_unknown_endpoint(self):
+        with pytest.raises(UnknownNodeError, match="undeclared node: 'b'"):
+            CausalGraph(("a",), (("a", "b"),))
+
+    def test_direct_construction_rejects_duplicate_node(self):
+        with pytest.raises(DuplicateNodeError, match="duplicate node name: 'a'"):
+            CausalGraph(("a", "a"), ())
+
+    def test_repeated_edges_are_dropped(self):
+        g = build_graph("AB", [("A", "B"), ["A", "B"]])
+        assert g.edges == (("A", "B"),)
 
     def test_parents_children_descendants(self):
         g = chain_graph()

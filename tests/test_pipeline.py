@@ -23,7 +23,12 @@ from corpuscausal.pipeline import (
     run_dynamics,
     run_estimate,
 )
-from corpuscausal.population import ROW_FIELDS, STRATIFY_COLUMNS, build_structure
+from corpuscausal.population import (
+    ROW_FIELDS,
+    STRATIFY_COLUMNS,
+    build_structure,
+    read_cache_entry,
+)
 
 from conftest import CROSSED_PATTERNS, CROSSED_TRIPLETS, write_jsonl, write_kb_files
 
@@ -141,7 +146,7 @@ class TestRunEstimate:
         stats = build_index(crossed_files["corpus"])
         for entry in cache.iterdir():
             hyp = entry.name.split("-")[0]
-            pop = pipeline._read_cache_entry(entry, hyp)
+            pop = read_cache_entry(entry, hyp)
             assert pop == build_structure(hyp, crossed_kb, stats)
             # a bool read back as 1 would be written as 1, not True
             for row in pop.rows:
@@ -260,15 +265,41 @@ class TestRunEstimate:
         assert len(list(cache.glob("*.pop"))) == 3
 
     def test_inputs_are_not_digested_without_a_cache(self, crossed_files, monkeypatch):
+        from corpuscausal.corpus import CorpusIndex
+
         def no_digest(path):
             raise AssertionError(f"digested {path} with no cache to key")
 
         config = config_for(crossed_files, "baseline:heuristic")
+        cached = replace(config, cache_dir=str(crossed_files["dir"] / "cache"))
         expected = run_estimate(config)
+        file_digest = pipeline._file_digest
         monkeypatch.setattr(pipeline, "_file_digest", no_digest)
+        # a built index computes its digest only when asked for it
+        monkeypatch.setattr(CorpusIndex, "digest", property(lambda _: no_digest("the index")))
         assert run_estimate(config) == expected
         with pytest.raises(AssertionError, match="digested"):
-            run_estimate(replace(config, cache_dir=str(crossed_files["dir"] / "cache")))
+            run_estimate(cached)
+        monkeypatch.setattr(pipeline, "_file_digest", file_digest)
+        with pytest.raises(AssertionError, match="digested the index"):
+            run_estimate(cached)
+
+    def test_built_and_loaded_index_share_cache_entries(self, crossed_files, monkeypatch):
+        from corpuscausal.corpus import build_index
+
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
+        from_corpus = run_estimate(config)
+        entries = sorted(cache.iterdir())
+        idx_path = crossed_files["dir"] / "corpus.idx"
+        build_index(crossed_files["corpus"]).save(idx_path)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the saved index missed the built index's entries")
+
+        monkeypatch.setattr(pipeline, "build_structure", no_build)
+        assert run_estimate(replace(config, corpus="", index=str(idx_path))) == from_corpus
+        assert sorted(cache.iterdir()) == entries
 
     def test_prebuilt_index_equals_corpus_build(self, crossed_files):
         from corpuscausal.corpus import build_index

@@ -1,6 +1,7 @@
 """Population construction: pairing recipes, filters, emission."""
 
 import importlib.util
+import tempfile
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -33,6 +34,7 @@ from corpuscausal.population import (
     write_population,
 )
 from corpuscausal.predictions import (
+    HYPOTHESES,
     PredictionSet,
     baseline_predict,
     load_predictions,
@@ -699,6 +701,89 @@ class TestEmission:
         ]
         kbt_idx = table.columns.index("kbt")
         assert all(r[kbt_idx] == 0 for r in anti_rows)
+
+
+def _types(rows):
+    """Each row's cell types: a bool read back as 1 would be written as 1."""
+    return [tuple(map(type, row)) for row in rows]
+
+
+def _damaged_pairs(pairs):
+    """The pairs with a pair's arms swapped, with a pair repeated, and with one dropped."""
+    (i, j), rest = pairs[0], pairs[1:]
+    return {
+        "swapped_arms": ((j, i),) + rest,
+        "repeated_pair": pairs + pairs[:1],
+        "dropped_pair": rest,
+    }
+
+
+class TestStoredForms:
+    """The cache entry and the emitted tables give back what was stored,
+    and their readers share one pair check."""
+
+    @given(kb_and_corpus(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_round_trips_and_pair_checks(self, inputs, data):
+        kb, idx = inputs
+        floor = data.draw(st.integers(min_value=0, max_value=2))
+        with tempfile.TemporaryDirectory() as tmp:
+            entry, table, pairs = (Path(tmp) / name for name in ("e.pop", "t.tsv", "p.tsv"))
+            for hyp in HYPOTHESES:
+                try:
+                    pop = build_structure(hyp, kb, idx, min_poc_frequency=floor)
+                except EmptyPopulationError:
+                    continue
+                population.write_cache_entry(pop, entry)
+                cached = population.read_cache_entry(entry, hyp)
+                assert cached == pop
+                assert _types(cached.rows) == _types(pop.rows)
+                assert _types(cached.pairs) == _types(pop.pairs)
+
+                objects = data.draw(
+                    st.lists(st.sampled_from(_OBJECTS), min_size=len(pop.cloze_keys),
+                             max_size=len(pop.cloze_keys))
+                )
+                scored = score_population(pop, manual_predictions(zip(pop.cloze_keys, objects)))
+                write_population(scored, table, pairs)
+                back = read_population(table, pairs, hyp)
+                assert back.rows == scored.rows
+                assert _types(back.rows) == _types(scored.rows)
+                assert back.pairs == scored.pairs
+                assert back.predicted == scored.predicted
+                assert back.outcomes == scored.outcomes
+
+                for damage, bad in _damaged_pairs(pop.pairs).items():
+                    population.write_cache_entry(replace(pop, pairs=bad), entry)
+                    with pytest.raises(ValueError):
+                        population.read_cache_entry(entry, hyp)
+                    write_population(replace(scored, pairs=bad), table, pairs)
+                    with pytest.raises(ParseError):
+                        read_population(table, pairs, hyp)
+
+    def test_failed_cache_write_keeps_the_old_entry(
+        self, tmp_path, crossed_kb, crossed_index, monkeypatch
+    ):
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        entry = tmp_path / "soc-key.pop"
+        population.write_cache_entry(pop, entry)
+        old = entry.read_bytes()
+        encode = population._encode
+        encoded = []
+
+        def fail_after_first_line(line):
+            if encoded:
+                raise OSError(28, "No space left on device")
+            encoded.append(line)
+            return encode(line)
+
+        monkeypatch.setattr(population, "_encode", fail_after_first_line)
+        with pytest.raises(OSError):
+            population.write_cache_entry(build_structure("utt", crossed_kb, crossed_index), entry)
+        assert len(encoded) == 1
+        assert entry.read_bytes() == old
+        assert population.read_cache_entry(entry, "soc") == pop
+        assert list(tmp_path.iterdir()) == [entry]
 
 
 def _load_generator():
