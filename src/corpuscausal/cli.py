@@ -25,37 +25,19 @@ from .predictions import HYPOTHESES
 
 
 def _config_options(fn):
-    options = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
-                     help="Flat key = value config file."),
-        click.option("--kb", default=None, help="Triplet file (JSON lines)."),
-        click.option("--patterns", default=None, help="Pattern file (JSON lines)."),
-        click.option("--corpus", default=None, help="Corpus text file or directory."),
-        click.option("--index", default=None, help="Prebuilt corpus index."),
-        click.option("--predictions", default=None,
-                     help="Prediction file or baseline:<kind> spec."),
-        click.option("--output-dir", default=None, help="Directory for outputs."),
-        click.option("--mask-token", default=None, help="Cloze mask token."),
-        click.option("--min-poc-frequency", default=None, type=int,
-                     help="Pattern-object frequency floor (exclusive)."),
-        click.option("--bin-edges", default=None,
-                     help="Four increasing count-bin edges, comma separated."),
-        click.option("--output-format", default=None,
-                     type=click.Choice(pipeline.REPORT_FORMATS)),
-        click.option("--cache-dir", default=None, help="Population cache directory."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+    """`--config`, then one flag per run setting (`pipeline.SETTINGS`)."""
+    for key, setting in reversed(pipeline.SETTINGS.items()):
+        choices, parse = setting.metadata["choices"], setting.metadata["parse"]
+        kind = click.Choice(choices) if choices else click.INT if parse is int else None
+        fn = click.option(f"--{key}", type=kind, default=None, help=setting.metadata["help"])(fn)
+    return click.option("--config", "config_path", type=click.Path(), default=None,
+                        help="Flat key = value config file.")(fn)
 
 
 def _build_config(config_path, **overrides):
-    if config_path:
-        config = pipeline.load_config(config_path)
-    else:
-        config = pipeline.RunConfig()
-    mapped = {key.replace("_", "-"): value for key, value in overrides.items()}
-    return pipeline.merge_config(config, mapped)
+    config = pipeline.load_config(config_path) if config_path else pipeline.RunConfig()
+    values = {key: overrides[setting.name] for key, setting in pipeline.SETTINGS.items()}
+    return pipeline.merge_config(config, values)
 
 
 class _Group(click.Group):

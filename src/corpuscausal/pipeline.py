@@ -13,10 +13,11 @@ rationals happens exactly once, here), so a structured report round-trips
 field-identically through JSON.
 """
 
+import contextlib
 import hashlib
 import json
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from operator import contains
 from pathlib import Path
@@ -50,36 +51,43 @@ from .predictions import BASELINE_KINDS, HYPOTHESES, baseline_predict, load_pred
 REPORT_FORMATS = ("table", "structured", "delimited")
 
 
+def _setting(default, help, parse=str, choices=None):
+    """A run setting: a RunConfig field with its flag help, parser and choices."""
+    return field(default=default, metadata={"help": help, "parse": parse, "choices": choices})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Paths and knobs for a full estimation run.
 
-    `predictions` is either a file path or a baseline spec:
-    ``baseline:heuristic`` (each hypothesis scored with its own
+    Each field is a run setting: its kebab-case name is a config-file key
+    and a CLI flag (`SETTINGS`), and config-file text is parsed with the
+    field's ``parse``. `predictions` is either a file path or a baseline
+    spec: ``baseline:heuristic`` (each hypothesis scored with its own
     heuristic), ``baseline:heuristic-<utt|poc|soc>``, ``baseline:perfect``
     or ``baseline:random:<seed>``; only `estimate` and `build-population`
     need one (`predictions_spec`).
     """
 
-    kb: str = ""
-    patterns: str = ""
-    corpus: str = ""
-    index: str = ""
-    predictions: str = ""
-    output_dir: str = "."
-    mask_token: str = "[MASK]"
-    min_poc_frequency: int = 5
-    bin_edges: tuple = BIN_EDGES
-    output_format: str = "structured"
-    cache_dir: str = ""
+    kb: str = _setting("", "Triplet file (JSON lines).")
+    patterns: str = _setting("", "Pattern file (JSON lines).")
+    corpus: str = _setting("", "Corpus text file or directory.")
+    index: str = _setting("", "Prebuilt corpus index.")
+    predictions: str = _setting("", "Prediction file or baseline:<kind> spec.")
+    output_dir: str = _setting(".", "Directory for outputs.")
+    mask_token: str = _setting("[MASK]", "Cloze mask token.")
+    min_poc_frequency: int = _setting(5, "Pattern-object frequency floor (exclusive).", int)
+    bin_edges: tuple = _setting(BIN_EDGES, "Four increasing count-bin edges, comma separated.",
+                                lambda raw: tuple(map(int, raw.replace(",", " ").split())))
+    output_format: str = _setting("structured", "Report format.", choices=REPORT_FORMATS)
+    cache_dir: str = _setting("", "Population cache directory.")
 
     def validate(self):
         if not self.kb or not self.patterns:
             raise ConfigError("config must name 'kb' and 'patterns' files")
         if not self.corpus and not self.index:
             raise ConfigError("config must name a 'corpus' or a prebuilt 'index'")
-        if self.predictions:
-            _parse_predictions_spec(self.predictions)
+        self.baseline  # a bad spec fails here, before any input is loaded
         if self.output_format not in REPORT_FORMATS:
             raise ConfigError(f"unsupported output format: {self.output_format!r}")
         edges = tuple(self.bin_edges)
@@ -93,6 +101,9 @@ class RunConfig:
         if not self.predictions:
             raise ConfigError("config must name 'predictions' (path or baseline:...)")
         return self.predictions
+
+    #: (kind, seed) of a ``baseline:`` spec, None for a file; `validate` and the run share it
+    baseline = cached_property(lambda self: _parse_predictions_spec(self.predictions))
 
 
 def _parse_predictions_spec(spec):
@@ -112,19 +123,8 @@ def _parse_predictions_spec(spec):
     return kind, None
 
 
-#: Config-file keys and CLI flags: the RunConfig fields in kebab case.
-_CONFIG_KEYS = frozenset(f.name.replace("_", "-") for f in fields(RunConfig))
-
-
-def _parse_value(key, raw):
-    try:
-        if key == "min-poc-frequency":
-            return int(raw)
-        if key == "bin-edges":
-            return tuple(int(v) for v in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"{key} takes integers, got {raw!r}") from None
-    return raw
+#: The run settings, in flag order: config-file key and CLI flag -> RunConfig field.
+SETTINGS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}
 
 
 def load_config(path):
@@ -139,24 +139,27 @@ def load_config(path):
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, value)
+            values[key] = value.strip()
     return merge_config(RunConfig(), values)
 
 
 def merge_config(config, overrides):
-    """Apply non-None CLI overrides (kebab-case keys) onto a config."""
+    """Apply non-None overrides (kebab-case keys; strings as config-file text)."""
     updates = {}
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        updates[key.replace("-", "_")] = (
-            _parse_value(key, value) if isinstance(value, str) else value
-        )
+        setting = SETTINGS[key]
+        if isinstance(value, str):
+            try:
+                value = setting.metadata["parse"](value)
+            except ValueError:
+                raise ConfigError(f"{key} takes integers, got {value!r}") from None
+        updates[setting.name] = value
     return replace(config, **updates) if updates else config
 
 
@@ -232,7 +235,6 @@ class _Runtime:
         self._verify_adjustments()
         # the key digests input files (and a built index): taken only for a cache
         self._cache_key = self._population_cache_key() if config.cache_dir else None
-        self._baseline = _parse_predictions_spec(config.predictions)
         self._loaded = None  # the predictions file, once read
         self.populations, self.failures = {}, {}
         for hyp in hypotheses:
@@ -272,7 +274,8 @@ class _Runtime:
         An entry is one ``<hyp>-<key>.pop`` file. One that is missing, of
         another version, changed after it was written or unsound in its
         structure is a miss: the population is rebuilt and the entry
-        overwritten.
+        overwritten. A failed write leaves the entry a miss; a cache
+        directory that cannot be created fails the run.
         """
         cache_dir = self.config.cache_dir
         if cache_dir:
@@ -290,16 +293,18 @@ class _Runtime:
         )
         if cache_dir:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            write_cache_entry(pop, entry)
+            # the cache only saves work: an entry that cannot be written stays a miss
+            with contextlib.suppress(OSError):
+                write_cache_entry(pop, entry)
         return pop
 
     def predictions_for(self, hypothesis):
         """The PredictionSet the configured predictions give one hypothesis."""
-        if self._baseline is None:
+        if self.config.baseline is None:
             if self._loaded is None:
                 self._loaded = load_predictions(self.config.predictions, self.kb)
             return self._loaded
-        kind, seed = self._baseline
+        kind, seed = self.config.baseline
         if kind == "heuristic":
             kind = f"heuristic-{hypothesis}"
         return baseline_predict(

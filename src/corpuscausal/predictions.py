@@ -126,9 +126,10 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
 
     Kinds: ``heuristic-soc`` predicts the subject's most co-occurring
     candidate; ``heuristic-poc`` the template's most co-occurring
-    candidate; ``heuristic-utt`` the object whose instantiated utterance
-    is stored (falling back to the soc argmax when none is); ``perfect`` the
-    KB object; ``random`` a seed-reproducible uniform candidate.
+    candidate; ``heuristic-utt`` the first candidate whose instantiated
+    utterance is stored (falling back to the soc argmax when none is);
+    ``perfect`` the KB object; ``random`` a seed-reproducible uniform
+    candidate.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind!r}")
@@ -161,12 +162,9 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
             predicted = stats.poc_ranked(template, candidates)[0][0]
         else:  # heuristic-utt
             left, right = split_around(template, "[Y]", subject)
-            present = [
-                o for o in candidates if stats.utterance_present(left + o + right)
-            ]
-            if present:
-                predicted = present[0]
-            else:
+            present = (o for o in candidates if stats.utterance_present(left + o + right))
+            predicted = next(present, None)
+            if predicted is None:
                 predicted = stats.soc_ranked(subject, candidates)[0][0]
         records[key] = predicted
     return PredictionSet(records=records, source_id=source_id)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config plumbing, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -446,3 +447,61 @@ class TestDynamicsAndReport:
         data = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [entry["checkpoint"] for entry in data["series"]] == ["ep0"]
         assert data["series"][0]["accuracy"] == 1.0
+
+
+#: One non-default value per run setting, as config-file text.
+SETTING_VALUES = {
+    "kb": "other-kb.jsonl",
+    "patterns": "other-patterns.jsonl",
+    "corpus": "other-corpus.txt",
+    "index": "other.idx",
+    "predictions": "baseline:random:7",
+    "output-dir": "elsewhere",
+    "mask-token": "<mask>",
+    "min-poc-frequency": "2",
+    "bin-edges": "2, 20, 200, 2000",
+    "output-format": "table",
+    "cache-dir": "pop-cache",
+}
+
+
+class TestSettings:
+    """Each run setting is a config key and a flag of the same name and meaning."""
+
+    def test_the_table_covers_every_setting(self):
+        assert list(SETTING_VALUES) == list(pipeline.SETTINGS)
+
+    @pytest.mark.parametrize("key", list(SETTING_VALUES))
+    def test_config_line_equals_flag(self, tmp_path, monkeypatch, key):
+        value = SETTING_VALUES[key]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        from_file = pipeline.load_config(path)
+        assert from_file != pipeline.RunConfig()
+        seen = []
+
+        def capture(config, emit_populations=False):
+            seen.append(config)
+            raise errors.ConfigError("captured")
+
+        monkeypatch.setattr(pipeline, "run_estimate", capture)
+        result = invoke("estimate", f"--{key}", value)
+        assert "input error: captured" in result.output, result.output
+        assert seen == [from_file]
+
+    @pytest.mark.parametrize("command", ["estimate", "dynamics", "build-population"])
+    def test_help_lists_every_setting(self, command):
+        result = invoke(command, "--help")
+        assert result.exit_code == 0, result.output
+        for key in pipeline.SETTINGS:
+            assert f"--{key} " in result.output, key
+
+    def test_readme_example_sets_every_key(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = next(block for block in readme.split("```")[1::2] if "\nkb = " in block)
+        path = tmp_path / "run.cfg"
+        path.write_text(example, encoding="utf-8")
+        pipeline.load_config(path).validate()
+        lines = [line.split("#", 1)[0] for line in example.splitlines()]
+        keys = [line.split("=", 1)[0].strip() for line in lines if line.strip()]
+        assert sorted(keys) == sorted(pipeline.SETTINGS)

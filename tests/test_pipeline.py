@@ -301,6 +301,39 @@ class TestRunEstimate:
         assert run_estimate(replace(config, corpus="", index=str(idx_path))) == from_corpus
         assert sorted(cache.iterdir()) == entries
 
+    def test_failed_cache_write_leaves_a_miss(self, crossed_files, monkeypatch):
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:heuristic")
+        expected = run_estimate(config)
+
+        def full_disk(pop, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "write_cache_entry", full_disk)
+        assert run_estimate(replace(config, cache_dir=str(cache))) == expected
+        assert not [p for p in cache.iterdir() if p.suffix in (".pop", ".tmp")]
+
+    def test_cache_dir_that_cannot_be_created_fails_the_run(self, crossed_files):
+        blocker = crossed_files["dir"] / "blocker"
+        blocker.write_text("a file where the cache dir's parent should be\n", encoding="utf-8")
+        config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(blocker / "c"))
+        with pytest.raises(OSError):
+            run_estimate(config)
+
+    @pytest.mark.parametrize("spec", ["baseline:heuristic", "baseline:random:7"])
+    def test_predictions_spec_is_parsed_once_per_run(self, crossed_files, monkeypatch, spec):
+        parse, calls = pipeline._parse_predictions_spec, []
+
+        def counted(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(pipeline, "_parse_predictions_spec", counted)
+        run_estimate(config_for(crossed_files, spec))
+        assert calls == [spec]
+        list(run_build_population(config_for(crossed_files, spec), ("soc",)))
+        assert calls == [spec, spec]
+
     def test_prebuilt_index_equals_corpus_build(self, crossed_files):
         from corpuscausal.corpus import build_index
 

@@ -279,6 +279,28 @@ class TestBaselines:
         assert preds.get("Paris", "capital-of", "[X] is the capital of [Y].") == "France"
         assert preds.get("Rome", "capital-of", "[X] is the capital of [Y].") == "France"
 
+    def test_heuristic_utt_takes_the_first_stored_candidate(self, crossed_kb, monkeypatch):
+        template = "[X] is the capital of [Y]."
+        first, second = crossed_kb.candidate_objects("capital-of")
+        # both utterances are stored; Paris co-occurs most with the second
+        idx = build_index(
+            [instantiate(template, "Paris", first), instantiate(template, "Paris", second)]
+            + [f"Paris and {second} {i}." for i in range(3)]
+        )
+        assert idx.soc_ranked("Paris", (first, second))[0][0] == second
+        probes = []
+
+        def probe(utterance, present=idx.utterance_present):
+            probes.append(utterance)
+            return present(utterance)
+
+        monkeypatch.setattr(idx, "utterance_present", probe)
+        query = ("Paris", "capital-of", template)
+        preds = baseline_predict("heuristic-utt", crossed_kb, stats=idx, queries=[query])
+        assert preds.get(*query) == first
+        # the scan stops at the first stored candidate
+        assert probes == [instantiate(template, "Paris", first)]
+
     @pytest.mark.parametrize("fixture", ["golden", "crossed"])
     def test_heuristic_utt_equals_the_per_candidate_scan(self, fixture, crossed_kb):
         if fixture == "golden":
