@@ -8,11 +8,12 @@ surface intersects its tokens' postings to get candidate sentences (the
 hot kernel), then a word-boundary regex verifies the surface string. A
 pattern count prefilters on the template's literal tokens the same way,
 then tests each candidate for the literal prefix and suffix around the
-[X] wildcard. Templates are split once. Entity postings are cached, and
-so are the per-subject and per-template count maps over a candidate set
-with their rankings, so each map is counted and ranked once per index;
-a single `soc_count` or `poc_count` call is not memoised. A saved index,
-like a population-cache entry, is a sealed file (`write_sealed`, `unseal`).
+[X] wildcard. Templates are split once. The index is the one memo of
+corpus statistics: entity postings, and the per-subject and per-template
+count maps over a candidate set with their rankings, each counted and
+ranked once per index (a single `soc_count` or `poc_count` call is not
+memoised). Memos are keyed by the caller's text, normalised on first
+sight only. A saved index is a sealed file (`write_sealed`, `unseal`).
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -225,27 +226,27 @@ class CorpusIndex:
         Containment is exact and case-sensitive at word boundaries
         (``Paris`` does not match inside ``Parisian``).
         """
-        surface = normalize_text(surface)
-        cached = self._entity_cache.get(surface)
-        if cached is not None:
-            return cached
-        if not surface:
-            ids = np.empty(0, dtype=np.int32)
-            self._entity_cache[surface] = ids
+        ids = self._entity_cache.get(surface)
+        if ids is not None:
             return ids
-        tokens = _WORD_RE.findall(surface)
-        if tokens == [surface]:
-            # a whole token matches exactly where the index found the token
-            ids = np.asarray(self._token_postings.get(surface, ()), dtype=np.int32)
-        else:
-            candidates = self._candidates_for_tokens(tokens)
-            rx = re.compile(r"(?<!\w)" + re.escape(surface) + r"(?!\w)")
-            ids = np.asarray(
-                [i for i in candidates.tolist() if rx.search(self.sentences[i])],
-                dtype=np.int32,
-            )
-        self._entity_cache[surface] = ids
-        return ids
+        key = normalize_text(surface)
+        if key not in self._entity_cache:
+            tokens = _WORD_RE.findall(key)
+            if tokens == [key]:
+                # a whole token matches exactly where the index found the token
+                ids = np.asarray(self._token_postings.get(key, ()), dtype=np.int32)
+            elif not key:
+                ids = np.empty(0, dtype=np.int32)
+            else:
+                candidates = self._candidates_for_tokens(tokens)
+                rx = re.compile(r"(?<!\w)" + re.escape(key) + r"(?!\w)")
+                ids = np.asarray(
+                    [i for i in candidates.tolist() if rx.search(self.sentences[i])],
+                    dtype=np.int32,
+                )
+            self._entity_cache[key] = ids
+        self._entity_cache[surface] = self._entity_cache[key]
+        return self._entity_cache[key]
 
     def soc_count(self, subject, obj):
         """Number of sentences mentioning both surface strings."""
@@ -262,21 +263,24 @@ class CorpusIndex:
         Whitespace variants of `subject` share one entry. Raises
         `EmptyCandidateSetError` on an empty candidate set.
         """
-        return self._ranked(self._soc_maps, self.soc_count, subject, objects)
+        key = (subject, tuple(objects))
+        return self._soc_maps.get(key) or self._ranked(self._soc_maps, self.soc_count, key)
 
     def poc_ranked(self, template, objects):
         """`soc_ranked` for ``poc_count(template, object)``."""
-        return self._ranked(self._poc_maps, self.poc_count, template, objects)
+        key = (template, tuple(objects))
+        return self._poc_maps.get(key) or self._ranked(self._poc_maps, self.poc_count, key)
 
     @staticmethod
-    def _ranked(maps, count, first, objects):
-        objects = tuple(objects)
-        key = (normalize_text(first), objects)
-        entry = maps.get(key)
-        if entry is None:
+    def _ranked(maps, count, key):
+        """The entry of `key`, the caller's text, on a miss: that of its normalised form."""
+        first, objects = key
+        normal = (normalize_text(first), objects)
+        if normal not in maps:
             counts = {o: count(first, o) for o in objects}
-            entry = maps[key] = (tuple(ranked_objects(counts)), MappingProxyType(counts))
-        return entry
+            maps[normal] = (tuple(ranked_objects(counts)), MappingProxyType(counts))
+        maps[key] = maps[normal]
+        return maps[key]
 
     def poc_count(self, template, obj):
         """Sentences matching the template with [Y]=object and [X] wildcarded.

@@ -127,12 +127,16 @@ def _parse_predictions_spec(spec):
 SETTINGS = {f.name.replace("_", "-"): f for f in fields(RunConfig)}
 
 
+#: A config comment: ``#`` at a line's start or after whitespace (``out#1`` is a value).
+_COMMENT_RE = re.compile(r"(?:^|\s)#.*")
+
+
 def load_config(path):
-    """Parse the flat ``key = value`` config format (# starts a comment)."""
+    """Parse the flat ``key = value`` config format (`_COMMENT_RE` marks comments)."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT_RE.sub("", raw, count=1).strip()
             if not line:
                 continue
             if "=" not in line:

@@ -140,36 +140,24 @@ class MatchedPopulation:
 
 
 class _StatsView:
-    """Per-(relation, subject) and per-(relation, template) rankings.
+    """Rows, and per-(relation, subject) and per-(relation, template) rankings.
 
-    The index ranks each count map once; the view only saves looking the
-    candidate set and the map up again for every row.
+    The view keeps no memo: it asks the corpus index, the one memo of
+    rankings, with each relation's candidate tuple, taken once from the KB.
     """
 
     def __init__(self, kb, stats, bin_edges):
         if stats is None:
             raise MissingStatsError("population construction requires a corpus index")
-        self.kb = kb
         self.stats = stats
         self.bin_edges = bin_edges
-        self._soc_rank = {}
-        self._poc_rank = {}
+        self.candidates = {r: kb.candidate_objects(r) for r in kb.relations}
 
     def soc_ranked(self, relation, subject):
-        key = (relation, subject)
-        if key not in self._soc_rank:
-            self._soc_rank[key] = self.stats.soc_ranked(
-                subject, self.kb.candidate_objects(relation)
-            )
-        return self._soc_rank[key]
+        return self.stats.soc_ranked(subject, self.candidates[relation])
 
     def poc_ranked(self, relation, template):
-        key = (relation, template)
-        if key not in self._poc_rank:
-            self._poc_rank[key] = self.stats.poc_ranked(
-                template, self.kb.candidate_objects(relation)
-            )
-        return self._poc_rank[key]
+        return self.stats.poc_ranked(template, self.candidates[relation])
 
     def make_row(self, relation, subject, obj, template, is_anti, treatment):
         soc_order, soc_map = self.soc_ranked(relation, subject)

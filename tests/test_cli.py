@@ -456,8 +456,8 @@ SETTING_VALUES = {
     "corpus": "other-corpus.txt",
     "index": "other.idx",
     "predictions": "baseline:random:7",
-    "output-dir": "elsewhere",
-    "mask-token": "<mask>",
+    "output-dir": "elsewhere#1",
+    "mask-token": "<#>",
     "min-poc-frequency": "2",
     "bin-edges": "2, 20, 200, 2000",
     "output-format": "table",

@@ -369,7 +369,34 @@ class TestBatchedCounts:
         )
         # a new pair of surfaces whose postings are already cached
         assert idx.soc_count("Rome", "Italy") == naive_soc(self.SENTENCES, "Rome", "Italy")
-        assert calls == ["Rome", "Italy"]
+        assert calls == []
+        # a surface seen for the first time is normalised once
+        assert idx.soc_count("Lyon", "France") == naive_soc(self.SENTENCES, "Lyon", "France")
+        assert idx.soc_count("France", "Lyon") == naive_soc(self.SENTENCES, "Lyon", "France")
+        assert calls == ["Lyon"]
+
+    def test_repeated_ranking_is_one_lookup(self, monkeypatch):
+        idx = build_index(self.SENTENCES)
+        objects = ("France", "Italy", "Rome")
+        template = "[X] is the capital of [Y]."
+        soc = idx.soc_ranked("Paris", objects)
+        poc = idx.poc_ranked(template, objects)
+        kernel = CountingKernels(monkeypatch)
+        calls = []
+        monkeypatch.setattr(
+            corpuscausal.corpus,
+            "normalize_text",
+            lambda text: calls.append(text) or normalize_text(text),
+        )
+        assert idx.soc_ranked("Paris", objects) is soc
+        assert idx.poc_ranked(template, objects) is poc
+        assert calls == []
+        # a whitespace variant is normalised on first sight only
+        for _ in range(2):
+            assert idx.soc_ranked(" Paris ", objects) is soc
+            assert idx.poc_ranked(template.replace(" ", "  "), objects) is poc
+        assert calls == [" Paris ", template.replace(" ", "  ")]
+        assert kernel.calls == 0
 
 
 class TestTemplates:

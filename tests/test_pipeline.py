@@ -492,6 +492,26 @@ class TestConfig:
         assert merged.index == "x.idx"
         assert merged.kb == "kb.jsonl"
 
+    def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "  # an indented comment\n"
+            "mask-token = <#>\n"
+            "output-dir = out#1   # the run's outputs\n"
+            "cache-dir = cache#\n"
+            "index = x.idx\t#a comment after a tab\n"
+            "kb = #kb.jsonl\n",
+            encoding="utf-8",
+        )
+        config = load_config(path)
+        assert config.mask_token == "<#>"
+        assert config.output_dir == "out#1"
+        assert config.cache_dir == "cache#"
+        assert config.index == "x.idx"
+        assert config.kb == ""  # "#" after the "= " is a comment
+        flags = {"mask-token": "<#>", "output-dir": "out#1", "cache-dir": "cache#"}
+        assert merge_config(RunConfig(), flags) == replace(config, index="")
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("mystery = 1\n", encoding="utf-8")
