@@ -124,7 +124,7 @@ def build_population_cmd(hypothesis, config_path, **overrides):
     chosen = HYPOTHESES if hypothesis == "all" else (hypothesis,)
     out = Path(config.output_dir)
     for hyp, scored in pipeline.run_build_population(config, chosen):
-        click.echo(f"{hyp}: {len(scored.rows)} rows, {len(scored.pairs)} pairs -> {out}")
+        click.echo(f"{hyp}: {len(scored)} rows, {len(scored.pairs)} pairs -> {out}")
 
 
 def _report_path(config):

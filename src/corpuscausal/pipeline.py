@@ -278,28 +278,30 @@ class _Runtime:
         An entry is one ``<hyp>-<key>.pop`` file. One that is missing, of
         another version, changed after it was written or unsound in its
         structure is a miss: the population is rebuilt and the entry
-        overwritten. A failed write leaves the entry a miss; a cache
-        directory that cannot be created fails the run.
+        overwritten. A population with no matched pairs is cached too, as
+        an entry that reads back as its `EmptyPopulationError`. A failed
+        write leaves the entry a miss; a cache directory that cannot be
+        created fails the run.
         """
         cache_dir = self.config.cache_dir
-        if cache_dir:
-            entry = Path(cache_dir) / f"{hypothesis}-{self._cache_key}.pop"
+        entry = Path(cache_dir) / f"{hypothesis}-{self._cache_key}.pop" if cache_dir else None
+        if entry:
             try:
                 return read_cache_entry(entry, hypothesis)
             except (OSError, ValueError, KeyError, TypeError, IndexError):
                 pass  # rebuilt and overwritten below
-        pop = build_structure(
-            hypothesis,
-            self.kb,
-            self.stats,
-            min_poc_frequency=self.config.min_poc_frequency,
-            bin_edges=tuple(self.config.bin_edges),
-        )
-        if cache_dir:
-            Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            # the cache only saves work: an entry that cannot be written stays a miss
-            with contextlib.suppress(OSError):
-                write_cache_entry(pop, entry)
+        try:
+            pop = build_structure(
+                hypothesis,
+                self.kb,
+                self.stats,
+                min_poc_frequency=self.config.min_poc_frequency,
+                bin_edges=tuple(self.config.bin_edges),
+            )
+        except EmptyPopulationError:
+            _write_entry(None, entry)
+            raise
+        _write_entry(pop, entry)
         return pop
 
     def predictions_for(self, hypothesis):
@@ -343,7 +345,7 @@ class _Runtime:
             source_id = prediction_set.source_id if source_id is None else source_id
             pop = scored[hyp] = score_population(self.populations[hyp], prediction_set)
             counts = {
-                "rows": len(pop.rows),
+                "rows": len(pop),
                 "pairs": len(pop.pairs),
                 "unmatched_treated": pop.diagnostics.unmatched_treated,
                 "low_frequency_removed": pop.diagnostics.low_frequency_removed,
@@ -384,6 +386,17 @@ class _Runtime:
         keys = self.populations["utt"].cloze_keys
         predicted = map(prediction_set.records.get, keys)
         return sum(map(contains, self._utt_golds, predicted)) / len(keys)
+
+
+def _write_entry(pop, entry):
+    """Write a population's cache entry, if there is a cache (`write_cache_entry`).
+
+    The cache only saves work: an entry that cannot be written stays a miss.
+    """
+    if entry:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with contextlib.suppress(OSError):
+            write_cache_entry(pop, entry)
 
 
 def run_estimate(config, emit_populations=False):

@@ -18,16 +18,20 @@ partner as unmatched where it arises:
     (control).
 
 Rows are structure: a `PopulationRow` is a plain named tuple of what the
-corpus, the KB and the pairing fix, so rows are built positionally,
-keyed with `itemgetter` and written cell by cell, and none changes once
-built. The most and next most co-occurring objects come from the
-rankings the corpus index keeps beside each count map, sorted once per
-index rather than once per population or per query. Scores are columns:
-`score_population` returns the same rows with a ``predicted`` and an
-``outcomes`` tuple aligned with them, so re-scoring a population for
-another prediction set (one per checkpoint) copies no row. Emitted
-tables join the two back into one file with a ``prediction`` and an
-``outcome`` column; an unscored population writes ``""`` and ``0`` there.
+corpus, the KB and the pairing fix, and none changes once built. The
+most and next most co-occurring objects come from the rankings the
+corpus index keeps beside each count map, sorted once per index rather
+than once per population or per query. A population holds its rows as
+integer columns (`PopulationColumns`), encoded once, when it is built or
+read back: scoring and the observation table read the columns, and the
+rows are built only when something asks for them (emission, the public
+API); a built population keeps the rows it was built from. Scores are
+columns too: `score_population` returns the population with a
+``predicted`` and an ``outcomes`` tuple aligned with its rows, so
+re-scoring it for another prediction set (one per checkpoint) copies no
+row. Emitted tables join the two back into one file with a
+``prediction`` and an ``outcome`` column; an unscored population writes
+``""`` and ``0`` there.
 
 Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
@@ -37,11 +41,13 @@ population-cache entry, and their readers share one pair check.
 """
 
 import json
-from array import array
 from dataclasses import asdict, astuple, dataclass, field, replace
-from itertools import chain, starmap
-from operator import eq, itemgetter
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import BIN_EDGES, bin_count, instantiate, unseal, write_sealed
 from .errors import (
@@ -91,10 +97,6 @@ _sort_key = itemgetter(
     *map(ROW_FIELDS.index, ("relation", "subject", "object", "template", "is_anti"))
 )
 
-#: A row's cloze key, (subject, relation, template), and its object.
-_cloze_key = itemgetter(*map(ROW_FIELDS.index, ("subject", "relation", "template")))
-_object = itemgetter(ROW_FIELDS.index("object"))
-
 #: Columns of an emitted population table: the row fields, then the scores.
 POPULATION_FIELDS = ROW_FIELDS + ("prediction", "outcome")
 
@@ -105,38 +107,142 @@ class MatchDiagnostics:
     low_frequency_removed: int = 0
 
 
+class PopulationColumns:
+    """A population's rows as integer columns, and the codes read from them.
+
+    `strings` is the string table and `codes` maps each `PopulationRow`
+    field to a numpy column: the string fields as indices into `strings`,
+    the bools and ints as numbers. The rest is read from the columns once,
+    when they are made, so that scoring and tabulating a population reads
+    no row:
+
+      - `cloze_keys`, the sorted distinct (subject, relation, template)
+        keys, and `key_index`, each row's index into them;
+      - `object_ids`, each distinct object with its whitespace trimmed ->
+        its id, and `object_id`, each row's id;
+      - `cell_rows`, the observation-table rows: for each distinct
+        (relation, template, kbt, soc_bin, utt_present, treatment) cell,
+        the cell with outcome 0 then with outcome 1; and `cell`, each
+        row's cell.
+
+    `rows` builds the `PopulationRow`s only when something asks for them.
+    Two column sets are equal when their rows are.
+    """
+
+    def __init__(self, strings, codes):
+        self.strings, self.codes = strings, codes
+        # a string's rank in text order: distinct keys of ranks sort as the keys do
+        order = sorted(range(len(strings)), key=strings.__getitem__)
+        rank = np.empty(len(strings), np.int64)
+        rank[order] = np.arange(len(strings))
+        ranked = [strings[i] for i in order]
+        keys, self.key_index = _distinct(
+            *(rank[codes[name]] for name in ("subject", "relation", "template"))
+        )
+        self.cloze_keys = tuple(zip(*(map(ranked.__getitem__, key) for key in keys)))
+
+        (objects,), object_index = _distinct(codes["object"])
+        ids = self.object_ids = {}
+        trimmed = [ids.setdefault(strings[code].strip(), len(ids)) for code in objects]
+        self.object_id = np.array(trimmed, np.intp)[object_index]
+
+        cells, self.cell = _distinct(*map(codes.__getitem__, _CELL_FIELDS))
+        self.cell_rows = tuple(
+            (strings[relation], strings[template], 0 if is_anti else 1, strings[soc_bin],
+             bool(utt_present), treatment, outcome)
+            for relation, template, is_anti, soc_bin, utt_present, treatment in zip(*cells)
+            for outcome in (0, 1)
+        )
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Encode `rows`, which are kept as the `rows` view."""
+        strings = dict.fromkeys(
+            chain.from_iterable(map(itemgetter(ROW_FIELDS.index(name)), rows)
+                                for name in _STRING_FIELDS)
+        )
+        position = dict(zip(strings, range(len(strings))))
+        codes = {}
+        for i, name in enumerate(ROW_FIELDS):
+            values = map(itemgetter(i), rows)
+            if name in _STRING_FIELDS:
+                values = map(position.__getitem__, values)
+            codes[name] = np.fromiter(values, _DTYPES.get(name, np.int32), len(rows))
+        columns = cls(tuple(strings), codes)
+        columns.__dict__["rows"] = tuple(rows)
+        return columns
+
+    @cached_property
+    def rows(self):
+        cells = [self.codes[name].tolist() for name in ROW_FIELDS]
+        for i, name in enumerate(ROW_FIELDS):
+            if name in _STRING_FIELDS:
+                cells[i] = map(self.strings.__getitem__, cells[i])
+        return tuple(map(PopulationRow._make, zip(*cells)))
+
+    def __len__(self):
+        return len(self.key_index)
+
+    def __eq__(self, other):
+        if not isinstance(other, PopulationColumns):
+            return NotImplemented
+        return self is other or self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+
+#: Row fields held as codes into the string table, and the numpy type of
+#: each other field (int32 where none is named).
+_STRING_FIELDS = ("subject", "object", "relation", "template", "soc_bin")
+_DTYPES = {
+    "is_anti": np.bool_, "utt_present": np.bool_, "so_hc": np.bool_, "po_hc": np.bool_,
+    "treatment": np.uint8, "soc_count": np.int64,
+}
+
+#: The fields of an observation-table cell, with ``kbt`` as ``is_anti``.
+_CELL_FIELDS = ("relation", "template", "is_anti", "soc_bin", "utt_present", "treatment")
+
+
+def _distinct(*columns):
+    """The sorted distinct rows of the columns, as a list per column, and each row's index.
+
+    Each row is numbered in mixed radix over its columns' code ranges, so
+    one 1-D `np.unique` sorts and numbers the rows; a number about to
+    outgrow int64 is first renumbered densely.
+    """
+    number, bound = np.zeros(len(columns[0]), np.int64), 1
+    for column in columns:
+        radix = int(column.max(initial=0)) + 1
+        if bound * radix >= 1 << 62:
+            _, number = np.unique(number, return_inverse=True)
+            bound = len(number)
+        number, bound = number * radix + column, bound * radix
+    _, first, inverse = np.unique(number, return_index=True, return_inverse=True)
+    return [column[first].tolist() for column in columns], inverse.reshape(-1)
+
+
 @dataclass(frozen=True)
 class MatchedPopulation:
     """Matched rows and pairs, with the scores of one prediction set.
 
-    The last three fields encode the rows, so that scoring against each
-    prediction set needs one lookup per distinct cloze key: the sorted
-    distinct keys, each row's index into them, and each row's object with
-    its whitespace trimmed. They follow from the rows, so they are set
-    when the population is made (built or read back), not passed in.
+    The rows are held as `columns`, which every population scored from
+    this one shares; `rows`, `cloze_keys` and `key_index` read them.
     """
 
     hypothesis: str
-    rows: tuple
+    columns: PopulationColumns = field(repr=False)
     pairs: tuple  # (treated row index, control row index)
     diagnostics: MatchDiagnostics = MatchDiagnostics()
     predicted: tuple = ()  # predicted object per row, aligned with `rows`
     outcomes: tuple = ()  # outcome flag (0/1) per row, aligned with `rows`
-    cloze_keys: tuple = field(default=(), repr=False, compare=False)
-    key_index: array = field(default=(), repr=False, compare=False)
-    stripped_objects: tuple = field(default=(), repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.key_index) == len(self.rows):
-            return  # encoded already: `replace` passes the fields on
-        keys = tuple(sorted(dict.fromkeys(map(_cloze_key, self.rows))))
-        position = dict(zip(keys, range(len(keys))))
-        index = array("I", map(position.__getitem__, map(_cloze_key, self.rows)))
-        stripped = tuple(map(str.strip, map(_object, self.rows)))
-        for name, value in (
-            ("cloze_keys", keys), ("key_index", index), ("stripped_objects", stripped)
-        ):
-            object.__setattr__(self, name, value)
+    rows = property(lambda self: self.columns.rows)
+    cloze_keys = property(lambda self: self.columns.cloze_keys)
+    key_index = property(lambda self: self.columns.key_index)
+
+    def __len__(self):
+        return len(self.columns)
 
 
 class _StatsView:
@@ -241,15 +347,19 @@ def _sorted_population(hypothesis, pairs, unmatched, removed=0):
     No two rows are equal, so each row is its own index key.
     """
     if not pairs:
-        raise EmptyPopulationError(f"{hypothesis} population has no matched pairs")
+        raise _no_pairs(hypothesis)
     rows = tuple(sorted({row for pair in pairs for row in pair}, key=_sort_key))
     index = {row: i for i, row in enumerate(rows)}
     return MatchedPopulation(
         hypothesis=hypothesis,
-        rows=rows,
+        columns=PopulationColumns.from_rows(rows),
         pairs=tuple(sorted((index[t], index[c]) for t, c in pairs)),
         diagnostics=MatchDiagnostics(unmatched_treated=unmatched, low_frequency_removed=removed),
     )
+
+
+def _no_pairs(hypothesis):
+    return EmptyPopulationError(f"{hypothesis} population has no matched pairs")
 
 
 def build_structure(hypothesis, kb, stats, min_poc_frequency=5, bin_edges=BIN_EDGES):
@@ -273,28 +383,35 @@ def score_population(pop, predictions):
     Returns the population with its ``predicted`` and ``outcomes`` columns
     set; the rows and pairs are shared, not copied. Raises
     `MissingPredictionError` when a row's cloze key has no prediction.
-    Each distinct cloze key is looked up and its prediction stripped once;
-    a row's outcome is then its stripped object == its key's stripped
-    prediction, which is what `outcome_flag` tests.
+    Each distinct cloze key is looked up and its prediction trimmed once;
+    a row's outcome is then whether its key's trimmed prediction is its
+    trimmed object, compared as object ids, which is what `outcome_flag`
+    tests.
     """
+    columns = pop.columns
     records = predictions.records
     try:
-        by_key = tuple(map(records.__getitem__, pop.cloze_keys))
+        by_key = tuple(map(records.__getitem__, columns.cloze_keys))
     except KeyError:
-        missing = [key for key in pop.cloze_keys if key not in records]
+        missing = [key for key in columns.cloze_keys if key not in records]
         sample = ", ".join(map(repr, missing[:5]))
         raise MissingPredictionError(
             f"{len(missing)} cloze keys lack predictions (e.g. {sample})",
             missing=missing,
         ) from None
-    predicted = tuple(map(by_key.__getitem__, pop.key_index))
-    if pop.hypothesis not in HYPOTHESES or None in by_key or "" in pop.stripped_objects:
+    if pop.hypothesis not in HYPOTHESES or None in by_key or "" in columns.object_ids:
         # raise what `outcome_flag` raises, for the first row it rejects
-        for row, prediction in zip(pop.rows, predicted):
-            outcome_flag(pop.hypothesis, row.object, prediction)
-    stripped = tuple(map(str.strip, map(str, by_key)))
-    hits = map(eq, pop.stripped_objects, map(stripped.__getitem__, pop.key_index))
-    return replace(pop, predicted=predicted, outcomes=tuple(map(int, hits)))
+        for row, key in zip(pop.rows, columns.key_index.tolist()):
+            outcome_flag(pop.hypothesis, row.object, by_key[key])
+    predicted = np.fromiter(by_key, object, len(by_key))[columns.key_index]
+    ids = columns.object_ids
+    predicted_id = np.fromiter(
+        (ids.get(str(prediction).strip(), -1) for prediction in by_key), np.intp, len(by_key)
+    )
+    hits = predicted_id[columns.key_index] == columns.object_id
+    return replace(
+        pop, predicted=tuple(predicted.tolist()), outcomes=tuple(hits.view(np.uint8).tolist())
+    )
 
 
 def build_table(
@@ -359,23 +476,33 @@ def _check_pairs(treatment, pairs):
     """Check that `pairs` partition the rows by arm, as a built population's do.
 
     Every row is in exactly one pair, as its treated row if its
-    `treatment` is 1 and as its control row if 0.
+    `treatment` is 1 and as its control row if 0. `treatment` and the
+    (treated, control) rows of `pairs` are arrays; all pairs are checked
+    at once, and the error names the first pair at fault, as a check of
+    one pair after another would.
     """
     n = len(treatment)
-    paired = bytearray(n)
-    for k, (i, j) in enumerate(pairs):
-        for index, arm in ((i, 1), (j, 0)):
-            if not 0 <= index < n:
-                raise _PairingError(f"pair index {index} outside the {n} table rows", k)
-            if treatment[index] != arm:
-                raise _PairingError(
-                    f"pair row {index} has treatment {treatment[index]}, expected {arm}", k
-                )
-            if paired[index]:
-                raise _PairingError(f"row {index} is in more than one pair", k)
-            paired[index] = 1
+    index = pairs.reshape(-1)  # treated, control, treated, control, ...
+    arm = np.tile((1, 0), len(pairs))
+    outside = (index < 0) | (index >= n)
+    # an index outside the rows reads treatment 2, which is no arm
+    armed = np.append(treatment, 2)[np.where(outside, n, index).astype(np.intp)]
+    order = np.argsort(index, kind="stable")
+    repeated = np.zeros(len(index), bool)
+    repeated[order[1:]] = index[order[1:]] == index[order[:-1]]
+    fault = outside | (armed != arm) | repeated
+    if fault.any():
+        at = int(fault.argmax())
+        k, row, expected = at // 2, index[at], arm[at]
+        if outside[at]:
+            raise _PairingError(f"pair index {row} outside the {n} table rows", k)
+        if armed[at] != expected:
+            raise _PairingError(
+                f"pair row {row} has treatment {armed[at]}, expected {expected}", k
+            )
+        raise _PairingError(f"row {row} is in more than one pair", k)
     if 2 * len(pairs) != n:
-        row = paired.index(0)
+        row = int(np.bincount(index.astype(np.intp), minlength=n).argmin())
         raise _PairingError(f"row {row} is in no pair", row=row)
 
 
@@ -421,7 +548,7 @@ def read_population(table_path, pairs_path, hypothesis):
             pairs.append((i, j))
             linenos.append(lineno)
     try:
-        _check_pairs([row.treatment for row in rows], pairs)
+        _check_pairs(np.array([row.treatment for row in rows]), np.array(pairs).reshape(-1, 2))
     except _PairingError as exc:
         if exc.pair is None:
             message = f"row {exc.row} of {table_path} is in no pair in {pairs_path}"
@@ -429,7 +556,7 @@ def read_population(table_path, pairs_path, hypothesis):
         raise ParseError(str(exc), line=linenos[exc.pair]) from None
     return MatchedPopulation(
         hypothesis=hypothesis,
-        rows=tuple(rows),
+        columns=PopulationColumns.from_rows(rows),
         pairs=tuple(pairs),
         predicted=tuple(predicted),
         outcomes=tuple(outcomes),
@@ -443,60 +570,81 @@ def read_population(table_path, pairs_path, hypothesis):
 #: Bump the version whenever `build_structure` can give different rows, pairs
 #: or diagnostics for the same inputs: the cache key digests only the inputs,
 #: so entries of the old build logic would be read back as current.
-_CACHE_MAGIC = b"CCPOP001"
+_CACHE_MAGIC = b"CCPOP002"
 
-#: Row fields an entry stores as indices into its string table.
-_STRING_COLUMNS = tuple(
-    ROW_FIELDS.index(name) for name in ("subject", "object", "relation", "template", "soc_bin")
-)
-_TREATMENT = ROW_FIELDS.index("treatment")
-
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: The columns of an entry, in file order: `<i4` string codes and counts,
+#: then the pairs' `<i4` treated and control rows, then `u1` flags.
+_INT_FIELDS = ("subject", "object", "relation", "template", "soc_count", "soc_bin")
+_FLAG_FIELDS = ("is_anti", "treatment", "utt_present", "so_hc", "po_hc")
 
 
 def write_cache_entry(pop, path):
-    """Write a built population as a cache entry, a sealed file of JSON lines.
+    """Write a built population as a cache entry: a sealed file.
 
-    Each line is encoded on its own: a header with the diagnostics and the
-    string table, one column per `PopulationRow` field in field order, then
-    the treated and the control row of each pair.
+    Its body is a JSON header line, with the diagnostics, the string table
+    and the row and pair counts, then fixed-width little-endian columns
+    in `_INT_FIELDS`, pairs, `_FLAG_FIELDS` order. `pop` None writes the
+    entry of a population with no matched pairs: no rows and no pairs.
     """
-    strings = dict.fromkeys(
-        chain.from_iterable(map(itemgetter(i), pop.rows) for i in _STRING_COLUMNS)
-    )
-    position = dict(zip(strings, range(len(strings))))
-    header = {"diagnostics": asdict(pop.diagnostics), "strings": list(strings)}
-    # one column at a time, by field: `zip(*pop.rows)` would make an iterator
-    # per row, enough to set off a full pass of the cyclic garbage collector
-    columns = (
-        tuple(map(position.__getitem__, map(itemgetter(i), pop.rows)))
-        if i in _STRING_COLUMNS
-        else tuple(map(itemgetter(i), pop.rows))
-        for i in range(len(ROW_FIELDS))
-    )
-    arms = (tuple(map(itemgetter(i), pop.pairs)) for i in (0, 1))
-    lines = chain([header], columns, arms)
-    write_sealed(path, _CACHE_MAGIC, (_encode(line).encode() + b"\n" for line in lines))
+    if pop is None:
+        header = {"diagnostics": asdict(MatchDiagnostics()), "pairs": 0, "rows": 0,
+                  "strings": []}
+        columns = []
+    else:
+        codes = pop.columns.codes
+        header = {"diagnostics": asdict(pop.diagnostics), "pairs": len(pop.pairs),
+                  "rows": len(pop), "strings": list(pop.columns.strings)}
+        columns = [
+            *(codes[name].astype("<i4") for name in _INT_FIELDS),
+            np.array(pop.pairs, "<i4").reshape(-1, 2).T,
+            *(codes[name].astype("u1") for name in _FLAG_FIELDS),
+        ]
+    head = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    write_sealed(path, _CACHE_MAGIC, chain([head], map(np.ndarray.tobytes, columns)))
 
 
 def read_cache_entry(path, hypothesis):
     """Read a cache entry back, checking its seal and then its structure.
 
     Raises `OSError`, `ValueError`, `KeyError`, `TypeError` or `IndexError`
-    for an entry that cannot be used.
+    for an entry that cannot be used, and the build's `EmptyPopulationError`
+    for the entry of a population with no matched pairs.
     """
     body, _ = unseal(path.read_bytes(), _CACHE_MAGIC)
-    header, *columns, treated, control = map(json.loads, bytes(body).splitlines())
-    strings = header["strings"]
-    for i in _STRING_COLUMNS:
-        columns[i] = map(strings.__getitem__, columns[i])
-    rows = tuple(starmap(PopulationRow, zip(*columns, strict=True)))
-    pairs = tuple(zip(treated, control, strict=True))
-    _check_pairs(columns[_TREATMENT], pairs)
+    header, _, data = bytes(body).partition(b"\n")
+    header = json.loads(header)
+    strings, n, m = tuple(header["strings"]), header["rows"], header["pairs"]
     diagnostics = MatchDiagnostics(**header["diagnostics"])
-    if not all(type(n) is int and n >= 0 for n in astuple(diagnostics)):
-        raise ValueError(f"the diagnostics in {path} are not counts")
-    return MatchedPopulation(hypothesis, rows, pairs, diagnostics)
+    if not all(type(k) is int and k >= 0 for k in (*astuple(diagnostics), n, m)):
+        raise ValueError(f"the diagnostics or counts in {path} are not counts")
+    if not all(type(s) is str for s in strings) or len(set(strings)) != len(strings):
+        raise ValueError(f"the string table in {path} is not distinct strings")
+    if len(data) != 4 * (len(_INT_FIELDS) * n + 2 * m) + len(_FLAG_FIELDS) * n:
+        raise ValueError(f"{path} does not hold {n} rows and {m} pairs")
+    ints = np.frombuffer(data, "<i4", len(_INT_FIELDS) * n + 2 * m)
+    flags = np.frombuffer(data, "u1", offset=ints.nbytes).reshape(len(_FLAG_FIELDS), n)
+    codes = dict(zip(_INT_FIELDS, ints[: len(_INT_FIELDS) * n].reshape(len(_INT_FIELDS), n)))
+    for name in _STRING_FIELDS:
+        if n and not 0 <= codes[name].min() <= codes[name].max() < len(strings):
+            raise IndexError(f"a {name} code in {path} is outside its string table")
+    if n and flags.max() > 1:
+        raise ValueError(f"a flag in {path} is neither 0 nor 1")
+    codes.update(zip(_FLAG_FIELDS, flags))
+    for name in _FLAG_FIELDS:
+        if _DTYPES[name] is np.bool_:
+            codes[name] = codes[name].view(np.bool_)
+    treated, control = ints[len(_INT_FIELDS) * n :].reshape(2, m)
+    _check_pairs(codes["treatment"], np.stack((treated, control), axis=1))
+    if not n:
+        raise _no_pairs(hypothesis)
+    pairs = tuple(zip(treated.tolist(), control.tolist()))
+    return MatchedPopulation(hypothesis, PopulationColumns(strings, codes), pairs, diagnostics)
+
+
+#: The columns of a population's observation table.
+_OBSERVATION_COLUMNS = (
+    "relation", "template", "kbt", "soc_bin", "utt_present", "treatment", "outcome"
+)
 
 
 def population_observation_table(pop):
@@ -506,26 +654,15 @@ def population_observation_table(pop):
     populations, 0 on anti-pattern rows) alongside the stratification
     columns; values stay native (ints and bools), as on `PopulationRow`.
     ``outcome`` is the scored `outcomes` column, so `pop` must be scored.
+    Each row is its cell's shared row for its outcome (`cell_rows`).
     """
-    columns = (
-        "relation",
-        "template",
-        "kbt",
-        "soc_bin",
-        "utt_present",
-        "treatment",
-        "outcome",
-    )
-    rows = [
-        (
-            row.relation,
-            row.template,
-            0 if row.is_anti else 1,
-            row.soc_bin,
-            row.utt_present,
-            row.treatment,
-            outcome,
-        )
-        for row, outcome in zip(pop.rows, pop.outcomes, strict=True)
-    ]
-    return ObservationTable(columns, tuple(rows))
+    outcomes = pop.outcomes
+    if len(outcomes) != len(pop):
+        raise ValueError(f"{len(outcomes)} outcomes for {len(pop)} rows: score the population")
+    if not set(outcomes) <= {0, 1}:
+        bad = next(value for value in outcomes if value not in (0, 1))
+        raise ValueError(f"column 'outcome' must be binary 0/1, got {bad!r}")
+    columns = pop.columns
+    index = 2 * columns.cell + np.fromiter(outcomes, np.intp, len(outcomes))
+    rows = tuple(map(columns.cell_rows.__getitem__, index.tolist()))
+    return ObservationTable(_OBSERVATION_COLUMNS, rows)

@@ -140,11 +140,14 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
 
     source_id = f"random:{seed}" if kind == "random" else kind
     records = {}
+    candidates_of = {}  # relation -> its candidates, taken from the KB once
     for subject, relation, template in queries:
         key = (subject, relation, template)
         if key in records:
             continue
-        candidates = kb.candidate_objects(relation)
+        if relation not in candidates_of:
+            candidates_of[relation] = kb.candidate_objects(relation)
+        candidates = candidates_of[relation]
         if kind == "perfect":
             golds = kb.objects_of(subject, relation)
             if not golds:

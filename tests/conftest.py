@@ -1,7 +1,11 @@
 """Shared fixtures: small KBs, corpora, and prediction files on disk."""
 
+import importlib.util
 import json
+from hashlib import blake2b
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet
@@ -54,6 +58,46 @@ def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def load_generator():
+    """The benchmark's seeded input generator, which never calls the library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: A population-cache entry's columns, in file order after its header line:
+#: `<i4` string codes and counts, the pairs' `<i4` treated and control rows,
+#: then `u1` flags.
+ENTRY_INTS = ("subject", "object", "relation", "template", "soc_count", "soc_bin")
+ENTRY_FLAGS = ("is_anti", "treatment", "utt_present", "so_hc", "po_hc")
+
+
+def decode_entry(data):
+    """The (magic, header, columns) of a cache entry's bytes; columns are lists by name."""
+    head, _, rest = data[24:].partition(b"\n")
+    header = json.loads(head)
+    n, m = header["rows"], header["pairs"]
+    ints = np.frombuffer(rest, "<i4", 6 * n + 2 * m).tolist()
+    spans = [(name, n) for name in ENTRY_INTS] + [("treated", m), ("control", m)]
+    values = ints + list(rest[len(ints) * 4 :])
+    columns = {}
+    for name, size in spans + [(name, n) for name in ENTRY_FLAGS]:
+        columns[name], values = values[:size], values[size:]
+    return data[:8], header, columns
+
+
+def encode_entry(magic, header, columns):
+    """Entry bytes from `decode_entry`'s parts, with a digest of the new body."""
+    body = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    for name in ENTRY_INTS + ("treated", "control"):
+        body += np.array(columns[name], "<i4").tobytes()
+    for name in ENTRY_FLAGS:
+        body += bytes(columns[name])
+    return magic + blake2b(body, digest_size=16).digest() + body
 
 
 def write_kb_files(directory, triplets, patterns):

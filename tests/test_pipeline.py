@@ -23,14 +23,24 @@ from corpuscausal.pipeline import (
     run_dynamics,
     run_estimate,
 )
+from corpuscausal.corpus import build_index
 from corpuscausal.population import (
     ROW_FIELDS,
     STRATIFY_COLUMNS,
+    PopulationColumns,
     build_structure,
     read_cache_entry,
 )
 
-from conftest import CROSSED_PATTERNS, CROSSED_TRIPLETS, write_jsonl, write_kb_files
+from conftest import (
+    CROSSED_PATTERNS,
+    CROSSED_TRIPLETS,
+    decode_entry,
+    encode_entry,
+    load_generator,
+    write_jsonl,
+    write_kb_files,
+)
 
 
 def config_for(files, predictions, **extra):
@@ -163,6 +173,11 @@ class TestRunEstimate:
             "garbage",
             "flipped_body_byte",
             "other_version",
+            "previous_version",
+            "truncated_column",
+            "code_past_table",
+            "flag_of_two",
+            "swapped_arms",
             "repeated_pair",
             "unpaired_row",
             "relabelled_treated_row",
@@ -177,37 +192,53 @@ class TestRunEstimate:
         cold = run_estimate(config)
         (entry,) = cache.glob("poc-*")
         original = entry.read_bytes()
-        magic, body = original[:8], original[24:]
-        lines = [json.loads(line) for line in body.splitlines()]
-        header, treated, control = lines[0], lines[-2], lines[-1]
+        magic, header, columns = decode_entry(original)
+        treated, control = columns["treated"], columns["control"]
         if damage == "truncated":
             entry.write_bytes(original[: len(original) // 2])
         elif damage == "garbage":
             entry.write_bytes(b"not a cache entry\n")
         elif damage == "flipped_body_byte":
-            middle = 24 + len(body) // 2
+            middle = 24 + (len(original) - 24) // 2
             entry.write_bytes(
                 original[:middle] + bytes([original[middle] ^ 1]) + original[middle + 1 :]
             )
         elif damage == "other_version":
             entry.write_bytes(b"CCPOP000" + original[8:])
+        elif damage == "previous_version":
+            # the JSON-lines layout of version 1, digested as it was
+            lines = [{"diagnostics": header["diagnostics"], "strings": header["strings"]}]
+            lines += [[bool(v) for v in columns[name]]
+                      if name in ("is_anti", "utt_present", "so_hc", "po_hc") else columns[name]
+                      for name in ROW_FIELDS]
+            body = b"".join(json.dumps(line).encode() + b"\n" for line in lines + [treated, control])
+            entry.write_bytes(b"CCPOP001" + blake2b(body, digest_size=16).digest() + body)
         else:
             # re-digested, so that the edit reaches the structure checks
-            if damage == "repeated_pair":
+            if damage == "truncated_column":
+                del columns["soc_bin"][-1]
+            elif damage == "code_past_table":
+                columns["subject"][0] = len(header["strings"])
+            elif damage == "flag_of_two":
+                columns["is_anti"][0] = 2
+            elif damage == "swapped_arms":
+                treated[0], control[0] = control[0], treated[0]
+            elif damage == "repeated_pair":
                 treated.append(treated[0])
                 control.append(control[0])
+                header["pairs"] += 1
             elif damage == "unpaired_row":
                 del treated[-1], control[-1]
+                header["pairs"] -= 1
             elif damage == "relabelled_treated_row":
-                lines[1 + ROW_FIELDS.index("treatment")][treated[0]] = 0
+                columns["treatment"][treated[0]] = 0
             elif damage == "relabelled_control_row":
-                lines[1 + ROW_FIELDS.index("treatment")][control[0]] = 1
+                columns["treatment"][control[0]] = 1
             elif damage == "non_count_diagnostic":
                 header["diagnostics"]["unmatched_treated"] = "many"
             else:
                 header["diagnostics"]["unmatched_samples"] = [["Paris", "capital-of"]]
-            body = b"".join(json.dumps(line).encode() + b"\n" for line in lines)
-            entry.write_bytes(magic + blake2b(body, digest_size=16).digest() + body)
+            entry.write_bytes(encode_entry(magic, header, columns))
         assert run_estimate(config) == cold
         assert entry.read_bytes() == original
         assert not [p for p in cache.iterdir() if p.name.endswith(".tmp")]
@@ -225,20 +256,16 @@ class TestRunEstimate:
         cold = run_estimate(config)
         (entry,) = cache.glob("soc-*")
         original = entry.read_bytes()
-        lines = original[24:].splitlines(keepends=True)
-        header = json.loads(lines[0])
+        magic, header, columns = decode_entry(original)
         header["strings"].append("XL")
-        soc_bin = 1 + ROW_FIELDS.index("soc_bin")
-        column = json.loads(lines[soc_bin])
-        column[::3] = [len(header["strings"]) - 1] * len(column[::3])
-        lines[0] = json.dumps(header).encode() + b"\n"
-        lines[soc_bin] = json.dumps(column).encode() + b"\n"
-        body = b"".join(lines)
-        entry.write_bytes(original[:24] + body)  # the old digest kept
+        soc_bin = columns["soc_bin"]
+        soc_bin[::3] = [len(header["strings"]) - 1] * len(soc_bin[::3])
+        edited = encode_entry(magic, header, columns)
+        entry.write_bytes(original[:24] + edited[24:])  # the old digest kept
         assert run_estimate(config) == cold
         assert entry.read_bytes() == original
         # the edit matters: re-digested, it is read back and moves the report
-        entry.write_bytes(original[:8] + blake2b(body, digest_size=16).digest() + body)
+        entry.write_bytes(edited)
         assert run_estimate(config) != cold
 
     def test_previous_three_file_entry_is_ignored(self, crossed_files):
@@ -437,6 +464,36 @@ class TestOneFailingHypothesis:
             assert entry["accuracy"] == full_entry["accuracy"]
         assert report.failures() == {"poc": "poc population has no matched pairs"}
 
+    def test_empty_population_is_cached(self, tmp_path, monkeypatch):
+        # the estimate-cold workload's shape, smaller: a saved index, heuristic
+        # baselines and a cache dir; no poc object clears the floor
+        gen = load_generator()
+        sizes = gen.Sizes(relations=3, subjects=12, candidates=6, sentences=1500,
+                          comention_max=30)
+        paths = gen.Corpus(sizes, seed=0).write(tmp_path / "in")
+        build_index(str(paths["corpus"])).save(tmp_path / "corpus.idx")
+        cache = tmp_path / "cache"
+        config = RunConfig(
+            kb=str(paths["kb"]), patterns=str(paths["patterns"]),
+            index=str(tmp_path / "corpus.idx"), predictions="baseline:heuristic",
+            min_poc_frequency=10**6, cache_dir=str(cache),
+        )
+        cold = run_estimate(config)
+        assert cold.failures() == {"poc": "poc population has no matched pairs"}
+        built, build = [], pipeline.build_structure
+
+        def counted(hypothesis, *args, **kwargs):
+            built.append(hypothesis)
+            return build(hypothesis, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_structure", counted)
+        warm = run_estimate(config)
+        assert built == []
+        assert sorted(p.name.split("-")[0] for p in cache.glob("*.pop")) == ["poc", "soc", "utt"]
+        emitted = [emit_report(report, "structured", tmp_path / f"{name}.json")
+                   for name, report in (("cold", cold), ("warm", warm))]
+        assert Path(emitted[0]).read_bytes() == Path(emitted[1]).read_bytes()
+
     def test_build_population_still_raises_for_a_population_asked_for(self, crossed_files):
         config = config_for(crossed_files, "baseline:perfect", min_poc_frequency=1000000)
         for hypotheses in (("poc",), ("utt", "poc", "soc")):
@@ -589,6 +646,18 @@ class TestDynamics:
             )
             paths.append(str(path))
         return paths
+
+    def test_warm_run_builds_no_row(self, crossed_files, crossed_kb, monkeypatch):
+        paths = self.checkpoint_files(crossed_files, crossed_kb, n=2)
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "unused-but-validated", cache_dir=str(cache))
+        cold = run_dynamics(config, paths)
+
+        def no_rows(columns):
+            raise AssertionError("a warm dynamics run built a population's rows")
+
+        monkeypatch.setattr(PopulationColumns, "rows", property(no_rows))
+        assert run_dynamics(config, paths) == cold
 
     def test_series_length_and_order(self, crossed_files, crossed_kb):
         paths = self.checkpoint_files(crossed_files, crossed_kb, n=2)

@@ -1,11 +1,11 @@
 """Population construction: pairing recipes, filters, emission."""
 
-import importlib.util
 import tempfile
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +17,7 @@ from corpuscausal.errors import (
     MissingReferenceError,
     ParseError,
 )
+from corpuscausal.estimator import ObservationTable
 from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet, load_knowledge_base
 from corpuscausal import population
 from corpuscausal.population import (
@@ -42,7 +43,7 @@ from corpuscausal.predictions import (
 )
 
 import golden_fixture
-from conftest import crossed_corpus_lines
+from conftest import crossed_corpus_lines, decode_entry, encode_entry, load_generator
 
 
 def manual_predictions(mapping, source="handmade"):
@@ -718,6 +719,37 @@ def _damaged_pairs(pairs):
     }
 
 
+#: What a cache reader raises for an entry that is a miss.
+_MISS = (OSError, ValueError, KeyError, TypeError, IndexError)
+
+_ENTRY_DAMAGES = ("truncated_column", "code_past_table", "negative_code", "flag_of_two",
+                  "swapped_arms", "repeated_pair", "dropped_pair")
+
+
+def _damaged_entry(data, damage):
+    """A `CCPOP002` entry with one column edited, re-digested so the edit is read."""
+    magic, header, columns = decode_entry(data)
+    treated, control = columns["treated"], columns["control"]
+    if damage == "truncated_column":
+        del columns["soc_bin"][-1]
+    elif damage == "code_past_table":
+        columns["object"][0] = len(header["strings"])
+    elif damage == "negative_code":
+        columns["template"][-1] = -1
+    elif damage == "flag_of_two":
+        columns["utt_present"][0] = 2
+    elif damage == "swapped_arms":
+        treated[0], control[0] = control[0], treated[0]
+    elif damage == "repeated_pair":
+        treated.append(treated[-1])
+        control.append(control[-1])
+        header["pairs"] += 1
+    else:
+        del treated[0], control[0]
+        header["pairs"] -= 1
+    return encode_entry(magic, header, columns)
+
+
 class TestStoredForms:
     """The cache entry and the emitted tables give back what was stored,
     and their readers share one pair check."""
@@ -761,6 +793,54 @@ class TestStoredForms:
                     with pytest.raises(ParseError):
                         read_population(table, pairs, hyp)
 
+                population.write_cache_entry(pop, entry)
+                original = entry.read_bytes()
+                for damage in _ENTRY_DAMAGES:
+                    entry.write_bytes(_damaged_entry(original, damage))
+                    with pytest.raises(_MISS):
+                        population.read_cache_entry(entry, hyp)
+                    population.write_cache_entry(pop, entry)
+                    assert entry.read_bytes() == original, damage
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=6), st.data())
+    def test_pair_check_names_the_first_fault(self, treatment, data):
+        # each arm's index mostly a row of that arm, so that repeats are reached
+        def arm_index(arm):
+            rows = [row for row, t in enumerate(treatment) if t == arm]
+            anywhere = st.integers(-1, len(treatment))
+            return st.one_of(st.sampled_from(rows), anywhere) if rows else anywhere
+
+        pairs = data.draw(st.lists(st.tuples(arm_index(1), arm_index(0)), max_size=4))
+
+        def first_fault(check):
+            try:
+                check()
+            except population._PairingError as exc:
+                return str(exc), exc.pair, exc.row
+            return None
+
+        def one_pair_after_another():
+            n, paired = len(treatment), set()
+            for k, (i, j) in enumerate(pairs):
+                for index, arm in ((i, 1), (j, 0)):
+                    if not 0 <= index < n:
+                        raise population._PairingError(
+                            f"pair index {index} outside the {n} table rows", k)
+                    if treatment[index] != arm:
+                        raise population._PairingError(
+                            f"pair row {index} has treatment {treatment[index]}, "
+                            f"expected {arm}", k)
+                    if index in paired:
+                        raise population._PairingError(f"row {index} is in more than one pair", k)
+                    paired.add(index)
+            unpaired = sorted(set(range(n)) - paired)
+            if unpaired:
+                raise population._PairingError(f"row {unpaired[0]} is in no pair", row=unpaired[0])
+
+        vectorised = first_fault(lambda: population._check_pairs(
+            np.array(treatment, np.uint8), np.array(pairs, np.int32).reshape(-1, 2)))
+        assert vectorised == first_fault(one_pair_after_another)
+
     def test_failed_cache_write_keeps_the_old_entry(
         self, tmp_path, crossed_kb, crossed_index, monkeypatch
     ):
@@ -768,31 +848,82 @@ class TestStoredForms:
         entry = tmp_path / "soc-key.pop"
         population.write_cache_entry(pop, entry)
         old = entry.read_bytes()
-        encode = population._encode
-        encoded = []
+        write_sealed = population.write_sealed
+        written = []
 
-        def fail_after_first_line(line):
-            if encoded:
-                raise OSError(28, "No space left on device")
-            encoded.append(line)
-            return encode(line)
+        def fail_after_first_chunk(path, magic, chunks):
+            def cut():
+                for chunk in chunks:
+                    if written:
+                        raise OSError(28, "No space left on device")
+                    written.append(chunk)
+                    yield chunk
+            return write_sealed(path, magic, cut())
 
-        monkeypatch.setattr(population, "_encode", fail_after_first_line)
+        monkeypatch.setattr(population, "write_sealed", fail_after_first_chunk)
         with pytest.raises(OSError):
             population.write_cache_entry(build_structure("utt", crossed_kb, crossed_index), entry)
-        assert len(encoded) == 1
+        assert len(written) == 1
         assert entry.read_bytes() == old
         assert population.read_cache_entry(entry, "soc") == pop
         assert list(tmp_path.iterdir()) == [entry]
 
 
-def _load_generator():
-    """The benchmark's seeded input generator, which never calls the library."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@given(st.lists(st.tuples(*[st.sampled_from((0, 1, 2**31 - 2, 2**31 - 1))] * 4), min_size=1))
+def test_distinct_rows_sort_and_number_as_tuples(rows):
+    # four columns of codes near 2**31 outgrow int64 in mixed radix, so the
+    # numbering is renumbered densely on the way
+    columns = [np.array(column, np.int64) for column in zip(*rows)]
+    distinct, index = population._distinct(*columns)
+    expected = sorted(set(rows))
+    assert list(zip(*distinct)) == expected
+    assert [expected[i] for i in index] == rows
+
+
+def row_built_table(pop):
+    """The observation table built from the rows, one tuple per row."""
+    return ObservationTable(
+        ("relation", "template", "kbt", "soc_bin", "utt_present", "treatment", "outcome"),
+        tuple(
+            (row.relation, row.template, 0 if row.is_anti else 1, row.soc_bin,
+             row.utt_present, row.treatment, outcome)
+            for row, outcome in zip(pop.rows, pop.outcomes, strict=True)
+        ),
+    )
+
+
+class TestCodedColumns:
+    """Scores and observation tables read from the columns equal the row-by-row ones."""
+
+    @given(kb_and_corpus(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_coded_outcomes_and_table_equal_the_rows(self, inputs, data):
+        kb, idx = inputs
+        floor = data.draw(st.integers(min_value=0, max_value=2))
+        predicted = st.sampled_from(_OBJECTS + tuple(f" {obj}\t" for obj in _OBJECTS))
+        with tempfile.TemporaryDirectory() as tmp:
+            entry = Path(tmp) / "e.pop"
+            for hyp in HYPOTHESES:
+                try:
+                    pop = build_structure(hyp, kb, idx, min_poc_frequency=floor)
+                except EmptyPopulationError:
+                    continue
+                population.write_cache_entry(pop, entry)
+                keys = pop.cloze_keys
+                records = dict(zip(keys, data.draw(
+                    st.lists(predicted, min_size=len(keys), max_size=len(keys)))))
+                # built (rows kept) and read back (rows built from the columns)
+                for form in (pop, population.read_cache_entry(entry, hyp)):
+                    scored = score_population(form, manual_predictions(records))
+                    assert list(scored.outcomes) == [
+                        outcome_flag(hyp, row.object, records[row.subject, row.relation,
+                                                             row.template])
+                        for row in pop.rows
+                    ]
+                    table = population_observation_table(scored)
+                    expected = row_built_table(scored)
+                    assert table == expected
+                    assert _types(table.rows) == _types(expected.rows)
 
 
 def padded(predictions):
@@ -843,7 +974,7 @@ class TestScoringOracle:
                 assert_scored_per_row(pop, predictions)
 
     def test_generated_checkpoints(self, tmp_path):
-        gen = _load_generator()
+        gen = load_generator()
         sizes = gen.Sizes(relations=3, subjects=12, candidates=6, sentences=1500,
                           comention_max=30, checkpoints=(0.0, 0.5, 1.0))
         paths = gen.Corpus(sizes, seed=3).write(tmp_path)
@@ -861,8 +992,9 @@ class TestScoringOracle:
         write_population(pop, tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv")
         loaded = read_population(tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv", "soc")
         assert loaded.cloze_keys == pop.cloze_keys
-        assert loaded.key_index == pop.key_index
-        assert loaded.stripped_objects == pop.stripped_objects
+        assert loaded.key_index.tolist() == pop.key_index.tolist()
+        assert loaded.columns.object_ids == pop.columns.object_ids
+        assert loaded.columns.object_id.tolist() == pop.columns.object_id.tolist()
         for predictions in self.prediction_sets(crossed_kb, crossed_index, keys):
             assert score_population(loaded, predictions) == score_population(pop, predictions)
 
@@ -873,7 +1005,10 @@ class TestScoringOracle:
             assert [pop.cloze_keys[i] for i in pop.key_index] == [
                 (r.subject, r.relation, r.template) for r in pop.rows
             ]
-            assert pop.stripped_objects == tuple(r.object.strip() for r in pop.rows)
+            trimmed = list(pop.columns.object_ids)
+            assert [trimmed[i] for i in pop.columns.object_id] == [
+                r.object.strip() for r in pop.rows
+            ]
             scored = score_population(pop, baseline_predict(
                 "perfect", crossed_kb, queries=pop.cloze_keys))
             assert scored.cloze_keys is pop.cloze_keys

@@ -410,6 +410,29 @@ class TestBaselines:
                 assert rec in candidates
 
 
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [("heuristic-soc", None), ("heuristic-poc", None), ("heuristic-utt", None),
+         ("perfect", None), ("random", 5)],
+    )
+    def test_candidates_taken_once_per_relation(self, crossed_kb, monkeypatch, kind, seed):
+        idx = build_index(crossed_corpus_lines())
+        queries = [(s, r, p.template) for r in crossed_kb.relations
+                   for s in crossed_kb.subjects(r) for p in crossed_kb.patterns if p.relation == r]
+        expected = baseline_predict(kind, crossed_kb, stats=idx, queries=queries, seed=seed)
+        calls = []
+        candidate_objects = type(crossed_kb).candidate_objects
+
+        def counted(kb, relation):
+            calls.append(relation)
+            return candidate_objects(kb, relation)
+
+        monkeypatch.setattr(type(crossed_kb), "candidate_objects", counted)
+        preds = baseline_predict(kind, crossed_kb, stats=idx, queries=queries, seed=seed)
+        assert preds == expected
+        assert sorted(calls) == sorted(crossed_kb.relations)
+
+
 class TestOutcomeFlag:
     def test_match(self):
         assert outcome_flag("utt", "Alberta", "Alberta") == 1
