@@ -110,11 +110,12 @@ class MatchDiagnostics:
 class PopulationColumns:
     """A population's rows as integer columns, and the codes read from them.
 
-    `strings` is the string table and `codes` maps each `PopulationRow`
-    field to a numpy column: the string fields as indices into `strings`,
-    the bools and ints as numbers. The rest is read from the columns once,
-    when they are made, so that scoring and tabulating a population reads
-    no row:
+    `strings` is the string table, distinct strings in text order, and
+    `codes` maps each `PopulationRow` field to a numpy column: the string
+    fields as indices into `strings`, so that codes sort as their strings
+    do, and the bools and ints as numbers. The rest is read from the
+    columns once, when they are made, so that scoring and tabulating a
+    population reads no row:
 
       - `cloze_keys`, the sorted distinct (subject, relation, template)
         keys, and `key_index`, each row's index into them;
@@ -131,15 +132,10 @@ class PopulationColumns:
 
     def __init__(self, strings, codes):
         self.strings, self.codes = strings, codes
-        # a string's rank in text order: distinct keys of ranks sort as the keys do
-        order = sorted(range(len(strings)), key=strings.__getitem__)
-        rank = np.empty(len(strings), np.int64)
-        rank[order] = np.arange(len(strings))
-        ranked = [strings[i] for i in order]
         keys, self.key_index = _distinct(
-            *(rank[codes[name]] for name in ("subject", "relation", "template"))
+            *map(codes.__getitem__, ("subject", "relation", "template"))
         )
-        self.cloze_keys = tuple(zip(*(map(ranked.__getitem__, key) for key in keys)))
+        self.cloze_keys = tuple(zip(*(map(strings.__getitem__, key) for key in keys)))
 
         (objects,), object_index = _distinct(codes["object"])
         ids = self.object_ids = {}
@@ -157,10 +153,10 @@ class PopulationColumns:
     @classmethod
     def from_rows(cls, rows):
         """Encode `rows`, which are kept as the `rows` view."""
-        strings = dict.fromkeys(
+        strings = sorted(set(
             chain.from_iterable(map(itemgetter(ROW_FIELDS.index(name)), rows)
                                 for name in _STRING_FIELDS)
-        )
+        ))
         position = dict(zip(strings, range(len(strings))))
         codes = {}
         for i, name in enumerate(ROW_FIELDS):
@@ -188,16 +184,13 @@ class PopulationColumns:
             return NotImplemented
         return self is other or self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
 
 #: Row fields held as codes into the string table, and the numpy type of
 #: each other field (int32 where none is named).
 _STRING_FIELDS = ("subject", "object", "relation", "template", "soc_bin")
 _DTYPES = {
     "is_anti": np.bool_, "utt_present": np.bool_, "so_hc": np.bool_, "po_hc": np.bool_,
-    "treatment": np.uint8, "soc_count": np.int64,
+    "treatment": np.uint8,
 }
 
 #: The fields of an observation-table cell, with ``kbt`` as ``is_anti``.
@@ -477,33 +470,30 @@ def _check_pairs(treatment, pairs):
 
     Every row is in exactly one pair, as its treated row if its
     `treatment` is 1 and as its control row if 0. `treatment` and the
-    (treated, control) rows of `pairs` are arrays; all pairs are checked
-    at once, and the error names the first pair at fault, as a check of
-    one pair after another would.
+    (treated, control) rows of `pairs` are arrays. Sound pairs pass one
+    test of all of them at once; only pairs that fail it are walked, one
+    after another, so that the error names the first pair at fault.
     """
     n = len(treatment)
     index = pairs.reshape(-1)  # treated, control, treated, control, ...
-    arm = np.tile((1, 0), len(pairs))
-    outside = (index < 0) | (index >= n)
-    # an index outside the rows reads treatment 2, which is no arm
-    armed = np.append(treatment, 2)[np.where(outside, n, index).astype(np.intp)]
-    order = np.argsort(index, kind="stable")
-    repeated = np.zeros(len(index), bool)
-    repeated[order[1:]] = index[order[1:]] == index[order[:-1]]
-    fault = outside | (armed != arm) | repeated
-    if fault.any():
-        at = int(fault.argmax())
-        k, row, expected = at // 2, index[at], arm[at]
-        if outside[at]:
-            raise _PairingError(f"pair index {row} outside the {n} table rows", k)
-        if armed[at] != expected:
-            raise _PairingError(
-                f"pair row {row} has treatment {armed[at]}, expected {expected}", k
-            )
-        raise _PairingError(f"row {row} is in more than one pair", k)
-    if 2 * len(pairs) != n:
-        row = int(np.bincount(index.astype(np.intp), minlength=n).argmin())
-        raise _PairingError(f"row {row} is in no pair", row=row)
+    order = np.argsort(index)
+    # the indices are the rows, once each, and row r, at place order[r], is
+    # treated (1) at an even place and control (0) at an odd one
+    if (2 * len(pairs) == n and np.array_equal(index[order], np.arange(n))
+            and np.array_equal(treatment, 1 - order % 2)):
+        return
+    arms, paired = treatment.tolist(), set()
+    for k, pair in enumerate(pairs.tolist()):
+        for row, arm in zip(pair, (1, 0)):
+            if not 0 <= row < n:
+                raise _PairingError(f"pair index {row} outside the {n} table rows", k)
+            if arms[row] != arm:
+                raise _PairingError(f"pair row {row} has treatment {arms[row]}, expected {arm}", k)
+            if row in paired:
+                raise _PairingError(f"row {row} is in more than one pair", k)
+            paired.add(row)
+    row = min(set(range(n)) - paired)
+    raise _PairingError(f"row {row} is in no pair", row=row)
 
 
 def read_population(table_path, pairs_path, hypothesis):
@@ -569,8 +559,10 @@ def read_population(table_path, pairs_path, hypothesis):
 #: A population-cache entry is a sealed file (`write_sealed`) with this magic.
 #: Bump the version whenever `build_structure` can give different rows, pairs
 #: or diagnostics for the same inputs: the cache key digests only the inputs,
-#: so entries of the old build logic would be read back as current.
-_CACHE_MAGIC = b"CCPOP002"
+#: so entries of the old build logic would be read back as current. Bump it
+#: also when the entry's own rules change, as when version 3 required the
+#: string table in text order.
+_CACHE_MAGIC = b"CCPOP003"
 
 #: The columns of an entry, in file order: `<i4` string codes and counts,
 #: then the pairs' `<i4` treated and control rows, then `u1` flags.
@@ -617,8 +609,9 @@ def read_cache_entry(path, hypothesis):
     diagnostics = MatchDiagnostics(**header["diagnostics"])
     if not all(type(k) is int and k >= 0 for k in (*astuple(diagnostics), n, m)):
         raise ValueError(f"the diagnostics or counts in {path} are not counts")
-    if not all(type(s) is str for s in strings) or len(set(strings)) != len(strings):
-        raise ValueError(f"the string table in {path} is not distinct strings")
+    # strictly rising: in text order, and so distinct
+    if not all(type(s) is str for s in strings) or not all(map(str.__lt__, strings, strings[1:])):
+        raise ValueError(f"the string table in {path} is not strings in rising order")
     if len(data) != 4 * (len(_INT_FIELDS) * n + 2 * m) + len(_FLAG_FIELDS) * n:
         raise ValueError(f"{path} does not hold {n} rows and {m} pairs")
     ints = np.frombuffer(data, "<i4", len(_INT_FIELDS) * n + 2 * m)

@@ -174,6 +174,8 @@ class TestRunEstimate:
             "flipped_body_byte",
             "other_version",
             "previous_version",
+            "version_2",
+            "strings_not_rising",
             "truncated_column",
             "code_past_table",
             "flag_of_two",
@@ -192,6 +194,7 @@ class TestRunEstimate:
         cold = run_estimate(config)
         (entry,) = cache.glob("poc-*")
         original = entry.read_bytes()
+        assert original[:8] == b"CCPOP003"
         magic, header, columns = decode_entry(original)
         treated, control = columns["treated"], columns["control"]
         if damage == "truncated":
@@ -213,10 +216,19 @@ class TestRunEstimate:
                       for name in ROW_FIELDS]
             body = b"".join(json.dumps(line).encode() + b"\n" for line in lines + [treated, control])
             entry.write_bytes(b"CCPOP001" + blake2b(body, digest_size=16).digest() + body)
+        elif damage == "version_2":
+            # the magic of version 2, whose string table need not be in text order
+            entry.write_bytes(b"CCPOP002" + original[8:])
         else:
             # re-digested, so that the edit reaches the structure checks
             if damage == "truncated_column":
                 del columns["soc_bin"][-1]
+            elif damage == "strings_not_rising":
+                # the table reversed, and every string code with it
+                last = len(header["strings"]) - 1
+                header["strings"].reverse()
+                for name in ("subject", "object", "relation", "template", "soc_bin"):
+                    columns[name] = [last - code for code in columns[name]]
             elif damage == "code_past_table":
                 columns["subject"][0] = len(header["strings"])
             elif damage == "flag_of_two":
@@ -257,9 +269,12 @@ class TestRunEstimate:
         (entry,) = cache.glob("soc-*")
         original = entry.read_bytes()
         magic, header, columns = decode_entry(original)
-        header["strings"].append("XL")
+        # a new stratum: every third row's soc bin becomes the table's first
+        # string, which is no row's bin (a new string would have to be put in
+        # text order, moving the codes after it)
         soc_bin = columns["soc_bin"]
-        soc_bin[::3] = [len(header["strings"]) - 1] * len(soc_bin[::3])
+        assert 0 not in soc_bin
+        soc_bin[::3] = [0] * len(soc_bin[::3])
         edited = encode_entry(magic, header, columns)
         entry.write_bytes(original[:24] + edited[24:])  # the old digest kept
         assert run_estimate(config) == cold
@@ -806,3 +821,20 @@ class TestReports:
         emit_report(report, "structured", path)
         data = json.loads(path.read_text(encoding="utf-8"))
         assert set(data["ate"]) == {"utt", "poc", "soc"}
+
+
+def test_readme_library_example_runs(crossed_files, monkeypatch, capsys):
+    # the crossed fixture under the README's file names, each query
+    # predicted as its KB object
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    write_jsonl(crossed_files["dir"] / "preds.jsonl", [
+        {"subject": s, "relation": r, "template": t, "prediction": o, "source_id": "perfect"}
+        for s, r, o in CROSSED_TRIPLETS
+        for relation, t, _ in CROSSED_PATTERNS
+        if relation == r
+    ])
+    monkeypatch.chdir(crossed_files["dir"])
+    exec(example, {})
+    assert capsys.readouterr().out == "-100\n"

@@ -727,7 +727,7 @@ _ENTRY_DAMAGES = ("truncated_column", "code_past_table", "negative_code", "flag_
 
 
 def _damaged_entry(data, damage):
-    """A `CCPOP002` entry with one column edited, re-digested so the edit is read."""
+    """A cache entry with one column edited, re-digested so the edit is read."""
     magic, header, columns = decode_entry(data)
     treated, control = columns["treated"], columns["control"]
     if damage == "truncated_column":
@@ -840,6 +840,14 @@ class TestStoredForms:
         vectorised = first_fault(lambda: population._check_pairs(
             np.array(treatment, np.uint8), np.array(pairs, np.int32).reshape(-1, 2)))
         assert vectorised == first_fault(one_pair_after_another)
+
+    def test_empty_emitted_table_reads_back(self, tmp_path):
+        # no rows and no pairs: the pairs read back as `np.array([])`, a float array
+        empty = population.MatchedPopulation("soc", population.PopulationColumns.from_rows(()), ())
+        table, pairs = tmp_path / "t.tsv", tmp_path / "p.tsv"
+        write_population(empty, table, pairs)
+        back = read_population(table, pairs, "soc")
+        assert (back.rows, back.pairs, back.predicted, back.outcomes) == ((), (), (), ())
 
     def test_failed_cache_write_keeps_the_old_entry(
         self, tmp_path, crossed_kb, crossed_index, monkeypatch
