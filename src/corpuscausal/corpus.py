@@ -125,11 +125,8 @@ def instantiate(template, subject, obj):
     Values are spliced between the template's literal pieces, so slot
     markers inside the values themselves stay inert.
     """
-    pieces, slots = template_parts(template)
-    values = {"[X]": subject, "[Y]": obj}
-    return normalize_text(
-        pieces[0] + values[slots[0]] + pieces[1] + values[slots[1]] + pieces[2]
-    )
+    left, right = split_around(template, "[Y]", subject)
+    return normalize_text(left + obj + right)
 
 
 def _blake2b(data=b""):
@@ -381,7 +378,8 @@ class CorpusIndex:
             raise corrupt("posting offsets do not start at 0 and rise")
         if len(body) - pos != int(offsets[-1]) * 4:
             raise corrupt("postings do not end where the file ends")
-        flat = np.frombuffer(body, dtype=np.int32, offset=pos)
+        # one copy, so that no posting holds the file's bytes alive
+        flat = np.frombuffer(body, dtype=np.int32, offset=pos).copy()
         try:
             sentences = str(sent_blob, "utf-8").split("\n") if n_sent else []
             tokens = str(tok_blob, "utf-8").split("\n") if n_tok else []
@@ -389,10 +387,8 @@ class CorpusIndex:
             raise EncodingError(f"corrupt index text block in {path}") from exc
         if len(sentences) != n_sent or len(tokens) != n_tok:
             raise corrupt("entry counts do not match the text blocks")
-        postings = {
-            tok: flat[offsets[i] : offsets[i + 1]].copy()
-            for i, tok in enumerate(tokens)
-        }
+        bounds = offsets.tolist()
+        postings = {tok: flat[a:b] for tok, a, b in zip(tokens, bounds, bounds[1:])}
         index = cls(sentences, postings)
         index.digest = digest
         return index

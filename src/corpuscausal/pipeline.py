@@ -17,7 +17,7 @@ import contextlib
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from operator import contains
 from pathlib import Path
@@ -184,40 +184,12 @@ class EffectReport:
         """Hypothesis -> reason, for each hypothesis with no estimate."""
         return {hyp: diag["error"] for hyp, diag in self.diagnostics.items() if "error" in diag}
 
-    def to_dict(self):
-        return {
-            "source_id": self.source_id,
-            "ate": self.ate,
-            "cate": self.cate,
-            "diagnostics": self.diagnostics,
-            "series": list(self.series) if self.series is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        series = data.get("series")
-        return cls(
-            source_id=data["source_id"],
-            ate=data["ate"],
-            cate=data["cate"],
-            diagnostics=data["diagnostics"],
-            series=tuple(series) if series is not None else None,
-        )
-
 
 def _natural_key(name):
     # odd parts are the digit runs; "²".isdigit() holds but int("²") fails
     parts = re.split(r"(\d+)", str(name))
     parts[1::2] = map(int, parts[1::2])
     return tuple(parts)
-
-
-def _file_digest(path):
-    h = hashlib.blake2b(digest_size=16)
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 class _Runtime:
@@ -237,7 +209,7 @@ class _Runtime:
         else:
             self.stats = build_index(config.corpus)
         self._verify_adjustments()
-        # the key digests input files (and a built index): taken only for a cache
+        # the key digests the KB (and a built index): taken only for a cache
         self._cache_key = self._population_cache_key() if config.cache_dir else None
         self._loaded = None  # the predictions file, once read
         self.populations, self.failures = {}, {}
@@ -259,18 +231,16 @@ class _Runtime:
                 )
 
     def _population_cache_key(self):
-        """Digest of every input a population depends on.
+        """Digest of `build_structure`'s arguments: every input a population depends on.
 
-        The corpus enters as the index digest, so a built index and its
-        saved and loaded form give one key.
+        The KB enters as its parsed, de-duplicated triplets and patterns,
+        so a reformatted input file gives the same key. The corpus enters
+        as the index digest, so a built index and its saved and loaded
+        form give one key.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(_file_digest(self.config.kb).encode())
-        h.update(_file_digest(self.config.patterns).encode())
-        h.update(self.stats.digest.hex().encode())
-        h.update(str(self.config.min_poc_frequency).encode())
-        h.update(repr(tuple(self.config.bin_edges)).encode())
-        return h.hexdigest()
+        key = (self.kb.triplets, self.kb.patterns, self.stats.digest,
+               self.config.min_poc_frequency, tuple(self.config.bin_edges))
+        return hashlib.blake2b(repr(key).encode(), digest_size=16).hexdigest()
 
     def _structure(self, hypothesis):
         """The hypothesis's population, from the cache when its entry reads back.
@@ -344,12 +314,7 @@ class _Runtime:
             prediction_set = predictions_of(hyp)
             source_id = prediction_set.source_id if source_id is None else source_id
             pop = scored[hyp] = score_population(self.populations[hyp], prediction_set)
-            counts = {
-                "rows": len(pop),
-                "pairs": len(pop.pairs),
-                "unmatched_treated": pop.diagnostics.unmatched_treated,
-                "low_frequency_removed": pop.diagnostics.low_frequency_removed,
-            }
+            counts = {"rows": len(pop), "pairs": len(pop.pairs), **asdict(pop.diagnostics)}
             table = population_observation_table(pop)
             z = STRATIFY_COLUMNS[hyp]
             try:
@@ -537,7 +502,7 @@ def _render_delimited(report):
 
 def render_report(report, fmt):
     if fmt == "structured":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        return json.dumps(asdict(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if fmt == "table":
         return _render_table(report)
     if fmt == "delimited":
@@ -602,4 +567,5 @@ def load_report(path):
             raise ParseError(f"{path} is not a structured report: no {name!r} field")
         if not valid(data.get(name)):
             raise ParseError(f"{path} is not a structured report: bad {name!r} field")
-    return EffectReport.from_dict(data)
+    report = EffectReport(**{name: data.get(name) for name in _REPORT_FIELDS})
+    return report if report.series is None else replace(report, series=tuple(report.series))

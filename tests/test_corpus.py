@@ -709,6 +709,15 @@ class TestPersistence:
         assert loaded.soc_count(a, b) == idx.soc_count(a, b)
         assert loaded.utterance_present(sentences[0])
 
+    def test_loaded_postings_equal_the_built_ones(self, tmp_path):
+        path, _ = self.saved_index(tmp_path)
+        built = build_index(synthetic_corpus(random.Random(7), 120)[1])._token_postings
+        loaded = CorpusIndex.load(path)._token_postings
+        assert loaded.keys() == built.keys()
+        for tok, postings in built.items():
+            assert loaded[tok].dtype == np.int32
+            assert loaded[tok].tolist() == postings.tolist(), tok
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.idx"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 32)

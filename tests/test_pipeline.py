@@ -309,22 +309,62 @@ class TestRunEstimate:
     def test_inputs_are_not_digested_without_a_cache(self, crossed_files, monkeypatch):
         from corpuscausal.corpus import CorpusIndex
 
-        def no_digest(path):
-            raise AssertionError(f"digested {path} with no cache to key")
+        def no_digest(what):
+            raise AssertionError(f"digested {what} with no cache to key")
 
         config = config_for(crossed_files, "baseline:heuristic")
         cached = replace(config, cache_dir=str(crossed_files["dir"] / "cache"))
         expected = run_estimate(config)
-        file_digest = pipeline._file_digest
-        monkeypatch.setattr(pipeline, "_file_digest", no_digest)
+        cache_key = pipeline._Runtime._population_cache_key
+        monkeypatch.setattr(
+            pipeline._Runtime, "_population_cache_key", lambda _: no_digest("the inputs")
+        )
         # a built index computes its digest only when asked for it
         monkeypatch.setattr(CorpusIndex, "digest", property(lambda _: no_digest("the index")))
         assert run_estimate(config) == expected
-        with pytest.raises(AssertionError, match="digested"):
+        with pytest.raises(AssertionError, match="digested the inputs"):
             run_estimate(cached)
-        monkeypatch.setattr(pipeline, "_file_digest", file_digest)
+        monkeypatch.setattr(pipeline._Runtime, "_population_cache_key", cache_key)
         with pytest.raises(AssertionError, match="digested the index"):
             run_estimate(cached)
+
+    def test_reformatted_inputs_reuse_the_cache_entries(self, crossed_files, monkeypatch):
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
+        cold = run_estimate(config)
+        for name in ("kb", "patterns"):
+            path = crossed_files[name]
+            records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            # keys reordered, spaces doubled inside and between the JSON
+            # values, one record repeated, blank lines between records
+            lines = [json.dumps(dict(reversed(record.items()))).replace(" ", "  ")
+                     for record in records + records[:1]]
+            text = "\n\n".join(lines) + "\n"
+            assert text != path.read_text(encoding="utf-8")
+            path.write_text(text, encoding="utf-8")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a reformatted input missed its cache entries")
+
+        monkeypatch.setattr(pipeline, "build_structure", no_build)
+        assert run_estimate(config) == cold
+        assert len(list(cache.glob("*.pop"))) == 3
+
+    @pytest.mark.parametrize("edit", ["triplet_dropped", "anti_patterns_dropped"])
+    def test_changed_inputs_miss_the_cache_entries(self, crossed_files, edit):
+        cache = crossed_files["dir"] / "cache"
+        config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))
+        cold = run_estimate(config)
+        triplets, patterns = CROSSED_TRIPLETS, CROSSED_PATTERNS
+        if edit == "triplet_dropped":
+            triplets = triplets[1:]
+        else:
+            patterns = [p for p in patterns if not p[2]]
+        write_kb_files(crossed_files["dir"], triplets, patterns)
+        fresh = run_estimate(replace(config, cache_dir=""))
+        assert fresh != cold
+        assert run_estimate(config) == fresh
+        assert len(list(cache.glob("*.pop"))) == 6
 
     def test_built_and_loaded_index_share_cache_entries(self, crossed_files, monkeypatch):
         from corpuscausal.corpus import build_index
@@ -394,25 +434,26 @@ class TestRunEstimate:
     def test_cache_key_reuses_the_digest_the_index_load_checked(
         self, crossed_files, monkeypatch
     ):
-        from corpuscausal.corpus import build_index
+        from corpuscausal.corpus import CorpusIndex, build_index
 
         idx_path = crossed_files["dir"] / "corpus.idx"
         build_index(crossed_files["corpus"]).save(idx_path)
+        cache = crossed_files["dir"] / "cache"
         config = replace(
             config_for(crossed_files, "baseline:heuristic"),
             corpus="",
             index=str(idx_path),
-            cache_dir=str(crossed_files["dir"] / "cache"),
+            cache_dir=str(cache),
         )
+        expected = run_estimate(replace(config, cache_dir=""))
+
+        def no_body(index):
+            raise AssertionError("the loaded index was serialised again")
+
+        monkeypatch.setattr(CorpusIndex, "_body", no_body)
         cold = run_estimate(config)
-        digested = []
-        file_digest = pipeline._file_digest
-        monkeypatch.setattr(
-            pipeline, "_file_digest", lambda path: digested.append(path) or file_digest(path)
-        )
-        assert run_estimate(config) == cold
-        assert digested, "the cache key digests the KB and pattern files"
-        assert str(idx_path) not in map(str, digested)
+        assert run_estimate(config) == cold == expected
+        assert len(list(cache.glob("*.pop"))) == 3
 
 
 def tiny_files(tmp_path, triplets, corpus):
