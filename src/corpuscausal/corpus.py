@@ -381,12 +381,20 @@ class CorpusIndex:
         # one copy, so that no posting holds the file's bytes alive
         flat = np.frombuffer(body, dtype=np.int32, offset=pos).copy()
         try:
-            sentences = str(sent_blob, "utf-8").split("\n") if n_sent else []
-            tokens = str(tok_blob, "utf-8").split("\n") if n_tok else []
+            sentences = str(sent_blob, "utf-8").split("\n") if sent_blob else []
+            tokens = str(tok_blob, "utf-8").split("\n") if tok_blob else []
         except UnicodeDecodeError as exc:
             raise EncodingError(f"corrupt index text block in {path}") from exc
         if len(sentences) != n_sent or len(tokens) != n_tok:
             raise corrupt("entry counts do not match the text blocks")
+        if flat.size and not 0 <= flat.min() <= flat.max() < n_sent:
+            raise corrupt("a posting is not a sentence")
+        # the postings may fall only where a token's postings start
+        falls = np.flatnonzero(flat[1:] <= flat[:-1]) + 1
+        if not np.array_equal(offsets[offsets.searchsorted(falls)], falls):
+            raise corrupt("a token's postings do not strictly rise")
+        if not all(map(str.__lt__, tokens, tokens[1:])):
+            raise corrupt("the token table does not strictly rise")
         bounds = offsets.tolist()
         postings = {tok: flat[a:b] for tok, a, b in zip(tokens, bounds, bounds[1:])}
         index = cls(sentences, postings)

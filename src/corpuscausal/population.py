@@ -21,11 +21,11 @@ Rows are structure: a `PopulationRow` is a plain named tuple of what the
 corpus, the KB and the pairing fix, and none changes once built. The
 most and next most co-occurring objects come from the rankings the
 corpus index keeps beside each count map, sorted once per index rather
-than once per population or per query. A population holds its rows as
-integer columns (`PopulationColumns`), encoded once, when it is built or
-read back: scoring and the observation table read the columns, and the
-rows are built only when something asks for them (emission, the public
-API); a built population keeps the rows it was built from. Scores are
+than once per population or per query. A population is its integer
+columns (`PopulationColumns`), encoded once, when it is built or read
+back; a build sorts and pairs its rows as codes. Scoring, the
+observation table and emission read the columns, and the rows are built
+only when something asks for them (the public API, tests). Scores are
 columns too: `score_population` returns the population with a
 ``predicted`` and an ``outcomes`` tuple aligned with its rows, so
 re-scoring it for another prediction set (one per checkpoint) copies no
@@ -44,7 +44,6 @@ import json
 from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -92,10 +91,8 @@ class PopulationRow(NamedTuple):
 
 ROW_FIELDS = PopulationRow._fields
 
-#: The canonical row order: (relation, subject, object, template, is_anti).
-_sort_key = itemgetter(
-    *map(ROW_FIELDS.index, ("relation", "subject", "object", "template", "is_anti"))
-)
+#: The canonical row order, by these fields in turn.
+_ORDER_FIELDS = ("relation", "subject", "object", "template", "is_anti")
 
 #: Columns of an emitted population table: the row fields, then the scores.
 POPULATION_FIELDS = ROW_FIELDS + ("prediction", "outcome")
@@ -126,8 +123,9 @@ class PopulationColumns:
         the cell with outcome 0 then with outcome 1; and `cell`, each
         row's cell.
 
-    `rows` builds the `PopulationRow`s only when something asks for them.
-    Two column sets are equal when their rows are.
+    The columns are the population, built or read back: `rows` builds the
+    `PopulationRow`s only when something asks for them, and emission
+    reads the columns. Two column sets are equal when their rows are.
     """
 
     def __init__(self, strings, codes):
@@ -150,31 +148,9 @@ class PopulationColumns:
             for outcome in (0, 1)
         )
 
-    @classmethod
-    def from_rows(cls, rows):
-        """Encode `rows`, which are kept as the `rows` view."""
-        strings = sorted(set(
-            chain.from_iterable(map(itemgetter(ROW_FIELDS.index(name)), rows)
-                                for name in _STRING_FIELDS)
-        ))
-        position = dict(zip(strings, range(len(strings))))
-        codes = {}
-        for i, name in enumerate(ROW_FIELDS):
-            values = map(itemgetter(i), rows)
-            if name in _STRING_FIELDS:
-                values = map(position.__getitem__, values)
-            codes[name] = np.fromiter(values, _DTYPES.get(name, np.int32), len(rows))
-        columns = cls(tuple(strings), codes)
-        columns.__dict__["rows"] = tuple(rows)
-        return columns
-
     @cached_property
     def rows(self):
-        cells = [self.codes[name].tolist() for name in ROW_FIELDS]
-        for i, name in enumerate(ROW_FIELDS):
-            if name in _STRING_FIELDS:
-                cells[i] = map(self.strings.__getitem__, cells[i])
-        return tuple(map(PopulationRow._make, zip(*cells)))
+        return tuple(map(PopulationRow._make, zip(*_decode(self))))
 
     def __len__(self):
         return len(self.key_index)
@@ -195,6 +171,28 @@ _DTYPES = {
 
 #: The fields of an observation-table cell, with ``kbt`` as ``is_anti``.
 _CELL_FIELDS = ("relation", "template", "is_anti", "soc_bin", "utt_present", "treatment")
+
+
+def _encode(rows):
+    """The string table of `rows`, distinct strings in text order, and their columns."""
+    columns = list(zip(*rows)) or [()] * len(ROW_FIELDS)
+    strings = sorted(set().union(*(columns[ROW_FIELDS.index(n)] for n in _STRING_FIELDS)))
+    position = dict(zip(strings, range(len(strings))))
+    codes = {}
+    for name, values in zip(ROW_FIELDS, columns):
+        if name in _STRING_FIELDS:
+            values = map(position.__getitem__, values)
+        codes[name] = np.fromiter(values, _DTYPES.get(name, np.int32), len(rows))
+    return tuple(strings), codes
+
+
+def _decode(columns):
+    """The values of each of `ROW_FIELDS` in turn, read from `columns`."""
+    codes, strings = columns.codes, np.array(columns.strings, object)
+    return [
+        (strings[codes[name]] if name in _STRING_FIELDS else codes[name]).tolist()
+        for name in ROW_FIELDS
+    ]
 
 
 def _distinct(*columns):
@@ -337,16 +335,17 @@ def _build_soc(kb, view):
 def _sorted_population(hypothesis, pairs, unmatched, removed=0):
     """Sort the paired rows canonically and re-index the pairs into them.
 
-    No two rows are equal, so each row is its own index key.
+    Pair k is encoded as rows 2k and 2k+1. No two rows are equal, so one
+    sort of the codes, which sort as their strings do, orders the rows.
     """
     if not pairs:
         raise _no_pairs(hypothesis)
-    rows = tuple(sorted({row for pair in pairs for row in pair}, key=_sort_key))
-    index = {row: i for i, row in enumerate(rows)}
+    strings, codes = _encode(list(chain.from_iterable(pairs)))
+    order = np.lexsort([codes[name] for name in reversed(_ORDER_FIELDS)])
     return MatchedPopulation(
         hypothesis=hypothesis,
-        columns=PopulationColumns.from_rows(rows),
-        pairs=tuple(sorted((index[t], index[c]) for t, c in pairs)),
+        columns=PopulationColumns(strings, {name: codes[name][order] for name in codes}),
+        pairs=tuple(sorted(map(tuple, order.argsort().reshape(-1, 2).tolist()))),
         diagnostics=MatchDiagnostics(unmatched_treated=unmatched, low_frequency_removed=removed),
     )
 
@@ -430,13 +429,13 @@ _PAIRS_HEADER = "treated\tcontrol"
 
 def write_population(pop, table_path, pairs_path):
     """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids."""
-    predicted = pop.predicted or ("",) * len(pop.rows)
-    outcomes = pop.outcomes or (0,) * len(pop.rows)
+    predicted = pop.predicted or ("",) * len(pop)
+    outcomes = pop.outcomes or (0,) * len(pop)
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(POPULATION_FIELDS) + "\n")
-        for row, prediction, outcome in zip(pop.rows, predicted, outcomes, strict=True):
-            cells = "\t".join(map(str, row))
-            fh.write(f"{cells}\t{prediction}\t{outcome}\n")
+        columns = (*_decode(pop.columns), predicted, outcomes)
+        for line in map("\t".join, zip(*(map(str, column) for column in columns), strict=True)):
+            fh.write(line + "\n")
     with open(pairs_path, "w", encoding="utf-8") as fh:
         fh.write(_PAIRS_HEADER + "\n")
         for i, j in pop.pairs:
@@ -546,7 +545,7 @@ def read_population(table_path, pairs_path, hypothesis):
         raise ParseError(str(exc), line=linenos[exc.pair]) from None
     return MatchedPopulation(
         hypothesis=hypothesis,
-        columns=PopulationColumns.from_rows(rows),
+        columns=PopulationColumns(*_encode(rows)),
         pairs=tuple(pairs),
         predicted=tuple(predicted),
         outcomes=tuple(outcomes),

@@ -4,9 +4,11 @@ import hashlib
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -444,17 +446,21 @@ class TestTemplates:
         ),
     )
     def test_split_around_rebuilds_instantiate(self, template):
+        def fill(subject, obj):
+            # one pass over the template's own markers, so markers in the
+            # values stay inert; then whitespace collapsed
+            filled = re.sub(r"\[X\]|\[Y\]",
+                            lambda m: subject if m.group() == "[X]" else obj, template)
+            return " ".join(filled.split())
+
         values = ["Paris", "True Detective", " edge ", "in  ner\tspace", "[X]", "a [Y] b"]
         for v in values:
             for other in values:
+                assert instantiate(template, v, other) == fill(v, other)
                 left, right = split_around(template, "[X]", other)
-                assert normalize_text(left + v + right) == instantiate(
-                    template, v, other
-                )
+                assert normalize_text(left + v + right) == fill(v, other)
                 left, right = split_around(template, "[Y]", other)
-                assert normalize_text(left + v + right) == instantiate(
-                    template, other, v
-                )
+                assert normalize_text(left + v + right) == fill(other, v)
 
 
 class TestArgmax:
@@ -788,6 +794,48 @@ class TestPersistence:
                 blob[:offsets_start] + swapped.tobytes() + blob[offsets_start + 24 :]
             )
         )
+        with pytest.raises(IoFailureError, match="corrupt index structure"):
+            CorpusIndex.load(path)
+
+    @staticmethod
+    def redigested_body(tmp_path, damage):
+        """A saved index with its body changed by `damage`, then redigested.
+
+        `damage` edits a namespace of the sentence count `n_sent`, the
+        `tokens` and the `flat` postings, where the first token with two
+        postings starts at `at`.
+        """
+        path, blob = TestPersistence.saved_index(tmp_path)
+        chunks = CorpusIndex.load(path)._body()
+        offsets = np.frombuffer(chunks[4], dtype=np.int64)
+        body = SimpleNamespace(
+            n_sent=struct.unpack("<IQ", chunks[0])[0],
+            tokens=chunks[3].split(b"\n"),
+            flat=np.frombuffer(chunks[5], dtype=np.int32).copy(),
+            at=int(offsets[np.flatnonzero(np.diff(offsets) >= 2)[0]]),
+        )
+        damage(body)
+        chunks[0] = struct.pack("<IQ", body.n_sent, len(chunks[1]))
+        chunks[3], chunks[5] = b"\n".join(body.tokens), body.flat.tobytes()
+        chunks[2] = struct.pack("<IQ", len(body.tokens), len(chunks[3]))
+        path.write_bytes(TestPersistence.redigested(blob[:24] + b"".join(chunks)))
+        return path
+
+    STRUCTURE_DAMAGES = [
+        # the sentence block kept: `len` was 0, yet postings named sentence 0
+        pytest.param(lambda b: setattr(b, "n_sent", 0), id="sentence-count-zero"),
+        pytest.param(lambda b: b.flat.__setitem__(-1, b.n_sent), id="posting-past-the-sentences"),
+        pytest.param(lambda b: b.flat.__setitem__(0, -1), id="negative-posting"),
+        pytest.param(lambda b: b.flat.__setitem__([b.at, b.at + 1], b.flat[[b.at + 1, b.at]]),
+                     id="falling-postings"),
+        pytest.param(lambda b: b.flat.__setitem__(b.at + 1, b.flat[b.at]), id="repeated-posting"),
+        pytest.param(lambda b: b.tokens.insert(0, b.tokens.pop(1)), id="tokens-out-of-order"),
+        pytest.param(lambda b: b.tokens.__setitem__(1, b.tokens[0]), id="repeated-token"),
+    ]
+
+    @pytest.mark.parametrize("damage", STRUCTURE_DAMAGES)
+    def test_redigested_index_of_a_broken_structure_is_rejected(self, tmp_path, damage):
+        path = self.redigested_body(tmp_path, damage)
         with pytest.raises(IoFailureError, match="corrupt index structure"):
             CorpusIndex.load(path)
 

@@ -126,6 +126,31 @@ class TestRunEstimate:
                 if row[ti] == "1":
                     assert row[oi] == "1"
 
+    def test_emission_builds_no_row(self, crossed_files, monkeypatch):
+        # tables are written from the columns: with `rows` raising, estimate
+        # and build-population write the same files as without
+        config = config_for(crossed_files, "baseline:heuristic")
+        out = Path(config.output_dir)
+
+        def written():
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+            return files
+
+        def runs():
+            run_estimate(config, emit_populations=True)
+            estimated = written()
+            list(run_build_population(config, ("utt", "poc", "soc")))
+            return estimated, written()
+
+        expected = runs()
+
+        def no_rows(columns):
+            raise AssertionError("emission built a population's rows")
+
+        monkeypatch.setattr(PopulationColumns, "rows", property(no_rows))
+        assert runs() == expected
+
     def test_population_cache_round_trip(self, crossed_files, monkeypatch):
         cache = crossed_files["dir"] / "cache"
         config = config_for(crossed_files, "baseline:heuristic", cache_dir=str(cache))

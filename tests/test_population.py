@@ -4,6 +4,7 @@ import tempfile
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from corpuscausal.population import (
     ROW_FIELDS,
     STRATIFY_COLUMNS,
     PopulationRow,
-    _sort_key,
     build_structure,
     build_table,
     population_observation_table,
@@ -44,6 +44,10 @@ from corpuscausal.predictions import (
 
 import golden_fixture
 from conftest import crossed_corpus_lines, decode_entry, encode_entry, load_generator
+
+
+#: The canonical row order, written out here rather than read from the library.
+canonical_order = attrgetter("relation", "subject", "object", "template", "is_anti")
 
 
 def manual_predictions(mapping, source="handmade"):
@@ -480,8 +484,27 @@ class TestPairsByConstruction:
             assert pop.diagnostics == diagnostics
             assert set(pop.rows) == {row for pair in pairs for row in pair}
             assert sorted((pop.rows[i], pop.rows[j]) for i, j in pop.pairs) == sorted(pairs)
-            assert list(pop.rows) == sorted(pop.rows, key=_sort_key)
+            assert list(pop.rows) == sorted(pop.rows, key=canonical_order)
             assert list(pop.pairs) == sorted(pop.pairs)
+
+    @given(kb_and_corpus(), st.integers(min_value=0, max_value=2))
+    @settings(max_examples=50, deadline=None)
+    def test_no_two_built_rows_are_equal(self, inputs, floor):
+        # rows are sorted and paired as codes, so two equal rows would stay
+        # two rows: the KB drops repeated records and no builder makes a row
+        # twice, even from a KB given each record twice
+        kb, idx = inputs
+        kb = KnowledgeBase(triplets=kb.triplets * 2, patterns=kb.patterns * 2)
+        sort = population._sorted_population
+        for hyp in HYPOTHESES:
+            with mock.patch.object(population, "_sorted_population", wraps=sort) as spy:
+                try:
+                    pop = build_structure(hyp, kb, idx, min_poc_frequency=floor)
+                except EmptyPopulationError:
+                    continue
+            rows = [row for pair in spy.call_args.args[1] for row in pair]
+            assert len(set(rows)) == len(rows) == len(pop.rows) == 2 * len(pop.pairs)
+            assert len(set(pop.rows)) == len(pop.rows)
 
     def test_shared_template_pairs_within_each_pattern(self):
         # a template that is both a paraphrase and an anti-pattern pairs
@@ -550,9 +573,17 @@ class TestEmission:
             assert type(row) is type(back) is PopulationRow
             assert isinstance(row, tuple)
             assert back == row == tuple(getattr(row, name) for name in ROW_FIELDS)
-            assert _sort_key(row) == (
-                row.relation, row.subject, row.object, row.template, row.is_anti
-            )
+        assert list(loaded.rows) == sorted(loaded.rows, key=canonical_order)
+
+    def test_populations_hold_no_rows_until_asked(self, tmp_path, crossed_kb, crossed_index):
+        # built, emitted and read back from the columns: no row is kept
+        # until something reads `rows`
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        write_population(pop, tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv")
+        loaded = read_population(tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv", "soc")
+        for form in (pop, loaded):
+            assert "rows" not in form.columns.__dict__
+        assert loaded.rows == pop.rows
 
     def test_whitespace_in_predictions_scores_as_a_per_row_flag(
         self, crossed_kb, crossed_index
@@ -685,7 +716,7 @@ class TestEmission:
         keys = TestCommonBehavior().all_keys(crossed_kb)
         preds = baseline_predict("perfect", crossed_kb, queries=keys)
         pop = build_table("soc", crossed_kb, crossed_index, preds)
-        sort_keys = list(map(_sort_key, pop.rows))
+        sort_keys = list(map(canonical_order, pop.rows))
         assert sort_keys == sorted(sort_keys)
 
     def test_observation_table_adapter(self, crossed_kb, crossed_index):
@@ -843,7 +874,9 @@ class TestStoredForms:
 
     def test_empty_emitted_table_reads_back(self, tmp_path):
         # no rows and no pairs: the pairs read back as `np.array([])`, a float array
-        empty = population.MatchedPopulation("soc", population.PopulationColumns.from_rows(()), ())
+        empty = population.MatchedPopulation(
+            "soc", population.PopulationColumns(*population._encode(())), ()
+        )
         table, pairs = tmp_path / "t.tsv", tmp_path / "p.tsv"
         write_population(empty, table, pairs)
         back = read_population(table, pairs, "soc")
@@ -920,7 +953,7 @@ class TestCodedColumns:
                 keys = pop.cloze_keys
                 records = dict(zip(keys, data.draw(
                     st.lists(predicted, min_size=len(keys), max_size=len(keys)))))
-                # built (rows kept) and read back (rows built from the columns)
+                # built and read back: both are columns only
                 for form in (pop, population.read_cache_entry(entry, hyp)):
                     scored = score_population(form, manual_predictions(records))
                     assert list(scored.outcomes) == [
