@@ -21,17 +21,25 @@ Rows are structure: a `PopulationRow` is a plain named tuple of what the
 corpus, the KB and the pairing fix, and none changes once built. The
 most and next most co-occurring objects come from the rankings the
 corpus index keeps beside each count map, sorted once per index rather
-than once per population or per query. A population is its integer
-columns (`PopulationColumns`), encoded once, when it is built or read
-back; a build sorts and pairs its rows as codes. Scoring, the
-observation table and emission read the columns, and the rows are built
-only when something asks for them (the public API, tests). Scores are
-columns too: `score_population` returns the population with a
-``predicted`` and an ``outcomes`` tuple aligned with its rows, so
-re-scoring it for another prediction set (one per checkpoint) copies no
-row. Emitted tables join the two back into one file with a
-``prediction`` and an ``outcome`` column; an unscored population writes
-``""`` and ``0`` there.
+than once per population or per query. A builder takes each relation's
+candidates from the KB once and fetches a unit's two rankings once for
+all of its rows: soc ranks each subject once, and each template once
+its relation makes a row; poc ranks each template once, and the subject
+of each unit it keeps; utt ranks each triplet's subject once, and each
+of its paraphrases. A row's utterance probe is the raw text on either
+side of its object, as heuristic-utt probes it, which
+`utterance_present` normalises once.
+
+A population is its integer columns (`PopulationColumns`), encoded
+once, when it is built or read back; a build sorts and pairs its rows
+as codes. Scoring, the observation table and emission read the
+columns, and the rows are built only when something asks for them (the
+public API, tests). Scores are columns too: `score_population` returns
+the population with a ``predicted`` and an ``outcomes`` tuple aligned
+with its rows, so re-scoring it for another prediction set (one per
+checkpoint) copies no row. Emitted tables join the two back into one
+file with a ``prediction`` and an ``outcome`` column; an unscored
+population writes ``""`` and ``0`` there.
 
 Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
@@ -48,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BIN_EDGES, bin_count, instantiate, unseal, write_sealed
+from .corpus import BIN_EDGES, bin_count, split_around, unseal, write_sealed
 from .errors import (
     EmptyPopulationError,
     MissingPredictionError,
@@ -125,7 +133,8 @@ class PopulationColumns:
 
     The columns are the population, built or read back: `rows` builds the
     `PopulationRow`s only when something asks for them, and emission
-    reads the columns. Two column sets are equal when their rows are.
+    reads the columns. Two column sets are equal when their rows are;
+    they are compared as decoded columns, so comparing builds no row.
     """
 
     def __init__(self, strings, codes):
@@ -158,7 +167,7 @@ class PopulationColumns:
     def __eq__(self, other):
         if not isinstance(other, PopulationColumns):
             return NotImplemented
-        return self is other or self.rows == other.rows
+        return self is other or _decode(self) == _decode(other)
 
 
 #: Row fields held as codes into the string table, and the numpy type of
@@ -236,58 +245,29 @@ class MatchedPopulation:
         return len(self.columns)
 
 
-class _StatsView:
-    """Rows, and per-(relation, subject) and per-(relation, template) rankings.
-
-    The view keeps no memo: it asks the corpus index, the one memo of
-    rankings, with each relation's candidate tuple, taken once from the KB.
-    """
-
-    def __init__(self, kb, stats, bin_edges):
-        if stats is None:
-            raise MissingStatsError("population construction requires a corpus index")
-        self.stats = stats
-        self.bin_edges = bin_edges
-        self.candidates = {r: kb.candidate_objects(r) for r in kb.relations}
-
-    def soc_ranked(self, relation, subject):
-        return self.stats.soc_ranked(subject, self.candidates[relation])
-
-    def poc_ranked(self, relation, template):
-        return self.stats.poc_ranked(template, self.candidates[relation])
-
-    def make_row(self, relation, subject, obj, template, is_anti, treatment):
-        soc_order, soc_map = self.soc_ranked(relation, subject)
-        poc_order, _ = self.poc_ranked(relation, template)
-        soc = soc_map[obj]
-        return PopulationRow(
-            subject,
-            obj,
-            relation,
-            template,
-            is_anti,
-            treatment,
-            soc,
-            bin_count(soc, self.bin_edges),
-            self.stats.utterance_present(instantiate(template, subject, obj)),
-            obj == soc_order[0],
-            obj == poc_order[0],
-        )
-
-    def make_pair(self, relation, subject, top, runner, template, is_anti=False):
-        """The (treated, control) rows of one unit: its top and runner-up objects."""
-        return (
-            self.make_row(relation, subject, top, template, is_anti, 1),
-            self.make_row(relation, subject, runner, template, is_anti, 0),
-        )
+def _row(stats, bin_edges, subject, pattern, soc, poc, obj, treatment):
+    """The row of `obj` in the unit of (`subject`, `pattern`), whose subject's
+    and template's ``(ranking, counts)`` pairs are `soc` and `poc`."""
+    (soc_order, soc_counts), poc_order = soc, poc[0]
+    count = soc_counts[obj]
+    left, right = split_around(pattern.template, "[Y]", subject)
+    return PopulationRow(
+        subject, obj, pattern.relation, pattern.template, pattern.is_anti, treatment,
+        count, bin_count(count, bin_edges), stats.utterance_present(left + obj + right),
+        obj == soc_order[0], obj == poc_order[0],
+    )
 
 
-def _build_utt(kb, view):
+def _build_utt(kb, stats, bin_edges):
+    candidates = {r: kb.candidate_objects(r) for r in kb.relations}
     pairs = []
     unmatched = 0
     for trip in sorted(kb.triplets):
+        objects = candidates[trip.relation]
+        soc = stats.soc_ranked(trip.subject, objects)
         rows = [
-            view.make_row(trip.relation, trip.subject, trip.object, pat.template, False, 0)
+            _row(stats, bin_edges, trip.subject, pat, soc,
+                 stats.poc_ranked(pat.template, objects), trip.object, 0)
             for pat in sorted(kb.paraphrases(trip.relation))
         ]
         present = [row._replace(treatment=1) for row in rows if row.utt_present]
@@ -297,13 +277,15 @@ def _build_utt(kb, view):
     return _sorted_population("utt", pairs, unmatched)
 
 
-def _build_poc(kb, view, min_poc_frequency):
+def _build_poc(kb, stats, bin_edges, min_poc_frequency):
     pairs = []
     unmatched = removed = 0
     for relation in kb.relations:
+        candidates = kb.candidate_objects(relation)
         subjects = kb.subjects(relation)
         for pat in sorted(kb.paraphrases(relation)):
-            ranked, counts = view.poc_ranked(relation, pat.template)
+            poc = stats.poc_ranked(pat.template, candidates)
+            ranked, counts = poc
             # the floor keeps a prefix: the top object has the largest count
             top_two = ranked[:2]
             kept = [obj for obj in top_two if counts[obj] > min_poc_frequency]
@@ -311,24 +293,32 @@ def _build_poc(kb, view, min_poc_frequency):
             if len(kept) == 1:
                 unmatched += len(subjects)
             elif kept:
-                pairs += (view.make_pair(relation, s, *kept, pat.template) for s in subjects)
+                top, runner = kept
+                for subject in subjects:
+                    soc = stats.soc_ranked(subject, candidates)
+                    unit = (stats, bin_edges, subject, pat, soc, poc)
+                    pairs.append((_row(*unit, top, 1), _row(*unit, runner, 0)))
     return _sorted_population("poc", pairs, unmatched, removed)
 
 
-def _build_soc(kb, view):
+def _build_soc(kb, stats, bin_edges):
     pairs = []
     unmatched = 0
     for relation in kb.relations:
+        candidates = kb.candidate_objects(relation)
         patterns = sorted(kb.paraphrases(relation)) + sorted(kb.anti_patterns(relation))
+        pocs = None
         for subject in kb.subjects(relation):
-            ranked, _ = view.soc_ranked(relation, subject)
-            if len(ranked) < 2:
+            soc = stats.soc_ranked(subject, candidates)
+            if len(soc[0]) < 2:
                 unmatched += len(patterns)
                 continue
-            pairs += (
-                view.make_pair(relation, subject, *ranked[:2], pat.template, pat.is_anti)
-                for pat in patterns
-            )
+            # each template's ranking, fetched when the relation makes its first row
+            pocs = pocs or [stats.poc_ranked(pat.template, candidates) for pat in patterns]
+            top, runner = soc[0][:2]
+            for pat, poc in zip(patterns, pocs):
+                unit = (stats, bin_edges, subject, pat, soc, poc)
+                pairs.append((_row(*unit, top, 1), _row(*unit, runner, 0)))
     return _sorted_population("soc", pairs, unmatched)
 
 
@@ -361,12 +351,13 @@ def build_structure(hypothesis, kb, stats, min_poc_frequency=5, bin_edges=BIN_ED
     """
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"unknown hypothesis: {hypothesis!r}")
-    view = _StatsView(kb, stats, bin_edges)
+    if stats is None:
+        raise MissingStatsError("population construction requires a corpus index")
     if hypothesis == "utt":
-        return _build_utt(kb, view)
+        return _build_utt(kb, stats, bin_edges)
     if hypothesis == "poc":
-        return _build_poc(kb, view, min_poc_frequency)
-    return _build_soc(kb, view)
+        return _build_poc(kb, stats, bin_edges, min_poc_frequency)
+    return _build_soc(kb, stats, bin_edges)
 
 
 def score_population(pop, predictions):
@@ -393,8 +384,9 @@ def score_population(pop, predictions):
         ) from None
     if pop.hypothesis not in HYPOTHESES or None in by_key or "" in columns.object_ids:
         # raise what `outcome_flag` raises, for the first row it rejects
-        for row, key in zip(pop.rows, columns.key_index.tolist()):
-            outcome_flag(pop.hypothesis, row.object, by_key[key])
+        objects = map(columns.strings.__getitem__, columns.codes["object"].tolist())
+        for obj, key in zip(objects, columns.key_index.tolist()):
+            outcome_flag(pop.hypothesis, obj, by_key[key])
     predicted = np.fromiter(by_key, object, len(by_key))[columns.key_index]
     ids = columns.object_ids
     predicted_id = np.fromiter(

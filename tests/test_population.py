@@ -1,6 +1,7 @@
 """Population construction: pairing recipes, filters, emission."""
 
 import tempfile
+from contextlib import ExitStack
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -11,11 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpuscausal.corpus import BIN_EDGES, build_index, instantiate
+from corpuscausal.corpus import (
+    BIN_EDGES,
+    CorpusIndex,
+    bin_count,
+    build_index,
+    instantiate,
+    ranked_objects,
+)
 from corpuscausal.errors import (
     EmptyPopulationError,
     MissingPredictionError,
     MissingReferenceError,
+    MissingStatsError,
     ParseError,
 )
 from corpuscausal.estimator import ObservationTable
@@ -349,6 +358,29 @@ class TestCommonBehavior:
                 assert (t.treatment, c.treatment) == (1, 0)
                 assert key(t) == key(c)
 
+    @pytest.mark.parametrize("hyp", HYPOTHESES)
+    def test_building_needs_a_corpus_index(self, crossed_kb, hyp):
+        with pytest.raises(MissingStatsError):
+            build_structure(hyp, crossed_kb, None)
+
+    def test_builds_fetch_a_units_rankings_once(self, crossed_kb, crossed_index):
+        # a builder that fetched both rankings for every row would ask the
+        # index at least twice per row
+        names = ("soc_ranked", "poc_ranked", "soc_count", "poc_count")
+        with ExitStack() as stack:
+            spy = {
+                name: stack.enter_context(mock.patch.object(
+                    CorpusIndex, name, autospec=True, side_effect=getattr(CorpusIndex, name)
+                ))
+                for name in names
+            }
+            rows = sum(len(build_structure(hyp, crossed_kb, crossed_index)) for hyp in HYPOTHESES)
+        calls = {name: spy[name].call_count for name in names}
+        assert rows == 36
+        assert calls["soc_ranked"] + calls["poc_ranked"] < 2 * rows
+        # each count is made once: 4 subjects and 6 templates, 2 candidates each
+        assert (calls["soc_count"], calls["poc_count"]) == (4 * 2, 6 * 2)
+
 
 #: The keys each recipe pairs a treated and a control row on.
 RECIPE_KEYS = {
@@ -358,21 +390,40 @@ RECIPE_KEYS = {
 }
 
 
+def soc_counts(kb, stats, relation, subject):
+    return {o: stats.soc_count(subject, o) for o in kb.candidate_objects(relation)}
+
+
+def poc_counts(kb, stats, relation, template):
+    return {o: stats.poc_count(template, o) for o in kb.candidate_objects(relation)}
+
+
+def oracle_row(kb, stats, relation, subject, obj, template, is_anti, treatment):
+    """A row from the definitions: counts, their rankings, bins and utterances."""
+    soc = soc_counts(kb, stats, relation, subject)
+    poc = poc_counts(kb, stats, relation, template)
+    return PopulationRow(
+        subject, obj, relation, template, is_anti, treatment, soc[obj],
+        bin_count(soc[obj], BIN_EDGES),
+        stats.utterance_present(instantiate(template, subject, obj)),
+        obj == ranked_objects(soc)[0], obj == ranked_objects(poc)[0],
+    )
+
+
 def greedy_oracle(hypothesis, kb, stats, min_poc_frequency):
     """Pairs and diagnostics by build-then-match.
 
-    Builds every candidate row, splits them into treated and control pools
-    in build order, then gives each treated row the first unused control
-    that agrees on the recipe's keys.
+    Builds every candidate row from the definitions (`oracle_row`), splits
+    them into treated and control pools in build order, then gives each
+    treated row the first unused control that agrees on the recipe's keys.
     """
-    view = population._StatsView(kb, stats, BIN_EDGES)
     treated, pool = [], []
     removed = 0
     if hypothesis == "utt":
         for trip in sorted(kb.triplets):
             for pat in sorted(kb.paraphrases(trip.relation)):
-                row = view.make_row(
-                    trip.relation, trip.subject, trip.object, pat.template, False, 0
+                row = oracle_row(
+                    kb, stats, trip.relation, trip.subject, trip.object, pat.template, False, 0
                 )
                 if row.utt_present:
                     treated.append(row._replace(treatment=1))
@@ -381,25 +432,25 @@ def greedy_oracle(hypothesis, kb, stats, min_poc_frequency):
     elif hypothesis == "poc":
         for relation in kb.relations:
             for pat in sorted(kb.paraphrases(relation)):
-                ranked, counts = view.poc_ranked(relation, pat.template)
+                counts = poc_counts(kb, stats, relation, pat.template)
                 for subject in kb.subjects(relation):
-                    for arm, obj, flag in zip((treated, pool), ranked, (1, 0)):
+                    for arm, obj, flag in zip((treated, pool), ranked_objects(counts), (1, 0)):
                         if counts[obj] > min_poc_frequency:
-                            arm.append(
-                                view.make_row(relation, subject, obj, pat.template, False, flag)
-                            )
+                            arm.append(oracle_row(
+                                kb, stats, relation, subject, obj, pat.template, False, flag
+                            ))
                         else:
                             removed += 1
     else:
         for relation in kb.relations:
             patterns = sorted(kb.paraphrases(relation)) + sorted(kb.anti_patterns(relation))
             for subject in kb.subjects(relation):
-                ranked, _ = view.soc_ranked(relation, subject)
+                ranked = ranked_objects(soc_counts(kb, stats, relation, subject))
                 for pat in patterns:
                     for arm, obj, flag in zip((treated, pool), ranked, (1, 0)):
-                        arm.append(
-                            view.make_row(relation, subject, obj, pat.template, pat.is_anti, flag)
-                        )
+                        arm.append(oracle_row(
+                            kb, stats, relation, subject, obj, pat.template, pat.is_anti, flag
+                        ))
     key = attrgetter(*RECIPE_KEYS[hypothesis])
     free = {}
     for row in pool:
@@ -584,6 +635,19 @@ class TestEmission:
         for form in (pop, loaded):
             assert "rows" not in form.columns.__dict__
         assert loaded.rows == pop.rows
+
+    def test_comparing_and_failed_scoring_build_no_rows(
+        self, tmp_path, crossed_kb, crossed_index
+    ):
+        pop = build_structure("soc", crossed_kb, crossed_index)
+        population.write_cache_entry(pop, tmp_path / "soc.pop")
+        cached = population.read_cache_entry(tmp_path / "soc.pop", "soc")
+        assert cached == pop
+        assert cached.columns != build_structure("utt", crossed_kb, crossed_index).columns
+        with pytest.raises(MissingReferenceError):
+            score_population(cached, manual_predictions(dict.fromkeys(cached.cloze_keys)))
+        for form in (pop, cached):
+            assert "rows" not in form.columns.__dict__
 
     def test_whitespace_in_predictions_scores_as_a_per_row_flag(
         self, crossed_kb, crossed_index
