@@ -8,12 +8,15 @@ surface intersects its tokens' postings to get candidate sentences (the
 hot kernel), then a word-boundary regex verifies the surface string. A
 pattern count prefilters on the template's literal tokens the same way,
 then tests each candidate for the literal prefix and suffix around the
-[X] wildcard. Templates are split once. The index is the one memo of
-corpus statistics: entity postings, and the per-subject and per-template
-count maps over a candidate set with their rankings, each counted and
-ranked once per index (a single `soc_count` or `poc_count` call is not
-memoised). Memos are keyed by the caller's text, normalised on first
-sight only. A saved index is a sealed file (`write_sealed`, `unseal`).
+[X] wildcard. Templates are split once.
+
+The index memoises what it counts: entity postings, a relation's soc
+count matrix (subjects x candidates, from one concatenation of the
+candidates' postings and one search per subject), and each template's
+poc count map over a candidate set with its ranking (a single
+`soc_count` or `poc_count` call is not memoised). Postings and poc maps
+are keyed by the caller's text, normalised on first sight only. A saved
+index is a sealed file (`write_sealed`, `unseal`).
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -56,6 +59,18 @@ def normalize_text(text):
     return " ".join(text.split())
 
 
+def in_normal_form(text):
+    """Whether `text` is non-empty and `normalize_text` leaves it as it is.
+
+    A template in normal form with both slots filled by values in normal
+    form is in normal form too: its only whitespace is single spaces, the
+    template's own were neither doubled nor at its ends, and each value
+    starts and ends with a non-space, so no two spaces meet and none ends
+    the text.
+    """
+    return bool(text) and normalize_text(text) == text
+
+
 def segment_sentences(text):
     """Split text into sentences: newlines first, then ``.!?`` + whitespace."""
     sentences = []
@@ -82,6 +97,15 @@ def ranked_objects(counts):
     if not counts:
         raise EmptyCandidateSetError("ranking an empty candidate mapping")
     return sorted(counts, key=lambda obj: (-counts[obj], obj))
+
+
+def ranked_columns(counts):
+    """Each row's column indices in `ranked_objects` order, for columns in text order.
+
+    Descending count, then column index, which is then text order: a
+    stable sort of the negated counts.
+    """
+    return np.argsort(-counts, axis=-1, kind="stable")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -172,14 +196,18 @@ def unseal(blob, magic):
 
 
 class CorpusIndex:
-    """Immutable sentence index with lazy entity postings and count caches."""
+    """Immutable sentence index with lazy entity postings and count caches.
+
+    `sentence_set` holds the sentences, each in normal form, so a text
+    known to be normal is tested for membership with no `normalize_text`.
+    """
 
     def __init__(self, sentences, token_postings):
         self.sentences = list(sentences)
-        self._sentence_set = set(self.sentences)
+        self.sentence_set = frozenset(self.sentences)
         self._token_postings = token_postings
         self._entity_cache = {}
-        self._soc_maps = {}
+        self._soc_matrices = {}
         self._poc_maps = {}
 
     def __len__(self):
@@ -189,7 +217,7 @@ class CorpusIndex:
 
     def utterance_present(self, utterance):
         """Exact membership of the normalized utterance among sentences."""
-        return normalize_text(utterance) in self._sentence_set
+        return normalize_text(utterance) in self.sentence_set
 
     def _all_ids(self):
         return np.arange(len(self.sentences), dtype=np.int32)
@@ -251,33 +279,56 @@ class CorpusIndex:
         b = self.entity_postings(obj)
         return int(kernels.intersect_count(a, b))
 
-    def soc_ranked(self, subject, objects):
-        """The memoised ``(ranking, counts)`` pair of (subject, objects).
+    def soc_matrix(self, subjects, objects):
+        """The memoised soc counts of `subjects` x `objects`, a read-only int32 array.
 
-        ``counts`` maps each object to ``soc_count(subject, object)`` and is
-        read-only because every caller shares it; ``ranking`` orders it as
-        `ranked_objects` does, sorted once when the map is counted.
-        Whitespace variants of `subject` share one entry. Raises
-        `EmptyCandidateSetError` on an empty candidate set.
+        Entry (i, j) is ``soc_count(subjects[i], objects[j])``. The objects'
+        postings are concatenated once, each offset by its column times the
+        sentence count, so that they stay sorted; a subject's postings,
+        shifted by every column's offset, are then searched in them at
+        once, and a row-sum of the hits is the subject's row. Raises
+        `EmptyCandidateSetError` on an empty object set.
         """
-        key = (subject, tuple(objects))
-        return self._soc_maps.get(key) or self._ranked(self._soc_maps, self.soc_count, key)
+        key = (tuple(subjects), tuple(objects))
+        matrix = self._soc_matrices.get(key)
+        if matrix is not None:
+            return matrix
+        subjects, objects = key
+        if not objects:
+            raise EmptyCandidateSetError("counting over an empty candidate set")
+        offsets = np.arange(len(objects), dtype=np.int64)[:, None] * len(self.sentences)
+        flat = np.concatenate([
+            offset + postings
+            for offset, postings in zip(offsets, map(self.entity_postings, objects))
+        ])
+        matrix = np.zeros((len(subjects), len(objects)), dtype=np.int32)
+        if len(flat):
+            for row, subject in zip(matrix, subjects):
+                probes = offsets + self.entity_postings(subject)
+                # as in `kernels`: a probe past the end reads the last element
+                row[:] = (flat.take(flat.searchsorted(probes), mode="clip") == probes).sum(1)
+        matrix.flags.writeable = False
+        self._soc_matrices[key] = matrix
+        return matrix
 
     def poc_ranked(self, template, objects):
-        """`soc_ranked` for ``poc_count(template, object)``."""
-        key = (template, tuple(objects))
-        return self._poc_maps.get(key) or self._ranked(self._poc_maps, self.poc_count, key)
+        """The memoised ``(ranking, counts)`` pair of (template, objects).
 
-    @staticmethod
-    def _ranked(maps, count, key):
-        """The entry of `key`, the caller's text, on a miss: that of its normalised form."""
-        first, objects = key
-        normal = (normalize_text(first), objects)
-        if normal not in maps:
-            counts = {o: count(first, o) for o in objects}
-            maps[normal] = (tuple(ranked_objects(counts)), MappingProxyType(counts))
-        maps[key] = maps[normal]
-        return maps[key]
+        ``counts`` maps each object to ``poc_count(template, object)`` and
+        is read-only because every caller shares it; ``ranking`` orders it
+        as `ranked_objects` does, sorted once when the map is counted.
+        Whitespace variants of `template` share one entry. Raises
+        `EmptyCandidateSetError` on an empty candidate set.
+        """
+        key = (template, tuple(objects))
+        entry = self._poc_maps.get(key)
+        if entry is None:
+            normal = (normalize_text(template), key[1])
+            if normal not in self._poc_maps:
+                counts = {o: self.poc_count(template, o) for o in key[1]}
+                self._poc_maps[normal] = (tuple(ranked_objects(counts)), MappingProxyType(counts))
+            entry = self._poc_maps[key] = self._poc_maps[normal]
+        return entry
 
     def poc_count(self, template, obj):
         """Sentences matching the template with [Y]=object and [X] wildcarded.

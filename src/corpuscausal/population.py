@@ -18,17 +18,19 @@ partner as unmatched where it arises:
     (control).
 
 Rows are structure: a `PopulationRow` is a plain named tuple of what the
-corpus, the KB and the pairing fix, and none changes once built. The
-most and next most co-occurring objects come from the rankings the
-corpus index keeps beside each count map, sorted once per index rather
-than once per population or per query. A builder takes each relation's
-candidates from the KB once and fetches a unit's two rankings once for
-all of its rows: soc ranks each subject once, and each template once
-its relation makes a row; poc ranks each template once, and the subject
-of each unit it keeps; utt ranks each triplet's subject once, and each
-of its paraphrases. A row's utterance probe is the raw text on either
-side of its object, as heuristic-utt probes it, which
-`utterance_present` normalises once.
+corpus, the KB and the pairing fix, and none changes once built. A build
+runs one array pass per relation. It takes the relation's subjects and
+candidates from the KB once, and its soc count matrix (subjects x
+candidates) from the corpus index, which counts it once per index; the
+candidates are in text order, so a stable sort of each row's negated
+counts ranks them as `ranked_objects` does. poc counts come from the
+index's memoised per-template rankings. A builder picks its pairs as
+(subject, candidate, pattern) index arrays, and `_population` reads the
+rest from them: the counts, the flags against rank 0, the bins (each
+distinct count binned once) and the codes of the strings the rows use.
+A row's utterance probe is the raw text on either side of its object,
+as heuristic-utt probes it; it is one set lookup when the template, the
+subject and the object are in normal form, and is normalised otherwise.
 
 A population is its integer columns (`PopulationColumns`), encoded
 once, when it is built or read back; a build sorts and pairs its rows
@@ -56,7 +58,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BIN_EDGES, bin_count, split_around, unseal, write_sealed
+from .corpus import (
+    BIN_EDGES,
+    bin_count,
+    in_normal_form,
+    ranked_columns,
+    split_around,
+    unseal,
+    write_sealed,
+)
 from .errors import (
     EmptyPopulationError,
     MissingPredictionError,
@@ -245,96 +255,176 @@ class MatchedPopulation:
         return len(self.columns)
 
 
-def _row(stats, bin_edges, subject, pattern, soc, poc, obj, treatment):
-    """The row of `obj` in the unit of (`subject`, `pattern`), whose subject's
-    and template's ``(ranking, counts)`` pairs are `soc` and `poc`."""
-    (soc_order, soc_counts), poc_order = soc, poc[0]
-    count = soc_counts[obj]
-    left, right = split_around(pattern.template, "[Y]", subject)
-    return PopulationRow(
-        subject, obj, pattern.relation, pattern.template, pattern.is_anti, treatment,
-        count, bin_count(count, bin_edges), stats.utterance_present(left + obj + right),
-        obj == soc_order[0], obj == poc_order[0],
-    )
+class _Relation:
+    """One relation's subjects and candidates, with their soc counts and rankings.
+
+    Taken from the KB and the index once per build. The candidates are in
+    text order (`KnowledgeBase.candidate_objects` sorts them), so row i of
+    `soc_ranking` is subject i's candidates in `ranked_objects` order.
+    """
+
+    def __init__(self, kb, stats, name):
+        self.name = name
+        self.subjects, self.candidates = kb.subjects(name), kb.candidate_objects(name)
+        self.position = dict(zip(self.candidates, range(len(self.candidates))))
+        self.soc = stats.soc_matrix(self.subjects, self.candidates)
+        self.soc_ranking = ranked_columns(self.soc)
+        self.subject_normal = _normal_forms(self.subjects)
+        self.candidate_normal = _normal_forms(self.candidates)
+
+
+def _normal_forms(texts):
+    return np.fromiter(map(in_normal_form, texts), np.bool_, len(texts))
+
+
+def _present(stats, rel, patterns, s, o, t):
+    """Whether the utterance of each (subject, candidate, pattern) row is stored.
+
+    `s`, `o` and `t` index `rel.subjects`, `rel.candidates` and
+    `patterns`. A row's probe is the raw text on either side of its
+    object, as heuristic-utt probes it, split once per (pattern, subject)
+    unit. When the template, the subject and the object are in normal
+    form, so is the probe (`in_normal_form`), and it is looked up as it
+    is; any other probe is normalised first.
+    """
+    templates = [pat.template for pat in patterns]
+    n = len(rel.subjects)
+    units, unit = np.unique(t * n + s, return_inverse=True)
+    sides = [split_around(templates[u // n], "[Y]", rel.subjects[u % n]) for u in units.tolist()]
+    left, right = (np.array(side, object)[unit] for side in zip(*sides))
+    probes = (left + np.array(rel.candidates, object)[o] + right).tolist()
+    present = np.fromiter(map(stats.sentence_set.__contains__, probes), np.bool_, len(probes))
+    normal = rel.subject_normal[s] & rel.candidate_normal[o] & _normal_forms(templates)[t]
+    for row in np.flatnonzero(~normal).tolist():
+        present[row] = stats.utterance_present(probes[row])
+    return present
+
+
+def _pairs(treated, control):
+    """Treated and control rows' indices side by side: one pair per row."""
+    return np.stack((treated, control), axis=1)
 
 
 def _build_utt(kb, stats, bin_edges):
-    candidates = {r: kb.candidate_objects(r) for r in kb.relations}
-    pairs = []
-    unmatched = 0
-    for trip in sorted(kb.triplets):
-        objects = candidates[trip.relation]
-        soc = stats.soc_ranked(trip.subject, objects)
-        rows = [
-            _row(stats, bin_edges, trip.subject, pat, soc,
-                 stats.poc_ranked(pat.template, objects), trip.object, 0)
-            for pat in sorted(kb.paraphrases(trip.relation))
-        ]
-        present = [row._replace(treatment=1) for row in rows if row.utt_present]
-        absent = [row for row in rows if not row.utt_present]
-        pairs += zip(present, absent)
-        unmatched += max(0, len(present) - len(absent))
-    return _sorted_population("utt", pairs, unmatched)
+    triplets = {}
+    for trip in kb.triplets:
+        triplets.setdefault(trip.relation, []).append(trip)
+    blocks, unmatched = [], 0
+    for relation in kb.relations:
+        rel = _Relation(kb, stats, relation)
+        patterns = sorted(kb.paraphrases(relation))
+        row_of = dict(zip(rel.subjects, range(len(rel.subjects))))
+        s, o = np.array([(row_of[t.subject], rel.position[t.object]) for t in triplets[relation]]).T
+        # one row per (triplet, paraphrase), the paraphrases in order
+        n, k = len(s), len(patterns)
+        present = _present(stats, rel, patterns, s.repeat(k), o.repeat(k), np.tile(np.arange(k), n))
+        present = present.reshape(n, k)
+        stored = present.sum(axis=1, keepdims=True)
+        matched = np.minimum(stored, k - stored)
+        unmatched += int((stored - matched).sum())
+        # a triplet's i-th stored paraphrase pairs with its i-th absent one: both
+        # arms run through the triplets in order, `matched` rows of each per triplet
+        rank = np.where(present, present.cumsum(axis=1), (~present).cumsum(axis=1))
+        (tu, tj), (cu, cj) = (np.nonzero(arm & (rank <= matched)) for arm in (present, ~present))
+        flags = _pairs(np.ones(len(tu), np.bool_), np.zeros(len(cu), np.bool_))
+        blocks.append((rel, patterns, _pairs(s[tu], s[cu]), _pairs(o[tu], o[cu]), _pairs(tj, cj),
+                       flags))
+    return _population("utt", stats, blocks, bin_edges, unmatched)
 
 
 def _build_poc(kb, stats, bin_edges, min_poc_frequency):
-    pairs = []
+    blocks = []
     unmatched = removed = 0
     for relation in kb.relations:
-        candidates = kb.candidate_objects(relation)
-        subjects = kb.subjects(relation)
-        for pat in sorted(kb.paraphrases(relation)):
-            poc = stats.poc_ranked(pat.template, candidates)
-            ranked, counts = poc
+        rel = _Relation(kb, stats, relation)
+        patterns = sorted(kb.paraphrases(relation))
+        n = len(rel.subjects)
+        units = []  # (pattern, top, runner) of each template that keeps two objects
+        for k, pat in enumerate(patterns):
+            ranked, counts = stats.poc_ranked(pat.template, rel.candidates)
             # the floor keeps a prefix: the top object has the largest count
             top_two = ranked[:2]
-            kept = [obj for obj in top_two if counts[obj] > min_poc_frequency]
-            removed += (len(top_two) - len(kept)) * len(subjects)
+            kept = [rel.position[obj] for obj in top_two if counts[obj] > min_poc_frequency]
+            removed += (len(top_two) - len(kept)) * n
             if len(kept) == 1:
-                unmatched += len(subjects)
+                unmatched += n
             elif kept:
-                top, runner = kept
-                for subject in subjects:
-                    soc = stats.soc_ranked(subject, candidates)
-                    unit = (stats, bin_edges, subject, pat, soc, poc)
-                    pairs.append((_row(*unit, top, 1), _row(*unit, runner, 0)))
-    return _sorted_population("poc", pairs, unmatched, removed)
+                units.append((k, *kept))
+        if units:
+            t, top, runner = np.repeat(np.array(units), n, axis=0).T
+            s = np.tile(np.arange(n), len(units))
+            blocks.append((rel, patterns, _pairs(s, s), _pairs(top, runner), _pairs(t, t), None))
+    return _population("poc", stats, blocks, bin_edges, unmatched, removed)
 
 
 def _build_soc(kb, stats, bin_edges):
-    pairs = []
-    unmatched = 0
+    blocks, unmatched = [], 0
     for relation in kb.relations:
-        candidates = kb.candidate_objects(relation)
+        rel = _Relation(kb, stats, relation)
         patterns = sorted(kb.paraphrases(relation)) + sorted(kb.anti_patterns(relation))
-        pocs = None
-        for subject in kb.subjects(relation):
-            soc = stats.soc_ranked(subject, candidates)
-            if len(soc[0]) < 2:
-                unmatched += len(patterns)
-                continue
-            # each template's ranking, fetched when the relation makes its first row
-            pocs = pocs or [stats.poc_ranked(pat.template, candidates) for pat in patterns]
-            top, runner = soc[0][:2]
-            for pat, poc in zip(patterns, pocs):
-                unit = (stats, bin_edges, subject, pat, soc, poc)
-                pairs.append((_row(*unit, top, 1), _row(*unit, runner, 0)))
-    return _sorted_population("soc", pairs, unmatched)
+        n, k = len(rel.subjects), len(patterns)
+        if len(rel.candidates) < 2:
+            unmatched += n * k
+            continue
+        s, t = np.repeat(np.arange(n), k), np.tile(np.arange(k), n)
+        blocks.append((rel, patterns, _pairs(s, s), rel.soc_ranking[s, :2], _pairs(t, t), None))
+    return _population("soc", stats, blocks, bin_edges, unmatched)
 
 
-def _sorted_population(hypothesis, pairs, unmatched, removed=0):
-    """Sort the paired rows canonically and re-index the pairs into them.
+def _population(hypothesis, stats, blocks, bin_edges, unmatched, removed=0):
+    """The population of a build's pairs, its rows sorted canonically.
 
-    Pair k is encoded as rows 2k and 2k+1. No two rows are equal, so one
-    sort of the codes, which sort as their strings do, orders the rows.
+    Each block is one relation's pairs, as arrays of shape (pairs, 2) of
+    the treated and control rows' subject, candidate and pattern indices,
+    and of their utterance flags, or None where `_present` is to read
+    them. A row's bin is read from its count, each distinct count binned
+    once, and the string table holds the strings the rows use, in text
+    order, so that codes sort as their strings do. No two rows are
+    equal, so one sort of the codes orders the rows; pair k is rows 2k
+    and 2k+1 before the sort.
     """
-    if not pairs:
+    blocks = [block for block in blocks if block[2].size]
+    if not blocks:
         raise _no_pairs(hypothesis)
-    strings, codes = _encode(list(chain.from_iterable(pairs)))
+    texts = {name: [] for name in ("subject", "object", "relation", "template")}
+    codes = {name: [] for name in ROW_FIELDS if name not in _STRING_FIELDS}
+    for rel, patterns, s, o, t, present in blocks:
+        s, o, t = s.reshape(-1), o.reshape(-1), t.reshape(-1)
+        ranked = (stats.poc_ranked(pat.template, rel.candidates)[0] for pat in patterns)
+        poc_top = np.array([rel.position[ranking[0]] for ranking in ranked])
+        texts["subject"].append((rel.subjects, s))
+        texts["object"].append((rel.candidates, o))
+        texts["relation"].append(((rel.name,), np.zeros_like(s)))
+        texts["template"].append((tuple(pat.template for pat in patterns), t))
+        codes["is_anti"].append(np.array([pat.is_anti for pat in patterns], np.bool_)[t])
+        codes["treatment"].append(np.tile(np.array([1, 0], np.uint8), len(s) // 2))
+        codes["soc_count"].append(rel.soc[s, o])
+        codes["utt_present"].append(
+            (_present(stats, rel, patterns, s, o, t) if present is None else present).reshape(-1)
+        )
+        codes["so_hc"].append(o == rel.soc_ranking[s, 0])
+        codes["po_hc"].append(o == poc_top[t])
+    codes = {name: np.concatenate(parts) for name, parts in codes.items()}
+    counts, bins = np.unique(codes["soc_count"], return_inverse=True)
+    labels = [bin_count(count, bin_edges) for count in counts.tolist()]
+    used = set(labels)
+    for values, index in chain.from_iterable(texts.values()):
+        mask = np.zeros(len(values), np.bool_)
+        mask[index] = True
+        used.update(map(values.__getitem__, np.flatnonzero(mask).tolist()))
+    strings = tuple(sorted(used))
+    position = dict(zip(strings, range(len(strings))))
+    for name, parts in texts.items():
+        # a value no row uses has no code, and no index reads its -1
+        codes[name] = np.concatenate([
+            np.array([position.get(value, -1) for value in values], np.int32)[index]
+            for values, index in parts
+        ])
+    codes["soc_bin"] = np.array([position[label] for label in labels], np.int32)[bins.reshape(-1)]
     order = np.lexsort([codes[name] for name in reversed(_ORDER_FIELDS)])
     return MatchedPopulation(
         hypothesis=hypothesis,
-        columns=PopulationColumns(strings, {name: codes[name][order] for name in codes}),
+        columns=PopulationColumns(strings, {name: codes[name][order] for name in ROW_FIELDS}),
         pairs=tuple(sorted(map(tuple, order.argsort().reshape(-1, 2).tolist()))),
         diagnostics=MatchDiagnostics(unmatched_treated=unmatched, low_frequency_removed=removed),
     )

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .corpus import normalize_text, split_around
+from .corpus import in_normal_form, normalize_text, ranked_columns, split_around
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -141,6 +141,23 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
     source_id = f"random:{seed}" if kind == "random" else kind
     records = {}
     candidates_of = {}  # relation -> its candidates, taken from the KB once
+    normal_of = {}  # relation -> whether each candidate is in normal form
+    soc_top = {}  # (subject, relation) -> the candidate the subject co-occurs with most
+
+    def most_co_occurring(subject, relation):
+        if (subject, relation) not in soc_top:
+            # the relation's count matrix, which its populations count too;
+            # a subject outside the KB gets a matrix of its own
+            subjects = kb.subjects(relation)
+            if subject not in subjects:
+                subjects = (subject,)
+            candidates = candidates_of[relation]
+            top = ranked_columns(stats.soc_matrix(subjects, candidates))[:, 0].tolist()
+            soc_top.update(
+                ((s, relation), candidates[j]) for s, j in zip(subjects, top)
+            )
+        return soc_top[subject, relation]
+
     for subject, relation, template in queries:
         key = (subject, relation, template)
         if key in records:
@@ -160,15 +177,25 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
                 _random_index(seed, subject, relation, template, len(candidates))
             ]
         elif kind == "heuristic-soc":
-            predicted = stats.soc_ranked(subject, candidates)[0][0]
+            predicted = most_co_occurring(subject, relation)
         elif kind == "heuristic-poc":
             predicted = stats.poc_ranked(template, candidates)[0][0]
         else:  # heuristic-utt
+            if relation not in normal_of:
+                normal_of[relation] = [in_normal_form(o) for o in candidates]
+            # a probe of values and template in normal form is looked up as
+            # it is (`in_normal_form`); any other is normalised first
+            as_is = in_normal_form(subject) and in_normal_form(template)
             left, right = split_around(template, "[Y]", subject)
-            present = (o for o in candidates if stats.utterance_present(left + o + right))
+            present = (
+                o
+                for o, normal in zip(candidates, normal_of[relation])
+                if (left + o + right in stats.sentence_set if as_is and normal
+                    else stats.utterance_present(left + o + right))
+            )
             predicted = next(present, None)
             if predicted is None:
-                predicted = stats.soc_ranked(subject, candidates)[0][0]
+                predicted = most_co_occurring(subject, relation)
         records[key] = predicted
     return PredictionSet(records=records, source_id=source_id)
 

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from corpuscausal.corpus import bin_count, build_index, ranked_objects
+from corpuscausal.corpus import bin_count, build_index, ranked_columns, ranked_objects
 from corpuscausal.estimator import (
     ObservationTable,
     ate,
@@ -337,12 +337,14 @@ def test_criterion_6_cooccurrence_matches_quadratic_oracle():
     }
 
     def check_batched(index):
-        # on a fresh index, so the batched calls do the counting themselves
-        for a in entities:
-            expected = {b: soc_oracle[a, b] for b in entities}
-            ranking, counts = index.soc_ranked(a, entities)
-            assert dict(counts) == expected
-            assert list(ranking) == ranked_objects(expected)
+        # on a fresh index, so the batched calls do the counting themselves;
+        # the matrix's columns are in text order, as a relation's candidates are
+        objects = sorted(entities)
+        matrix = index.soc_matrix(entities, objects)
+        for a, row, ranking in zip(entities, matrix.tolist(), ranked_columns(matrix).tolist()):
+            expected = {b: soc_oracle[a, b] for b in objects}
+            assert dict(zip(objects, row)) == expected
+            assert [objects[j] for j in ranking] == ranked_objects(expected)
         for template in templates:
             expected = {obj: poc_oracle[template, obj] for obj in entities[:5]}
             ranking, counts = index.poc_ranked(template, entities[:5])

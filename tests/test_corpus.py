@@ -24,6 +24,7 @@ from corpuscausal.corpus import (
     build_index,
     instantiate,
     normalize_text,
+    ranked_columns,
     ranked_objects,
     segment_sentences,
     split_around,
@@ -279,19 +280,15 @@ class TestBatchedCounts:
 
     def test_subject_among_objects(self):
         idx = build_index(self.SENTENCES)
-        _, counts = idx.soc_ranked("Rome", ("France", "Rome", "Italy"))
-        assert dict(counts) == {
-            obj: naive_soc(self.SENTENCES, "Rome", obj)
-            for obj in ("France", "Rome", "Italy")
-        }
-        assert counts["Rome"] == len(idx.entity_postings("Rome")) == 3
+        objects = ("France", "Rome", "Italy")
+        (row,) = idx.soc_matrix(("Rome",), objects).tolist()
+        assert row == [naive_soc(self.SENTENCES, "Rome", obj) for obj in objects]
+        assert row[1] == len(idx.entity_postings("Rome")) == 3
 
     def test_object_without_postings(self):
         idx = build_index(self.SENTENCES)
-        assert dict(idx.soc_ranked("Rome", ("Spain", "Italy"))[1]) == {
-            "Spain": 0,
-            "Italy": 1,
-        }
+        assert idx.soc_matrix(("Rome",), ("Spain", "Italy")).tolist() == [[0, 1]]
+        assert idx.soc_matrix(("Spain",), ("Rome", "Italy")).tolist() == [[0, 0]]
         template = "[X] is the capital of [Y]."
         assert dict(idx.poc_ranked(template, ("Spain", "France"))[1]) == {
             "Spain": 0,
@@ -301,11 +298,12 @@ class TestBatchedCounts:
     def test_whitespace_variants_share_one_key(self, monkeypatch):
         idx = build_index(self.SENTENCES)
         kernel = CountingKernels(monkeypatch)
-        soc = idx.soc_ranked("Rome", ("France", " France  "))
-        counts = soc[1]
-        assert counts["France"] == counts[" France  "] == 1
-        assert kernel.calls == 2
-        assert idx.soc_ranked(" Rome ", ("France", " France  ")) is soc
+        soc = idx.soc_matrix(("Rome", " Rome "), ("France", " France  "))
+        assert soc.tolist() == [[1, 1], [1, 1]]
+        # the variants share the postings of their normal form
+        assert idx.entity_postings(" France  ") is idx.entity_postings("France")
+        assert idx.entity_postings(" Rome ") is idx.entity_postings("Rome")
+        assert kernel.calls == 0  # one-token surfaces read their token's postings
         template = "[X] is the capital of [Y]."
         poc = idx.poc_ranked(template, ("France", "France "))
         assert poc[1]["France"] == poc[1]["France "] == 2
@@ -316,17 +314,20 @@ class TestBatchedCounts:
         kernel = CountingKernels(monkeypatch)
         objects = ("France", "Italy", "Rome")
         template = "[X] is the capital of [Y]."
-        soc = idx.soc_ranked("Paris", objects)
+        soc = idx.soc_matrix(("Paris", "Rome met"), objects)
         poc = idx.poc_ranked(template, objects)
         assert kernel.calls > 0
         kernel.calls = 0
-        assert idx.soc_ranked("Paris", objects) is soc
+        assert idx.soc_matrix(["Paris", "Rome met"], list(objects)) is soc
         assert idx.poc_ranked(template, list(objects)) is poc
         assert kernel.calls == 0
 
     def test_counts_are_read_only(self):
         idx = build_index(self.SENTENCES)
-        _, counts = idx.soc_ranked("Rome", ("France",))
+        soc = idx.soc_matrix(("Rome",), ("France",))
+        with pytest.raises(ValueError):
+            soc[0, 0] = 7
+        _, counts = idx.poc_ranked("[X] is the capital of [Y].", ("France",))
         with pytest.raises(TypeError):
             counts["France"] = 7
 
@@ -334,28 +335,32 @@ class TestBatchedCounts:
         sentences = self.SENTENCES + ["Italy and Spain.", "Rome in Spain."]
         idx = build_index(sentences)
         # Rome co-occurs once each with France, Italy and Spain: a three-way tie
-        objects = ("Spain", "France", "Rome", "Italy", "Lyon")
+        objects = ("France", "Italy", "Lyon", "Rome", "Spain")  # in text order
+        subjects = ("Rome", "Paris")
+        soc = idx.soc_matrix(subjects, objects)
+        for subject, row, ranking in zip(subjects, soc.tolist(), ranked_columns(soc).tolist()):
+            counts = {o: naive_soc(sentences, subject, o) for o in objects}
+            assert dict(zip(objects, row)) == counts
+            assert [objects[j] for j in ranking] == ranked_objects(counts)
+        assert [objects[j] for j in ranked_columns(soc)[0]][:4] == [
+            "Rome", "France", "Italy", "Spain"
+        ]
         template = "[X] is the capital of [Y]."
-        cases = [(idx.soc_ranked, naive_soc, subject) for subject in ("Rome", "Paris")]
-        cases += [(idx.poc_ranked, naive_poc, template)]
-        for ranked_pair, naive, first in cases:
-            entry = ranked_pair(first, objects)
-            ranked, counts = entry
-            assert isinstance(ranked, tuple)
-            assert list(ranked) == ranked_objects(counts)
-            assert list(ranked) == ranked_objects(
-                {o: naive(sentences, first, o) for o in objects}
-            )
-            assert ranked_pair(f"  {first} ", list(objects)) is entry
-            assert ranked_pair(first.replace(" ", "   "), objects) is entry
-        ranked, _ = idx.soc_ranked("Rome", objects)
-        assert ranked[:4] == ("Rome", "France", "Italy", "Spain")
+        entry = idx.poc_ranked(template, objects)
+        ranked, counts = entry
+        assert isinstance(ranked, tuple)
+        assert list(ranked) == ranked_objects(counts)
+        assert list(ranked) == ranked_objects(
+            {o: naive_poc(sentences, template, o) for o in objects}
+        )
+        assert idx.poc_ranked(f"  {template} ", list(objects)) is entry
+        assert idx.poc_ranked(template.replace(" ", "   "), objects) is entry
 
     def test_ranking_an_empty_candidate_set_is_rejected(self):
         idx = build_index(self.SENTENCES)
         for _ in range(2):  # a rejected set is not memoised
             with pytest.raises(EmptyCandidateSetError):
-                idx.soc_ranked("Rome", ())
+                idx.soc_matrix(("Rome",), ())
             with pytest.raises(EmptyCandidateSetError):
                 idx.poc_ranked("[X] is the capital of [Y].", ())
 
@@ -381,7 +386,7 @@ class TestBatchedCounts:
         idx = build_index(self.SENTENCES)
         objects = ("France", "Italy", "Rome")
         template = "[X] is the capital of [Y]."
-        soc = idx.soc_ranked("Paris", objects)
+        soc = idx.soc_matrix(("Paris",), objects)
         poc = idx.poc_ranked(template, objects)
         kernel = CountingKernels(monkeypatch)
         calls = []
@@ -390,15 +395,44 @@ class TestBatchedCounts:
             "normalize_text",
             lambda text: calls.append(text) or normalize_text(text),
         )
-        assert idx.soc_ranked("Paris", objects) is soc
+        assert idx.soc_matrix(("Paris",), objects) is soc
         assert idx.poc_ranked(template, objects) is poc
         assert calls == []
         # a whitespace variant is normalised on first sight only
         for _ in range(2):
-            assert idx.soc_ranked(" Paris ", objects) is soc
+            assert np.array_equal(idx.soc_matrix((" Paris ",), objects), soc)
             assert idx.poc_ranked(template.replace(" ", "  "), objects) is poc
         assert calls == [" Paris ", template.replace(" ", "  ")]
         assert kernel.calls == 0
+
+
+#: Surfaces for the matrix property: one-token and multi-token surfaces,
+#: whitespace variants of them, and surfaces no sentence holds.
+_SURFACES = ("Ann", " Ann", "Ann  ", "Bo", "Bo Cy", "Bo  Cy", "\tBo Cy ", "Cy", "Di",
+             "Ann Bo", "Zed", "Q Zed", "none", "no one", "")
+_WORDS = ("Ann", "Bo", "Cy", "Di", "Zed", "Q", "met", "and", "no", "one")
+
+
+class TestSocMatrix:
+    @given(
+        st.lists(st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join), max_size=25),
+        st.lists(st.sampled_from(_SURFACES), min_size=0, max_size=6),
+        st.lists(st.sampled_from(_SURFACES), min_size=1, max_size=6, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_matrix_is_soc_count_on_every_pair(self, lines, subjects, objects):
+        idx = build_index(lines)
+        matrix = idx.soc_matrix(subjects, objects)
+        assert matrix.shape == (len(subjects), len(objects))
+        assert matrix.tolist() == [
+            [idx.soc_count(subject, obj) for obj in objects] for subject in subjects
+        ]
+        # with the objects in text order, the code ranking is `ranked_objects`'
+        objects = sorted(objects)
+        matrix = idx.soc_matrix(subjects, objects)
+        for subject, ranking in zip(subjects, ranked_columns(matrix).tolist()):
+            counts = {obj: idx.soc_count(subject, obj) for obj in objects}
+            assert [objects[j] for j in ranking] == ranked_objects(counts)
 
 
 class TestTemplates:

@@ -18,7 +18,9 @@ from corpuscausal.corpus import (
     bin_count,
     build_index,
     instantiate,
+    normalize_text,
     ranked_objects,
+    split_around,
 )
 from corpuscausal.errors import (
     EmptyPopulationError,
@@ -364,22 +366,40 @@ class TestCommonBehavior:
             build_structure(hyp, crossed_kb, None)
 
     def test_builds_fetch_a_units_rankings_once(self, crossed_kb, crossed_index):
-        # a builder that fetched both rankings for every row would ask the
-        # index at least twice per row
-        names = ("soc_ranked", "poc_ranked", "soc_count", "poc_count")
+        # each relation's soc matrix and each (template, candidate) poc count
+        # is made once per index, and no builder probes the index per row
+        names = ("soc_matrix", "poc_ranked", "soc_count", "poc_count", "utterance_present")
+        matrices = {}
+        soc_matrix = CorpusIndex.soc_matrix
+
+        def recorded(index, subjects, objects):
+            matrix = soc_matrix(index, subjects, objects)
+            matrices.setdefault((tuple(subjects), tuple(objects)), set()).add(id(matrix))
+            return matrix
+
         with ExitStack() as stack:
             spy = {
                 name: stack.enter_context(mock.patch.object(
-                    CorpusIndex, name, autospec=True, side_effect=getattr(CorpusIndex, name)
+                    CorpusIndex, name, autospec=True,
+                    side_effect=recorded if name == "soc_matrix" else getattr(CorpusIndex, name),
                 ))
                 for name in names
             }
             rows = sum(len(build_structure(hyp, crossed_kb, crossed_index)) for hyp in HYPOTHESES)
         calls = {name: spy[name].call_count for name in names}
         assert rows == 36
-        assert calls["soc_ranked"] + calls["poc_ranked"] < 2 * rows
-        # each count is made once: 4 subjects and 6 templates, 2 candidates each
-        assert (calls["soc_count"], calls["poc_count"]) == (4 * 2, 6 * 2)
+        # one matrix per relation, over its subjects and candidates, that
+        # every build reads
+        assert sorted(matrices) == sorted(
+            (crossed_kb.subjects(r), crossed_kb.candidate_objects(r)) for r in crossed_kb.relations
+        )
+        assert all(len(made) == 1 for made in matrices.values())
+        assert calls["soc_matrix"] == len(HYPOTHESES) * len(crossed_kb.relations)
+        assert calls["soc_matrix"] + calls["poc_ranked"] < rows
+        # each count is made once: 6 templates, 2 candidates each; no row asks
+        # for a count or an utterance of its own
+        assert calls["poc_count"] == 6 * 2
+        assert calls["soc_count"] == calls["utterance_present"] == 0
 
 
 #: The keys each recipe pairs a treated and a control row on.
@@ -546,16 +566,30 @@ class TestPairsByConstruction:
         # twice, even from a KB given each record twice
         kb, idx = inputs
         kb = KnowledgeBase(triplets=kb.triplets * 2, patterns=kb.patterns * 2)
-        sort = population._sorted_population
         for hyp in HYPOTHESES:
-            with mock.patch.object(population, "_sorted_population", wraps=sort) as spy:
-                try:
-                    pop = build_structure(hyp, kb, idx, min_poc_frequency=floor)
-                except EmptyPopulationError:
-                    continue
-            rows = [row for pair in spy.call_args.args[1] for row in pair]
-            assert len(set(rows)) == len(rows) == len(pop.rows) == 2 * len(pop.pairs)
-            assert len(set(pop.rows)) == len(pop.rows)
+            try:
+                pop = build_structure(hyp, kb, idx, min_poc_frequency=floor)
+            except EmptyPopulationError:
+                continue
+            rows = pop.rows
+            assert len(set(rows)) == len(rows) == 2 * len(pop.pairs)
+            assert {i for pair in pop.pairs for i in pair} == set(range(len(rows)))
+
+    @given(kb_and_corpus(), st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_bins_are_bin_count_of_the_edges_passed(self, inputs, edges):
+        # a build bins each distinct count once; any edges, even unsorted
+        # ones, keep `bin_count`'s meaning
+        kb, idx = inputs
+        edges = tuple(edges)
+        for hyp in HYPOTHESES:
+            try:
+                pop = build_structure(hyp, kb, idx, min_poc_frequency=0, bin_edges=edges)
+            except EmptyPopulationError:
+                continue
+            for row in pop.rows:
+                assert row.soc_count == idx.soc_count(row.subject, row.object)
+                assert row.soc_bin == bin_count(row.soc_count, edges)
 
     def test_shared_template_pairs_within_each_pattern(self):
         # a template that is both a paraphrase and an anti-pattern pairs
@@ -600,6 +634,75 @@ class TestPairsByConstruction:
         )
         assert {r.template for r in pop.rows} == {"[X] knows [Y]."}
         assert len(pop.pairs) == 2
+
+
+class TestUtteranceProbes:
+    """A probe is looked up as it is only when normalising could not change it.
+
+    The KB is built directly, so its subjects, objects and templates keep
+    double spaces, tabs, leading and trailing blanks, and an empty subject.
+    """
+
+    SUBJECTS = ("Ann", " Bo", "Cy  Di", "Ed\tFa", "")
+    OBJECTS = ("Xo", "Yu ", " Zed", "Wim")
+    TEMPLATES = ("[X] likes [Y].", "[X]  knows [Y].", " [Y] hosts [X]. ", "[X] left\t[Y]")
+
+    def inputs(self):
+        triplets = [
+            Triplet(subject, "r", obj)
+            for i, subject in enumerate(self.SUBJECTS)
+            for obj in (self.OBJECTS[i % 4], self.OBJECTS[(i + 1) % 4])
+        ]
+        patterns = [PatternSpec("r", t) for t in self.TEMPLATES]
+        patterns.append(PatternSpec("r", self.TEMPLATES[1], True))
+        kb = KnowledgeBase(triplets=tuple(triplets), patterns=tuple(patterns))
+        cells = [(t, s, o) for t in self.TEMPLATES for s in self.SUBJECTS for o in self.OBJECTS]
+        lines = [instantiate(*cell) for k, cell in enumerate(cells) if k % 5 == 0]
+        # each triplet's utterance under one paraphrase, so utt rows pair
+        lines += [instantiate(self.TEMPLATES[k % 4], t.subject, t.object)
+                  for k, t in enumerate(triplets)]
+        lines += [f"{s} and {o} met {k}." for k, (s, o) in enumerate(
+            (s, o) for s in self.SUBJECTS for o in self.OBJECTS[: len(s) % 4 + 1])]
+        return kb, build_index(lines)
+
+    @staticmethod
+    def probe(template, subject, obj):
+        left, right = split_around(template, "[Y]", subject)
+        return left + obj + right
+
+    @pytest.mark.parametrize("hyp", HYPOTHESES)
+    def test_each_rows_flag_is_utterance_present_of_its_probe(self, hyp):
+        kb, idx = self.inputs()
+        pop = build_structure(hyp, kb, idx, min_poc_frequency=0)
+        flags = [
+            idx.utterance_present(self.probe(row.template, row.subject, row.object))
+            for row in pop.rows
+        ]
+        assert [row.utt_present for row in pop.rows] == flags
+        # some stored probe is not in normal form as spliced
+        assert any(
+            flag and normalize_text(probe) != probe
+            for flag, probe in zip(flags, (
+                self.probe(row.template, row.subject, row.object) for row in pop.rows))
+        )
+
+    def test_heuristic_utt_takes_the_first_candidate_utterance_present_finds(self):
+        kb, idx = self.inputs()
+        queries = [(s, "r", p.template) for p in kb.patterns for s in kb.subjects("r")]
+        preds = baseline_predict("heuristic-utt", kb, stats=idx, queries=queries)
+        candidates = kb.candidate_objects("r")
+        found = 0
+        for subject, relation, template in queries:
+            stored = [
+                o for o in candidates if idx.utterance_present(self.probe(template, subject, o))
+            ]
+            found += bool(stored)
+            expected = (
+                stored[0] if stored
+                else ranked_objects({o: idx.soc_count(subject, o) for o in candidates})[0]
+            )
+            assert preds.get(subject, relation, template) == expected, (subject, template)
+        assert 0 < found < len(queries)
 
 
 class TestEmission:

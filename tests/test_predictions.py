@@ -287,13 +287,20 @@ class TestBaselines:
             [instantiate(template, "Paris", first), instantiate(template, "Paris", second)]
             + [f"Paris and {second} {i}." for i in range(3)]
         )
-        assert idx.soc_ranked("Paris", (first, second))[0][0] == second
+        assert idx.soc_count("Paris", second) > idx.soc_count("Paris", first)
         probes = []
+
+        class Probed(frozenset):
+            def __contains__(self, utterance):
+                probes.append(utterance)
+                return super().__contains__(utterance)
 
         def probe(utterance, present=idx.utterance_present):
             probes.append(utterance)
             return present(utterance)
 
+        # the probes of normal-form text are set lookups, any other a call
+        monkeypatch.setattr(idx, "sentence_set", Probed(idx.sentence_set))
         monkeypatch.setattr(idx, "utterance_present", probe)
         query = ("Paris", "capital-of", template)
         preds = baseline_predict("heuristic-utt", crossed_kb, stats=idx, queries=[query])
@@ -324,7 +331,7 @@ class TestBaselines:
             stored += bool(present)
             expected = (
                 present[0] if present
-                else ranked_objects(idx.soc_ranked(subject, candidates)[1])[0]
+                else ranked_objects({o: idx.soc_count(subject, o) for o in candidates})[0]
             )
             rec = preds.get(subject, relation, template)
             assert rec == expected, (subject, template)
@@ -347,11 +354,10 @@ class TestBaselines:
         fresh = build_index(idx.sentences)
         for subject, relation, template in queries:
             candidates = kb.candidate_objects(relation)
-            _, counts = (
-                fresh.soc_ranked(subject, candidates)
-                if kind == "heuristic-soc"
-                else fresh.poc_ranked(template, candidates)
-            )
+            if kind == "heuristic-soc":
+                counts = {o: fresh.soc_count(subject, o) for o in candidates}
+            else:
+                counts = {o: fresh.poc_count(template, o) for o in candidates}
             rec = preds.get(subject, relation, template)
             assert rec == ranked_objects(counts)[0], (subject, template)
 
