@@ -6,17 +6,17 @@ reads that token's postings directly: the index tokenises with the same
 ``\w+``, so they are exactly its word-boundary matches. A multi-token
 surface intersects its tokens' postings to get candidate sentences (the
 hot kernel), then a word-boundary regex verifies the surface string. A
-pattern count prefilters on the template's literal tokens the same way,
-then tests each candidate for the literal prefix and suffix around the
-[X] wildcard. Templates are split once.
+poc row prefilters on the template's literal tokens, once, and on each
+object's remaining tokens the same way, then tests each candidate for
+the literal prefix and suffix around the [X] wildcard.
 
-The index memoises what it counts: entity postings, a relation's soc
-count matrix (subjects x candidates, from one concatenation of the
-candidates' postings and one search per subject), and each template's
-poc count map over a candidate set with its ranking (a single
-`soc_count` or `poc_count` call is not memoised). Postings and poc maps
-are keyed by the caller's text, normalised on first sight only. A saved
-index is a sealed file (`write_sealed`, `unseal`).
+The index memoises what it counts: entity postings, and the soc and poc
+count matrices of a relation's subjects and templates x its candidates,
+each poc row on its own, so that every matrix over it shares it (a single
+`soc_count` or `poc_count` call is not memoised). Postings are keyed by
+the caller's text, normalised on first sight only. A `RelationView` is
+all that the population builders and the heuristic baselines read of a
+relation. A saved index is a sealed file (`write_sealed`, `unseal`).
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -30,8 +30,8 @@ import hashlib
 import os
 import re
 import struct
+from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -208,7 +208,8 @@ class CorpusIndex:
         self._token_postings = token_postings
         self._entity_cache = {}
         self._soc_matrices = {}
-        self._poc_maps = {}
+        self._poc_matrices = {}
+        self._poc_rows = {}
 
     def __len__(self):
         return len(self.sentences)
@@ -219,15 +220,12 @@ class CorpusIndex:
         """Exact membership of the normalized utterance among sentences."""
         return normalize_text(utterance) in self.sentence_set
 
-    def _all_ids(self):
-        return np.arange(len(self.sentences), dtype=np.int32)
-
-    def _candidates_for_tokens(self, tokens):
+    def _candidates_for_tokens(self, tokens, ids=None):
         """Sentence ids containing every token, rarest-first intersection.
 
-        Equal posting lengths are ordered by token, so which intersections
-        run (the loop stops at the first empty result) does not depend on
-        string hashing.
+        Starts from `ids` when given. Equal posting lengths are ordered by
+        token, so which intersections run (the loop stops at the first
+        empty result) does not depend on string hashing.
         """
         postings = {}
         for tok in set(tokens):
@@ -235,15 +233,16 @@ class CorpusIndex:
             if arr is None:
                 return np.empty(0, dtype=np.int32)
             postings[tok] = arr
-        if not postings:
-            return self._all_ids()
         order = sorted(postings, key=lambda tok: (len(postings[tok]), tok))
-        out = postings[order[0]]
-        for tok in order[1:]:
-            out = kernels.intersect_sorted(out, postings[tok])
-            if len(out) == 0:
+        if ids is None:
+            if not order:
+                return np.arange(len(self.sentences), dtype=np.int32)
+            ids, order = postings[order[0]], order[1:]
+        for tok in order:
+            if len(ids) == 0:
                 break
-        return out
+            ids = kernels.intersect_sorted(ids, postings[tok])
+        return ids
 
     def entity_postings(self, surface):
         """Sorted ids of sentences containing the surface string.
@@ -311,24 +310,29 @@ class CorpusIndex:
         self._soc_matrices[key] = matrix
         return matrix
 
-    def poc_ranked(self, template, objects):
-        """The memoised ``(ranking, counts)`` pair of (template, objects).
+    def poc_matrix(self, templates, objects):
+        """The memoised poc counts of `templates` x `objects`, a read-only int32 array.
 
-        ``counts`` maps each object to ``poc_count(template, object)`` and
-        is read-only because every caller shares it; ``ranking`` orders it
-        as `ranked_objects` does, sorted once when the map is counted.
-        Whitespace variants of `template` share one entry. Raises
-        `EmptyCandidateSetError` on an empty candidate set.
+        Entry (i, j) is ``poc_count(templates[i], objects[j])``. Each row is
+        counted once per (template, objects) and memoised on its own, so a
+        matrix over other templates shares the rows it has in common with
+        this one. Raises `EmptyCandidateSetError` on an empty object set.
         """
-        key = (template, tuple(objects))
-        entry = self._poc_maps.get(key)
-        if entry is None:
-            normal = (normalize_text(template), key[1])
-            if normal not in self._poc_maps:
-                counts = {o: self.poc_count(template, o) for o in key[1]}
-                self._poc_maps[normal] = (tuple(ranked_objects(counts)), MappingProxyType(counts))
-            entry = self._poc_maps[key] = self._poc_maps[normal]
-        return entry
+        key = (tuple(templates), tuple(objects))
+        matrix = self._poc_matrices.get(key)
+        if matrix is not None:
+            return matrix
+        templates, objects = key
+        if not objects:
+            raise EmptyCandidateSetError("counting over an empty candidate set")
+        matrix = np.zeros((len(templates), len(objects)), dtype=np.int32)
+        for row, template in zip(matrix, templates):
+            if (template, objects) not in self._poc_rows:
+                self._poc_rows[template, objects] = self._poc_row(template, objects)
+            row[:] = self._poc_rows[template, objects]
+        matrix.flags.writeable = False
+        self._poc_matrices[key] = matrix
+        return matrix
 
     def poc_count(self, template, obj):
         """Sentences matching the template with [Y]=object and [X] wildcarded.
@@ -336,26 +340,44 @@ class CorpusIndex:
         The wildcard covers any non-empty span within one sentence; the
         instantiated template must match the whole sentence.
         """
+        return int(self._poc_row(template, (obj,))[0])
+
+    def _poc_row(self, template, objects):
+        """``poc_count(template, o)`` for each of `objects`, an int32 array.
+
+        A literal word that touches neither slot is a whole token of any
+        sentence that matches, so the sentences holding all such words are
+        found once; each object then intersects only its remaining tokens.
+        """
         template = normalize_text(template)
-        left, right = split_around(template, "[X]", normalize_text(obj))
-        # A word of a run is a whole sentence token unless it touches [X],
-        # where the wildcard may extend it.
-        tokens = [m.group() for m in _WORD_RE.finditer(left) if m.end() < len(left)]
-        tokens += [m.group() for m in _WORD_RE.finditer(right) if m.start() > 0]
-        candidates = self._candidates_for_tokens(tokens)
-        # the same test as fullmatch(left + "(.+)" + right): "." stops at "\n"
-        head, tail = len(left), len(right)
-        count = 0
-        for i in candidates.tolist():
-            s = self.sentences[i]
-            if (
-                len(s) > head + tail
-                and s.startswith(left)
-                and s.endswith(right)
-                and "\n" not in s[head : len(s) - tail]
-            ):
-                count += 1
-        return count
+        pieces, _ = template_parts(template)
+        literal = {
+            m.group() for k, piece in enumerate(pieces) for m in _WORD_RE.finditer(piece)
+            if (k == 0 or m.start() > 0) and (k == 2 or m.end() < len(piece))
+        }
+        shared = self._candidates_for_tokens(literal)
+        row = np.zeros(len(objects), dtype=np.int32)
+        for j, obj in enumerate(objects):
+            left, right = split_around(template, "[X]", normalize_text(obj))
+            # A word of a run is a whole sentence token unless it touches [X],
+            # where the wildcard may extend it.
+            tokens = {m.group() for m in _WORD_RE.finditer(left) if m.end() < len(left)}
+            tokens.update(m.group() for m in _WORD_RE.finditer(right) if m.start() > 0)
+            candidates = self._candidates_for_tokens(tokens - literal, shared)
+            # the same test as fullmatch(left + "(.+)" + right): "." stops at "\n"
+            head, tail = len(left), len(right)
+            count = 0
+            for i in candidates.tolist():
+                s = self.sentences[i]
+                if (
+                    len(s) > head + tail
+                    and s.startswith(left)
+                    and s.endswith(right)
+                    and "\n" not in s[head : len(s) - tail]
+                ):
+                    count += 1
+            row[j] = count
+        return row
 
     # --- persistence -------------------------------------------------------
 
@@ -451,6 +473,44 @@ class CorpusIndex:
         index = cls(sentences, postings)
         index.digest = digest
         return index
+
+
+class RelationView:
+    """One relation's subjects, candidates and templates, and the index's counts of them.
+
+    The candidates are in text order (`KnowledgeBase.candidate_objects`
+    sorts them), so row i of `soc_ranking` (`poc_ranking`) is subject
+    (template) i's candidates in `ranked_objects` order. Each matrix is
+    taken from the index when first read.
+    """
+
+    def __init__(self, index, name, subjects, candidates, templates=()):
+        self.index, self.name = index, name
+        self.subjects, self.candidates = tuple(subjects), tuple(candidates)
+        self.templates = tuple(templates)
+
+    soc = cached_property(lambda self: self.index.soc_matrix(self.subjects, self.candidates))
+    soc_ranking = cached_property(lambda self: ranked_columns(self.soc))
+    poc = cached_property(lambda self: self.index.poc_matrix(self.templates, self.candidates))
+    poc_ranking = cached_property(lambda self: ranked_columns(self.poc))
+
+    def stored(self, units, unit, o):
+        """Whether the utterance of each (unit, candidate) row is stored in the corpus.
+
+        Row k is unit ``unit[k]`` of `units`, (subject, template) pairs that
+        need not be the view's own, with candidate ``o[k]``. Its probe is
+        looked up as it is when all three are in normal form, else first
+        normalised (`in_normal_form`).
+        """
+        sides = np.array([split_around(t, "[Y]", s) for s, t in units], object)
+        left, right = sides.reshape(-1, 2)[unit].T
+        probes = (left + np.array(self.candidates, object)[o] + right).tolist()
+        is_normal = {text: in_normal_form(text) for text in set().union(*units)}
+        as_is = np.array([is_normal[s] and is_normal[t] for s, t in units], np.bool_)
+        normal = as_is[unit] & np.array(list(map(in_normal_form, self.candidates)), np.bool_)[o]
+        for row in np.flatnonzero(~normal).tolist():
+            probes[row] = normalize_text(probes[row])
+        return np.fromiter(map(self.index.sentence_set.__contains__, probes), bool, len(probes))
 
 
 def _read_corpus_lines(source):

@@ -19,18 +19,15 @@ partner as unmatched where it arises:
 
 Rows are structure: a `PopulationRow` is a plain named tuple of what the
 corpus, the KB and the pairing fix, and none changes once built. A build
-runs one array pass per relation. It takes the relation's subjects and
-candidates from the KB once, and its soc count matrix (subjects x
-candidates) from the corpus index, which counts it once per index; the
-candidates are in text order, so a stable sort of each row's negated
-counts ranks them as `ranked_objects` does. poc counts come from the
-index's memoised per-template rankings. A builder picks its pairs as
-(subject, candidate, pattern) index arrays, and `_population` reads the
-rest from them: the counts, the flags against rank 0, the bins (each
-distinct count binned once) and the codes of the strings the rows use.
-A row's utterance probe is the raw text on either side of its object,
-as heuristic-utt probes it; it is one set lookup when the template, the
-subject and the object are in normal form, and is normalised otherwise.
+runs one array pass per relation, over the relation's `RelationView`:
+its KB subjects, candidates and the build's templates, with their soc and
+poc count matrices, which the corpus index counts once per index, and
+their rankings. A builder picks its pairs as (subject, candidate,
+pattern) index arrays, and `_population` reads the rest from them: the
+counts, the flags against rank 0, the bins (each distinct count binned
+once) and the codes of the strings the rows use. A row's utterance flag
+is the view's probe of its (subject, template) unit and its object, the
+probe heuristic-utt makes.
 
 A population is its integer columns (`PopulationColumns`), encoded
 once, when it is built or read back; a build sorts and pairs its rows
@@ -58,15 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (
-    BIN_EDGES,
-    bin_count,
-    in_normal_form,
-    ranked_columns,
-    split_around,
-    unseal,
-    write_sealed,
-)
+from .corpus import BIN_EDGES, RelationView, bin_count, unseal, write_sealed
 from .errors import (
     EmptyPopulationError,
     MissingPredictionError,
@@ -255,49 +244,20 @@ class MatchedPopulation:
         return len(self.columns)
 
 
-class _Relation:
-    """One relation's subjects and candidates, with their soc counts and rankings.
-
-    Taken from the KB and the index once per build. The candidates are in
-    text order (`KnowledgeBase.candidate_objects` sorts them), so row i of
-    `soc_ranking` is subject i's candidates in `ranked_objects` order.
-    """
-
-    def __init__(self, kb, stats, name):
-        self.name = name
-        self.subjects, self.candidates = kb.subjects(name), kb.candidate_objects(name)
-        self.position = dict(zip(self.candidates, range(len(self.candidates))))
-        self.soc = stats.soc_matrix(self.subjects, self.candidates)
-        self.soc_ranking = ranked_columns(self.soc)
-        self.subject_normal = _normal_forms(self.subjects)
-        self.candidate_normal = _normal_forms(self.candidates)
+def _relations(kb, stats, anti=False):
+    """Each relation's view, and its sorted paraphrases then, if `anti`, anti-patterns."""
+    for relation in kb.relations:
+        patterns = sorted(kb.paraphrases(relation))
+        patterns += sorted(kb.anti_patterns(relation)) if anti else []
+        subjects, candidates = kb.subjects(relation), kb.candidate_objects(relation)
+        templates = [pat.template for pat in patterns]
+        yield RelationView(stats, relation, subjects, candidates, templates), patterns
 
 
-def _normal_forms(texts):
-    return np.fromiter(map(in_normal_form, texts), np.bool_, len(texts))
-
-
-def _present(stats, rel, patterns, s, o, t):
-    """Whether the utterance of each (subject, candidate, pattern) row is stored.
-
-    `s`, `o` and `t` index `rel.subjects`, `rel.candidates` and
-    `patterns`. A row's probe is the raw text on either side of its
-    object, as heuristic-utt probes it, split once per (pattern, subject)
-    unit. When the template, the subject and the object are in normal
-    form, so is the probe (`in_normal_form`), and it is looked up as it
-    is; any other probe is normalised first.
-    """
-    templates = [pat.template for pat in patterns]
-    n = len(rel.subjects)
-    units, unit = np.unique(t * n + s, return_inverse=True)
-    sides = [split_around(templates[u // n], "[Y]", rel.subjects[u % n]) for u in units.tolist()]
-    left, right = (np.array(side, object)[unit] for side in zip(*sides))
-    probes = (left + np.array(rel.candidates, object)[o] + right).tolist()
-    present = np.fromiter(map(stats.sentence_set.__contains__, probes), np.bool_, len(probes))
-    normal = rel.subject_normal[s] & rel.candidate_normal[o] & _normal_forms(templates)[t]
-    for row in np.flatnonzero(~normal).tolist():
-        present[row] = stats.utterance_present(probes[row])
-    return present
+def _stored(rel, s, o, t):
+    """Whether each row's utterance is stored; `s`, `o` and `t` index `rel`'s fields."""
+    units = [(subject, template) for template in rel.templates for subject in rel.subjects]
+    return rel.stored(units, t * len(rel.subjects) + s, o)
 
 
 def _pairs(treated, control):
@@ -310,15 +270,13 @@ def _build_utt(kb, stats, bin_edges):
     for trip in kb.triplets:
         triplets.setdefault(trip.relation, []).append(trip)
     blocks, unmatched = [], 0
-    for relation in kb.relations:
-        rel = _Relation(kb, stats, relation)
-        patterns = sorted(kb.paraphrases(relation))
-        row_of = dict(zip(rel.subjects, range(len(rel.subjects))))
-        s, o = np.array([(row_of[t.subject], rel.position[t.object]) for t in triplets[relation]]).T
+    for rel, patterns in _relations(kb, stats):
+        # the subjects and candidates are in text order: a search finds each triplet's
+        s = np.array(rel.subjects, object).searchsorted([t.subject for t in triplets[rel.name]])
+        o = np.array(rel.candidates, object).searchsorted([t.object for t in triplets[rel.name]])
         # one row per (triplet, paraphrase), the paraphrases in order
         n, k = len(s), len(patterns)
-        present = _present(stats, rel, patterns, s.repeat(k), o.repeat(k), np.tile(np.arange(k), n))
-        present = present.reshape(n, k)
+        present = _stored(rel, s.repeat(k), o.repeat(k), np.tile(np.arange(k), n)).reshape(n, k)
         stored = present.sum(axis=1, keepdims=True)
         matched = np.minimum(stored, k - stored)
         unmatched += int((stored - matched).sum())
@@ -329,59 +287,51 @@ def _build_utt(kb, stats, bin_edges):
         flags = _pairs(np.ones(len(tu), np.bool_), np.zeros(len(cu), np.bool_))
         blocks.append((rel, patterns, _pairs(s[tu], s[cu]), _pairs(o[tu], o[cu]), _pairs(tj, cj),
                        flags))
-    return _population("utt", stats, blocks, bin_edges, unmatched)
+    return _population("utt", blocks, bin_edges, unmatched)
 
 
 def _build_poc(kb, stats, bin_edges, min_poc_frequency):
     blocks = []
     unmatched = removed = 0
-    for relation in kb.relations:
-        rel = _Relation(kb, stats, relation)
-        patterns = sorted(kb.paraphrases(relation))
+    for rel, patterns in _relations(kb, stats):
         n = len(rel.subjects)
-        units = []  # (pattern, top, runner) of each template that keeps two objects
-        for k, pat in enumerate(patterns):
-            ranked, counts = stats.poc_ranked(pat.template, rel.candidates)
-            # the floor keeps a prefix: the top object has the largest count
-            top_two = ranked[:2]
-            kept = [rel.position[obj] for obj in top_two if counts[obj] > min_poc_frequency]
-            removed += (len(top_two) - len(kept)) * n
-            if len(kept) == 1:
-                unmatched += n
-            elif kept:
-                units.append((k, *kept))
-        if units:
-            t, top, runner = np.repeat(np.array(units), n, axis=0).T
+        # each template's top two objects; the floor keeps a prefix of them,
+        # since the top object has the largest count
+        top_two = rel.poc_ranking[:, :2]
+        kept = np.take_along_axis(rel.poc, top_two, axis=1) > min_poc_frequency
+        removed += int((~kept).sum()) * n
+        unmatched += int((kept.sum(axis=1) == 1).sum()) * n
+        units = np.flatnonzero(kept.sum(axis=1) == 2)  # templates that keep two objects
+        if len(units):
+            t, (top, runner) = units.repeat(n), top_two[units].repeat(n, axis=0).T
             s = np.tile(np.arange(n), len(units))
             blocks.append((rel, patterns, _pairs(s, s), _pairs(top, runner), _pairs(t, t), None))
-    return _population("poc", stats, blocks, bin_edges, unmatched, removed)
+    return _population("poc", blocks, bin_edges, unmatched, removed)
 
 
 def _build_soc(kb, stats, bin_edges):
     blocks, unmatched = [], 0
-    for relation in kb.relations:
-        rel = _Relation(kb, stats, relation)
-        patterns = sorted(kb.paraphrases(relation)) + sorted(kb.anti_patterns(relation))
+    for rel, patterns in _relations(kb, stats, anti=True):
         n, k = len(rel.subjects), len(patterns)
         if len(rel.candidates) < 2:
             unmatched += n * k
             continue
         s, t = np.repeat(np.arange(n), k), np.tile(np.arange(k), n)
         blocks.append((rel, patterns, _pairs(s, s), rel.soc_ranking[s, :2], _pairs(t, t), None))
-    return _population("soc", stats, blocks, bin_edges, unmatched)
+    return _population("soc", blocks, bin_edges, unmatched)
 
 
-def _population(hypothesis, stats, blocks, bin_edges, unmatched, removed=0):
+def _population(hypothesis, blocks, bin_edges, unmatched, removed=0):
     """The population of a build's pairs, its rows sorted canonically.
 
-    Each block is one relation's pairs, as arrays of shape (pairs, 2) of
-    the treated and control rows' subject, candidate and pattern indices,
-    and of their utterance flags, or None where `_present` is to read
-    them. A row's bin is read from its count, each distinct count binned
-    once, and the string table holds the strings the rows use, in text
-    order, so that codes sort as their strings do. No two rows are
-    equal, so one sort of the codes orders the rows; pair k is rows 2k
-    and 2k+1 before the sort.
+    Each block is one relation's view and patterns, and its pairs, as
+    arrays of shape (pairs, 2) of the treated and control rows' subject,
+    candidate and pattern indices, and of their utterance flags, or None
+    where `_stored` is to read them. A row's bin is read from its count,
+    each distinct count binned once, and the string table holds the
+    strings the rows use, in text order, so that codes sort as their
+    strings do. No two rows are equal, so one sort of the codes orders
+    the rows; pair k is rows 2k and 2k+1 before the sort.
     """
     blocks = [block for block in blocks if block[2].size]
     if not blocks:
@@ -390,8 +340,6 @@ def _population(hypothesis, stats, blocks, bin_edges, unmatched, removed=0):
     codes = {name: [] for name in ROW_FIELDS if name not in _STRING_FIELDS}
     for rel, patterns, s, o, t, present in blocks:
         s, o, t = s.reshape(-1), o.reshape(-1), t.reshape(-1)
-        ranked = (stats.poc_ranked(pat.template, rel.candidates)[0] for pat in patterns)
-        poc_top = np.array([rel.position[ranking[0]] for ranking in ranked])
         texts["subject"].append((rel.subjects, s))
         texts["object"].append((rel.candidates, o))
         texts["relation"].append(((rel.name,), np.zeros_like(s)))
@@ -400,10 +348,10 @@ def _population(hypothesis, stats, blocks, bin_edges, unmatched, removed=0):
         codes["treatment"].append(np.tile(np.array([1, 0], np.uint8), len(s) // 2))
         codes["soc_count"].append(rel.soc[s, o])
         codes["utt_present"].append(
-            (_present(stats, rel, patterns, s, o, t) if present is None else present).reshape(-1)
+            (_stored(rel, s, o, t) if present is None else present).reshape(-1)
         )
         codes["so_hc"].append(o == rel.soc_ranking[s, 0])
-        codes["po_hc"].append(o == poc_top[t])
+        codes["po_hc"].append(o == rel.poc_ranking[t, 0])
     codes = {name: np.concatenate(parts) for name, parts in codes.items()}
     counts, bins = np.unique(codes["soc_count"], return_inverse=True)
     labels = [bin_count(count, bin_edges) for count in counts.tolist()]

@@ -11,7 +11,9 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .corpus import in_normal_form, normalize_text, ranked_columns, split_around
+import numpy as np
+
+from .corpus import RelationView, normalize_text
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -138,66 +140,55 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
     if kind.startswith("heuristic") and stats is None:
         raise MissingStatsError(f"{kind} requires a corpus index")
 
-    source_id = f"random:{seed}" if kind == "random" else kind
+    by_relation = {}  # relation -> its distinct query keys, as a dict in query order
+    for key in queries:
+        by_relation.setdefault(key[1], {})[key] = None
     records = {}
-    candidates_of = {}  # relation -> its candidates, taken from the KB once
-    normal_of = {}  # relation -> whether each candidate is in normal form
-    soc_top = {}  # (subject, relation) -> the candidate the subject co-occurs with most
+    for relation, keys in by_relation.items():
+        records.update(zip(keys, _predict(kind, kb, stats, seed, relation, keys)))
+    return PredictionSet(records, f"random:{seed}" if kind == "random" else kind)
 
-    def most_co_occurring(subject, relation):
-        if (subject, relation) not in soc_top:
-            # the relation's count matrix, which its populations count too;
-            # a subject outside the KB gets a matrix of its own
-            subjects = kb.subjects(relation)
-            if subject not in subjects:
-                subjects = (subject,)
-            candidates = candidates_of[relation]
-            top = ranked_columns(stats.soc_matrix(subjects, candidates))[:, 0].tolist()
-            soc_top.update(
-                ((s, relation), candidates[j]) for s, j in zip(subjects, top)
-            )
-        return soc_top[subject, relation]
 
-    for subject, relation, template in queries:
-        key = (subject, relation, template)
-        if key in records:
-            continue
-        if relation not in candidates_of:
-            candidates_of[relation] = kb.candidate_objects(relation)
-        candidates = candidates_of[relation]
-        if kind == "perfect":
-            golds = kb.objects_of(subject, relation)
-            if not golds:
-                raise MissingReferenceError(
-                    f"no gold object for ({subject!r}, {relation!r})"
-                )
-            predicted = golds[0]
-        elif kind == "random":
-            predicted = candidates[
-                _random_index(seed, subject, relation, template, len(candidates))
-            ]
-        elif kind == "heuristic-soc":
-            predicted = most_co_occurring(subject, relation)
-        elif kind == "heuristic-poc":
-            predicted = stats.poc_ranked(template, candidates)[0][0]
-        else:  # heuristic-utt
-            if relation not in normal_of:
-                normal_of[relation] = [in_normal_form(o) for o in candidates]
-            # a probe of values and template in normal form is looked up as
-            # it is (`in_normal_form`); any other is normalised first
-            as_is = in_normal_form(subject) and in_normal_form(template)
-            left, right = split_around(template, "[Y]", subject)
-            present = (
-                o
-                for o, normal in zip(candidates, normal_of[relation])
-                if (left + o + right in stats.sentence_set if as_is and normal
-                    else stats.utterance_present(left + o + right))
-            )
-            predicted = next(present, None)
-            if predicted is None:
-                predicted = most_co_occurring(subject, relation)
-        records[key] = predicted
-    return PredictionSet(records=records, source_id=source_id)
+def _predict(kind, kb, stats, seed, relation, keys):
+    """The predictions of one relation's distinct query keys, in their order.
+
+    A heuristic reads the relation's view, as the builders do. heuristic-utt
+    probes each (subject, template) unit with every candidate in one pass.
+    """
+    candidates = kb.candidate_objects(relation)
+    if kind == "perfect":
+        missing = [subject for subject, _, _ in keys if not kb.objects_of(subject, relation)]
+        if missing:
+            raise MissingReferenceError(f"no gold object for ({missing[0]!r}, {relation!r})")
+        return [kb.objects_of(subject, relation)[0] for subject, _, _ in keys]
+    if kind == "random":
+        return [candidates[_random_index(seed, *key, len(candidates))] for key in keys]
+    templates = dict.fromkeys(template for _, _, template in keys)
+    rel = RelationView(stats, relation, kb.subjects(relation), candidates, templates)
+    if kind == "heuristic-poc":
+        top = dict(zip(rel.templates, rel.poc_ranking[:, 0].tolist()))
+        return [candidates[top[template]] for _, _, template in keys]
+    if kind == "heuristic-soc":
+        top = _soc_argmax(rel, dict.fromkeys(subject for subject, _, _ in keys))
+        return [top[subject] for subject, _, _ in keys]
+    units = list(dict.fromkeys((subject, template) for subject, _, template in keys))
+    n, k = len(units), len(candidates)
+    present = rel.stored(units, np.arange(n).repeat(k), np.tile(np.arange(k), n)).reshape(n, k)
+    first = dict(zip(units, np.where(present.any(axis=1), present.argmax(axis=1), -1).tolist()))
+    top = _soc_argmax(rel, {subject for (subject, _), j in first.items() if j < 0})
+    return [
+        candidates[first[subject, template]] if first[subject, template] >= 0 else top[subject]
+        for subject, _, template in keys
+    ]
+
+
+def _soc_argmax(rel, subjects):
+    """Each of `subjects` -> its soc rank-0 candidate in `rel`."""
+    top = dict(zip(rel.subjects, rel.soc_ranking[:, 0].tolist())) if subjects else {}
+    for subject in set(subjects) - top.keys():  # outside the KB: a one-row view of its own
+        outside = RelationView(rel.index, rel.name, (subject,), rel.candidates)
+        top[subject] = outside.soc_ranking[0, 0]
+    return {subject: rel.candidates[top[subject]] for subject in subjects}
 
 
 def outcome_flag(hypothesis, reference_object, prediction):

@@ -345,11 +345,13 @@ def test_criterion_6_cooccurrence_matches_quadratic_oracle():
             expected = {b: soc_oracle[a, b] for b in objects}
             assert dict(zip(objects, row)) == expected
             assert [objects[j] for j in ranking] == ranked_objects(expected)
-        for template in templates:
-            expected = {obj: poc_oracle[template, obj] for obj in entities[:5]}
-            ranking, counts = index.poc_ranked(template, entities[:5])
-            assert dict(counts) == expected
-            assert list(ranking) == ranked_objects(expected)
+        objects = sorted(entities[:5])
+        matrix = index.poc_matrix(templates, objects)
+        for template, row, ranking in zip(templates, matrix.tolist(),
+                                          ranked_columns(matrix).tolist()):
+            expected = {obj: poc_oracle[template, obj] for obj in objects}
+            assert dict(zip(objects, row)) == expected
+            assert [objects[j] for j in ranking] == ranked_objects(expected)
 
     check_batched(build_index(sentences))
     sequential = build_index(sentences)

@@ -290,10 +290,7 @@ class TestBatchedCounts:
         assert idx.soc_matrix(("Rome",), ("Spain", "Italy")).tolist() == [[0, 1]]
         assert idx.soc_matrix(("Spain",), ("Rome", "Italy")).tolist() == [[0, 0]]
         template = "[X] is the capital of [Y]."
-        assert dict(idx.poc_ranked(template, ("Spain", "France"))[1]) == {
-            "Spain": 0,
-            "France": 2,
-        }
+        assert idx.poc_matrix((template,), ("Spain", "France")).tolist() == [[0, 2]]
 
     def test_whitespace_variants_share_one_key(self, monkeypatch):
         idx = build_index(self.SENTENCES)
@@ -304,10 +301,11 @@ class TestBatchedCounts:
         assert idx.entity_postings(" France  ") is idx.entity_postings("France")
         assert idx.entity_postings(" Rome ") is idx.entity_postings("Rome")
         assert kernel.calls == 0  # one-token surfaces read their token's postings
+        # a whitespace variant of an object or a template counts alike
         template = "[X] is the capital of [Y]."
-        poc = idx.poc_ranked(template, ("France", "France "))
-        assert poc[1]["France"] == poc[1]["France "] == 2
-        assert idx.poc_ranked(template.replace(" ", "  "), ("France", "France ")) is poc
+        assert idx.poc_matrix((template,), ("France", "France ")).tolist() == [[2, 2]]
+        variants = (template, template.replace(" ", "  "), f" {template}\t")
+        assert idx.poc_matrix(variants, ("France",)).tolist() == [[2], [2], [2]]
 
     def test_second_call_is_cached(self, monkeypatch):
         idx = build_index(self.SENTENCES)
@@ -315,21 +313,46 @@ class TestBatchedCounts:
         objects = ("France", "Italy", "Rome")
         template = "[X] is the capital of [Y]."
         soc = idx.soc_matrix(("Paris", "Rome met"), objects)
-        poc = idx.poc_ranked(template, objects)
+        poc = idx.poc_matrix((template,), objects)
         assert kernel.calls > 0
         kernel.calls = 0
         assert idx.soc_matrix(["Paris", "Rome met"], list(objects)) is soc
-        assert idx.poc_ranked(template, list(objects)) is poc
+        assert idx.poc_matrix([template], list(objects)) is poc
         assert kernel.calls == 0
+
+    def test_poc_matrices_share_their_rows(self, monkeypatch):
+        idx = build_index(self.SENTENCES)
+        objects = ("France", "Italy", "Rome")
+        first, second = "[X] is the capital of [Y].", "[X] met Paris in [Y]."
+        counted = []
+        poc_row = CorpusIndex._poc_row
+
+        def spy(index, template, objects):
+            counted.append(template)
+            return poc_row(index, template, objects)
+
+        monkeypatch.setattr(CorpusIndex, "_poc_row", spy)
+        one = idx.poc_matrix((first,), objects)
+        both = idx.poc_matrix((second, first), objects)
+        # a matrix over other templates counts only the rows it does not share
+        assert counted == [first, second]
+        assert both.tolist() == [
+            [naive_poc(self.SENTENCES, template, obj) for obj in objects]
+            for template in (second, first)
+        ]
+        assert both[1].tolist() == one[0].tolist() == [2, 1, 0]
+        # a row over other objects is a row of its own
+        idx.poc_matrix((first,), objects[:2])
+        assert counted == [first, second, first]
 
     def test_counts_are_read_only(self):
         idx = build_index(self.SENTENCES)
         soc = idx.soc_matrix(("Rome",), ("France",))
         with pytest.raises(ValueError):
             soc[0, 0] = 7
-        _, counts = idx.poc_ranked("[X] is the capital of [Y].", ("France",))
-        with pytest.raises(TypeError):
-            counts["France"] = 7
+        poc = idx.poc_matrix(("[X] is the capital of [Y].",), ("France",))
+        with pytest.raises(ValueError):
+            poc[0, 0] = 7
 
     def test_rankings_equal_ranked_objects_of_their_maps(self):
         sentences = self.SENTENCES + ["Italy and Spain.", "Rome in Spain."]
@@ -346,15 +369,13 @@ class TestBatchedCounts:
             "Rome", "France", "Italy", "Spain"
         ]
         template = "[X] is the capital of [Y]."
-        entry = idx.poc_ranked(template, objects)
-        ranked, counts = entry
-        assert isinstance(ranked, tuple)
-        assert list(ranked) == ranked_objects(counts)
-        assert list(ranked) == ranked_objects(
-            {o: naive_poc(sentences, template, o) for o in objects}
-        )
-        assert idx.poc_ranked(f"  {template} ", list(objects)) is entry
-        assert idx.poc_ranked(template.replace(" ", "   "), objects) is entry
+        # whitespace variants of the template count and rank alike
+        templates = (template, f"  {template} ", template.replace(" ", "   "))
+        poc = idx.poc_matrix(templates, objects)
+        counts = {o: naive_poc(sentences, template, o) for o in objects}
+        for row, ranking in zip(poc.tolist(), ranked_columns(poc).tolist()):
+            assert dict(zip(objects, row)) == counts
+            assert [objects[j] for j in ranking] == ranked_objects(counts)
 
     def test_ranking_an_empty_candidate_set_is_rejected(self):
         idx = build_index(self.SENTENCES)
@@ -362,7 +383,7 @@ class TestBatchedCounts:
             with pytest.raises(EmptyCandidateSetError):
                 idx.soc_matrix(("Rome",), ())
             with pytest.raises(EmptyCandidateSetError):
-                idx.poc_ranked("[X] is the capital of [Y].", ())
+                idx.poc_matrix(("[X] is the capital of [Y].",), ())
 
     def test_soc_count_normalises_each_surface_once(self, monkeypatch):
         idx = build_index(self.SENTENCES)
@@ -387,7 +408,7 @@ class TestBatchedCounts:
         objects = ("France", "Italy", "Rome")
         template = "[X] is the capital of [Y]."
         soc = idx.soc_matrix(("Paris",), objects)
-        poc = idx.poc_ranked(template, objects)
+        poc = idx.poc_matrix((template,), objects)
         kernel = CountingKernels(monkeypatch)
         calls = []
         monkeypatch.setattr(
@@ -396,14 +417,19 @@ class TestBatchedCounts:
             lambda text: calls.append(text) or normalize_text(text),
         )
         assert idx.soc_matrix(("Paris",), objects) is soc
-        assert idx.poc_ranked(template, objects) is poc
+        assert idx.poc_matrix((template,), objects) is poc
         assert calls == []
-        # a whitespace variant is normalised on first sight only
+        # a whitespace variant of a subject is normalised on first sight only
         for _ in range(2):
             assert np.array_equal(idx.soc_matrix((" Paris ",), objects), soc)
-            assert idx.poc_ranked(template.replace(" ", "  "), objects) is poc
-        assert calls == [" Paris ", template.replace(" ", "  ")]
+        assert calls == [" Paris "]
         assert kernel.calls == 0
+        # one of a template is a row of its own, counted alike, once
+        variant = template.replace(" ", "  ")
+        assert np.array_equal(idx.poc_matrix((variant,), objects), poc)
+        calls.clear()
+        assert idx.poc_matrix((variant,), objects) is idx.poc_matrix((variant,), objects)
+        assert calls == []
 
 
 #: Surfaces for the matrix property: one-token and multi-token surfaces,
@@ -433,6 +459,48 @@ class TestSocMatrix:
         for subject, ranking in zip(subjects, ranked_columns(matrix).tolist()):
             counts = {obj: idx.soc_count(subject, obj) for obj in objects}
             assert [objects[j] for j in ranking] == ranked_objects(counts)
+
+
+#: Templates for the poc property: [Y] before [X], an object glued to a
+#: literal word, slots side by side, and whitespace variants.
+_TEMPLATES = ("[X] met [Y].", "[Y] met [X].", "[X] met in[Y].", "no [X] and [Y] one",
+              "[Y][X]", "  [X]  met [Y]. ", "[Y] and\t[X]", "Q [X] met [Y]")
+
+
+class TestPocMatrix:
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join),
+                st.builds(
+                    instantiate,
+                    st.sampled_from(_TEMPLATES),
+                    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+                    st.sampled_from(_SURFACES),
+                ),
+            ),
+            max_size=25,
+        ),
+        st.lists(st.sampled_from(_TEMPLATES), min_size=0, max_size=4),
+        st.lists(st.sampled_from(_SURFACES), min_size=1, max_size=6, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_matrix_is_the_quadratic_scan(self, lines, templates, objects):
+        idx = build_index(lines)
+        objects = sorted(objects)  # in text order, as a relation's candidates are
+        matrix = idx.poc_matrix(templates, objects)
+        assert matrix.shape == (len(templates), len(objects))
+        assert not matrix.flags.writeable
+        expected = [
+            {o: naive_poc(idx.sentences, normalize_text(t), normalize_text(o)) for o in objects}
+            for t in templates
+        ]
+        assert matrix.tolist() == [[counts[o] for o in objects] for counts in expected]
+        for counts, ranking in zip(expected, ranked_columns(matrix).tolist()):
+            assert [objects[j] for j in ranking] == ranked_objects(counts)
+        for _ in range(2):  # a rejected set is not memoised
+            with pytest.raises(EmptyCandidateSetError):
+                idx.poc_matrix(templates, ())
 
 
 class TestTemplates:

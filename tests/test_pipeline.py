@@ -1,6 +1,7 @@
 """End-to-end runs, config handling, reports, dynamics."""
 
 import json
+import random
 import shutil
 from dataclasses import replace
 from hashlib import blake2b
@@ -23,7 +24,7 @@ from corpuscausal.pipeline import (
     run_dynamics,
     run_estimate,
 )
-from corpuscausal.corpus import build_index
+from corpuscausal.corpus import CorpusIndex, build_index
 from corpuscausal.population import (
     ROW_FIELDS,
     STRATIFY_COLUMNS,
@@ -59,6 +60,44 @@ class TestRunEstimate:
         report = run_estimate(config_for(crossed_files, "baseline:heuristic"))
         assert report.ate == {"utt": 100.0, "poc": 100.0, "soc": 100.0}
         assert report.source_id.startswith("heuristic")
+
+    def test_baselines_share_the_builders_counts(self, crossed_files, crossed_kb, monkeypatch):
+        # across the builds and the heuristic baselines of one run, each
+        # relation's soc matrix and each (template, candidate) poc count is
+        # made once per index
+        made, counted, kinds = {}, [], []
+        soc_matrix, poc_row = CorpusIndex.soc_matrix, CorpusIndex._poc_row
+        baseline_predict = pipeline.baseline_predict
+
+        def recorded(index, subjects, objects):
+            matrix = soc_matrix(index, subjects, objects)
+            made.setdefault((tuple(subjects), tuple(objects)), []).append(id(matrix))
+            return matrix
+
+        def row(index, template, objects):
+            counted.extend((template, obj) for obj in objects)
+            return poc_row(index, template, objects)
+
+        def predict(kind, *args, **kwargs):
+            kinds.append(kind)
+            return baseline_predict(kind, *args, **kwargs)
+
+        monkeypatch.setattr(CorpusIndex, "soc_matrix", recorded)
+        monkeypatch.setattr(CorpusIndex, "_poc_row", row)
+        monkeypatch.setattr(pipeline, "baseline_predict", predict)
+        report = run_estimate(config_for(crossed_files, "baseline:heuristic", min_poc_frequency=0))
+        assert report.failures() == {}
+        assert kinds == ["heuristic-utt", "heuristic-poc", "heuristic-soc"]
+        relations = crossed_kb.relations
+        assert sorted(made) == sorted(
+            (crossed_kb.subjects(r), crossed_kb.candidate_objects(r)) for r in relations
+        )
+        # the builds read each matrix, and the baselines read it again
+        assert all(len(set(reads)) == 1 < len(reads) for reads in made.values())
+        assert sorted(counted) == sorted(
+            (p.template, o) for p in crossed_kb.patterns
+            for o in crossed_kb.candidate_objects(p.relation)
+        )
 
     def test_perfect_baseline_scores_zero_without_coincidences(self, works_files):
         report = run_estimate(config_for(works_files, "baseline:perfect"))
@@ -581,6 +620,43 @@ class TestOneFailingHypothesis:
             with pytest.raises(EmptyPopulationError, match="poc population has no"):
                 next(run_build_population(config, hypotheses))
         assert not (crossed_files["dir"] / "out").exists()
+
+
+class TestMetamorphic:
+    """Relations between the outputs of runs on generated inputs: no oracle needed."""
+
+    @pytest.mark.parametrize("predictions", ["baseline:heuristic", "checkpoint00"])
+    def test_input_order(self, tmp_path, predictions):
+        # permuting the lines of the KB, pattern and prediction files leaves the
+        # report and the emitted tables byte-identical: candidates, rank ties and
+        # each unit's first stored candidate follow text order, not file order
+        gen = load_generator()
+        sizes = gen.Sizes(relations=3, subjects=20, candidates=8, sentences=3000,
+                          comention_max=40, checkpoints=(0.5,))
+        paths = gen.Corpus(sizes, seed=5).write(tmp_path / "in")
+        shuffled = dict(paths)
+        rng = random.Random(1)
+        for name in ("kb", "patterns", "checkpoint00"):
+            lines = paths[name].read_text(encoding="utf-8").splitlines(keepends=True)
+            rng.shuffle(lines)
+            shuffled[name] = tmp_path / f"shuffled-{paths[name].name}"
+            shuffled[name].write_text("".join(lines), encoding="utf-8")
+            assert shuffled[name].read_bytes() != paths[name].read_bytes()
+        outputs = []
+        for run, files in (("given", paths), ("shuffled", shuffled)):
+            out = tmp_path / run
+            config = RunConfig(
+                kb=str(files["kb"]), patterns=str(files["patterns"]),
+                corpus=str(files["corpus"]), output_dir=str(out),
+                predictions=predictions if predictions.startswith("baseline:")
+                else str(files[predictions]),
+            )
+            report = run_estimate(config, emit_populations=True)
+            assert report.failures() == {}
+            emit_report(report, "structured", out / "report.json")
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(outputs[0]) == 7  # the report, and each hypothesis's table and pairs
+        assert outputs[0] == outputs[1]
 
 
 def load_report_text(tmp_path, report):

@@ -368,14 +368,19 @@ class TestCommonBehavior:
     def test_builds_fetch_a_units_rankings_once(self, crossed_kb, crossed_index):
         # each relation's soc matrix and each (template, candidate) poc count
         # is made once per index, and no builder probes the index per row
-        names = ("soc_matrix", "poc_ranked", "soc_count", "poc_count", "utterance_present")
+        names = ("soc_matrix", "poc_matrix", "soc_count", "poc_count", "utterance_present")
         matrices = {}
-        soc_matrix = CorpusIndex.soc_matrix
+        soc_matrix, poc_row = CorpusIndex.soc_matrix, CorpusIndex._poc_row
+        counted = []
 
         def recorded(index, subjects, objects):
             matrix = soc_matrix(index, subjects, objects)
             matrices.setdefault((tuple(subjects), tuple(objects)), set()).add(id(matrix))
             return matrix
+
+        def row(index, template, objects):
+            counted.extend((template, obj) for obj in objects)
+            return poc_row(index, template, objects)
 
         with ExitStack() as stack:
             spy = {
@@ -385,8 +390,10 @@ class TestCommonBehavior:
                 ))
                 for name in names
             }
-            rows = sum(len(build_structure(hyp, crossed_kb, crossed_index)) for hyp in HYPOTHESES)
+            stack.enter_context(mock.patch.object(CorpusIndex, "_poc_row", row))
+            pops = [build_structure(hyp, crossed_kb, crossed_index) for hyp in HYPOTHESES]
         calls = {name: spy[name].call_count for name in names}
+        rows = sum(map(len, pops))
         assert rows == 36
         # one matrix per relation, over its subjects and candidates, that
         # every build reads
@@ -394,12 +401,17 @@ class TestCommonBehavior:
             (crossed_kb.subjects(r), crossed_kb.candidate_objects(r)) for r in crossed_kb.relations
         )
         assert all(len(made) == 1 for made in matrices.values())
-        assert calls["soc_matrix"] == len(HYPOTHESES) * len(crossed_kb.relations)
-        assert calls["soc_matrix"] + calls["poc_ranked"] < rows
+        # a build reads it once for each relation it has rows of
+        assert calls["soc_matrix"] == sum(len({row.relation for row in pop.rows}) for pop in pops)
+        assert calls["soc_matrix"] + calls["poc_matrix"] < rows
         # each count is made once: 6 templates, 2 candidates each; no row asks
         # for a count or an utterance of its own
-        assert calls["poc_count"] == 6 * 2
-        assert calls["soc_count"] == calls["utterance_present"] == 0
+        assert sorted(counted) == sorted(
+            (p.template, o) for p in crossed_kb.patterns
+            for o in crossed_kb.candidate_objects(p.relation)
+        )
+        assert len(counted) == 6 * 2
+        assert calls["soc_count"] == calls["poc_count"] == calls["utterance_present"] == 0
 
 
 #: The keys each recipe pairs a treated and a control row on.

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from corpuscausal.corpus import build_index, instantiate, ranked_objects
+from corpuscausal.corpus import build_index, instantiate, ranked_objects, split_around
 from corpuscausal.errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -288,25 +288,26 @@ class TestBaselines:
             + [f"Paris and {second} {i}." for i in range(3)]
         )
         assert idx.soc_count("Paris", second) > idx.soc_count("Paris", first)
-        probes = []
+        query = ("Paris", "capital-of", template)
+        spaced = ("Paris", "capital-of", template.replace(" of ", "  of "))
+        # the spaced template's probes are found only once normalised
+        left, right = split_around(spaced[2], "[Y]", "Paris")
+        assert left + first + right not in idx.sentence_set
+        lookups = []
 
         class Probed(frozenset):
             def __contains__(self, utterance):
-                probes.append(utterance)
+                lookups.append(utterance)
                 return super().__contains__(utterance)
 
-        def probe(utterance, present=idx.utterance_present):
-            probes.append(utterance)
-            return present(utterance)
-
-        # the probes of normal-form text are set lookups, any other a call
         monkeypatch.setattr(idx, "sentence_set", Probed(idx.sentence_set))
-        monkeypatch.setattr(idx, "utterance_present", probe)
-        query = ("Paris", "capital-of", template)
-        preds = baseline_predict("heuristic-utt", crossed_kb, stats=idx, queries=[query])
-        assert preds.get(*query) == first
-        # the scan stops at the first stored candidate
-        assert probes == [instantiate(template, "Paris", first)]
+        preds = baseline_predict(
+            "heuristic-utt", crossed_kb, stats=idx, queries=[query, spaced, query]
+        )
+        assert preds.get(*query) == preds.get(*spaced) == first
+        # each unit x candidate is probed once, as a set lookup: the spliced text
+        # as it is when it is in normal form, else normalised first
+        assert lookups == [instantiate(template, "Paris", o) for o in (first, second)] * 2
 
     @pytest.mark.parametrize("fixture", ["golden", "crossed"])
     def test_heuristic_utt_equals_the_per_candidate_scan(self, fixture, crossed_kb):
