@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import pipeline
-from .corpus import CorpusIndex, build_index
+from .corpus import CorpusIndex, RelationView, build_index
 from .errors import CorpusCausalError, IncompleteReportError, InputError
 from .kb import load_knowledge_base
 from .predictions import HYPOTHESES
@@ -103,10 +103,9 @@ def stats_cmd(index_path, kb_path, patterns_path, output):
     kb = load_knowledge_base(kb_path, patterns_path)
     lines = []
     for relation in kb.relations:
-        candidates = kb.candidate_objects(relation)
-        for subject in kb.subjects(relation):
-            for obj in candidates:
-                lines.append(f"{subject}\t{obj}\t{idx.soc_count(subject, obj)}")
+        rel = RelationView(idx, relation, kb.subjects(relation), kb.candidate_objects(relation))
+        for subject, counts in zip(rel.subjects, rel.soc.tolist()):
+            lines.extend(f"{subject}\t{obj}\t{n}" for obj, n in zip(rel.candidates, counts))
     text = "\n".join(lines) + "\n"
     if output:
         Path(output).write_text(text, encoding="utf-8")

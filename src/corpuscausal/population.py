@@ -29,16 +29,20 @@ once) and the codes of the strings the rows use. A row's utterance flag
 is the view's probe of its (subject, template) unit and its object, the
 probe heuristic-utt makes.
 
-A population is its integer columns (`PopulationColumns`), encoded
-once, when it is built or read back; a build sorts and pairs its rows
-as codes. Scoring, the observation table and emission read the
-columns, and the rows are built only when something asks for them (the
-public API, tests). Scores are columns too: `score_population` returns
-the population with a ``predicted`` and an ``outcomes`` tuple aligned
-with its rows, so re-scoring it for another prediction set (one per
-checkpoint) copies no row. Emitted tables join the two back into one
-file with a ``prediction`` and an ``outcome`` column; an unscored
-population writes ``""`` and ``0`` there.
+`PopulationRow`'s annotations state the row schema once: the column
+types, the string fields, the cache entry's layout and how a table cell
+is read follow from them. A population is its integer columns
+(`PopulationColumns`), its string fields coded into one string table
+that `_encode` makes from (values, index) parts, whether the rows are
+built or read back; a build sorts and pairs its rows as codes. Scoring,
+the observation table and emission read the columns, and the rows are
+built only when something asks for them (the public API, tests).
+Scores are columns too: `score_population` returns the population with
+a ``predicted`` and an ``outcomes`` tuple aligned with its rows, so
+re-scoring it for another prediction set (one per checkpoint) copies no
+row. Emitted tables join the two back into one file with a
+``prediction`` and an ``outcome`` column; an unscored population writes
+``""`` and ``0`` there.
 
 Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
@@ -101,8 +105,18 @@ ROW_FIELDS = PopulationRow._fields
 #: The canonical row order, by these fields in turn.
 _ORDER_FIELDS = ("relation", "subject", "object", "template", "is_anti")
 
-#: Columns of an emitted population table: the row fields, then the scores.
-POPULATION_FIELDS = ROW_FIELDS + ("prediction", "outcome")
+#: The kind of each column of an emitted population table: the row
+#: fields, then the scores.
+_CELL_KINDS = {**PopulationRow.__annotations__, "prediction": str, "outcome": int}
+POPULATION_FIELDS = tuple(_CELL_KINDS)
+
+#: Row fields held as codes into the string table, and the numpy type of
+#: each field's column: a code or an int is int32 and a bool is a numpy
+#: bool, but `treatment`, 0 or 1, takes one byte.
+_STRING_FIELDS = tuple(name for name in ROW_FIELDS if _CELL_KINDS[name] is str)
+_DTYPES = {
+    name: {str: np.int32, int: np.int32, bool: np.bool_}[_CELL_KINDS[name]] for name in ROW_FIELDS
+} | {"treatment": np.uint8}
 
 
 @dataclass(frozen=True)
@@ -169,29 +183,33 @@ class PopulationColumns:
         return self is other or _decode(self) == _decode(other)
 
 
-#: Row fields held as codes into the string table, and the numpy type of
-#: each other field (int32 where none is named).
-_STRING_FIELDS = ("subject", "object", "relation", "template", "soc_bin")
-_DTYPES = {
-    "is_anti": np.bool_, "utt_present": np.bool_, "so_hc": np.bool_, "po_hc": np.bool_,
-    "treatment": np.uint8,
-}
-
 #: The fields of an observation-table cell, with ``kbt`` as ``is_anti``.
 _CELL_FIELDS = ("relation", "template", "is_anti", "soc_bin", "utt_present", "treatment")
 
 
-def _encode(rows):
-    """The string table of `rows`, distinct strings in text order, and their columns."""
-    columns = list(zip(*rows)) or [()] * len(ROW_FIELDS)
-    strings = sorted(set().union(*(columns[ROW_FIELDS.index(n)] for n in _STRING_FIELDS)))
+def _encode(texts):
+    """The string table of `texts`, and each string field's column of codes into it.
+
+    `texts` maps each of `_STRING_FIELDS` to its parts, (values, index)
+    pairs: the field's column is each part's ``values[index]`` in turn.
+    The table holds the values some index reads, distinct and in text
+    order, so that codes sort as their strings do.
+    """
+    used = set()
+    for values, index in chain.from_iterable(texts.values()):
+        mask = np.zeros(len(values), np.bool_)
+        mask[index] = True
+        used.update(map(values.__getitem__, np.flatnonzero(mask).tolist()))
+    strings = tuple(sorted(used))
     position = dict(zip(strings, range(len(strings))))
-    codes = {}
-    for name, values in zip(ROW_FIELDS, columns):
-        if name in _STRING_FIELDS:
-            values = map(position.__getitem__, values)
-        codes[name] = np.fromiter(values, _DTYPES.get(name, np.int32), len(rows))
-    return tuple(strings), codes
+    # a value no row uses has no code, and no index reads its -1
+    return strings, {
+        name: np.concatenate([
+            np.array([position.get(value, -1) for value in values], np.int32)[index]
+            for values, index in parts
+        ])
+        for name, parts in texts.items()
+    }
 
 
 def _decode(columns):
@@ -328,16 +346,15 @@ def _population(hypothesis, blocks, bin_edges, unmatched, removed=0):
     arrays of shape (pairs, 2) of the treated and control rows' subject,
     candidate and pattern indices, and of their utterance flags, or None
     where `_stored` is to read them. A row's bin is read from its count,
-    each distinct count binned once, and the string table holds the
-    strings the rows use, in text order, so that codes sort as their
-    strings do. No two rows are equal, so one sort of the codes orders
-    the rows; pair k is rows 2k and 2k+1 before the sort.
+    each distinct count binned once, and `_encode` codes the strings. No
+    two rows are equal, so one sort of the codes orders the rows; pair k
+    is rows 2k and 2k+1 before the sort.
     """
     blocks = [block for block in blocks if block[2].size]
     if not blocks:
         raise _no_pairs(hypothesis)
-    texts = {name: [] for name in ("subject", "object", "relation", "template")}
-    codes = {name: [] for name in ROW_FIELDS if name not in _STRING_FIELDS}
+    texts = {name: [] for name in _STRING_FIELDS}
+    codes = {name: [] for name in ROW_FIELDS if name not in texts}
     for rel, patterns, s, o, t, present in blocks:
         s, o, t = s.reshape(-1), o.reshape(-1), t.reshape(-1)
         texts["subject"].append((rel.subjects, s))
@@ -345,7 +362,7 @@ def _population(hypothesis, blocks, bin_edges, unmatched, removed=0):
         texts["relation"].append(((rel.name,), np.zeros_like(s)))
         texts["template"].append((tuple(pat.template for pat in patterns), t))
         codes["is_anti"].append(np.array([pat.is_anti for pat in patterns], np.bool_)[t])
-        codes["treatment"].append(np.tile(np.array([1, 0], np.uint8), len(s) // 2))
+        codes["treatment"].append(np.tile(np.array([1, 0], _DTYPES["treatment"]), len(s) // 2))
         codes["soc_count"].append(rel.soc[s, o])
         codes["utt_present"].append(
             (_stored(rel, s, o, t) if present is None else present).reshape(-1)
@@ -354,21 +371,9 @@ def _population(hypothesis, blocks, bin_edges, unmatched, removed=0):
         codes["po_hc"].append(o == rel.poc_ranking[t, 0])
     codes = {name: np.concatenate(parts) for name, parts in codes.items()}
     counts, bins = np.unique(codes["soc_count"], return_inverse=True)
-    labels = [bin_count(count, bin_edges) for count in counts.tolist()]
-    used = set(labels)
-    for values, index in chain.from_iterable(texts.values()):
-        mask = np.zeros(len(values), np.bool_)
-        mask[index] = True
-        used.update(map(values.__getitem__, np.flatnonzero(mask).tolist()))
-    strings = tuple(sorted(used))
-    position = dict(zip(strings, range(len(strings))))
-    for name, parts in texts.items():
-        # a value no row uses has no code, and no index reads its -1
-        codes[name] = np.concatenate([
-            np.array([position.get(value, -1) for value in values], np.int32)[index]
-            for values, index in parts
-        ])
-    codes["soc_bin"] = np.array([position[label] for label in labels], np.int32)[bins.reshape(-1)]
+    texts["soc_bin"].append(([bin_count(count, bin_edges) for count in counts.tolist()], bins))
+    strings, text_codes = _encode(texts)
+    codes.update(text_codes)
     order = np.lexsort([codes[name] for name in reversed(_ORDER_FIELDS)])
     return MatchedPopulation(
         hypothesis=hypothesis,
@@ -472,16 +477,13 @@ def write_population(pop, table_path, pairs_path):
             fh.write(f"{i}\t{j}\n")
 
 
-_BOOL = {"True": True, "False": False}
+#: How a table cell of each kind is read.
+_PARSE = {str: str, int: int, bool: {"True": True, "False": False}.__getitem__}
 
 
 def _parse_cell(name, value, lineno):
     try:
-        if name in ("is_anti", "utt_present", "so_hc", "po_hc"):
-            return _BOOL[value]
-        if name in ("treatment", "soc_count", "outcome"):
-            return int(value)
-        return value
+        return _PARSE[_CELL_KINDS[name]](value)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad value {value!r} for column {name!r}", line=lineno) from exc
 
@@ -532,9 +534,7 @@ def read_population(table_path, pairs_path, hypothesis):
     ``predicted``/``outcomes`` columns. The pairs must partition the
     rows, as a built population's do: each row is in exactly one pair.
     """
-    rows = []
-    predicted = []
-    outcomes = []
+    cells = {name: [] for name in POPULATION_FIELDS}
     with open(table_path, encoding="utf-8") as table_lines:
         header = next(table_lines, "").rstrip("\n").split("\t")
         if tuple(header) != POPULATION_FIELDS:
@@ -543,15 +543,11 @@ def read_population(table_path, pairs_path, hypothesis):
             line = line.rstrip("\n")
             if not line:
                 continue
-            cells = line.split("\t")
-            if len(cells) != len(POPULATION_FIELDS):
+            values = line.split("\t")
+            if len(values) != len(POPULATION_FIELDS):
                 raise ParseError("wrong cell count", line=lineno)
-            *values, prediction, outcome = (
-                _parse_cell(name, cell, lineno) for name, cell in zip(POPULATION_FIELDS, cells)
-            )
-            rows.append(PopulationRow(*values))
-            predicted.append(prediction)
-            outcomes.append(outcome)
+            for name, value in zip(POPULATION_FIELDS, values):
+                cells[name].append(_parse_cell(name, value, lineno))
     pairs, linenos = [], []
     with open(pairs_path, encoding="utf-8") as pairs_lines:
         if next(pairs_lines, "").rstrip("\n") != _PAIRS_HEADER:
@@ -567,18 +563,21 @@ def read_population(table_path, pairs_path, hypothesis):
             pairs.append((i, j))
             linenos.append(lineno)
     try:
-        _check_pairs(np.array([row.treatment for row in rows]), np.array(pairs).reshape(-1, 2))
+        _check_pairs(np.array(cells["treatment"]), np.array(pairs).reshape(-1, 2))
     except _PairingError as exc:
         if exc.pair is None:
             message = f"row {exc.row} of {table_path} is in no pair in {pairs_path}"
             raise ParseError(message) from None
         raise ParseError(str(exc), line=linenos[exc.pair]) from None
+    every = np.arange(len(cells["treatment"]))
+    strings, codes = _encode({name: [(cells[name], every)] for name in _STRING_FIELDS})
+    codes |= {name: np.array(cells[name], _DTYPES[name]) for name in _DTYPES if name not in codes}
     return MatchedPopulation(
         hypothesis=hypothesis,
-        columns=PopulationColumns(*_encode(rows)),
+        columns=PopulationColumns(strings, codes),
         pairs=tuple(pairs),
-        predicted=tuple(predicted),
-        outcomes=tuple(outcomes),
+        predicted=tuple(cells["prediction"]),
+        outcomes=tuple(cells["outcome"]),
     )
 
 
@@ -593,10 +592,11 @@ def read_population(table_path, pairs_path, hypothesis):
 #: string table in text order.
 _CACHE_MAGIC = b"CCPOP003"
 
-#: The columns of an entry, in file order: `<i4` string codes and counts,
-#: then the pairs' `<i4` treated and control rows, then `u1` flags.
-_INT_FIELDS = ("subject", "object", "relation", "template", "soc_count", "soc_bin")
-_FLAG_FIELDS = ("is_anti", "treatment", "utt_present", "so_hc", "po_hc")
+#: The columns of an entry, in file order: the int32 row columns as `<i4`,
+#: the pairs' `<i4` treated and control rows, then the one-byte row
+#: columns as `u1`, each in `ROW_FIELDS` order.
+_INT_FIELDS = tuple(name for name in ROW_FIELDS if _DTYPES[name] is np.int32)
+_FLAG_FIELDS = tuple(name for name in ROW_FIELDS if _DTYPES[name] is not np.int32)
 
 
 def write_cache_entry(pop, path):
@@ -651,10 +651,7 @@ def read_cache_entry(path, hypothesis):
             raise IndexError(f"a {name} code in {path} is outside its string table")
     if n and flags.max() > 1:
         raise ValueError(f"a flag in {path} is neither 0 nor 1")
-    codes.update(zip(_FLAG_FIELDS, flags))
-    for name in _FLAG_FIELDS:
-        if _DTYPES[name] is np.bool_:
-            codes[name] = codes[name].view(np.bool_)
+    codes.update((name, flag.view(_DTYPES[name])) for name, flag in zip(_FLAG_FIELDS, flags))
     treated, control = ints[len(_INT_FIELDS) * n :].reshape(2, m)
     _check_pairs(codes["treatment"], np.stack((treated, control), axis=1))
     if not n:

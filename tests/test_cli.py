@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from corpuscausal import errors, pipeline
 from corpuscausal.cli import main
 from corpuscausal.corpus import CorpusIndex
+from corpuscausal.kb import load_knowledge_base
 from corpuscausal.predictions import baseline_predict, save_predictions
 
 from conftest import crossed_corpus_lines, write_corpus, write_kb_files
@@ -50,6 +51,34 @@ class TestIndexCommand:
         lines = [l for l in result.output.splitlines() if l]
         assert "Paris\tFrance\t3" in lines
         assert "Paris\tItaly\t4" in lines
+
+    def test_stats_reads_one_soc_matrix_per_relation(self, crossed_files, monkeypatch):
+        idx_path = crossed_files["dir"] / "corpus.idx"
+        assert invoke("index", crossed_files["corpus"], "-o", idx_path).exit_code == 0
+        kb = load_knowledge_base(crossed_files["kb"], crossed_files["patterns"])
+        assert len(kb.relations) > 1
+        idx = CorpusIndex.load(idx_path)
+        expected = "".join(
+            f"{subject}\t{obj}\t{idx.soc_count(subject, obj)}\n"
+            for relation in kb.relations
+            for subject in kb.subjects(relation)
+            for obj in kb.candidate_objects(relation)
+        )
+        calls = {"soc_matrix": [], "soc_count": []}
+        for name in calls:
+            def spy(self, *args, _name=name, _real=getattr(CorpusIndex, name)):
+                calls[_name].append(args)
+                return _real(self, *args)
+            monkeypatch.setattr(CorpusIndex, name, spy)
+        result = invoke("stats", idx_path, "--kb", crossed_files["kb"],
+                        "--patterns", crossed_files["patterns"])
+        assert result.exit_code == 0, result.output
+        assert result.output == expected
+        # one matrix per relation, over its subjects and candidates; no pair is counted alone
+        assert calls["soc_matrix"] == [
+            (kb.subjects(relation), kb.candidate_objects(relation)) for relation in kb.relations
+        ]
+        assert calls["soc_count"] == []
 
     def test_truncated_index_is_input_error(self, crossed_files):
         idx_path = crossed_files["dir"] / "corpus.idx"

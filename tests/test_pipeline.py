@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import shutil
 from dataclasses import replace
 from hashlib import blake2b
@@ -625,15 +626,33 @@ class TestOneFailingHypothesis:
 class TestMetamorphic:
     """Relations between the outputs of runs on generated inputs: no oracle needed."""
 
+    SIZES = dict(relations=3, subjects=20, candidates=8, sentences=3000, comention_max=40,
+                 checkpoints=(0.5,))
+
+    @staticmethod
+    def outputs(files, out, predictions, **settings):
+        """Each file one estimate run on `files` writes into `out`: the report and tables."""
+        config = RunConfig(
+            kb=str(files["kb"]), patterns=str(files["patterns"]),
+            corpus=str(files["corpus"]), output_dir=str(out),
+            predictions=predictions if predictions.startswith("baseline:")
+            else str(files[predictions]),
+            **settings,
+        )
+        report = run_estimate(config, emit_populations=True)
+        assert report.failures() == {}
+        emit_report(report, "structured", out / "report.json")
+        outputs = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(outputs) == 7  # the report, and each hypothesis's table and pairs
+        return outputs
+
     @pytest.mark.parametrize("predictions", ["baseline:heuristic", "checkpoint00"])
     def test_input_order(self, tmp_path, predictions):
         # permuting the lines of the KB, pattern and prediction files leaves the
         # report and the emitted tables byte-identical: candidates, rank ties and
         # each unit's first stored candidate follow text order, not file order
         gen = load_generator()
-        sizes = gen.Sizes(relations=3, subjects=20, candidates=8, sentences=3000,
-                          comention_max=40, checkpoints=(0.5,))
-        paths = gen.Corpus(sizes, seed=5).write(tmp_path / "in")
+        paths = gen.Corpus(gen.Sizes(**self.SIZES), seed=5).write(tmp_path / "in")
         shuffled = dict(paths)
         rng = random.Random(1)
         for name in ("kb", "patterns", "checkpoint00"):
@@ -642,21 +661,69 @@ class TestMetamorphic:
             shuffled[name] = tmp_path / f"shuffled-{paths[name].name}"
             shuffled[name].write_text("".join(lines), encoding="utf-8")
             assert shuffled[name].read_bytes() != paths[name].read_bytes()
-        outputs = []
-        for run, files in (("given", paths), ("shuffled", shuffled)):
-            out = tmp_path / run
-            config = RunConfig(
-                kb=str(files["kb"]), patterns=str(files["patterns"]),
-                corpus=str(files["corpus"]), output_dir=str(out),
-                predictions=predictions if predictions.startswith("baseline:")
-                else str(files[predictions]),
-            )
-            report = run_estimate(config, emit_populations=True)
-            assert report.failures() == {}
-            emit_report(report, "structured", out / "report.json")
-            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-        assert len(outputs[0]) == 7  # the report, and each hypothesis's table and pairs
-        assert outputs[0] == outputs[1]
+        given = self.outputs(paths, tmp_path / "given", predictions)
+        assert given == self.outputs(shuffled, tmp_path / "shuffled", predictions)
+
+    @pytest.mark.parametrize("predictions", ["baseline:heuristic", "checkpoint00"])
+    def test_order_preserving_renaming(self, tmp_path, predictions):
+        # renaming subjects and objects to fresh single tokens, by a map that keeps
+        # their text order, keeps every tie-break and every row's place: the report
+        # and the pairs stay byte-identical, and each table is the old one renamed
+        gen = load_generator()
+        corpus = gen.Corpus(gen.Sizes(**self.SIZES), seed=5)
+        paths = corpus.write(tmp_path / "in")
+        entities = sorted({
+            name for names in (*corpus.subjects.values(), *corpus.candidates.values())
+            for name in names
+        })
+        # fixed-width numbers keep the order; the tails vary the names' lengths
+        fresh = dict(zip(entities, (f"Ent{k:04d}" + "x" * (k % 3) for k in range(len(entities)))))
+        assert sorted(fresh.values()) == list(fresh.values())
+
+        def rename(text):
+            return re.sub(r"\w+", lambda m: fresh.get(m[0], m[0]), text)
+
+        renamed = dict(paths)
+        for name in ("corpus", "kb", "checkpoint00"):
+            renamed[name] = tmp_path / f"renamed-{paths[name].name}"
+            renamed[name].write_text(rename(paths[name].read_text(encoding="utf-8")),
+                                     encoding="utf-8")
+        given = self.outputs(paths, tmp_path / "given", predictions)
+        expected = {name: rename(data.decode()).encode() for name, data in given.items()}
+        assert expected["soc_population.tsv"] != given["soc_population.tsv"]
+        assert self.outputs(renamed, tmp_path / "renamed", predictions) == expected
+
+    def test_unrelated_sentences(self, tmp_path):
+        # sentences whose words are no KB surface and no template literal change no
+        # count: the report, the tables and the cache entries stay byte-identical,
+        # and only the index digest, and so the cache key, changes
+        gen = load_generator()
+        paths = gen.Corpus(gen.Sizes(**self.SIZES), seed=5).write(tmp_path / "in")
+        rng = random.Random(2)
+        # the generator's words are drawn from letters outside these five
+        vocab = ["".join(rng.choices("cwxyz", k=rng.randrange(3, 8))) for _ in range(200)]
+        used = {
+            word for name in ("kb", "patterns")
+            for word in re.findall(r"\w+", paths[name].read_text(encoding="utf-8"))
+        }
+        assert not used & set(vocab)
+        extended = dict(paths, corpus=tmp_path / "extended.txt")
+        extra = [" ".join(rng.choices(vocab, k=rng.randrange(4, 12))).capitalize() + "."
+                 for _ in range(2000)]
+        extended["corpus"].write_text(
+            paths["corpus"].read_text(encoding="utf-8") + "\n".join(extra) + "\n",
+            encoding="utf-8",
+        )
+        cache = tmp_path / "cache"
+        given = self.outputs(paths, tmp_path / "given", "baseline:heuristic", cache_dir=str(cache))
+        assert given == self.outputs(extended, tmp_path / "extended", "baseline:heuristic",
+                                     cache_dir=str(cache))
+        # one shared cache-dir: the second run keys three new entries, equal to the first's
+        entries = {}
+        for path in sorted(cache.iterdir()):
+            entries.setdefault(path.name.split("-")[0], []).append(path.read_bytes())
+        assert sorted(entries) == ["poc", "soc", "utt"]
+        assert all(len(pair) == 2 and pair[0] == pair[1] for pair in entries.values())
 
 
 def load_report_text(tmp_path, report):

@@ -1053,9 +1053,8 @@ class TestStoredForms:
 
     def test_empty_emitted_table_reads_back(self, tmp_path):
         # no rows and no pairs: the pairs read back as `np.array([])`, a float array
-        empty = population.MatchedPopulation(
-            "soc", population.PopulationColumns(*population._encode(())), ()
-        )
+        codes = {name: np.zeros(0, dtype) for name, dtype in population._DTYPES.items()}
+        empty = population.MatchedPopulation("soc", population.PopulationColumns((), codes), ())
         table, pairs = tmp_path / "t.tsv", tmp_path / "p.tsv"
         write_population(empty, table, pairs)
         back = read_population(table, pairs, "soc")
