@@ -8,9 +8,16 @@ records flagged true, not a bundled resource.
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .corpus import normalize_text, template_parts
-from .errors import EmptyKbError, EncodingError, ParseError, UnknownRelationError
+from .errors import (
+    EmptyKbError,
+    EncodingError,
+    MalformedPatternError,
+    ParseError,
+    UnknownRelationError,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -101,7 +108,28 @@ class KnowledgeBase:
 _decode = json.JSONDecoder().raw_decode
 
 
-def _jsonl_records(path):
+class _Normalised(dict):
+    """Raw field string -> normalised value, each distinct string checked once.
+
+    A value `_required` would reject is never stored; looking it up raises
+    `KeyError`, and the reader lets `_required` name the error.
+    """
+
+    def __missing__(self, raw):
+        if not isinstance(raw, str) or not raw.strip():
+            raise KeyError(raw)
+        value = self[raw] = normalize_text(raw)
+        return value
+
+
+def _jsonl_records(path, fields):
+    """Yield (line number, record, values) per record of a JSON-lines file.
+
+    `values` are the record's required string `fields` (two or more),
+    normalised; each distinct raw string is checked and normalised once.
+    """
+    normal = _Normalised()
+    raw_fields = itemgetter(*fields)
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -121,7 +149,11 @@ def _jsonl_records(path):
                         ) from exc
                 if not isinstance(record, dict):
                     raise ParseError("record must be a JSON object", line=lineno)
-                yield lineno, record
+                try:
+                    values = tuple(map(normal.__getitem__, raw_fields(record)))
+                except (KeyError, TypeError):  # a field missing, unhashable or rejected
+                    values = tuple(_required(record, key, lineno) for key in fields)
+                yield lineno, record, values
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path} is not valid UTF-8") from exc
 
@@ -137,14 +169,8 @@ def _required(record, key, lineno):
 
 def load_kb(path):
     """Load the triplet records as a tuple, dropping repeats (first one kept)."""
-    triplets = dict.fromkeys(
-        Triplet(
-            subject=_required(record, "subject", lineno),
-            relation=_required(record, "relation", lineno),
-            object=_required(record, "object", lineno),
-        )
-        for lineno, record in _jsonl_records(path)
-    )
+    records = _jsonl_records(path, ("subject", "relation", "object"))
+    triplets = dict.fromkeys(Triplet(*values) for _, _, values in records)
     if not triplets:
         raise EmptyKbError(f"no triplets found in {path}")
     return tuple(triplets)
@@ -156,10 +182,11 @@ def load_patterns(path):
     Repeats are dropped, the first one kept.
     """
     patterns = []
-    for lineno, record in _jsonl_records(path):
-        relation = _required(record, "relation", lineno)
-        template = _required(record, "template", lineno)
-        template_parts(template)  # raises MalformedPatternError
+    for lineno, record, (relation, template) in _jsonl_records(path, ("relation", "template")):
+        try:
+            template_parts(template)
+        except MalformedPatternError as exc:
+            raise MalformedPatternError(f"line {lineno}: {exc}") from exc
         is_anti = record.get("is_anti", False)
         if not isinstance(is_anti, bool):
             raise ParseError("field 'is_anti' must be a boolean", line=lineno)

@@ -486,17 +486,27 @@ def _render_table(report):
 
 
 def _render_delimited(report):
-    lines = ["hypothesis\tgroup\testimate\tn_rows"]
+    """One row per estimate.
+
+    Each hypothesis's ATE (group ``*``) and CATE cells come first, then
+    each checkpoint's ATEs and accuracy (group ``checkpoint:<name>``, with
+    empty estimates on a failed checkpoint).
+    """
+    rows = []
     for hyp in HYPOTHESES:
-        value = report.ate.get(hyp)
         n = report.diagnostics.get(hyp, {}).get("rows", "")
-        lines.append(f"{hyp}\t*\t{'' if value is None else repr(value)}\t{n}")
-        for relation in sorted(report.cate.get(hyp, {})):
-            cell = report.cate[hyp][relation]
-            value = cell["value"]
-            lines.append(
-                f"{hyp}\t{relation}\t{'' if value is None else repr(value)}\t{cell['n_rows']}"
-            )
+        rows.append((hyp, "*", report.ate.get(hyp), n))
+        for relation, cell in sorted(report.cate.get(hyp, {}).items()):
+            rows.append((hyp, relation, cell["value"], cell["n_rows"]))
+    for entry in report.series or ():
+        group = f"checkpoint:{entry['checkpoint']}"
+        values = {} if entry.get("error") else dict(entry["ate"], accuracy=entry.get("accuracy"))
+        rows += [(name, group, values.get(name), "") for name in HYPOTHESES + ("accuracy",)]
+    lines = ["hypothesis\tgroup\testimate\tn_rows"]
+    lines += [
+        f"{name}\t{group}\t{'' if value is None else repr(value)}\t{n}"
+        for name, group, value, n in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

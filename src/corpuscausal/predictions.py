@@ -9,11 +9,10 @@ at load time rather than silently projected.
 import hashlib
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
-from .corpus import RelationView, normalize_text
+from .corpus import RelationView
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -21,7 +20,7 @@ from .errors import (
     MissingStatsError,
     ParseError,
 )
-from .kb import _jsonl_records, _required
+from .kb import _jsonl_records
 
 BASELINE_KINDS = ("heuristic-utt", "heuristic-poc", "heuristic-soc", "perfect", "random")
 
@@ -44,41 +43,19 @@ class PredictionSet:
 
 #: The fields of a prediction record, in the order they are checked.
 _FIELDS = ("subject", "relation", "template", "prediction", "source_id")
-_raw_fields = itemgetter(*_FIELDS)
-
-
-class _Normalised(dict):
-    """Raw field string -> normalised value, each distinct string checked once.
-
-    A value `_required` would reject is never stored; looking it up raises
-    `KeyError`, and the caller lets `_required` name the error.
-    """
-
-    def __missing__(self, raw):
-        if not isinstance(raw, str) or not raw.strip():
-            raise KeyError(raw)
-        value = self[raw] = normalize_text(raw)
-        return value
 
 
 def load_predictions(path, kb):
     """Load a prediction file, enforcing candidate restriction per relation.
 
-    A file repeats a few hundred distinct strings over all its records, so
-    each distinct raw string is checked and normalised once, and each
-    record's (relation, prediction) is one lookup in the set of the KB's
-    (relation, candidate) pairs; an error still names the first line it
+    Each record's (relation, prediction) is one lookup in the set of the
+    KB's (relation, candidate) pairs; an error names the first line it
     occurs on.
     """
     records = {}
     source_id = None
-    normal = _Normalised()
     allowed = {(r, obj) for r in kb.relations for obj in kb.candidate_objects(r)}
-    for lineno, record in _jsonl_records(path):
-        try:
-            fields = tuple(map(normal.__getitem__, _raw_fields(record)))
-        except (KeyError, TypeError):  # a field missing, unhashable or rejected
-            fields = tuple(_required(record, key, lineno) for key in _FIELDS)
+    for lineno, _, fields in _jsonl_records(path, _FIELDS):
         subject, relation, template, predicted, record_source = fields
         if source_id is None:
             source_id = record_source

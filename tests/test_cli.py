@@ -431,7 +431,14 @@ class TestDynamicsAndReport:
 
         out_tsv = crossed_files["dir"] / "out" / "r.tsv"
         assert invoke("report", report_path, "--format", "delimited", "-o", out_tsv).exit_code == 0
-        assert out_tsv.read_text(encoding="utf-8").startswith("hypothesis\tgroup")
+        rows = out_tsv.read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "hypothesis\tgroup\testimate\tn_rows"
+        for entry in data["series"]:
+            group = f"checkpoint:{entry['checkpoint']}"
+            assert [row.split("\t")[0] for row in rows if row.split("\t")[1] == group] == [
+                "utt", "poc", "soc", "accuracy"
+            ]
+            assert f"accuracy\t{group}\t1.0\t" in rows
 
     @pytest.mark.parametrize(
         "text, message",

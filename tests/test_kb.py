@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from corpuscausal import kb as kb_module
 from corpuscausal.errors import (
     EmptyKbError,
     EncodingError,
@@ -16,8 +17,10 @@ from corpuscausal.kb import (
     PatternSpec,
     Triplet,
     load_kb,
+    load_knowledge_base,
     load_patterns,
 )
+from corpuscausal.predictions import load_predictions
 
 from conftest import write_jsonl
 
@@ -113,11 +116,48 @@ class TestLoadPatterns:
         write_jsonl(path, [{"relation": "born", "template": "[X] was born."}])
         with pytest.raises(MalformedPatternError):
             load_patterns(path)
+        # named by its line, as every other record error is
+        write_jsonl(path, [{"relation": "r", "template": "[X] is in [Y]."},
+                           {"relation": "r", "template": "[X] lies in [X]."}])
+        with pytest.raises(MalformedPatternError) as err:
+            load_patterns(path)
+        assert str(err.value) == (
+            "line 2: template must contain exactly one [X] and one [Y]: '[X] lies in [X].'"
+        )
 
     def test_is_anti_defaults_false(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_jsonl(path, [{"relation": "r", "template": "[X] and [Y]."}])
         assert load_patterns(path)[0].is_anti is False
+
+
+class TestOneReader:
+    def test_well_formed_records_never_take_the_error_path(
+        self, tmp_path, crossed_files, monkeypatch
+    ):
+        # one reader checks and normalises every loader's fields; `_required` only
+        # replays a record that failed the check, to name its first bad field
+        calls = []
+        real = kb_module._required
+
+        def required(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kb_module, "_required", required)
+        kb = load_knowledge_base(crossed_files["kb"], crossed_files["patterns"])
+        path = tmp_path / "preds.jsonl"
+        write_jsonl(path, [
+            {"subject": s, "relation": p.relation, "template": p.template,
+             "prediction": kb.objects_of(s, p.relation)[0], "source_id": "m"}
+            for p in kb.patterns for s in kb.subjects(p.relation)
+        ])
+        assert len(load_predictions(path, kb)) == 12
+        assert calls == []
+        write_jsonl(path, [{"subject": "Paris", "relation": "capital-of"}])
+        with pytest.raises(ParseError, match="^line 1: missing field 'template'$"):
+            load_predictions(path, kb)
+        assert [key for _, key, _ in calls] == ["subject", "relation", "template"]
 
 
 class TestKnowledgeBase:

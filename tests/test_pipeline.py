@@ -630,16 +630,20 @@ class TestMetamorphic:
                  checkpoints=(0.5,))
 
     @staticmethod
-    def outputs(files, out, predictions, **settings):
-        """Each file one estimate run on `files` writes into `out`: the report and tables."""
-        config = RunConfig(
+    def config(files, out, predictions, **settings):
+        """A run on `files` writing into `out`; `predictions` is a baseline or a file's name."""
+        return RunConfig(
             kb=str(files["kb"]), patterns=str(files["patterns"]),
             corpus=str(files["corpus"]), output_dir=str(out),
             predictions=predictions if predictions.startswith("baseline:")
             else str(files[predictions]),
             **settings,
         )
-        report = run_estimate(config, emit_populations=True)
+
+    def outputs(self, files, out, predictions, **settings):
+        """Each file one estimate run on `files` writes into `out`: the report and tables."""
+        report = run_estimate(self.config(files, out, predictions, **settings),
+                              emit_populations=True)
         assert report.failures() == {}
         emit_report(report, "structured", out / "report.json")
         outputs = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -692,6 +696,62 @@ class TestMetamorphic:
         expected = {name: rename(data.decode()).encode() for name, data in given.items()}
         assert expected["soc_population.tsv"] != given["soc_population.tsv"]
         assert self.outputs(renamed, tmp_path / "renamed", predictions) == expected
+
+    @pytest.mark.parametrize("predictions", ["baseline:heuristic", "checkpoint00"])
+    def test_relation_locality(self, tmp_path, predictions):
+        # a second input set with every word prefixed has relations and a vocabulary
+        # of its own; appended to the first set's files, it leaves every first-set
+        # CATE cell as it was, since CATE partitions by relation and templates are
+        # per relation
+        gen = load_generator()
+        paths = gen.Corpus(gen.Sizes(**self.SIZES), seed=5).write(tmp_path / "in")
+        other = gen.Corpus(gen.Sizes(**self.SIZES), seed=9).write(tmp_path / "other")
+
+        def prefixed(text):  # an "x" starts each word; a slot's letter is no word
+            return re.sub(r"(?<![\w\[])(?=\w)", "x", text)
+
+        def prefixed_values(line):  # source_id is shared, so the prediction files join
+            record = json.loads(line)
+            return json.dumps({key: value if key == "source_id" or not isinstance(value, str)
+                               else prefixed(value) for key, value in record.items()})
+
+        joined = dict(paths)
+        for name in ("kb", "patterns", "corpus", "checkpoint00"):
+            first = paths[name].read_text(encoding="utf-8")
+            assert "x" not in first  # so every prefixed word is new
+            second = other[name].read_text(encoding="utf-8")
+            if name == "corpus":
+                second = prefixed(second)
+            else:
+                second = "".join(prefixed_values(line) + "\n" for line in second.splitlines())
+            joined[name] = tmp_path / f"joined-{paths[name].name}"
+            joined[name].write_text(first + second, encoding="utf-8")
+        given, extended = (
+            run_estimate(self.config(files, tmp_path / "out", predictions))
+            for files in (paths, joined)
+        )
+        for hyp, cells in given.cate.items():
+            assert sorted(extended.cate[hyp]) == sorted(cells) + [f"x{r}" for r in sorted(cells)]
+            assert {r: extended.cate[hyp][r] for r in cells} == cells
+        assert any(cell["value"] for cells in given.cate.values() for cell in cells.values())
+
+    def test_checkpoint_independence(self, tmp_path):
+        # each checkpoint is scored on its own: every series entry's ATE is an
+        # estimate on that file alone, and the report's full estimate is the last
+        # file's, whichever checkpoint came before it
+        gen = load_generator()
+        sizes = gen.Sizes(**dict(self.SIZES, checkpoints=(0.2, 0.8)))
+        paths = gen.Corpus(sizes, seed=5).write(tmp_path / "in")
+        checkpoints = [str(paths["checkpoint00"]), str(paths["checkpoint01"])]
+        config = self.config(paths, tmp_path / "out", "checkpoint00")
+        dynamics = run_dynamics(config, checkpoints)
+        alone = [run_estimate(replace(config, predictions=path)) for path in checkpoints]
+        assert [entry["ate"] for entry in dynamics.series] == [report.ate for report in alone]
+        first, last = alone
+        assert first.cate != last.cate
+        assert (dynamics.cate, dynamics.diagnostics, dynamics.source_id) == (
+            last.cate, last.diagnostics, last.source_id
+        )
 
     def test_unrelated_sentences(self, tmp_path):
         # sentences whose words are no KB surface and no template literal change no
@@ -1017,6 +1077,26 @@ class TestReports:
         lines = text.strip().splitlines()
         assert lines[0] == "hypothesis\tgroup\testimate\tn_rows"
         assert any(line.startswith("soc\tcapital-of\t57.64") for line in lines)
+
+    def test_delimited_carries_the_series(self):
+        plain = render_report(self.sample_report(), "delimited")
+        assert plain == (
+            "hypothesis\tgroup\testimate\tn_rows\n"
+            "utt\t*\t100.0\t4\npoc\t*\t100.0\t4\nsoc\t*\t100.0\t4\n"
+        )
+        series = (
+            {"checkpoint": "ep1", "ate": {"utt": 12.5, "poc": None, "soc": -3.0},
+             "accuracy": 0.75, "error": None},
+            {"checkpoint": "ep2", "ate": None, "accuracy": None,
+             "error": "line 1: missing field 'subject'"},
+        )
+        text = render_report(replace(self.sample_report(), series=series), "delimited")
+        assert text == plain + (
+            "utt\tcheckpoint:ep1\t12.5\t\npoc\tcheckpoint:ep1\t\t\n"
+            "soc\tcheckpoint:ep1\t-3.0\t\naccuracy\tcheckpoint:ep1\t0.75\t\n"
+            "utt\tcheckpoint:ep2\t\t\npoc\tcheckpoint:ep2\t\t\n"
+            "soc\tcheckpoint:ep2\t\t\naccuracy\tcheckpoint:ep2\t\t\n"
+        )
 
     def test_structured_emission_deterministic(self, tmp_path, crossed_files):
         config = config_for(crossed_files, "baseline:heuristic")
