@@ -4,7 +4,8 @@
 canonical adjustment sets against the built-in graph, build the three
 matched populations, score them with predictions, and estimate ATE and
 per-relation CATE with the backdoor formula. `run_dynamics` re-scores
-the same populations once per checkpoint file. `run_build_population`
+the same populations once per checkpoint file for its ATEs, and takes
+CATE once, from the last checkpoint estimated. `run_build_population`
 builds, scores and writes populations and their cloze queries without
 estimating anything.
 
@@ -291,8 +292,8 @@ class _Runtime:
             seed=seed,
         )
 
-    def estimate(self, predictions_of):
-        """Score every population and estimate its ATE, CATE and diagnostics.
+    def estimate_ates(self, predictions_of):
+        """Score every population and estimate its ATE and diagnostics: the ATE pass.
 
         `predictions_of(hypothesis)` gives the hypothesis's PredictionSet; it
         is called just before that hypothesis is scored, so the first
@@ -300,14 +301,16 @@ class _Runtime:
         could not be built, or whose estimate has no stratum holding both
         arms, reports a null ATE with the reason in its diagnostics'
         ``error``; when every hypothesis fails, the first failure is raised.
-        Returns the report, whose source is the first set's, and the
-        scored populations.
+        Returns the report, whose source is the first set's and whose
+        `cate` cells are all empty (`with_cate` fills them), the
+        observation table of each estimated hypothesis, and the scored
+        populations.
         """
-        ates, cates, diagnostics, scored = {}, {}, {}, {}
+        ates, diagnostics, tables, scored = {}, {}, {}, {}
         failures = dict(self.failures)
         source_id = None
         for hyp in HYPOTHESES:
-            ates[hyp], cates[hyp] = None, {}
+            ates[hyp] = None
             if hyp in failures:
                 diagnostics[hyp] = {"error": str(failures[hyp])}
                 continue
@@ -324,11 +327,7 @@ class _Runtime:
                 diagnostics[hyp] = {"error": str(exc), **counts}
                 continue
             ates[hyp] = float(est.ate)
-            cates[hyp] = {
-                relation: {"value": None if r.value is None else float(r.value),
-                           "reason": r.reason, "n_rows": r.n_rows}
-                for relation, r in cate(table, "relation", "treatment", "outcome", z).items()
-            }
+            tables[hyp] = table
             diagnostics[hyp] = {
                 "covered_mass": float(est.covered_mass),
                 "dropped_strata": est.dropped_strata,
@@ -337,7 +336,27 @@ class _Runtime:
             }
         if len(failures) == len(HYPOTHESES):
             raise next(iter(failures.values()))  # build failures first, as they arose
-        return EffectReport(source_id, ates, cates, diagnostics), scored
+        report = EffectReport(source_id, ates, {hyp: {} for hyp in HYPOTHESES}, diagnostics)
+        return report, tables, scored
+
+    @staticmethod
+    def with_cate(report, tables):
+        """The report with each estimated hypothesis's per-relation CATE.
+
+        `tables` maps each hypothesis `estimate_ates` estimated to its
+        observation table; each gets one `cate` call. `cate` never raises
+        here: a relation it cannot estimate is a null cell with its reason.
+        """
+        cates = dict(report.cate)
+        for hyp, table in tables.items():
+            cates[hyp] = {
+                relation: {"value": None if r.value is None else float(r.value),
+                           "reason": r.reason, "n_rows": r.n_rows}
+                for relation, r in cate(
+                    table, "relation", "treatment", "outcome", STRATIFY_COLUMNS[hyp]
+                ).items()
+            }
+        return replace(report, cate=cates)
 
     @cached_property
     def _utt_golds(self):
@@ -372,7 +391,8 @@ def run_estimate(config, emit_populations=False):
     """
     config.validate().predictions_spec()
     rt = _Runtime(config)
-    report, scored = rt.estimate(rt.predictions_for)
+    report, tables, scored = rt.estimate_ates(rt.predictions_for)
+    report = rt.with_cate(report, tables)
     if emit_populations:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -411,10 +431,14 @@ def _write_tables(pop, out, hypothesis):
 
 
 def run_dynamics(config, checkpoint_paths):
-    """One ATE triple per checkpoint, populations built once.
+    """One ATE triple and accuracy per checkpoint, populations built once.
 
-    Checkpoints run in natural name order (``ep2`` before ``ep10``; paths
-    with equal keys, such as ``ep1`` and ``ep01``, by plain order).
+    Checkpoints run in natural order of their names (``ep2`` before
+    ``ep10``), whatever directories they are in; names with equal keys,
+    such as ``ep1`` and ``ep01``, run in plain path order. Each checkpoint
+    gets only the ATE pass (`_Runtime.estimate_ates`); the report's CATE,
+    diagnostics and source are those of the last checkpoint estimated,
+    with its CATE taken once, at the end, from that checkpoint's tables.
     Checkpoints failing to score (for instance with uncovered cloze keys)
     contribute an error entry instead of aborting the series.
     """
@@ -422,23 +446,23 @@ def run_dynamics(config, checkpoint_paths):
     if not checkpoint_paths:
         raise ConfigError("dynamics requires at least one checkpoint file")
     rt = _Runtime(config)
-    ordered = sorted(sorted(checkpoint_paths), key=_natural_key)
+    ordered = sorted(sorted(checkpoint_paths), key=lambda path: _natural_key(Path(path).stem))
     series = []
-    last_full = None
+    last = None  # the last estimated checkpoint's report and tables
     for path in ordered:
         entry = {"checkpoint": Path(path).stem, "ate": None, "accuracy": None, "error": None}
         try:
             prediction_set = load_predictions(path, rt.kb)
-            report, _ = rt.estimate(lambda hyp: prediction_set)
+            report, tables, _ = rt.estimate_ates(lambda hyp: prediction_set)
             entry["ate"] = report.ate
             entry["accuracy"] = rt.accuracy(prediction_set)
-            last_full = report
+            last = report, tables
         except (CorpusCausalError, OSError) as exc:
             entry["error"] = str(exc)
         series.append(entry)
-    if last_full is None:
+    if last is None:
         raise MissingPredictionError("no checkpoint produced a full estimate")
-    return replace(last_full, series=tuple(series))
+    return replace(rt.with_cate(*last), series=tuple(series))
 
 
 # --- emission ----------------------------------------------------------------

@@ -1003,6 +1003,12 @@ class TestDynamics:
         good, bad = report.series
         assert good["error"] is None and good["accuracy"] == 1.0
         assert bad["ate"] is None and "epoch01.jsonl is not valid UTF-8" in bad["error"]
+        # the last checkpoint failed: the full estimate is the one before it
+        alone = run_estimate(config_for(crossed_files, paths[0]))
+        assert (report.cate, report.diagnostics, report.source_id) == (
+            alone.cate, alone.diagnostics, alone.source_id
+        )
+        assert report.source_id == "epoch00"
 
     def test_checkpoints_sort_by_digit_runs(self):
         names = ["step10", "step2", "step1\u00b2", "step1", "step"]
@@ -1020,6 +1026,56 @@ class TestDynamics:
         for paths in ([path, twin], [twin, path]):
             report = run_dynamics(config, paths)
             assert [e["checkpoint"] for e in report.series] == ["epoch0", "epoch00"]
+
+    def test_checkpoints_sort_by_name_across_directories(self, crossed_files, crossed_kb):
+        # the order is the names', not the directories': b/ep1 runs before a/ep2,
+        # and the full estimate is the last one's
+        first, last = self.checkpoint_files(crossed_files, crossed_kb, n=2)
+        paths = []
+        for directory, name, source in (("b", "ep1", first), ("a", "ep2", last)):
+            (crossed_files["dir"] / directory).mkdir()
+            paths.append(str(shutil.copy(source, crossed_files["dir"] / directory / f"{name}.jsonl")))
+        config = config_for(crossed_files, "unused-but-validated")
+        for listed in (paths, paths[::-1]):
+            report = run_dynamics(config, listed)
+            assert [e["checkpoint"] for e in report.series] == ["ep1", "ep2"]
+            assert report.source_id == "epoch01"
+
+    def test_cate_once_per_run_and_scoring_once_per_checkpoint(self, tmp_path, monkeypatch):
+        # the checkpoint axis, read from call counts: each checkpoint is scored
+        # and gets one ATE pass per hypothesis, while CATE is taken once per
+        # estimated hypothesis, from the last checkpoint, whatever the count
+        gen = load_generator()
+        sizes = gen.Sizes(relations=2, subjects=10, candidates=5, sentences=600,
+                          comention_max=20, checkpoints=(0.2, 0.4, 0.6, 0.8))
+        paths = gen.Corpus(sizes, seed=3).write(tmp_path / "in")
+        checkpoints = [str(paths[f"checkpoint{k:02d}"]) for k in range(4)]
+        config = TestMetamorphic.config(paths, tmp_path / "out", "checkpoint00",
+                                        cache_dir=str(tmp_path / "cache"))
+        calls = {}
+
+        def spy(name):
+            real = getattr(pipeline, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        names = ("cate", "score_population", "interventional_prob")
+        for name in names:
+            spy(name)
+        counts = {}
+        for k in (1, 2, 4):
+            calls.update(dict.fromkeys(names, 0))
+            report = run_dynamics(config, checkpoints[:k])
+            assert report.failures() == {}
+            counts[k] = dict(calls)
+        estimated = len(report.ate)
+        for k, seen in counts.items():
+            assert seen == {"cate": estimated, "score_population": estimated * k,
+                            "interventional_prob": estimated * k}, k
 
     def test_all_checkpoints_failing_raises(self, crossed_files):
         empty = crossed_files["dir"] / "empty.jsonl"
