@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import (
     EmptyTableError,
     NotNormalizedError,
@@ -117,6 +119,9 @@ def _check_adjustment_columns(table, treatment, outcome, z):
 def _do_from_counts(mass, arm_mass, arm_hits, total):
     """Per-arm backdoor sums from `Counter`s of integer stratum row counts.
 
+    `mass` maps each stratum to its rows, and `arm_mass` / `arm_hits`
+    each (stratum, arm) to its rows / its rows with outcome 1.
+
     Each arm's sum runs over the strata where that arm has rows, with the
     stratum distribution renormalized to them; covered_mass reports the
     share of rows in strata holding both arms.
@@ -136,37 +141,52 @@ def _do_from_counts(mass, arm_mass, arm_hits, total):
     return p_do, Fraction(covered_total, total), dropped
 
 
+def do_from_cells(counts, strata, arms):
+    """Backdoor-adjusted P(outcome=1 | do(treatment=x)) from integer cell counts.
+
+    The estimator core. Cell c has ``counts[2c]`` rows with outcome 0 and
+    ``counts[2c + 1]`` with outcome 1, as ``np.bincount(2 * cell + outcome)``
+    counts them; it lies in stratum ``strata[c]`` and arm ``arms[c]``, 0
+    or 1. The counts are folded, as Python integers, into each stratum's
+    and each (stratum, arm)'s totals for `_do_from_counts`; a stratum
+    with no rows is no stratum. All arithmetic is exact. Raises
+    PositivityError when no stratum contains both arms.
+    """
+    counts = np.asarray(counts).tolist()
+    if not sum(counts):
+        raise EmptyTableError("observation table has no rows")
+    mass, arm_mass, arm_hits = Counter(), Counter(), Counter()
+    for stratum, arm, zeros, ones in zip(strata, arms, counts[::2], counts[1::2], strict=True):
+        if zeros + ones:
+            mass[stratum] += zeros + ones
+            arm_mass[stratum, arm] += zeros + ones
+            arm_hits[stratum, arm] += ones
+    p_do, covered_mass, dropped = _do_from_counts(mass, arm_mass, arm_hits, sum(counts))
+    if covered_mass == 0:
+        raise PositivityError("no confounder stratum contains both treatment arms")
+    return DoEstimate(p_outcome_given_do=p_do, covered_mass=covered_mass, dropped_strata=dropped)
+
+
 def interventional_prob(table, treatment, outcome, z=()):
     """Backdoor-adjusted P(outcome=1 | do(treatment=x)) for x in {0, 1}.
 
     Rows are counted once per distinct (treatment, outcome, *strata)
-    cell; within each stratum of z the conditional outcome rate and the
-    stratum mass are maximum-likelihood estimates from those integer
-    counts. All arithmetic is exact. Raises PositivityError when no
-    stratum contains both arms (covered_mass would be zero).
+    cell, and the counts go to `do_from_cells`: within each stratum of z
+    the conditional outcome rate and the stratum mass are
+    maximum-likelihood estimates from those integer counts. Raises
+    PositivityError when no stratum contains both arms (covered_mass
+    would be zero).
     """
     ti, oi, zis = _check_adjustment_columns(table, treatment, outcome, z)
     if not table.rows:
         raise EmptyTableError("observation table has no rows")
 
-    mass = Counter()
-    arm_mass = Counter()
-    arm_hits = Counter()
-    cells = Counter(map(itemgetter(ti, oi, *zis), table.rows))
-    for (x, y, *key), n in cells.items():
-        key = tuple(key)
-        x = _as01(x, treatment)
-        mass[key] += n
-        arm_mass[(key, x)] += n
-        if _as01(y, outcome):
-            arm_hits[(key, x)] += n
-
-    p_do, covered_mass, dropped = _do_from_counts(
-        mass, arm_mass, arm_hits, len(table.rows)
-    )
-    if covered_mass == 0:
-        raise PositivityError("no confounder stratum contains both treatment arms")
-    return DoEstimate(p_outcome_given_do=p_do, covered_mass=covered_mass, dropped_strata=dropped)
+    numbers, strata, arms, counts = {}, [], [], []
+    for (x, y, *key), n in Counter(map(itemgetter(ti, oi, *zis), table.rows)).items():
+        arms.append(_as01(x, treatment))
+        counts += (0, n) if _as01(y, outcome) else (n, 0)
+        strata.append(numbers.setdefault(tuple(key), len(numbers)))
+    return do_from_cells(counts, strata, arms)
 
 
 def ate(table, treatment, outcome, z=()):

@@ -20,8 +20,9 @@ import json
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from operator import contains
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate
 from .errors import (
@@ -32,12 +33,14 @@ from .errors import (
     ParseError,
     PositivityError,
 )
-from .estimator import cate, interventional_prob
+from .estimator import cate, do_from_cells
 from .graph import CANONICAL_ADJUSTMENTS, reference_graph, satisfies_backdoor
 from .kb import KnowledgeBase, load_kb, load_patterns
 from .population import (
     STRATIFY_COLUMNS,
+    ClozeKeyTable,
     build_structure,
+    observation_cells,
     population_observation_table,
     read_cache_entry,
     # not called here: a cache entry has its own format (`read_cache_entry`);
@@ -292,21 +295,34 @@ class _Runtime:
             seed=seed,
         )
 
+    @cached_property
+    def keys(self):
+        """The run's `ClozeKeyTable`: every population's cloze keys, and the KB's candidates."""
+        candidates = (obj for relation in self.kb.relations
+                      for obj in self.kb.candidate_objects(relation))
+        return ClozeKeyTable(self.populations, candidates)
+
+    @cached_property
+    def _cells(self):
+        """Hypothesis -> its population's `observation_cells`."""
+        return {hyp: observation_cells(pop) for hyp, pop in self.populations.items()}
+
     def estimate_ates(self, predictions_of):
         """Score every population and estimate its ATE and diagnostics: the ATE pass.
 
         `predictions_of(hypothesis)` gives the hypothesis's PredictionSet; it
         is called just before that hypothesis is scored, so the first
-        failure raises in hypothesis order. A hypothesis whose population
-        could not be built, or whose estimate has no stratum holding both
-        arms, reports a null ATE with the reason in its diagnostics'
-        ``error``; when every hypothesis fails, the first failure is raised.
-        Returns the report, whose source is the first set's and whose
-        `cate` cells are all empty (`with_cate` fills them), the
-        observation table of each estimated hypothesis, and the scored
-        populations.
+        failure raises in hypothesis order. Each ATE is taken from the
+        population's integer cell counts, one `np.bincount` of its scored
+        rows (`do_from_cells`). A hypothesis whose population could not
+        be built, or whose estimate has no stratum holding both arms,
+        reports a null ATE with the reason in its diagnostics' ``error``;
+        when every hypothesis fails, the first failure is raised. Returns
+        the report, whose source is the first set's and whose `cate`
+        cells are all empty (`with_cate` fills them), and the prediction
+        set of each scored hypothesis.
         """
-        ates, diagnostics, tables, scored = {}, {}, {}, {}
+        ates, diagnostics, used = {}, {}, {}
         failures = dict(self.failures)
         source_id = None
         for hyp in HYPOTHESES:
@@ -314,20 +330,20 @@ class _Runtime:
             if hyp in failures:
                 diagnostics[hyp] = {"error": str(failures[hyp])}
                 continue
-            prediction_set = predictions_of(hyp)
+            prediction_set = used[hyp] = predictions_of(hyp)
             source_id = prediction_set.source_id if source_id is None else source_id
-            pop = scored[hyp] = score_population(self.populations[hyp], prediction_set)
+            pop = self.populations[hyp]
+            outcomes = self.keys.outcomes(hyp, prediction_set)
             counts = {"rows": len(pop), "pairs": len(pop.pairs), **asdict(pop.diagnostics)}
-            table = population_observation_table(pop)
-            z = STRATIFY_COLUMNS[hyp]
+            cell, strata, arms = self._cells[hyp]
             try:
-                est = interventional_prob(table, "treatment", "outcome", z)
+                est = do_from_cells(np.bincount(2 * cell + outcomes, minlength=2 * len(strata)),
+                                    strata, arms)
             except PositivityError as exc:
                 failures[hyp] = exc
                 diagnostics[hyp] = {"error": str(exc), **counts}
                 continue
             ates[hyp] = float(est.ate)
-            tables[hyp] = table
             diagnostics[hyp] = {
                 "covered_mass": float(est.covered_mass),
                 "dropped_strata": est.dropped_strata,
@@ -337,39 +353,62 @@ class _Runtime:
         if len(failures) == len(HYPOTHESES):
             raise next(iter(failures.values()))  # build failures first, as they arose
         report = EffectReport(source_id, ates, {hyp: {} for hyp in HYPOTHESES}, diagnostics)
-        return report, tables, scored
+        return report, used
+
+    def score(self, used):
+        """Hypothesis -> scored population, for each hypothesis -> prediction set of `used`."""
+        return {hyp: self.keys.score(hyp, prediction_set) for hyp, prediction_set in used.items()}
 
     @staticmethod
-    def with_cate(report, tables):
+    def with_cate(report, scored):
         """The report with each estimated hypothesis's per-relation CATE.
 
-        `tables` maps each hypothesis `estimate_ates` estimated to its
-        observation table; each gets one `cate` call. `cate` never raises
-        here: a relation it cannot estimate is a null cell with its reason.
+        Each hypothesis of `scored` (hypothesis -> scored population) that
+        `estimate_ates` estimated gets one `cate` call, on its observation
+        table, which is built for that call and dropped after it. `cate`
+        never raises here: a relation it cannot estimate is a null cell
+        with its reason.
         """
         cates = dict(report.cate)
-        for hyp, table in tables.items():
+        for hyp, pop in scored.items():
+            if report.ate[hyp] is None:
+                continue
             cates[hyp] = {
                 relation: {"value": None if r.value is None else float(r.value),
                            "reason": r.reason, "n_rows": r.n_rows}
                 for relation, r in cate(
-                    table, "relation", "treatment", "outcome", STRATIFY_COLUMNS[hyp]
+                    population_observation_table(pop), "relation", "treatment", "outcome",
+                    STRATIFY_COLUMNS[hyp],
                 ).items()
             }
         return replace(report, cate=cates)
 
     @cached_property
     def _utt_golds(self):
-        """The gold objects of each utt cloze key's (subject, relation)."""
-        return tuple(self.kb.objects_of(s, r) for s, r, _ in self.populations["utt"].cloze_keys)
+        """Sorted codes ``k * n + id``: utt cloze key k has the gold object of that id.
+
+        `n` is the size of the key table's object ids, which holds every KB
+        object. Every object a run reads is in normal form (`load_kb`,
+        `load_predictions`), so comparing trimmed ids compares the strings.
+        """
+        ids = self.keys.object_ids
+        return np.array(sorted(
+            k * len(ids) + ids[gold.strip()]
+            for k, (subject, relation, _) in enumerate(self.populations["utt"].cloze_keys)
+            for gold in self.kb.objects_of(subject, relation)
+        ), np.int64)
 
     def accuracy(self, prediction_set):
         """Share of utt-population cloze keys answered with a KB gold object."""
         if "utt" not in self.populations:
             return None
-        keys = self.populations["utt"].cloze_keys
-        predicted = map(prediction_set.records.get, keys)
-        return sum(map(contains, self._utt_golds, predicted)) / len(keys)
+        _, found = self.keys.lookup(prediction_set)
+        predicted = found[self.keys.key_rows["utt"]]
+        codes = np.arange(len(predicted)) * len(self.keys.object_ids) + predicted
+        codes[predicted < 0] = -1
+        golds = self._utt_golds
+        hits = golds.take(np.searchsorted(golds, codes), mode="clip") == codes
+        return int(hits.sum()) / len(predicted)
 
 
 def _write_entry(pop, entry):
@@ -391,8 +430,9 @@ def run_estimate(config, emit_populations=False):
     """
     config.validate().predictions_spec()
     rt = _Runtime(config)
-    report, tables, scored = rt.estimate_ates(rt.predictions_for)
-    report = rt.with_cate(report, tables)
+    report, scored = rt.estimate_ates(rt.predictions_for)
+    scored = rt.score(scored)  # the prediction sets go here
+    report = rt.with_cate(report, scored)
     if emit_populations:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -438,9 +478,10 @@ def run_dynamics(config, checkpoint_paths):
     such as ``ep1`` and ``ep01``, run in plain path order. Each checkpoint
     gets only the ATE pass (`_Runtime.estimate_ates`); the report's CATE,
     diagnostics and source are those of the last checkpoint estimated,
-    with its CATE taken once, at the end, from that checkpoint's tables.
-    Checkpoints failing to score (for instance with uncovered cloze keys)
-    contribute an error entry instead of aborting the series.
+    with its CATE taken once, at the end, from that checkpoint's
+    predictions. Checkpoints failing to score (for instance with
+    uncovered cloze keys) contribute an error entry instead of aborting
+    the series; the entry names the file by its name, wherever it lives.
     """
     config.validate()
     if not checkpoint_paths:
@@ -448,21 +489,23 @@ def run_dynamics(config, checkpoint_paths):
     rt = _Runtime(config)
     ordered = sorted(sorted(checkpoint_paths), key=lambda path: _natural_key(Path(path).stem))
     series = []
-    last = None  # the last estimated checkpoint's report and tables
+    last = None  # the last estimated checkpoint's report and prediction sets
     for path in ordered:
         entry = {"checkpoint": Path(path).stem, "ate": None, "accuracy": None, "error": None}
         try:
             prediction_set = load_predictions(path, rt.kb)
-            report, tables, _ = rt.estimate_ates(lambda hyp: prediction_set)
+            report, used = rt.estimate_ates(lambda hyp: prediction_set)
             entry["ate"] = report.ate
             entry["accuracy"] = rt.accuracy(prediction_set)
-            last = report, tables
+            last = report, used
         except (CorpusCausalError, OSError) as exc:
-            entry["error"] = str(exc)
+            # the file by its name: a report does not depend on where inputs live
+            entry["error"] = str(exc).replace(str(path), Path(path).name)
         series.append(entry)
     if last is None:
         raise MissingPredictionError("no checkpoint produced a full estimate")
-    return replace(rt.with_cate(*last), series=tuple(series))
+    report, used = last
+    return replace(rt.with_cate(report, rt.score(used)), series=tuple(series))
 
 
 # --- emission ----------------------------------------------------------------

@@ -38,9 +38,11 @@ built or read back; a build sorts and pairs its rows as codes. Scoring,
 the observation table and emission read the columns, and the rows are
 built only when something asks for them (the public API, tests).
 Scores are columns too: `score_population` returns the population with
-a ``predicted`` and an ``outcomes`` tuple aligned with its rows, so
-re-scoring it for another prediction set (one per checkpoint) copies no
-row. Emitted tables join the two back into one file with a
+a ``predicted`` and an ``outcomes`` tuple aligned with its rows, and
+copies no row. A run scores all its populations through one
+`ClozeKeyTable`, one lookup pass over their cloze keys per prediction
+set; `observation_cells` gives the strata and arms of the integer cell
+counts the ATE is taken from. Emitted tables join the two back into one file with a
 ``prediction`` and an ``outcome`` column; an unscored population writes
 ``""`` and ``0`` there.
 
@@ -55,6 +57,7 @@ import json
 from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -403,42 +406,114 @@ def build_structure(hypothesis, kb, stats, min_poc_frequency=5, bin_edges=BIN_ED
     return _build_soc(kb, stats, bin_edges)
 
 
+class ClozeKeyTable:
+    """The cloze keys of a run's populations, looked up once per prediction set.
+
+    `keys` is the union of the populations' `cloze_keys`, in the order
+    they first appear, and `object_ids` one id table of trimmed objects:
+    `objects` first, then each population's. For each hypothesis,
+    `key_rows[hyp]` holds the position in `keys` of each of its cloze
+    keys, `rows[hyp]` that of each row's key, and `row_objects[hyp]` each
+    row's object id. Scoring a prediction set is one lookup pass over
+    `keys`, then a gather and a compare per population.
+    """
+
+    def __init__(self, populations, objects=()):
+        self.populations = populations
+        position, ids = {}, {}
+        for obj in objects:
+            ids.setdefault(str(obj).strip(), len(ids))
+        self.key_rows, self.rows, self.row_objects = {}, {}, {}
+        for hyp, pop in populations.items():
+            columns = pop.columns
+            self.key_rows[hyp] = np.fromiter(
+                (position.setdefault(key, len(position)) for key in pop.cloze_keys),
+                np.intp, len(pop.cloze_keys),
+            )
+            self.rows[hyp] = self.key_rows[hyp][columns.key_index]
+            local = [ids.setdefault(obj, len(ids)) for obj in columns.object_ids]
+            self.row_objects[hyp] = np.array(local, np.intp)[columns.object_id]
+        self.keys, self.object_ids = tuple(position), ids
+        self._looked_up = {}
+
+    def lookup(self, predictions):
+        """Each key's prediction, or None, and its trimmed object id: -1 none, -2 no prediction.
+
+        The key pass (`_key_pass`) is made once per prediction set: a set
+        some population was last scored with is not looked up again.
+        """
+        for looked_up in self._looked_up.values():
+            if looked_up[0] is predictions:
+                return looked_up[1:]
+        return self._key_pass(predictions)
+
+    def _key_pass(self, predictions):
+        values = list(map(predictions.records.get, self.keys))
+        ids = self.object_ids
+        id_of = {value: -2 if value is None else ids.get(str(value).strip(), -1)
+                 for value in dict.fromkeys(values)}
+        return values, np.fromiter(map(id_of.__getitem__, values), np.intp, len(values))
+
+    def outcomes(self, hypothesis, predictions):
+        """The population's outcome (uint8) per row under `predictions`.
+
+        The outcomes and errors are those of `score_population`: it raises
+        what that raises, for the same first key or row.
+        """
+        pop = self.populations[hypothesis]
+        values, found = self.lookup(predictions)
+        self._looked_up[hypothesis] = predictions, values, found
+        if (pop.hypothesis not in HYPOTHESES or "" in pop.columns.object_ids
+                or (found[self.key_rows[hypothesis]] == -2).any()):
+            _reject(pop, predictions)
+        return (found[self.rows[hypothesis]] == self.row_objects[hypothesis]).view(np.uint8)
+
+    def score(self, hypothesis, predictions):
+        """The population with its ``predicted`` and ``outcomes`` columns set.
+
+        The table then lets the prediction set go, as far as this
+        population is concerned.
+        """
+        outcomes = self.outcomes(hypothesis, predictions)
+        _, values, _ = self._looked_up.pop(hypothesis)
+        predicted = np.array(values, object)[self.rows[hypothesis]]
+        return replace(self.populations[hypothesis], predicted=tuple(predicted.tolist()),
+                       outcomes=tuple(outcomes.tolist()))
+
+
+def _reject(pop, predictions):
+    """Raise what scoring `pop` with `predictions` raises.
+
+    A cloze key with no prediction is a `MissingPredictionError` naming
+    every such key; otherwise what `outcome_flag` raises, for the first
+    row it rejects.
+    """
+    records = predictions.records
+    missing = [key for key in pop.cloze_keys if key not in records]
+    if missing:
+        sample = ", ".join(map(repr, missing[:5]))
+        raise MissingPredictionError(
+            f"{len(missing)} cloze keys lack predictions (e.g. {sample})", missing=missing
+        )
+    by_key = [records[key] for key in pop.cloze_keys]
+    columns = pop.columns
+    objects = map(columns.strings.__getitem__, columns.codes["object"].tolist())
+    for obj, key in zip(objects, columns.key_index.tolist()):
+        outcome_flag(pop.hypothesis, obj, by_key[key])
+
+
 def score_population(pop, predictions):
     """Score a built population against one prediction set.
 
     Returns the population with its ``predicted`` and ``outcomes`` columns
     set; the rows and pairs are shared, not copied. Raises
     `MissingPredictionError` when a row's cloze key has no prediction.
-    Each distinct cloze key is looked up and its prediction trimmed once;
-    a row's outcome is then whether its key's trimmed prediction is its
-    trimmed object, compared as object ids, which is what `outcome_flag`
-    tests.
+    Each distinct cloze key is looked up and its prediction trimmed once
+    (`ClozeKeyTable`); a row's outcome is then whether its key's trimmed
+    prediction is its trimmed object, compared as object ids, which is
+    what `outcome_flag` tests.
     """
-    columns = pop.columns
-    records = predictions.records
-    try:
-        by_key = tuple(map(records.__getitem__, columns.cloze_keys))
-    except KeyError:
-        missing = [key for key in columns.cloze_keys if key not in records]
-        sample = ", ".join(map(repr, missing[:5]))
-        raise MissingPredictionError(
-            f"{len(missing)} cloze keys lack predictions (e.g. {sample})",
-            missing=missing,
-        ) from None
-    if pop.hypothesis not in HYPOTHESES or None in by_key or "" in columns.object_ids:
-        # raise what `outcome_flag` raises, for the first row it rejects
-        objects = map(columns.strings.__getitem__, columns.codes["object"].tolist())
-        for obj, key in zip(objects, columns.key_index.tolist()):
-            outcome_flag(pop.hypothesis, obj, by_key[key])
-    predicted = np.fromiter(by_key, object, len(by_key))[columns.key_index]
-    ids = columns.object_ids
-    predicted_id = np.fromiter(
-        (ids.get(str(prediction).strip(), -1) for prediction in by_key), np.intp, len(by_key)
-    )
-    hits = predicted_id[columns.key_index] == columns.object_id
-    return replace(
-        pop, predicted=tuple(predicted.tolist()), outcomes=tuple(hits.view(np.uint8).tolist())
-    )
+    return ClozeKeyTable({pop.hypothesis: pop}).score(pop.hypothesis, predictions)
 
 
 def build_table(
@@ -685,3 +760,22 @@ def population_observation_table(pop):
     index = 2 * columns.cell + np.fromiter(outcomes, np.intp, len(outcomes))
     rows = tuple(map(columns.cell_rows.__getitem__, index.tolist()))
     return ObservationTable(_OBSERVATION_COLUMNS, rows)
+
+
+def observation_cells(pop):
+    """Each row's cell for `pop`'s backdoor sum, and each cell's stratum and arm.
+
+    A cell is a (stratum, arm) pair. Its stratum numbers its values of the
+    hypothesis's `STRATIFY_COLUMNS`, in the order they first appear among
+    `cell_rows`, and its arm is its treatment. A scored population's cell
+    counts are then ``np.bincount(2 * cell + outcome)``.
+    """
+    stratum = itemgetter(*map(_OBSERVATION_COLUMNS.index, STRATIFY_COLUMNS[pop.hypothesis]))
+    arm = _OBSERVATION_COLUMNS.index("treatment")
+    numbers, cells = {}, {}
+    cell_of = [
+        cells.setdefault((numbers.setdefault(stratum(row), len(numbers)), row[arm]), len(cells))
+        for row in pop.columns.cell_rows[::2]
+    ]
+    strata, arms = zip(*cells)
+    return np.array(cell_of, np.intp)[pop.columns.cell], strata, arms

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, config plumbing, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -541,3 +544,29 @@ class TestSettings:
         lines = [line.split("#", 1)[0] for line in example.splitlines()]
         keys = [line.split("=", 1)[0].strip() for line in lines if line.strip()]
         assert sorted(keys) == sorted(pipeline.SETTINGS)
+
+
+def test_console_script_checks(tmp_path):
+    # the console-script checks CI runs, here through a `python3 -m
+    # corpuscausal.cli` shim: with no RUNNER_TEMP the script works in a
+    # temporary directory of its own, and removes it
+    root = Path(__file__).resolve().parents[1]
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "corpuscausal"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m corpuscausal.cli "$@"\n')
+    shim.chmod(0o755)
+    (bin_dir / "python3").symlink_to(sys.executable)
+    env = {key: value for key, value in os.environ.items() if key != "RUNNER_TEMP"}
+    env.update(
+        PATH=f"{bin_dir}{os.pathsep}{env.get('PATH', '')}",
+        PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")])),
+        TMPDIR=str(tmp_path),
+    )
+    result = subprocess.run(
+        ["bash", str(root / "scripts" / "check-console-script.sh")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bin"]
+

@@ -20,6 +20,7 @@ from corpuscausal.estimator import (
     ObservationTable,
     ate,
     cate,
+    do_from_cells,
     exact_joint_do,
     interventional_prob,
     read_table,
@@ -370,6 +371,49 @@ class TestProperties:
         except PositivityError:
             return
         assert -100 <= value <= 100
+
+
+@st.composite
+def cell_counts(draw):
+    """Small integer cells: (stratum, arm, rows with outcome 0, rows with outcome 1)."""
+    return draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 4), st.integers(0, 4)),
+        min_size=1, max_size=10,
+    ))
+
+
+class TestCellCore:
+    @given(cell_counts())
+    @settings(max_examples=150, deadline=None)
+    def test_core_equals_oracle_on_empirical_joint(self, cells):
+        # cells may repeat a (stratum, arm) or hold no rows; the core folds them
+        strata, arms, zeros, ones = zip(*cells)
+        counts = [n for pair in zip(zeros, ones) for n in pair]
+        total = sum(counts)
+        joint = {}
+        for z, x, n0, n1 in cells:
+            for y, n in ((0, n0), (1, n1)):
+                if n:
+                    joint[x, z, y] = joint.get((x, z, y), 0) + Fraction(n, total)
+        if not total:
+            with pytest.raises(EmptyTableError):
+                do_from_cells(counts, strata, arms)
+            return
+        oracle = exact_joint_do(joint, ("X", "Z", "Y"), "X", "Y", {"Z"})
+        if oracle.covered_mass == 0:
+            with pytest.raises(PositivityError):
+                do_from_cells(counts, strata, arms)
+            return
+        est = do_from_cells(counts, strata, arms)
+        assert est.p_outcome_given_do == oracle.p_outcome_given_do
+        assert est.covered_mass == oracle.covered_mass
+        assert est.dropped_strata == oracle.dropped_strata
+
+    def test_counts_stay_integers(self):
+        # counts past 2**53 would lose rows as floats
+        big = 2**60
+        est = do_from_cells([big, big + 1, 1, 0], [0, 0], [1, 0])
+        assert est.p_outcome_given_do == {0: 0, 1: Fraction(big + 1, 2 * big + 1)}
 
 
 class TestTableIo:

@@ -8,11 +8,17 @@ from dataclasses import replace
 from hashlib import blake2b
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corpuscausal import pipeline
-from corpuscausal.errors import ConfigError, EmptyPopulationError, MissingPredictionError
-from corpuscausal.estimator import ate, read_table
+from corpuscausal.errors import (
+    ConfigError,
+    CorpusCausalError,
+    EmptyPopulationError,
+    MissingPredictionError,
+)
+from corpuscausal.estimator import ate, do_from_cells, interventional_prob, read_table
 from corpuscausal.pipeline import (
     EffectReport,
     RunConfig,
@@ -29,9 +35,13 @@ from corpuscausal.corpus import CorpusIndex, build_index
 from corpuscausal.population import (
     ROW_FIELDS,
     STRATIFY_COLUMNS,
+    ClozeKeyTable,
     PopulationColumns,
     build_structure,
+    observation_cells,
+    population_observation_table,
     read_cache_entry,
+    write_population,
 )
 
 from conftest import (
@@ -753,6 +763,35 @@ class TestMetamorphic:
             last.cate, last.diagnostics, last.source_id
         )
 
+    def test_relocation(self, tmp_path):
+        # every input copied into another directory, a checkpoint that is not
+        # UTF-8 and an empty one among them: the reports, the emitted tables and
+        # the cache entries, names and bytes, stay byte-identical, so no output
+        # depends on where its inputs live
+        gen = load_generator()
+        sizes = gen.Sizes(**dict(self.SIZES, checkpoints=(0.2, 0.8)))
+        given = tmp_path / "given"
+        paths = gen.Corpus(sizes, seed=5).write(given / "in")
+        checkpoints = paths["checkpoint00"].parent
+        (checkpoints / "garbled.jsonl").write_bytes(b"\xff\xfe")
+        (checkpoints / "empty.jsonl").write_text("", encoding="utf-8")
+        moved = tmp_path / "elsewhere" / "deeper"
+        shutil.copytree(given / "in", moved / "in")
+        runs = []
+        for root in (given, moved):
+            files = {name: root / path.relative_to(given) for name, path in paths.items()}
+            cache = root / "cache"
+            tables = self.outputs(files, root / "estimate", "checkpoint00", cache_dir=str(cache))
+            config = self.config(files, root / "dynamics", "checkpoint00", cache_dir=str(cache))
+            report = run_dynamics(config, sorted(map(str, (root / "in" / "checkpoints").iterdir())))
+            entries = {path.name: path.read_bytes() for path in sorted(cache.iterdir())}
+            runs.append((tables, render_report(report, "structured"), entries))
+        assert runs[0] == runs[1]
+        errors = {entry["checkpoint"]: entry["error"] for entry in json.loads(runs[0][1])["series"]}
+        assert errors == {"empty": "no prediction records in empty.jsonl",
+                          "garbled": "garbled.jsonl is not valid UTF-8",
+                          "step00": None, "step01": None}
+
     def test_unrelated_sentences(self, tmp_path):
         # sentences whose words are no KB surface and no template literal change no
         # count: the report, the tables and the cache entries stay byte-identical,
@@ -789,6 +828,66 @@ class TestMetamorphic:
 def load_report_text(tmp_path, report):
     path = emit_report(report, "structured", tmp_path / "report.json")
     return load_report(path)
+
+
+class TestCellCounts:
+    """The ATE pass's cell counts against the observation tables they count."""
+
+    #: The benchmark's three workload shapes, scaled down.
+    SHAPES = {
+        "estimate-cold": dict(relations=3, subjects=16, candidates=8, sentences=2000,
+                              comention_max=40),
+        "estimate-rawcorpus": dict(relations=2, subjects=20, candidates=5, sentences=3000,
+                                   comention_max=60, sentences_per_line=3, mention_share=0.5),
+        "dynamics-warm": dict(relations=4, subjects=9, candidates=6, sentences=1500,
+                              comention_max=24),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_cell_path_equals_the_table_path(self, tmp_path, shape, seed):
+        # per population, one bincount of 2 * cell + outcome through the core
+        # gives what `interventional_prob` gives on the population's
+        # observation table and on its emitted table read back: the same
+        # probabilities, covered mass and dropped strata, or the same error
+        gen = load_generator()
+        sizes = gen.Sizes(**self.SHAPES[shape], checkpoints=(0.0, 0.5, 1.0))
+        paths = gen.Corpus(sizes, seed).write(tmp_path / "in")
+        compared = 0
+        for predictions in ("checkpoint00", "checkpoint01", "checkpoint02",
+                            "baseline:random:3"):
+            config = TestMetamorphic.config(paths, tmp_path, predictions, min_poc_frequency=0)
+            rt = pipeline._Runtime(config.validate())
+            report, used = rt.estimate_ates(rt.predictions_for)
+            for hyp, pop in rt.score(used).items():
+                cell, strata, arms = observation_cells(pop)
+                cells = np.bincount(2 * cell + np.array(pop.outcomes, np.intp),
+                                    minlength=2 * len(strata))
+                z = STRATIFY_COLUMNS[hyp]
+                table, pairs = tmp_path / f"{hyp}.tsv", tmp_path / f"{hyp}_pairs.tsv"
+                write_population(pop, table, pairs)
+                emitted_z = ["is_anti" if name == "kbt" else name for name in z]
+                estimates = [
+                    lambda: do_from_cells(cells, strata, arms),
+                    lambda: interventional_prob(population_observation_table(pop),
+                                                "treatment", "outcome", z),
+                    lambda: interventional_prob(read_table(table), "treatment", "outcome",
+                                                emitted_z),
+                ]
+                results = []
+                for estimate in estimates:
+                    try:
+                        est = estimate()
+                    except CorpusCausalError as exc:
+                        results.append((type(exc), str(exc)))
+                    else:
+                        results.append((est.p_outcome_given_do, est.covered_mass,
+                                        est.dropped_strata))
+                assert results[0] == results[1] == results[2], (shape, seed, predictions, hyp)
+                if report.ate[hyp] is not None:
+                    assert report.ate[hyp] == float(100 * (results[0][0][1] - results[0][0][0]))
+                    compared += 1
+        assert compared >= 9
 
 
 class TestRunBuildPopulation:
@@ -1010,6 +1109,16 @@ class TestDynamics:
         )
         assert report.source_id == "epoch00"
 
+    def test_unreadable_checkpoint_is_named_by_its_name(self, crossed_files, crossed_kb):
+        # an OSError's entry names the file as the other entries do, not its path
+        paths = self.checkpoint_files(crossed_files, crossed_kb, n=1)
+        missing = crossed_files["dir"] / "ckpts" / "gone.jsonl"
+        config = config_for(crossed_files, "unused-but-validated")
+        report = run_dynamics(config, paths + [str(missing), str(missing.parent)])
+        errors = [entry["error"] for entry in report.series]
+        assert errors == ["[Errno 21] Is a directory: 'ckpts'", None,
+                          "[Errno 2] No such file or directory: 'gone.jsonl'"]
+
     def test_checkpoints_sort_by_digit_runs(self):
         names = ["step10", "step2", "step1\u00b2", "step1", "step"]
         assert sorted(names, key=pipeline._natural_key) == [
@@ -1042,9 +1151,10 @@ class TestDynamics:
             assert report.source_id == "epoch01"
 
     def test_cate_once_per_run_and_scoring_once_per_checkpoint(self, tmp_path, monkeypatch):
-        # the checkpoint axis, read from call counts: each checkpoint is scored
-        # and gets one ATE pass per hypothesis, while CATE is taken once per
-        # estimated hypothesis, from the last checkpoint, whatever the count
+        # the checkpoint axis, read from call counts: each checkpoint is one key
+        # pass and gets one cell-count estimate per hypothesis, while the key
+        # table is built once per run, and the observation table and CATE once
+        # per estimated hypothesis, from the last checkpoint, whatever the count
         gen = load_generator()
         sizes = gen.Sizes(relations=2, subjects=10, candidates=5, sentences=600,
                           comention_max=20, checkpoints=(0.2, 0.4, 0.6, 0.8))
@@ -1054,28 +1164,30 @@ class TestDynamics:
                                         cache_dir=str(tmp_path / "cache"))
         calls = {}
 
-        def spy(name):
-            real = getattr(pipeline, name)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(pipeline, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
-        names = ("cate", "score_population", "interventional_prob")
+        names = ("cate", "population_observation_table", "do_from_cells", "ClozeKeyTable")
         for name in names:
-            spy(name)
+            spy(pipeline, name)
+        spy(ClozeKeyTable, "_key_pass")
         counts = {}
         for k in (1, 2, 4):
-            calls.update(dict.fromkeys(names, 0))
+            calls.update(dict.fromkeys(names + ("_key_pass",), 0))
             report = run_dynamics(config, checkpoints[:k])
             assert report.failures() == {}
             counts[k] = dict(calls)
         estimated = len(report.ate)
         for k, seen in counts.items():
-            assert seen == {"cate": estimated, "score_population": estimated * k,
-                            "interventional_prob": estimated * k}, k
+            assert seen == {"cate": estimated, "population_observation_table": estimated,
+                            "do_from_cells": estimated * k, "ClozeKeyTable": 1,
+                            "_key_pass": k}, k
 
     def test_all_checkpoints_failing_raises(self, crossed_files):
         empty = crossed_files["dir"] / "empty.jsonl"
