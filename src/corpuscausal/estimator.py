@@ -116,77 +116,58 @@ def _check_adjustment_columns(table, treatment, outcome, z):
     return ti, oi, [i for _, i in zis]
 
 
-def _do_from_counts(mass, arm_mass, arm_hits, total):
-    """Per-arm backdoor sums from `Counter`s of integer stratum row counts.
+def do_from_cells(counts):
+    """Backdoor-adjusted P(outcome=1 | do(treatment=x)) from integer cell counts.
 
-    `mass` maps each stratum to its rows, and `arm_mass` / `arm_hits`
-    each (stratum, arm) to its rows / its rows with outcome 1.
+    The estimator core. ``counts[z][x][y]`` is the number of rows in
+    stratum z with treatment x and outcome y, an integer array of shape
+    (strata, 2, 2), as ``np.bincount(4 * stratum + 2 * treatment +
+    outcome).reshape(-1, 2, 2)`` counts them; a stratum with no rows is
+    no stratum. The counts are folded as Python integers, so all
+    arithmetic is exact.
 
     Each arm's sum runs over the strata where that arm has rows, with the
     stratum distribution renormalized to them; covered_mass reports the
-    share of rows in strata holding both arms.
+    share of rows in strata holding both arms. Raises PositivityError
+    when no stratum contains both arms.
     """
-    p_do = {}
-    dropped = 0
-    for x in (0, 1):
-        supported = [key for key in mass if arm_mass[key, x]]
-        dropped += len(mass) - len(supported)
-        if supported:
-            acc = sum(
-                Fraction(arm_hits[key, x] * mass[key], arm_mass[key, x])
-                for key in supported
-            )
-            p_do[x] = acc / sum(mass[key] for key in supported)
-    covered_total = sum(mass[k] for k in mass if arm_mass[k, 0] and arm_mass[k, 1])
-    return p_do, Fraction(covered_total, total), dropped
-
-
-def do_from_cells(counts, strata, arms):
-    """Backdoor-adjusted P(outcome=1 | do(treatment=x)) from integer cell counts.
-
-    The estimator core. Cell c has ``counts[2c]`` rows with outcome 0 and
-    ``counts[2c + 1]`` with outcome 1, as ``np.bincount(2 * cell + outcome)``
-    counts them; it lies in stratum ``strata[c]`` and arm ``arms[c]``, 0
-    or 1. The counts are folded, as Python integers, into each stratum's
-    and each (stratum, arm)'s totals for `_do_from_counts`; a stratum
-    with no rows is no stratum. All arithmetic is exact. Raises
-    PositivityError when no stratum contains both arms.
-    """
-    counts = np.asarray(counts).tolist()
-    if not sum(counts):
+    # each stratum with rows: its rows, and each arm's (rows, rows with outcome 1)
+    strata = [
+        (sum(map(sum, arms)), [(zeros + ones, ones) for zeros, ones in arms])
+        for arms in np.asarray(counts).tolist()
+        if any(map(any, arms))
+    ]
+    if not strata:
         raise EmptyTableError("observation table has no rows")
-    mass, arm_mass, arm_hits = Counter(), Counter(), Counter()
-    for stratum, arm, zeros, ones in zip(strata, arms, counts[::2], counts[1::2], strict=True):
-        if zeros + ones:
-            mass[stratum] += zeros + ones
-            arm_mass[stratum, arm] += zeros + ones
-            arm_hits[stratum, arm] += ones
-    p_do, covered_mass, dropped = _do_from_counts(mass, arm_mass, arm_hits, sum(counts))
-    if covered_mass == 0:
+    p_do, dropped = {}, 0
+    for x in (0, 1):
+        supported = [(mass, *arms[x]) for mass, arms in strata if arms[x][0]]
+        dropped += len(strata) - len(supported)
+        if supported:
+            acc = sum(Fraction(hits * mass, rows) for mass, rows, hits in supported)
+            p_do[x] = acc / sum(mass for mass, _, _ in supported)
+    covered = sum(mass for mass, arms in strata if arms[0][0] and arms[1][0])
+    if not covered:
         raise PositivityError("no confounder stratum contains both treatment arms")
-    return DoEstimate(p_outcome_given_do=p_do, covered_mass=covered_mass, dropped_strata=dropped)
+    return DoEstimate(p_do, Fraction(covered, sum(mass for mass, _ in strata)), dropped)
 
 
 def interventional_prob(table, treatment, outcome, z=()):
     """Backdoor-adjusted P(outcome=1 | do(treatment=x)) for x in {0, 1}.
 
-    Rows are counted once per distinct (treatment, outcome, *strata)
-    cell, and the counts go to `do_from_cells`: within each stratum of z
-    the conditional outcome rate and the stratum mass are
-    maximum-likelihood estimates from those integer counts. Raises
-    PositivityError when no stratum contains both arms (covered_mass
-    would be zero).
+    Rows are counted into one (stratum, treatment, outcome) cell each, and
+    the counts go to `do_from_cells`: within each stratum of z the
+    conditional outcome rate and the stratum mass are maximum-likelihood
+    estimates from those integer counts. Raises EmptyTableError for a
+    table with no rows, and PositivityError when no stratum contains both
+    arms (covered_mass would be zero).
     """
     ti, oi, zis = _check_adjustment_columns(table, treatment, outcome, z)
-    if not table.rows:
-        raise EmptyTableError("observation table has no rows")
-
-    numbers, strata, arms, counts = {}, [], [], []
+    counts = {}
     for (x, y, *key), n in Counter(map(itemgetter(ti, oi, *zis), table.rows)).items():
-        arms.append(_as01(x, treatment))
-        counts += (0, n) if _as01(y, outcome) else (n, 0)
-        strata.append(numbers.setdefault(tuple(key), len(numbers)))
-    return do_from_cells(counts, strata, arms)
+        arms = counts.setdefault(tuple(key), [[0, 0], [0, 0]])
+        arms[_as01(x, treatment)][_as01(y, outcome)] += n
+    return do_from_cells(list(counts.values()))
 
 
 def ate(table, treatment, outcome, z=()):

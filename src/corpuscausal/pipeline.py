@@ -313,14 +313,14 @@ class _Runtime:
         `predictions_of(hypothesis)` gives the hypothesis's PredictionSet; it
         is called just before that hypothesis is scored, so the first
         failure raises in hypothesis order. Each ATE is taken from the
-        population's integer cell counts, one `np.bincount` of its scored
-        rows (`do_from_cells`). A hypothesis whose population could not
-        be built, or whose estimate has no stratum holding both arms,
-        reports a null ATE with the reason in its diagnostics' ``error``;
-        when every hypothesis fails, the first failure is raised. Returns
-        the report, whose source is the first set's and whose `cate`
-        cells are all empty (`with_cate` fills them), and the prediction
-        set of each scored hypothesis.
+        population's integer (stratum, arm, outcome) cell counts, one
+        `np.bincount` of its scored rows (`do_from_cells`). A hypothesis
+        whose population could not be built, or whose estimate has no
+        stratum holding both arms, reports a null ATE with the reason in
+        its diagnostics' ``error``; when every hypothesis fails, the first
+        failure is raised. Returns the report, whose source is the first
+        set's and whose `cate` cells are all empty (`with_cate` fills
+        them), and the prediction set of each scored hypothesis.
         """
         ates, diagnostics, used = {}, {}, {}
         failures = dict(self.failures)
@@ -335,10 +335,10 @@ class _Runtime:
             pop = self.populations[hyp]
             outcomes = self.keys.outcomes(hyp, prediction_set)
             counts = {"rows": len(pop), "pairs": len(pop.pairs), **asdict(pop.diagnostics)}
-            cell, strata, arms = self._cells[hyp]
+            cell, strata = self._cells[hyp]
+            cells = np.bincount(2 * cell + outcomes, minlength=4 * strata).reshape(-1, 2, 2)
             try:
-                est = do_from_cells(np.bincount(2 * cell + outcomes, minlength=2 * len(strata)),
-                                    strata, arms)
+                est = do_from_cells(cells)
             except PositivityError as exc:
                 failures[hyp] = exc
                 diagnostics[hyp] = {"error": str(exc), **counts}

@@ -41,10 +41,11 @@ Scores are columns too: `score_population` returns the population with
 a ``predicted`` and an ``outcomes`` tuple aligned with its rows, and
 copies no row. A run scores all its populations through one
 `ClozeKeyTable`, one lookup pass over their cloze keys per prediction
-set; `observation_cells` gives the strata and arms of the integer cell
-counts the ATE is taken from. Emitted tables join the two back into one file with a
-``prediction`` and an ``outcome`` column; an unscored population writes
-``""`` and ``0`` there.
+set. `observation_cells` numbers each row's stratum from the codes, so
+that one `np.bincount` counts a scored population into the (stratum,
+arm, outcome) array the ATE is taken from. Emitted tables join the two
+back into one file with a ``prediction`` and an ``outcome`` column; an
+unscored population writes ``""`` and ``0`` there.
 
 Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
@@ -57,7 +58,6 @@ import json
 from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -134,18 +134,11 @@ class PopulationColumns:
     `strings` is the string table, distinct strings in text order, and
     `codes` maps each `PopulationRow` field to a numpy column: the string
     fields as indices into `strings`, so that codes sort as their strings
-    do, and the bools and ints as numbers. The rest is read from the
-    columns once, when they are made, so that scoring and tabulating a
-    population reads no row:
-
-      - `cloze_keys`, the sorted distinct (subject, relation, template)
-        keys, and `key_index`, each row's index into them;
-      - `object_ids`, each distinct object with its whitespace trimmed ->
-        its id, and `object_id`, each row's id;
-      - `cell_rows`, the observation-table rows: for each distinct
-        (relation, template, kbt, soc_bin, utt_present, treatment) cell,
-        the cell with outcome 0 then with outcome 1; and `cell`, each
-        row's cell.
+    do, and the bools and ints as numbers. The cloze keys are read from
+    the columns once, when they are made, since every prediction set is
+    scored through them: `cloze_keys`, the sorted distinct (subject,
+    relation, template) keys, and `key_index`, each row's index into them.
+    Scoring and tabulating a population read the codes, and no row.
 
     The columns are the population, built or read back: `rows` builds the
     `PopulationRow`s only when something asks for them, and emission
@@ -160,19 +153,6 @@ class PopulationColumns:
         )
         self.cloze_keys = tuple(zip(*(map(strings.__getitem__, key) for key in keys)))
 
-        (objects,), object_index = _distinct(codes["object"])
-        ids = self.object_ids = {}
-        trimmed = [ids.setdefault(strings[code].strip(), len(ids)) for code in objects]
-        self.object_id = np.array(trimmed, np.intp)[object_index]
-
-        cells, self.cell = _distinct(*map(codes.__getitem__, _CELL_FIELDS))
-        self.cell_rows = tuple(
-            (strings[relation], strings[template], 0 if is_anti else 1, strings[soc_bin],
-             bool(utt_present), treatment, outcome)
-            for relation, template, is_anti, soc_bin, utt_present, treatment in zip(*cells)
-            for outcome in (0, 1)
-        )
-
     @cached_property
     def rows(self):
         return tuple(map(PopulationRow._make, zip(*_decode(self))))
@@ -184,10 +164,6 @@ class PopulationColumns:
         if not isinstance(other, PopulationColumns):
             return NotImplemented
         return self is other or _decode(self) == _decode(other)
-
-
-#: The fields of an observation-table cell, with ``kbt`` as ``is_anti``.
-_CELL_FIELDS = ("relation", "template", "is_anti", "soc_bin", "utt_present", "treatment")
 
 
 def _encode(texts):
@@ -431,8 +407,9 @@ class ClozeKeyTable:
                 np.intp, len(pop.cloze_keys),
             )
             self.rows[hyp] = self.key_rows[hyp][columns.key_index]
-            local = [ids.setdefault(obj, len(ids)) for obj in columns.object_ids]
-            self.row_objects[hyp] = np.array(local, np.intp)[columns.object_id]
+            (objects,), object_index = _distinct(columns.codes["object"])
+            local = [ids.setdefault(columns.strings[code].strip(), len(ids)) for code in objects]
+            self.row_objects[hyp] = np.array(local, np.intp)[object_index]
         self.keys, self.object_ids = tuple(position), ids
         self._looked_up = {}
 
@@ -463,7 +440,8 @@ class ClozeKeyTable:
         pop = self.populations[hypothesis]
         values, found = self.lookup(predictions)
         self._looked_up[hypothesis] = predictions, values, found
-        if (pop.hypothesis not in HYPOTHESES or "" in pop.columns.object_ids
+        blank = self.object_ids.get("", -1)
+        if (pop.hypothesis not in HYPOTHESES or (self.row_objects[hypothesis] == blank).any()
                 or (found[self.key_rows[hypothesis]] == -2).any()):
             _reject(pop, predictions)
         return (found[self.rows[hypothesis]] == self.row_objects[hypothesis]).view(np.uint8)
@@ -735,10 +713,16 @@ def read_cache_entry(path, hypothesis):
     return MatchedPopulation(hypothesis, PopulationColumns(strings, codes), pairs, diagnostics)
 
 
-#: The columns of a population's observation table.
+#: The columns of a population's observation table. A population's rows
+#: hold ``kbt`` as ``is_anti``; the other columns but ``outcome`` are theirs.
 _OBSERVATION_COLUMNS = (
     "relation", "template", "kbt", "soc_bin", "utt_present", "treatment", "outcome"
 )
+
+
+def _observation_codes(pop, names):
+    """The code column of `pop` that each observation-table column of `names` is read from."""
+    return [pop.columns.codes["is_anti" if name == "kbt" else name] for name in names]
 
 
 def population_observation_table(pop):
@@ -748,7 +732,8 @@ def population_observation_table(pop):
     populations, 0 on anti-pattern rows) alongside the stratification
     columns; values stay native (ints and bools), as on `PopulationRow`.
     ``outcome`` is the scored `outcomes` column, so `pop` must be scored.
-    Each row is its cell's shared row for its outcome (`cell_rows`).
+    The rows of one cell, the distinct values of every column but
+    ``outcome``, share one tuple per outcome.
     """
     outcomes = pop.outcomes
     if len(outcomes) != len(pop):
@@ -756,26 +741,25 @@ def population_observation_table(pop):
     if not set(outcomes) <= {0, 1}:
         bad = next(value for value in outcomes if value not in (0, 1))
         raise ValueError(f"column 'outcome' must be binary 0/1, got {bad!r}")
-    columns = pop.columns
-    index = 2 * columns.cell + np.fromiter(outcomes, np.intp, len(outcomes))
-    rows = tuple(map(columns.cell_rows.__getitem__, index.tolist()))
-    return ObservationTable(_OBSERVATION_COLUMNS, rows)
+    strings = pop.columns.strings
+    cells, cell = _distinct(*_observation_codes(pop, _OBSERVATION_COLUMNS[:-1]))
+    cell_rows = tuple(
+        (strings[relation], strings[template], 0 if is_anti else 1, strings[soc_bin],
+         utt_present, treatment, outcome)
+        for relation, template, is_anti, soc_bin, utt_present, treatment in zip(*cells)
+        for outcome in (0, 1)
+    )
+    index = 2 * cell + np.fromiter(outcomes, np.intp, len(outcomes))
+    return ObservationTable(_OBSERVATION_COLUMNS, tuple(map(cell_rows.__getitem__, index.tolist())))
 
 
 def observation_cells(pop):
-    """Each row's cell for `pop`'s backdoor sum, and each cell's stratum and arm.
+    """Each row's ``2 * stratum + treatment`` for `pop`'s backdoor sum, and the number of strata.
 
-    A cell is a (stratum, arm) pair. Its stratum numbers its values of the
-    hypothesis's `STRATIFY_COLUMNS`, in the order they first appear among
-    `cell_rows`, and its arm is its treatment. A scored population's cell
-    counts are then ``np.bincount(2 * cell + outcome)``.
+    A stratum numbers the rows' distinct values of the hypothesis's
+    `STRATIFY_COLUMNS`. A scored population's cell counts, in the layout
+    `do_from_cells` takes, are then ``np.bincount(2 * cell + outcome,
+    minlength=4 * strata).reshape(-1, 2, 2)``.
     """
-    stratum = itemgetter(*map(_OBSERVATION_COLUMNS.index, STRATIFY_COLUMNS[pop.hypothesis]))
-    arm = _OBSERVATION_COLUMNS.index("treatment")
-    numbers, cells = {}, {}
-    cell_of = [
-        cells.setdefault((numbers.setdefault(stratum(row), len(numbers)), row[arm]), len(cells))
-        for row in pop.columns.cell_rows[::2]
-    ]
-    strata, arms = zip(*cells)
-    return np.array(cell_of, np.intp)[pop.columns.cell], strata, arms
+    strata, stratum = _distinct(*_observation_codes(pop, STRATIFY_COLUMNS[pop.hypothesis]))
+    return 2 * stratum + pop.columns.codes["treatment"], len(strata[0])

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from corpuscausal.errors import (
 )
 from corpuscausal.estimator import (
     CateEstimate,
+    DoEstimate,
     ObservationTable,
     ate,
     cate,
@@ -300,10 +302,10 @@ class TestExactJointDo:
         expected = {0: Fraction(1, 3), 1: Fraction(11, 16)}
         assert interventional_prob(table, "X", "Y", {"Z"}).p_outcome_given_do == expected
 
-        def wrong_core(mass, arm_mass, arm_hits, total):
-            return {0: Fraction(0), 1: Fraction(1)}, Fraction(1), 0
+        def wrong_core(counts):
+            return DoEstimate({0: Fraction(0), 1: Fraction(1)}, Fraction(1), 0)
 
-        monkeypatch.setattr(estimator, "_do_from_counts", wrong_core)
+        monkeypatch.setattr(estimator, "do_from_cells", wrong_core)
         assert interventional_prob(table, "X", "Y", {"Z"}).ate == 100
         est = exact_joint_do(joint, ("X", "Z", "Y"), "X", "Y", {"Z"})
         assert est.p_outcome_given_do == expected
@@ -386,10 +388,12 @@ class TestCellCore:
     @given(cell_counts())
     @settings(max_examples=150, deadline=None)
     def test_core_equals_oracle_on_empirical_joint(self, cells):
-        # cells may repeat a (stratum, arm) or hold no rows; the core folds them
-        strata, arms, zeros, ones = zip(*cells)
-        counts = [n for pair in zip(zeros, ones) for n in pair]
-        total = sum(counts)
+        # cells may repeat a (stratum, arm), summed into one array cell, or hold no
+        # rows, and a stratum with no rows is no stratum to the core
+        counts = np.zeros((4, 2, 2), np.int64)
+        for z, x, n0, n1 in cells:
+            counts[z, x] += (n0, n1)
+        total = int(counts.sum())
         joint = {}
         for z, x, n0, n1 in cells:
             for y, n in ((0, n0), (1, n1)):
@@ -397,14 +401,14 @@ class TestCellCore:
                     joint[x, z, y] = joint.get((x, z, y), 0) + Fraction(n, total)
         if not total:
             with pytest.raises(EmptyTableError):
-                do_from_cells(counts, strata, arms)
+                do_from_cells(counts)
             return
         oracle = exact_joint_do(joint, ("X", "Z", "Y"), "X", "Y", {"Z"})
         if oracle.covered_mass == 0:
             with pytest.raises(PositivityError):
-                do_from_cells(counts, strata, arms)
+                do_from_cells(counts)
             return
-        est = do_from_cells(counts, strata, arms)
+        est = do_from_cells(counts)
         assert est.p_outcome_given_do == oracle.p_outcome_given_do
         assert est.covered_mass == oracle.covered_mass
         assert est.dropped_strata == oracle.dropped_strata
@@ -412,7 +416,7 @@ class TestCellCore:
     def test_counts_stay_integers(self):
         # counts past 2**53 would lose rows as floats
         big = 2**60
-        est = do_from_cells([big, big + 1, 1, 0], [0, 0], [1, 0])
+        est = do_from_cells([[[1, 0], [big, big + 1]]])
         assert est.p_outcome_given_do == {0: 0, 1: Fraction(big + 1, 2 * big + 1)}
 
 

@@ -1,6 +1,8 @@
 """End-to-end runs, config handling, reports, dynamics."""
 
+import cProfile
 import json
+import pstats
 import random
 import re
 import shutil
@@ -18,7 +20,7 @@ from corpuscausal.errors import (
     EmptyPopulationError,
     MissingPredictionError,
 )
-from corpuscausal.estimator import ate, do_from_cells, interventional_prob, read_table
+from corpuscausal.estimator import ate, cate, do_from_cells, interventional_prob, read_table
 from corpuscausal.pipeline import (
     EffectReport,
     RunConfig,
@@ -31,7 +33,7 @@ from corpuscausal.pipeline import (
     run_dynamics,
     run_estimate,
 )
-from corpuscausal.corpus import CorpusIndex, build_index
+from corpuscausal.corpus import CorpusIndex, build_index, template_parts
 from corpuscausal.population import (
     ROW_FIELDS,
     STRATIFY_COLUMNS,
@@ -825,6 +827,94 @@ class TestMetamorphic:
         assert all(len(pair) == 2 and pair[0] == pair[1] for pair in entries.values())
 
 
+    def test_corpus_line_order(self, tmp_path):
+        # permuting the corpus lines changes no count, no rank tie and no stored
+        # utterance: the report and the tables stay byte-identical, and only the
+        # index digest changes
+        gen = load_generator()
+        paths = gen.Corpus(gen.Sizes(**self.SIZES), seed=5).write(tmp_path / "in")
+        lines = paths["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(3).shuffle(lines)
+        shuffled = dict(paths, corpus=tmp_path / "shuffled-corpus.txt")
+        shuffled["corpus"].write_text("".join(lines), encoding="utf-8")
+        assert build_index(str(shuffled["corpus"])).digest != build_index(str(paths["corpus"])).digest
+        given = self.outputs(paths, tmp_path / "given", "baseline:heuristic")
+        assert given == self.outputs(shuffled, tmp_path / "shuffled", "baseline:heuristic")
+
+    def test_repeated_kb_and_pattern_lines(self, tmp_path):
+        # appending copies of KB and pattern lines adds nothing: the first copy is
+        # kept, so the report and the tables stay byte-identical
+        gen = load_generator()
+        paths = gen.Corpus(gen.Sizes(**self.SIZES), seed=5).write(tmp_path / "in")
+        repeated = dict(paths)
+        rng = random.Random(4)
+        for name in ("kb", "patterns"):
+            lines = paths[name].read_text(encoding="utf-8").splitlines(keepends=True)
+            repeated[name] = tmp_path / f"repeated-{paths[name].name}"
+            repeated[name].write_text("".join(lines + rng.choices(lines, k=len(lines))),
+                                      encoding="utf-8")
+        given = self.outputs(paths, tmp_path / "given", "checkpoint00")
+        assert given == self.outputs(repeated, tmp_path / "repeated", "checkpoint00")
+
+    def test_repeated_checkpoint(self, tmp_path):
+        # one checkpoint file under two names, another checkpoint between them:
+        # the two series entries are equal apart from their names
+        gen = load_generator()
+        sizes = gen.Sizes(**dict(self.SIZES, checkpoints=(0.2, 0.8)))
+        paths = gen.Corpus(sizes, seed=5).write(tmp_path / "in")
+        again = paths["checkpoint00"].with_name("step02.jsonl")
+        shutil.copyfile(paths["checkpoint00"], again)
+        checkpoints = [str(paths["checkpoint00"]), str(paths["checkpoint01"]), str(again)]
+        report = run_dynamics(self.config(paths, tmp_path / "out", "checkpoint00"), checkpoints)
+        series = json.loads(render_report(report, "structured"))["series"]
+        assert [entry["checkpoint"] for entry in series] == ["step00", "step01", "step02"]
+        assert series[0]["error"] is None and series[0]["ate"] != series[1]["ate"]
+        assert dict(series[0], checkpoint="step02") == series[2]
+
+
+class TestScaling:
+    """Call counts of a run against the size of its inputs, one axis at a time.
+
+    Every library function's cProfile call count, which the inputs fix,
+    may grow at most linearly: doubling one axis of the generated inputs
+    (subjects, candidates or relations, or corpus sentences) may not
+    multiply any count by more than 2.1. A path quadratic in an axis
+    quadruples some count there.
+    """
+
+    BASE = dict(relations=2, subjects=10, candidates=5, sentences=1000, comention_max=20,
+                checkpoints=(0.5,))
+    AXES = ("subjects", "candidates", "relations", "sentences")
+
+    @staticmethod
+    def calls(out, sizes):
+        """Each library function's call count in one estimate run on generated `sizes`."""
+        gen = load_generator()
+        paths = gen.Corpus(gen.Sizes(**sizes), seed=7).write(out / "in")
+        template_parts.cache_clear()  # the one memo that outlives a run
+        profile = cProfile.Profile()
+        report = profile.runcall(
+            run_estimate, TestMetamorphic.config(paths, out / "out", "checkpoint00")
+        )
+        assert report.failures() == {}
+        package = Path(pipeline.__file__).parent
+        return {
+            f"{Path(path).stem}.{name}:{line}": stats[1]
+            for (path, line, name), stats in pstats.Stats(profile).stats.items()
+            if Path(path).parent == package
+        }
+
+    def test_call_counts_grow_at_most_linearly(self, tmp_path):
+        base = self.calls(tmp_path / "base", self.BASE)
+        assert any(name.startswith("estimator.do_from_cells:") for name in base)
+        for axis in self.AXES:
+            doubled = self.calls(tmp_path / axis, dict(self.BASE, **{axis: 2 * self.BASE[axis]}))
+            for name, n in doubled.items():
+                assert n <= 2.1 * base.get(name, 1), (
+                    f"{name}: {base.get(name, 0)} calls, {n} with {axis} doubled"
+                )
+
+
 def load_report_text(tmp_path, report):
     path = emit_report(report, "structured", tmp_path / "report.json")
     return load_report(path)
@@ -849,26 +939,27 @@ class TestCellCounts:
         # per population, one bincount of 2 * cell + outcome through the core
         # gives what `interventional_prob` gives on the population's
         # observation table and on its emitted table read back: the same
-        # probabilities, covered mass and dropped strata, or the same error
+        # probabilities, covered mass and dropped strata, or the same error;
+        # and `cate` gives the same per-relation effects on both tables
         gen = load_generator()
         sizes = gen.Sizes(**self.SHAPES[shape], checkpoints=(0.0, 0.5, 1.0))
         paths = gen.Corpus(sizes, seed).write(tmp_path / "in")
-        compared = 0
+        compared = cates = 0
         for predictions in ("checkpoint00", "checkpoint01", "checkpoint02",
                             "baseline:random:3"):
             config = TestMetamorphic.config(paths, tmp_path, predictions, min_poc_frequency=0)
             rt = pipeline._Runtime(config.validate())
             report, used = rt.estimate_ates(rt.predictions_for)
             for hyp, pop in rt.score(used).items():
-                cell, strata, arms = observation_cells(pop)
+                cell, strata = observation_cells(pop)
                 cells = np.bincount(2 * cell + np.array(pop.outcomes, np.intp),
-                                    minlength=2 * len(strata))
+                                    minlength=4 * strata).reshape(-1, 2, 2)
                 z = STRATIFY_COLUMNS[hyp]
                 table, pairs = tmp_path / f"{hyp}.tsv", tmp_path / f"{hyp}_pairs.tsv"
                 write_population(pop, table, pairs)
                 emitted_z = ["is_anti" if name == "kbt" else name for name in z]
                 estimates = [
-                    lambda: do_from_cells(cells, strata, arms),
+                    lambda: do_from_cells(cells),
                     lambda: interventional_prob(population_observation_table(pop),
                                                 "treatment", "outcome", z),
                     lambda: interventional_prob(read_table(table), "treatment", "outcome",
@@ -884,10 +975,16 @@ class TestCellCounts:
                         results.append((est.p_outcome_given_do, est.covered_mass,
                                         est.dropped_strata))
                 assert results[0] == results[1] == results[2], (shape, seed, predictions, hyp)
+                effects = [cate(observed, "relation", "treatment", "outcome", z_of)
+                           for observed, z_of in ((population_observation_table(pop), z),
+                                                  (read_table(table), emitted_z))]
+                assert effects[0] == effects[1], (shape, seed, predictions, hyp)
                 if report.ate[hyp] is not None:
                     assert report.ate[hyp] == float(100 * (results[0][0][1] - results[0][0][0]))
                     compared += 1
+                    cates += any(r.value is not None for r in effects[0].values())
         assert compared >= 9
+        assert cates >= 9
 
 
 class TestRunBuildPopulation:

@@ -37,6 +37,7 @@ from corpuscausal.population import (
     MatchDiagnostics,
     ROW_FIELDS,
     STRATIFY_COLUMNS,
+    ClozeKeyTable,
     PopulationRow,
     build_structure,
     build_table,
@@ -1212,8 +1213,9 @@ class TestScoringOracle:
         loaded = read_population(tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv", "soc")
         assert loaded.cloze_keys == pop.cloze_keys
         assert loaded.key_index.tolist() == pop.key_index.tolist()
-        assert loaded.columns.object_ids == pop.columns.object_ids
-        assert loaded.columns.object_id.tolist() == pop.columns.object_id.tolist()
+        loaded_keys, keys_table = ClozeKeyTable({"soc": loaded}), ClozeKeyTable({"soc": pop})
+        assert loaded_keys.object_ids == keys_table.object_ids
+        assert loaded_keys.row_objects["soc"].tolist() == keys_table.row_objects["soc"].tolist()
         for predictions in self.prediction_sets(crossed_kb, crossed_index, keys):
             assert score_population(loaded, predictions) == score_population(pop, predictions)
 
@@ -1224,8 +1226,9 @@ class TestScoringOracle:
             assert [pop.cloze_keys[i] for i in pop.key_index] == [
                 (r.subject, r.relation, r.template) for r in pop.rows
             ]
-            trimmed = list(pop.columns.object_ids)
-            assert [trimmed[i] for i in pop.columns.object_id] == [
+            table = ClozeKeyTable({hyp: pop})
+            trimmed = list(table.object_ids)
+            assert [trimmed[i] for i in table.row_objects[hyp]] == [
                 r.object.strip() for r in pop.rows
             ]
             scored = score_population(pop, baseline_predict(
