@@ -168,18 +168,18 @@ def _required(record, key, lineno):
 
 
 def load_kb(path):
-    """Load the triplet records as a tuple, dropping repeats (first one kept)."""
+    """Load the triplet records as a tuple, in file order (`KnowledgeBase` drops repeats)."""
     records = _jsonl_records(path, ("subject", "relation", "object"))
-    triplets = dict.fromkeys(Triplet(*values) for _, _, values in records)
+    triplets = tuple(Triplet(*values) for _, _, values in records)
     if not triplets:
         raise EmptyKbError(f"no triplets found in {path}")
-    return tuple(triplets)
+    return triplets
 
 
 def load_patterns(path):
-    """Load pattern records, validating both slots in every template.
+    """Load pattern records in file order, validating both slots in every template.
 
-    Repeats are dropped, the first one kept.
+    `KnowledgeBase` drops repeats.
     """
     patterns = []
     for lineno, record, (relation, template) in _jsonl_records(path, ("relation", "template")):
@@ -191,7 +191,7 @@ def load_patterns(path):
         if not isinstance(is_anti, bool):
             raise ParseError("field 'is_anti' must be a boolean", line=lineno)
         patterns.append(PatternSpec(relation=relation, template=template, is_anti=is_anti))
-    return tuple(dict.fromkeys(patterns))
+    return tuple(patterns)
 
 
 def load_knowledge_base(triplet_path, pattern_path):

@@ -460,7 +460,7 @@ def run_build_population(config, hypotheses):
         _write_tables(scored, out, hyp)
         with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
             fh.write("subject\trelation\ttemplate\tcloze\n")
-            for subject, relation, template in scored.cloze_keys:
+            for subject, relation, template in rt.populations[hyp].cloze_keys:
                 cloze = instantiate(template, subject, config.mask_token)
                 fh.write(f"{subject}\t{relation}\t{template}\t{cloze}\n")
         yield hyp, scored

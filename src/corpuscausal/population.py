@@ -31,21 +31,22 @@ probe heuristic-utt makes.
 
 `PopulationRow`'s annotations state the row schema once: the column
 types, the string fields, the cache entry's layout and how a table cell
-is read follow from them. A population is its integer columns
-(`PopulationColumns`), its string fields coded into one string table
-that `_encode` makes from (values, index) parts, whether the rows are
-built or read back; a build sorts and pairs its rows as codes. Scoring,
-the observation table and emission read the columns, and the rows are
-built only when something asks for them (the public API, tests).
-Scores are columns too: `score_population` returns the population with
-a ``predicted`` and an ``outcomes`` tuple aligned with its rows, and
-copies no row. A run scores all its populations through one
-`ClozeKeyTable`, one lookup pass over their cloze keys per prediction
-set. `observation_cells` numbers each row's stratum from the codes, so
-that one `np.bincount` counts a scored population into the (stratum,
-arm, outcome) array the ATE is taken from. Emitted tables join the two
-back into one file with a ``prediction`` and an ``outcome`` column; an
-unscored population writes ``""`` and ``0`` there.
+is read follow from them. A `MatchedPopulation` holds its rows as
+integer columns, `pop.codes`, its string fields coded into one string
+table, `pop.strings`, that `_encode` makes from (values, index) parts,
+whether the rows are built or read back; a build sorts and pairs its
+rows as codes. Scoring, the observation table and emission read the
+columns; the cloze keys are read from them when first asked for, and
+the rows are built only when something asks for them (the public API,
+tests). Scores are columns too: `score_population` returns the
+population with a ``predicted`` and an ``outcomes`` tuple aligned with
+its rows, and copies no row. A run scores all its populations through
+one `ClozeKeyTable`, one lookup pass over their cloze keys per
+prediction set. `observation_cells` numbers each row's stratum from the
+codes, so that one `np.bincount` counts a scored population into the
+(stratum, arm, outcome) array the ATE is taken from. Emitted tables join
+the two back into one file with a ``prediction`` and an ``outcome``
+column; an unscored population writes ``""`` and ``0`` there.
 
 Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
@@ -58,6 +59,7 @@ import json
 from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -128,44 +130,6 @@ class MatchDiagnostics:
     low_frequency_removed: int = 0
 
 
-class PopulationColumns:
-    """A population's rows as integer columns, and the codes read from them.
-
-    `strings` is the string table, distinct strings in text order, and
-    `codes` maps each `PopulationRow` field to a numpy column: the string
-    fields as indices into `strings`, so that codes sort as their strings
-    do, and the bools and ints as numbers. The cloze keys are read from
-    the columns once, when they are made, since every prediction set is
-    scored through them: `cloze_keys`, the sorted distinct (subject,
-    relation, template) keys, and `key_index`, each row's index into them.
-    Scoring and tabulating a population read the codes, and no row.
-
-    The columns are the population, built or read back: `rows` builds the
-    `PopulationRow`s only when something asks for them, and emission
-    reads the columns. Two column sets are equal when their rows are;
-    they are compared as decoded columns, so comparing builds no row.
-    """
-
-    def __init__(self, strings, codes):
-        self.strings, self.codes = strings, codes
-        keys, self.key_index = _distinct(
-            *map(codes.__getitem__, ("subject", "relation", "template"))
-        )
-        self.cloze_keys = tuple(zip(*(map(strings.__getitem__, key) for key in keys)))
-
-    @cached_property
-    def rows(self):
-        return tuple(map(PopulationRow._make, zip(*_decode(self))))
-
-    def __len__(self):
-        return len(self.key_index)
-
-    def __eq__(self, other):
-        if not isinstance(other, PopulationColumns):
-            return NotImplemented
-        return self is other or _decode(self) == _decode(other)
-
-
 def _encode(texts):
     """The string table of `texts`, and each string field's column of codes into it.
 
@@ -191,9 +155,9 @@ def _encode(texts):
     }
 
 
-def _decode(columns):
-    """The values of each of `ROW_FIELDS` in turn, read from `columns`."""
-    codes, strings = columns.codes, np.array(columns.strings, object)
+def _decode(pop):
+    """The values of each of `ROW_FIELDS` in turn, read from `pop`'s columns."""
+    codes, strings = pop.codes, np.array(pop.strings, object)
     return [
         (strings[codes[name]] if name in _STRING_FIELDS else codes[name]).tolist()
         for name in ROW_FIELDS
@@ -222,23 +186,45 @@ def _distinct(*columns):
 class MatchedPopulation:
     """Matched rows and pairs, with the scores of one prediction set.
 
-    The rows are held as `columns`, which every population scored from
-    this one shares; `rows`, `cloze_keys` and `key_index` read them.
+    The rows are integer columns: `codes` maps each `PopulationRow` field
+    to a numpy column, the string fields as codes into `strings`, the
+    string table in text order, so that codes sort as their strings do.
+    `cloze_keys`, the sorted distinct (subject, relation, template) keys,
+    and `key_index`, each row's index into them, are read from the codes
+    when first asked for, and `rows` builds the `PopulationRow`s when
+    first asked for. A scored copy (`dataclasses.replace`) shares the
+    columns and the pairs, and computes neither. Equality compares the
+    columns decoded, so it builds no row.
     """
 
     hypothesis: str
-    columns: PopulationColumns = field(repr=False)
+    strings: tuple = field(repr=False)
+    codes: dict = field(repr=False)
     pairs: tuple  # (treated row index, control row index)
     diagnostics: MatchDiagnostics = MatchDiagnostics()
     predicted: tuple = ()  # predicted object per row, aligned with `rows`
     outcomes: tuple = ()  # outcome flag (0/1) per row, aligned with `rows`
 
-    rows = property(lambda self: self.columns.rows)
-    cloze_keys = property(lambda self: self.columns.cloze_keys)
-    key_index = property(lambda self: self.columns.key_index)
+    @cached_property
+    def _keys(self):
+        keys, index = _distinct(*map(self.codes.__getitem__, ("subject", "relation", "template")))
+        return tuple(zip(*(map(self.strings.__getitem__, key) for key in keys))), index
+
+    cloze_keys = property(lambda self: self._keys[0])
+    key_index = property(lambda self: self._keys[1])
+
+    @cached_property
+    def rows(self):
+        return tuple(map(PopulationRow._make, zip(*_decode(self))))
 
     def __len__(self):
-        return len(self.columns)
+        return len(self.codes["treatment"])
+
+    def __eq__(self, other):
+        if not isinstance(other, MatchedPopulation):
+            return NotImplemented
+        fields = attrgetter("hypothesis", "pairs", "diagnostics", "predicted", "outcomes")
+        return self is other or fields(self) == fields(other) and _decode(self) == _decode(other)
 
 
 def _relations(kb, stats, anti=False):
@@ -356,7 +342,8 @@ def _population(hypothesis, blocks, bin_edges, unmatched, removed=0):
     order = np.lexsort([codes[name] for name in reversed(_ORDER_FIELDS)])
     return MatchedPopulation(
         hypothesis=hypothesis,
-        columns=PopulationColumns(strings, {name: codes[name][order] for name in ROW_FIELDS}),
+        strings=strings,
+        codes={name: codes[name][order] for name in ROW_FIELDS},
         pairs=tuple(sorted(map(tuple, order.argsort().reshape(-1, 2).tolist()))),
         diagnostics=MatchDiagnostics(unmatched_treated=unmatched, low_frequency_removed=removed),
     )
@@ -401,14 +388,13 @@ class ClozeKeyTable:
             ids.setdefault(str(obj).strip(), len(ids))
         self.key_rows, self.rows, self.row_objects = {}, {}, {}
         for hyp, pop in populations.items():
-            columns = pop.columns
             self.key_rows[hyp] = np.fromiter(
                 (position.setdefault(key, len(position)) for key in pop.cloze_keys),
                 np.intp, len(pop.cloze_keys),
             )
-            self.rows[hyp] = self.key_rows[hyp][columns.key_index]
-            (objects,), object_index = _distinct(columns.codes["object"])
-            local = [ids.setdefault(columns.strings[code].strip(), len(ids)) for code in objects]
+            self.rows[hyp] = self.key_rows[hyp][pop.key_index]
+            (objects,), object_index = _distinct(pop.codes["object"])
+            local = [ids.setdefault(pop.strings[code].strip(), len(ids)) for code in objects]
             self.row_objects[hyp] = np.array(local, np.intp)[object_index]
         self.keys, self.object_ids = tuple(position), ids
         self._looked_up = {}
@@ -474,9 +460,8 @@ def _reject(pop, predictions):
             f"{len(missing)} cloze keys lack predictions (e.g. {sample})", missing=missing
         )
     by_key = [records[key] for key in pop.cloze_keys]
-    columns = pop.columns
-    objects = map(columns.strings.__getitem__, columns.codes["object"].tolist())
-    for obj, key in zip(objects, columns.key_index.tolist()):
+    objects = map(pop.strings.__getitem__, pop.codes["object"].tolist())
+    for obj, key in zip(objects, pop.key_index.tolist()):
         outcome_flag(pop.hypothesis, obj, by_key[key])
 
 
@@ -521,7 +506,7 @@ def write_population(pop, table_path, pairs_path):
     outcomes = pop.outcomes or (0,) * len(pop)
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(POPULATION_FIELDS) + "\n")
-        columns = (*_decode(pop.columns), predicted, outcomes)
+        columns = (*_decode(pop), predicted, outcomes)
         for line in map("\t".join, zip(*(map(str, column) for column in columns), strict=True)):
             fh.write(line + "\n")
     with open(pairs_path, "w", encoding="utf-8") as fh:
@@ -627,7 +612,8 @@ def read_population(table_path, pairs_path, hypothesis):
     codes |= {name: np.array(cells[name], _DTYPES[name]) for name in _DTYPES if name not in codes}
     return MatchedPopulation(
         hypothesis=hypothesis,
-        columns=PopulationColumns(strings, codes),
+        strings=strings,
+        codes=codes,
         pairs=tuple(pairs),
         predicted=tuple(cells["prediction"]),
         outcomes=tuple(cells["outcome"]),
@@ -665,9 +651,9 @@ def write_cache_entry(pop, path):
                   "strings": []}
         columns = []
     else:
-        codes = pop.columns.codes
+        codes = pop.codes
         header = {"diagnostics": asdict(pop.diagnostics), "pairs": len(pop.pairs),
-                  "rows": len(pop), "strings": list(pop.columns.strings)}
+                  "rows": len(pop), "strings": list(pop.strings)}
         columns = [
             *(codes[name].astype("<i4") for name in _INT_FIELDS),
             np.array(pop.pairs, "<i4").reshape(-1, 2).T,
@@ -710,7 +696,7 @@ def read_cache_entry(path, hypothesis):
     if not n:
         raise _no_pairs(hypothesis)
     pairs = tuple(zip(treated.tolist(), control.tolist()))
-    return MatchedPopulation(hypothesis, PopulationColumns(strings, codes), pairs, diagnostics)
+    return MatchedPopulation(hypothesis, strings, codes, pairs, diagnostics)
 
 
 #: The columns of a population's observation table. A population's rows
@@ -722,7 +708,7 @@ _OBSERVATION_COLUMNS = (
 
 def _observation_codes(pop, names):
     """The code column of `pop` that each observation-table column of `names` is read from."""
-    return [pop.columns.codes["is_anti" if name == "kbt" else name] for name in names]
+    return [pop.codes["is_anti" if name == "kbt" else name] for name in names]
 
 
 def population_observation_table(pop):
@@ -741,7 +727,7 @@ def population_observation_table(pop):
     if not set(outcomes) <= {0, 1}:
         bad = next(value for value in outcomes if value not in (0, 1))
         raise ValueError(f"column 'outcome' must be binary 0/1, got {bad!r}")
-    strings = pop.columns.strings
+    strings = pop.strings
     cells, cell = _distinct(*_observation_codes(pop, _OBSERVATION_COLUMNS[:-1]))
     cell_rows = tuple(
         (strings[relation], strings[template], 0 if is_anti else 1, strings[soc_bin],
@@ -762,4 +748,4 @@ def observation_cells(pop):
     minlength=4 * strata).reshape(-1, 2, 2)``.
     """
     strata, stratum = _distinct(*_observation_codes(pop, STRATIFY_COLUMNS[pop.hypothesis]))
-    return 2 * stratum + pop.columns.codes["treatment"], len(strata[0])
+    return 2 * stratum + pop.codes["treatment"], len(strata[0])

@@ -42,8 +42,14 @@ class TestLoadKb:
     def test_duplicates_deduplicated_with_counter(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         rec = {"subject": "Paris", "relation": "capital-of", "object": "France"}
+        patterns = tmp_path / "patterns.jsonl"
         write_jsonl(path, [rec, rec])
-        assert load_kb(path) == (Triplet("Paris", "capital-of", "France"),)
+        write_jsonl(patterns, [
+            {"relation": "capital-of", "template": "[X] is the capital of [Y]."}
+        ])
+        assert load_knowledge_base(path, patterns).triplets == (
+            Triplet("Paris", "capital-of", "France"),
+        )
 
     def test_missing_object_field_names_line(self, tmp_path):
         path = tmp_path / "kb.jsonl"

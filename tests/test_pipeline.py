@@ -7,13 +7,14 @@ import random
 import re
 import shutil
 from dataclasses import replace
+from functools import cached_property
 from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corpuscausal import pipeline
+from corpuscausal import pipeline, population
 from corpuscausal.errors import (
     ConfigError,
     CorpusCausalError,
@@ -38,20 +39,23 @@ from corpuscausal.population import (
     ROW_FIELDS,
     STRATIFY_COLUMNS,
     ClozeKeyTable,
-    PopulationColumns,
+    MatchedPopulation,
     build_structure,
     observation_cells,
     population_observation_table,
     read_cache_entry,
     write_population,
 )
+from corpuscausal.predictions import baseline_predict, save_predictions
 
+import golden_fixture
 from conftest import (
     CROSSED_PATTERNS,
     CROSSED_TRIPLETS,
     decode_entry,
     encode_entry,
     load_generator,
+    write_corpus,
     write_jsonl,
     write_kb_files,
 )
@@ -197,10 +201,10 @@ class TestRunEstimate:
 
         expected = runs()
 
-        def no_rows(columns):
+        def no_rows(pop):
             raise AssertionError("emission built a population's rows")
 
-        monkeypatch.setattr(PopulationColumns, "rows", property(no_rows))
+        monkeypatch.setattr(MatchedPopulation, "rows", property(no_rows))
         assert runs() == expected
 
     def test_population_cache_round_trip(self, crossed_files, monkeypatch):
@@ -877,9 +881,9 @@ class TestScaling:
 
     Every library function's cProfile call count, which the inputs fix,
     may grow at most linearly: doubling one axis of the generated inputs
-    (subjects, candidates or relations, or corpus sentences) may not
-    multiply any count by more than 2.1. A path quadratic in an axis
-    quadruples some count there.
+    (subjects, candidates or relations, corpus sentences, or templates per
+    relation) may not multiply any count by more than 2.1. A path
+    quadratic in an axis quadruples some count there.
     """
 
     BASE = dict(relations=2, subjects=10, candidates=5, sentences=1000, comention_max=20,
@@ -887,14 +891,26 @@ class TestScaling:
     AXES = ("subjects", "candidates", "relations", "sentences")
 
     @staticmethod
-    def calls(out, sizes):
-        """Each library function's call count in one estimate run on generated `sizes`."""
+    def calls(out, sizes, predictions="checkpoint00", variants=False):
+        """Each library function's call count in one estimate run on generated `sizes`.
+
+        With `variants`, the run reads a copy of the patterns file with a
+        variant of each template appended, one literal word longer: twice
+        the templates per relation.
+        """
         gen = load_generator()
         paths = gen.Corpus(gen.Sizes(**sizes), seed=7).write(out / "in")
+        if variants:
+            lines = paths["patterns"].read_text(encoding="utf-8").splitlines()
+            records = [json.loads(line) for line in lines]
+            paths["patterns"] = out / "in" / "patterns-doubled.jsonl"
+            write_jsonl(paths["patterns"], records + [
+                {**record, "template": "Reportedly " + record["template"]} for record in records
+            ])
         template_parts.cache_clear()  # the one memo that outlives a run
         profile = cProfile.Profile()
         report = profile.runcall(
-            run_estimate, TestMetamorphic.config(paths, out / "out", "checkpoint00")
+            run_estimate, TestMetamorphic.config(paths, out / "out", predictions)
         )
         assert report.failures() == {}
         package = Path(pipeline.__file__).parent
@@ -904,15 +920,27 @@ class TestScaling:
             if Path(path).parent == package
         }
 
+    @staticmethod
+    def assert_linear(base, doubled, axis):
+        for name, n in doubled.items():
+            assert n <= 2.1 * base.get(name, 1), (
+                f"{name}: {base.get(name, 0)} calls, {n} with {axis} doubled"
+            )
+
     def test_call_counts_grow_at_most_linearly(self, tmp_path):
         base = self.calls(tmp_path / "base", self.BASE)
         assert any(name.startswith("estimator.do_from_cells:") for name in base)
         for axis in self.AXES:
             doubled = self.calls(tmp_path / axis, dict(self.BASE, **{axis: 2 * self.BASE[axis]}))
-            for name, n in doubled.items():
-                assert n <= 2.1 * base.get(name, 1), (
-                    f"{name}: {base.get(name, 0)} calls, {n} with {axis} doubled"
-                )
+            self.assert_linear(base, doubled, axis)
+
+    def test_call_counts_grow_at_most_linearly_in_templates(self, tmp_path):
+        # the prediction files cover only the generated templates, so both
+        # sides take the heuristic baselines
+        base = self.calls(tmp_path / "base", self.BASE, "baseline:heuristic")
+        doubled = self.calls(tmp_path / "templates", self.BASE, "baseline:heuristic",
+                             variants=True)
+        self.assert_linear(base, doubled, "templates")
 
 
 def load_report_text(tmp_path, report):
@@ -1133,10 +1161,10 @@ class TestDynamics:
         config = config_for(crossed_files, "unused-but-validated", cache_dir=str(cache))
         cold = run_dynamics(config, paths)
 
-        def no_rows(columns):
+        def no_rows(pop):
             raise AssertionError("a warm dynamics run built a population's rows")
 
-        monkeypatch.setattr(PopulationColumns, "rows", property(no_rows))
+        monkeypatch.setattr(MatchedPopulation, "rows", property(no_rows))
         assert run_dynamics(config, paths) == cold
 
     def test_series_length_and_order(self, crossed_files, crossed_kb):
@@ -1286,6 +1314,51 @@ class TestDynamics:
                             "do_from_cells": estimated * k, "ClozeKeyTable": 1,
                             "_key_pass": k}, k
 
+    def test_keys_once_per_built_or_read_population(self, tmp_path, monkeypatch):
+        # a population's cloze keys are computed once, the first time they are
+        # asked for, and a scored copy never computes them
+        gen = load_generator()
+        sizes = gen.Sizes(relations=2, subjects=10, candidates=5, sentences=600,
+                          comention_max=20, checkpoints=(0.2, 0.4, 0.6, 0.8))
+        paths = gen.Corpus(sizes, seed=3).write(tmp_path / "in")
+        checkpoints = [str(paths[f"checkpoint{k:02d}"]) for k in range(4)]
+        config = TestMetamorphic.config(paths, tmp_path / "out", "checkpoint00",
+                                        cache_dir=str(tmp_path / "cache"))
+        made, keyed = [], []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def recorded(*args, **kwargs):
+                made.append((name, real(*args, **kwargs)))
+                return made[-1][1]
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        spy(population, "_population")
+        spy(pipeline, "read_cache_entry")
+        real_keys = MatchedPopulation._keys.func
+
+        def counted(pop):
+            keyed.append(pop)
+            return real_keys(pop)
+
+        keys = cached_property(counted)
+        keys.__set_name__(MatchedPopulation, "_keys")
+        monkeypatch.setattr(MatchedPopulation, "_keys", keys)
+        runs = [  # a cold estimate, a warm dynamics run, and a build with no cache
+            ("_population", lambda: run_estimate(config, emit_populations=True)),
+            ("read_cache_entry", lambda: run_dynamics(config, checkpoints)),
+            ("_population", lambda: list(run_build_population(
+                replace(config, cache_dir=""), ("utt", "poc", "soc")))),
+        ]
+        for source, run in runs:
+            made.clear()
+            keyed.clear()
+            run()
+            assert [name for name, _ in made] == [source] * 3
+            assert sorted(map(id, keyed)) == sorted(id(pop) for _, pop in made), source
+
     def test_all_checkpoints_failing_raises(self, crossed_files):
         empty = crossed_files["dir"] / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -1377,12 +1450,17 @@ class TestReports:
         assert set(data["ate"]) == {"utt", "poc", "soc"}
 
 
+def readme_library_example():
+    """The README's ``## Library`` snippet, as written."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    return library.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_example_runs(crossed_files, monkeypatch, capsys):
     # the crossed fixture under the README's file names, each query
     # predicted as its KB object
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    library = readme.split("\n## Library\n", 1)[1]
-    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    example = readme_library_example()
     write_jsonl(crossed_files["dir"] / "preds.jsonl", [
         {"subject": s, "relation": r, "template": t, "prediction": o, "source_id": "perfect"}
         for s, r, o in CROSSED_TRIPLETS
@@ -1391,4 +1469,17 @@ def test_readme_library_example_runs(crossed_files, monkeypatch, capsys):
     ])
     monkeypatch.chdir(crossed_files["dir"])
     exec(example, {})
+    assert capsys.readouterr().out == "-100\n"
+
+
+def test_readme_library_example_runs_on_the_golden_fixture(tmp_path, monkeypatch, capsys):
+    # the golden fixture under the README's file names, with perfect
+    # predictions saved by `save_predictions`
+    kb = golden_fixture.knowledge_base()
+    write_corpus(tmp_path, golden_fixture.corpus_lines())
+    write_kb_files(tmp_path, golden_fixture.TRIPLETS, golden_fixture.PATTERNS)
+    queries = golden_fixture.predictions(kb).records
+    save_predictions(baseline_predict("perfect", kb, queries=queries), tmp_path / "preds.jsonl")
+    monkeypatch.chdir(tmp_path)
+    exec(readme_library_example(), {})
     assert capsys.readouterr().out == "-100\n"

@@ -749,7 +749,7 @@ class TestEmission:
         write_population(pop, tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv")
         loaded = read_population(tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv", "soc")
         for form in (pop, loaded):
-            assert "rows" not in form.columns.__dict__
+            assert "rows" not in vars(form)
         assert loaded.rows == pop.rows
 
     def test_comparing_and_failed_scoring_build_no_rows(
@@ -759,11 +759,12 @@ class TestEmission:
         population.write_cache_entry(pop, tmp_path / "soc.pop")
         cached = population.read_cache_entry(tmp_path / "soc.pop", "soc")
         assert cached == pop
-        assert cached.columns != build_structure("utt", crossed_kb, crossed_index).columns
+        utt = build_structure("utt", crossed_kb, crossed_index)
+        assert cached != replace(cached, strings=utt.strings, codes=utt.codes)
         with pytest.raises(MissingReferenceError):
             score_population(cached, manual_predictions(dict.fromkeys(cached.cloze_keys)))
         for form in (pop, cached):
-            assert "rows" not in form.columns.__dict__
+            assert "rows" not in vars(form)
 
     def test_whitespace_in_predictions_scores_as_a_per_row_flag(
         self, crossed_kb, crossed_index
@@ -801,8 +802,12 @@ class TestEmission:
         keys = TestCommonBehavior().all_keys(crossed_kb)
         pop = build_structure("soc", crossed_kb, crossed_index)
         scored = score_population(pop, baseline_predict("perfect", crossed_kb, queries=keys))
-        assert scored.rows is pop.rows
+        # a scored copy shares the columns and pairs, and derives neither rows nor keys
+        assert scored.codes is pop.codes
+        assert scored.strings is pop.strings
         assert scored.pairs is pop.pairs
+        assert "rows" not in vars(scored) and "_keys" not in vars(scored)
+        assert scored.cloze_keys == pop.cloze_keys
         assert len(scored.predicted) == len(scored.outcomes) == len(pop.rows)
 
     def _written(self, tmp_path, crossed_kb, crossed_index):
@@ -1055,7 +1060,7 @@ class TestStoredForms:
     def test_empty_emitted_table_reads_back(self, tmp_path):
         # no rows and no pairs: the pairs read back as `np.array([])`, a float array
         codes = {name: np.zeros(0, dtype) for name, dtype in population._DTYPES.items()}
-        empty = population.MatchedPopulation("soc", population.PopulationColumns((), codes), ())
+        empty = population.MatchedPopulation("soc", (), codes, ())
         table, pairs = tmp_path / "t.tsv", tmp_path / "p.tsv"
         write_population(empty, table, pairs)
         back = read_population(table, pairs, "soc")
@@ -1233,8 +1238,12 @@ class TestScoringOracle:
             ]
             scored = score_population(pop, baseline_predict(
                 "perfect", crossed_kb, queries=pop.cloze_keys))
-            assert scored.cloze_keys is pop.cloze_keys
-            assert scored.key_index is pop.key_index
+            assert scored.codes is pop.codes
+            assert scored.strings is pop.strings
+            assert scored.pairs is pop.pairs
+            assert "rows" not in vars(scored) and "_keys" not in vars(scored)
+            assert scored.cloze_keys == pop.cloze_keys
+            assert scored.key_index.tolist() == pop.key_index.tolist()
 
     def test_missing_keys_listed_sorted_once(self, crossed_kb, crossed_index):
         pop = build_structure("soc", crossed_kb, crossed_index)
