@@ -7,7 +7,9 @@ per-relation CATE with the backdoor formula. `run_dynamics` re-scores
 the same populations once per checkpoint file for its ATEs, and takes
 CATE once, from the last checkpoint estimated. `run_build_population`
 builds, scores and writes populations and their cloze queries without
-estimating anything.
+estimating anything. A run scores a prediction set through its one
+`ClozeKeyTable`, which also counts the cells each ATE is taken from and
+takes a checkpoint's accuracy.
 
 Reports hold plain floats (conversion from the estimator's exact
 rationals happens exactly once, here), so a structured report round-trips
@@ -21,8 +23,6 @@ import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate
 from .errors import (
@@ -40,7 +40,6 @@ from .population import (
     STRATIFY_COLUMNS,
     ClozeKeyTable,
     build_structure,
-    observation_cells,
     population_observation_table,
     read_cache_entry,
     # not called here: a cache entry has its own format (`read_cache_entry`);
@@ -297,15 +296,8 @@ class _Runtime:
 
     @cached_property
     def keys(self):
-        """The run's `ClozeKeyTable`: every population's cloze keys, and the KB's candidates."""
-        candidates = (obj for relation in self.kb.relations
-                      for obj in self.kb.candidate_objects(relation))
-        return ClozeKeyTable(self.populations, candidates)
-
-    @cached_property
-    def _cells(self):
-        """Hypothesis -> its population's `observation_cells`."""
-        return {hyp: observation_cells(pop) for hyp, pop in self.populations.items()}
+        """The run's `ClozeKeyTable`: every population's cloze keys, over the KB."""
+        return ClozeKeyTable(self.populations, self.kb)
 
     def estimate_ates(self, predictions_of):
         """Score every population and estimate its ATE and diagnostics: the ATE pass.
@@ -313,8 +305,8 @@ class _Runtime:
         `predictions_of(hypothesis)` gives the hypothesis's PredictionSet; it
         is called just before that hypothesis is scored, so the first
         failure raises in hypothesis order. Each ATE is taken from the
-        population's integer (stratum, arm, outcome) cell counts, one
-        `np.bincount` of its scored rows (`do_from_cells`). A hypothesis
+        population's integer (stratum, arm, outcome) cell counts, which
+        the run's key table counts (`ClozeKeyTable.cells`). A hypothesis
         whose population could not be built, or whose estimate has no
         stratum holding both arms, reports a null ATE with the reason in
         its diagnostics' ``error``; when every hypothesis fails, the first
@@ -333,12 +325,9 @@ class _Runtime:
             prediction_set = used[hyp] = predictions_of(hyp)
             source_id = prediction_set.source_id if source_id is None else source_id
             pop = self.populations[hyp]
-            outcomes = self.keys.outcomes(hyp, prediction_set)
             counts = {"rows": len(pop), "pairs": len(pop.pairs), **asdict(pop.diagnostics)}
-            cell, strata = self._cells[hyp]
-            cells = np.bincount(2 * cell + outcomes, minlength=4 * strata).reshape(-1, 2, 2)
             try:
-                est = do_from_cells(cells)
+                est = do_from_cells(self.keys.cells(hyp, prediction_set))
             except PositivityError as exc:
                 failures[hyp] = exc
                 diagnostics[hyp] = {"error": str(exc), **counts}
@@ -382,33 +371,6 @@ class _Runtime:
                 ).items()
             }
         return replace(report, cate=cates)
-
-    @cached_property
-    def _utt_golds(self):
-        """Sorted codes ``k * n + id``: utt cloze key k has the gold object of that id.
-
-        `n` is the size of the key table's object ids, which holds every KB
-        object. Every object a run reads is in normal form (`load_kb`,
-        `load_predictions`), so comparing trimmed ids compares the strings.
-        """
-        ids = self.keys.object_ids
-        return np.array(sorted(
-            k * len(ids) + ids[gold.strip()]
-            for k, (subject, relation, _) in enumerate(self.populations["utt"].cloze_keys)
-            for gold in self.kb.objects_of(subject, relation)
-        ), np.int64)
-
-    def accuracy(self, prediction_set):
-        """Share of utt-population cloze keys answered with a KB gold object."""
-        if "utt" not in self.populations:
-            return None
-        _, found = self.keys.lookup(prediction_set)
-        predicted = found[self.keys.key_rows["utt"]]
-        codes = np.arange(len(predicted)) * len(self.keys.object_ids) + predicted
-        codes[predicted < 0] = -1
-        golds = self._utt_golds
-        hits = golds.take(np.searchsorted(golds, codes), mode="clip") == codes
-        return int(hits.sum()) / len(predicted)
 
 
 def _write_entry(pop, entry):
@@ -496,7 +458,7 @@ def run_dynamics(config, checkpoint_paths):
             prediction_set = load_predictions(path, rt.kb)
             report, used = rt.estimate_ates(lambda hyp: prediction_set)
             entry["ate"] = report.ate
-            entry["accuracy"] = rt.accuracy(prediction_set)
+            entry["accuracy"] = rt.keys.accuracy(prediction_set)
             last = report, used
         except (CorpusCausalError, OSError) as exc:
             # the file by its name: a report does not depend on where inputs live

@@ -42,9 +42,9 @@ tests). Scores are columns too: `score_population` returns the
 population with a ``predicted`` and an ``outcomes`` tuple aligned with
 its rows, and copies no row. A run scores all its populations through
 one `ClozeKeyTable`, one lookup pass over their cloze keys per
-prediction set. `observation_cells` numbers each row's stratum from the
-codes, so that one `np.bincount` counts a scored population into the
-(stratum, arm, outcome) array the ATE is taken from. Emitted tables join
+prediction set; the table also counts each scored population's
+(stratum, arm, outcome) cells for its ATE (`cells`), and takes the share
+of utt keys answered with a gold object (`accuracy`). Emitted tables join
 the two back into one file with a ``prediction`` and an ``outcome``
 column; an unscored population writes ``""`` and ``0`` there.
 
@@ -374,18 +374,21 @@ class ClozeKeyTable:
 
     `keys` is the union of the populations' `cloze_keys`, in the order
     they first appear, and `object_ids` one id table of trimmed objects:
-    `objects` first, then each population's. For each hypothesis,
-    `key_rows[hyp]` holds the position in `keys` of each of its cloze
-    keys, `rows[hyp]` that of each row's key, and `row_objects[hyp]` each
-    row's object id. Scoring a prediction set is one lookup pass over
-    `keys`, then a gather and a compare per population.
+    the candidates of `kb`, if given, first, then each population's. For
+    each hypothesis, `key_rows[hyp]` holds the position in `keys` of each
+    of its cloze keys, `rows[hyp]` that of each row's key, and
+    `row_objects[hyp]` each row's object id. Scoring a prediction set is
+    one lookup pass over `keys`, then a gather and a compare per
+    population, which `cells` counts and `accuracy` checks against the
+    KB's golds; strata and golds are numbered when first asked for.
     """
 
-    def __init__(self, populations, objects=()):
-        self.populations = populations
+    def __init__(self, populations, kb=None):
+        self.populations, self.kb = populations, kb
         position, ids = {}, {}
-        for obj in objects:
-            ids.setdefault(str(obj).strip(), len(ids))
+        for relation in () if kb is None else kb.relations:
+            for obj in kb.candidate_objects(relation):
+                ids.setdefault(str(obj).strip(), len(ids))
         self.key_rows, self.rows, self.row_objects = {}, {}, {}
         for hyp, pop in populations.items():
             self.key_rows[hyp] = np.fromiter(
@@ -397,18 +400,7 @@ class ClozeKeyTable:
             local = [ids.setdefault(pop.strings[code].strip(), len(ids)) for code in objects]
             self.row_objects[hyp] = np.array(local, np.intp)[object_index]
         self.keys, self.object_ids = tuple(position), ids
-        self._looked_up = {}
-
-    def lookup(self, predictions):
-        """Each key's prediction, or None, and its trimmed object id: -1 none, -2 no prediction.
-
-        The key pass (`_key_pass`) is made once per prediction set: a set
-        some population was last scored with is not looked up again.
-        """
-        for looked_up in self._looked_up.values():
-            if looked_up[0] is predictions:
-                return looked_up[1:]
-        return self._key_pass(predictions)
+        self._looked_up, self._strata = {}, {}
 
     def _key_pass(self, predictions):
         values = list(map(predictions.records.get, self.keys))
@@ -417,20 +409,73 @@ class ClozeKeyTable:
                  for value in dict.fromkeys(values)}
         return values, np.fromiter(map(id_of.__getitem__, values), np.intp, len(values))
 
-    def outcomes(self, hypothesis, predictions):
-        """The population's outcome (uint8) per row under `predictions`.
+    def _checked(self, hypothesis, predictions):
+        """Each key's trimmed object id under `predictions`: -1 none, -2 no prediction.
 
-        The outcomes and errors are those of `score_population`: it raises
-        what that raises, for the same first key or row.
+        It raises what `score_population` raises, if that raises. The key
+        pass (`_key_pass`) is made once per prediction set: a set some
+        population was last checked with is not looked up again.
         """
         pop = self.populations[hypothesis]
-        values, found = self.lookup(predictions)
+        seen = [looked_up for looked_up in self._looked_up.values() if looked_up[0] is predictions]
+        values, found = seen[0][1:] if seen else self._key_pass(predictions)
         self._looked_up[hypothesis] = predictions, values, found
         blank = self.object_ids.get("", -1)
         if (pop.hypothesis not in HYPOTHESES or (self.row_objects[hypothesis] == blank).any()
                 or (found[self.key_rows[hypothesis]] == -2).any()):
             _reject(pop, predictions)
+        return found
+
+    def outcomes(self, hypothesis, predictions):
+        """The population's outcome (uint8) per row under `predictions` (`_checked`)."""
+        found = self._checked(hypothesis, predictions)
         return (found[self.rows[hypothesis]] == self.row_objects[hypothesis]).view(np.uint8)
+
+    def cells(self, hypothesis, predictions):
+        """The population's (stratum, arm, outcome) counts under `predictions`: `do_from_cells`'s.
+
+        `outcomes` checks the set before the strata are numbered.
+        """
+        outcomes = self.outcomes(hypothesis, predictions)
+        if hypothesis not in self._strata:
+            self._strata[hypothesis] = self._number_strata(hypothesis)
+        cell, strata = self._strata[hypothesis]
+        return np.bincount(2 * cell + outcomes, minlength=4 * strata).reshape(-1, 2, 2)
+
+    def _number_strata(self, hypothesis):
+        """Each row's ``2 * stratum + treatment``, and the number of `STRATIFY_COLUMNS` strata."""
+        pop = self.populations[hypothesis]
+        strata, stratum = _distinct(*(pop.codes["is_anti" if name == "kbt" else name]
+                                      for name in STRATIFY_COLUMNS[pop.hypothesis]))
+        return 2 * stratum + pop.codes["treatment"], len(strata[0])
+
+    def accuracy(self, predictions):
+        """Share of utt cloze keys answered with a KB gold object, None with no utt population.
+
+        The set is checked as scoring the utt population checks it.
+        """
+        if "utt" not in self.populations:
+            return None
+        predicted = self._checked("utt", predictions)[self.key_rows["utt"]]
+        codes = np.arange(len(predicted)) * len(self.object_ids) + predicted
+        codes[predicted < 0] = -1
+        golds = self._golds
+        hits = golds.take(np.searchsorted(golds, codes), mode="clip") == codes
+        return int(hits.sum()) / len(predicted)
+
+    @cached_property
+    def _golds(self):
+        """Sorted codes ``k * len(object_ids) + id``: utt key k has the gold object of that id.
+
+        Every object a run reads is in normal form (`load_kb`,
+        `load_predictions`), so comparing trimmed ids compares the strings.
+        """
+        ids = self.object_ids
+        return np.array(sorted(
+            k * len(ids) + ids[gold.strip()]
+            for k, (subject, relation, _) in enumerate(self.populations["utt"].cloze_keys)
+            for gold in self.kb.objects_of(subject, relation)
+        ), np.int64)
 
     def score(self, hypothesis, predictions):
         """The population with its ``predicted`` and ``outcomes`` columns set.
@@ -706,11 +751,6 @@ _OBSERVATION_COLUMNS = (
 )
 
 
-def _observation_codes(pop, names):
-    """The code column of `pop` that each observation-table column of `names` is read from."""
-    return [pop.codes["is_anti" if name == "kbt" else name] for name in names]
-
-
 def population_observation_table(pop):
     """Adapt a matched population to the estimator's table schema.
 
@@ -728,7 +768,8 @@ def population_observation_table(pop):
         bad = next(value for value in outcomes if value not in (0, 1))
         raise ValueError(f"column 'outcome' must be binary 0/1, got {bad!r}")
     strings = pop.strings
-    cells, cell = _distinct(*_observation_codes(pop, _OBSERVATION_COLUMNS[:-1]))
+    cells, cell = _distinct(*(pop.codes["is_anti" if name == "kbt" else name]
+                              for name in _OBSERVATION_COLUMNS[:-1]))
     cell_rows = tuple(
         (strings[relation], strings[template], 0 if is_anti else 1, strings[soc_bin],
          utt_present, treatment, outcome)
@@ -737,15 +778,3 @@ def population_observation_table(pop):
     )
     index = 2 * cell + np.fromiter(outcomes, np.intp, len(outcomes))
     return ObservationTable(_OBSERVATION_COLUMNS, tuple(map(cell_rows.__getitem__, index.tolist())))
-
-
-def observation_cells(pop):
-    """Each row's ``2 * stratum + treatment`` for `pop`'s backdoor sum, and the number of strata.
-
-    A stratum numbers the rows' distinct values of the hypothesis's
-    `STRATIFY_COLUMNS`. A scored population's cell counts, in the layout
-    `do_from_cells` takes, are then ``np.bincount(2 * cell + outcome,
-    minlength=4 * strata).reshape(-1, 2, 2)``.
-    """
-    strata, stratum = _distinct(*_observation_codes(pop, STRATIFY_COLUMNS[pop.hypothesis]))
-    return 2 * stratum + pop.codes["treatment"], len(strata[0])

@@ -11,7 +11,6 @@ from functools import cached_property
 from hashlib import blake2b
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from corpuscausal import pipeline, population
@@ -41,7 +40,6 @@ from corpuscausal.population import (
     ClozeKeyTable,
     MatchedPopulation,
     build_structure,
-    observation_cells,
     population_observation_table,
     read_cache_entry,
     write_population,
@@ -883,12 +881,18 @@ class TestScaling:
     may grow at most linearly: doubling one axis of the generated inputs
     (subjects, candidates or relations, corpus sentences, or templates per
     relation) may not multiply any count by more than 2.1. A path
-    quadratic in an axis quadruples some count there.
+    quadratic in an axis quadruples some count there. The corpus is read
+    once, before anything is counted, so on the sentences axis only
+    `PER_SENTENCE`, the reader's functions, may change their counts.
     """
 
     BASE = dict(relations=2, subjects=10, candidates=5, sentences=1000, comention_max=20,
                 checkpoints=(0.5,))
     AXES = ("subjects", "candidates", "relations", "sentences")
+    #: Called per corpus line read, per line segmented, and per sentence
+    #: (and KB or pattern string) normalised.
+    PER_SENTENCE = {"corpus._read_corpus_lines", "corpus.segment_sentences",
+                    "corpus.normalize_text"}
 
     @staticmethod
     def calls(out, sizes, predictions="checkpoint00", variants=False):
@@ -934,6 +938,14 @@ class TestScaling:
             doubled = self.calls(tmp_path / axis, dict(self.BASE, **{axis: 2 * self.BASE[axis]}))
             self.assert_linear(base, doubled, axis)
 
+    def test_only_the_corpus_reader_counts_sentences(self, tmp_path):
+        base = self.calls(tmp_path / "base", self.BASE)
+        doubled = self.calls(tmp_path / "sentences",
+                             dict(self.BASE, sentences=2 * self.BASE["sentences"]))
+        changed = {name.rsplit(":", 1)[0]: (base.get(name, 0), doubled.get(name, 0))
+                   for name in base.keys() | doubled.keys() if base.get(name) != doubled.get(name)}
+        assert set(changed) == self.PER_SENTENCE, changed
+
     def test_call_counts_grow_at_most_linearly_in_templates(self, tmp_path):
         # the prediction files cover only the generated templates, so both
         # sides take the heuristic baselines
@@ -964,8 +976,8 @@ class TestCellCounts:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_cell_path_equals_the_table_path(self, tmp_path, shape, seed):
-        # per population, one bincount of 2 * cell + outcome through the core
-        # gives what `interventional_prob` gives on the population's
+        # per population, the run's key table's cell counts through the core
+        # give what `interventional_prob` gives on the population's
         # observation table and on its emitted table read back: the same
         # probabilities, covered mass and dropped strata, or the same error;
         # and `cate` gives the same per-relation effects on both tables
@@ -979,9 +991,7 @@ class TestCellCounts:
             rt = pipeline._Runtime(config.validate())
             report, used = rt.estimate_ates(rt.predictions_for)
             for hyp, pop in rt.score(used).items():
-                cell, strata = observation_cells(pop)
-                cells = np.bincount(2 * cell + np.array(pop.outcomes, np.intp),
-                                    minlength=4 * strata).reshape(-1, 2, 2)
+                cells = rt.keys.cells(hyp, used[hyp])
                 z = STRATIFY_COLUMNS[hyp]
                 table, pairs = tmp_path / f"{hyp}.tsv", tmp_path / f"{hyp}_pairs.tsv"
                 write_population(pop, table, pairs)
@@ -1278,8 +1288,10 @@ class TestDynamics:
     def test_cate_once_per_run_and_scoring_once_per_checkpoint(self, tmp_path, monkeypatch):
         # the checkpoint axis, read from call counts: each checkpoint is one key
         # pass and gets one cell-count estimate per hypothesis, while the key
-        # table is built once per run, and the observation table and CATE once
-        # per estimated hypothesis, from the last checkpoint, whatever the count
+        # table is built once per run, its strata numbered once per estimated
+        # hypothesis and its utt golds coded once, and the observation table
+        # and CATE made once per estimated hypothesis, from the last
+        # checkpoint, whatever the count; an estimate run codes no golds
         gen = load_generator()
         sizes = gen.Sizes(relations=2, subjects=10, candidates=5, sentences=600,
                           comention_max=20, checkpoints=(0.2, 0.4, 0.6, 0.8))
@@ -1302,9 +1314,19 @@ class TestDynamics:
         for name in names:
             spy(pipeline, name)
         spy(ClozeKeyTable, "_key_pass")
+        spy(ClozeKeyTable, "_number_strata")
+        real_golds = ClozeKeyTable._golds.func
+
+        def golds(table):
+            calls["_golds"] += 1
+            return real_golds(table)
+
+        counted_golds = cached_property(golds)
+        counted_golds.__set_name__(ClozeKeyTable, "_golds")
+        monkeypatch.setattr(ClozeKeyTable, "_golds", counted_golds)
         counts = {}
         for k in (1, 2, 4):
-            calls.update(dict.fromkeys(names + ("_key_pass",), 0))
+            calls.update(dict.fromkeys(names + ("_key_pass", "_number_strata", "_golds"), 0))
             report = run_dynamics(config, checkpoints[:k])
             assert report.failures() == {}
             counts[k] = dict(calls)
@@ -1312,7 +1334,12 @@ class TestDynamics:
         for k, seen in counts.items():
             assert seen == {"cate": estimated, "population_observation_table": estimated,
                             "do_from_cells": estimated * k, "ClozeKeyTable": 1,
-                            "_key_pass": k}, k
+                            "_key_pass": k, "_number_strata": estimated, "_golds": 1}, k
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_estimate(config).failures() == {}
+        assert calls == {"cate": estimated, "population_observation_table": estimated,
+                         "do_from_cells": estimated, "ClozeKeyTable": 1, "_key_pass": 1,
+                         "_number_strata": estimated, "_golds": 0}
 
     def test_keys_once_per_built_or_read_population(self, tmp_path, monkeypatch):
         # a population's cloze keys are computed once, the first time they are

@@ -1275,3 +1275,37 @@ class TestScoringOracle:
         records = {(r.subject, r.relation, r.template): "France" for r in blank.rows}
         with pytest.raises(MissingReferenceError, match="no reference object"):
             score_population(blank, manual_predictions(records))
+
+    def test_cells_and_accuracy_raise_what_scoring_raises(self, crossed_kb, crossed_index):
+        # the run's key table checks a set before it counts cells or takes the
+        # accuracy, and raises what `score_population` raises: a set missing
+        # keys (even with a None elsewhere), a None prediction, an unknown
+        # hypothesis; strata are numbered and golds coded only after the check
+        def raised(call):
+            with pytest.raises(Exception) as err:
+                call()
+            return type(err.value), str(err.value), getattr(err.value, "missing", None)
+
+        for hyp in ("utt", "poc", "soc"):
+            pop = build_structure(hyp, crossed_kb, crossed_index, min_poc_frequency=0)
+            keys = keys_of(pop)
+            perfect = baseline_predict("perfect", crossed_kb, queries=keys)
+            holes = dict.fromkeys(keys[1::2], "France") | dict.fromkeys(keys[3::4])
+            cases = [
+                (pop, manual_predictions({key: "France" for key in keys[1::2]})),
+                (pop, manual_predictions(holes)),
+                (pop, manual_predictions(dict.fromkeys(keys))),
+                (pop, manual_predictions(dict.fromkeys(keys, "France") | {keys[-1]: None})),
+                (replace(pop, hypothesis="nope"), perfect),
+            ]
+            for case, predictions in cases:
+                expected = raised(lambda: score_population(case, predictions))
+                table = ClozeKeyTable({hyp: case}, crossed_kb)
+                assert raised(lambda: table.cells(hyp, predictions)) == expected, hyp
+                assert table._strata == {}
+                if hyp == "utt":
+                    assert raised(lambda: table.accuracy(predictions)) == expected
+                    assert "_golds" not in vars(table)
+            table = ClozeKeyTable({hyp: pop}, crossed_kb)
+            assert table.cells(hyp, perfect).sum() == len(pop)
+            assert table.accuracy(perfect) == (1.0 if hyp == "utt" else None)
