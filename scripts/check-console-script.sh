@@ -32,6 +32,10 @@ inputs="--kb $tmp/kb.jsonl --patterns $tmp/patterns.jsonl --index $tmp/corpus.id
 corpuscausal build-population soc --predictions baseline:heuristic $inputs \
   --output-dir "$tmp/pop" | tee "$tmp/build.out"
 grep -q "soc: 4 rows, 2 pairs" "$tmp/build.out"
+# the installed library reads the written table and pairs back, with the
+# row and pair counts the CLI printed
+python3 -c 'import sys; from corpuscausal import read_population; out, d = sys.argv[1:]; p = read_population(f"{d}/soc_population.tsv", f"{d}/soc_pairs.tsv", "soc"); line = f"soc: {len(p)} rows, {len(p.pairs)} pairs"; assert line in open(out).read(), line' \
+  "$tmp/build.out" "$tmp/pop"
 grep -qF "Paris is the capital of [MASK]." "$tmp/pop/soc_queries.tsv"
 # one pattern, so no utt pair can form: an estimation error, exit 2
 status=0
@@ -131,6 +135,18 @@ for run in cold warm; do
     --min-poc-frequency 0 --cache-dir "$dyn/cache" --output-dir "$dyn/est-$run"
 done
 cmp "$dyn/est-cold/report.json" "$dyn/est-warm/report.json"
+# each table the estimate wrote reads back with the rows and pairs its
+# report counts
+python3 -c '
+import json, sys
+from corpuscausal import read_population
+out = sys.argv[1]
+diagnostics = json.load(open(f"{out}/report.json"))["diagnostics"]
+for hyp in ("utt", "poc", "soc"):
+    pop = read_population(f"{out}/{hyp}_population.tsv", f"{out}/{hyp}_pairs.tsv", hyp)
+    counts = diagnostics[hyp]["rows"], diagnostics[hyp]["pairs"]
+    assert (len(pop), len(pop.pairs)) == counts, (hyp, len(pop), len(pop.pairs), counts)
+' "$dyn/est-cold"
 ls -A "$dyn/cache" | tee "$tmp/cache.ls"
 test "$(wc -l < "$tmp/cache.ls")" -eq 3
 test "$(grep -c '\.pop$' "$tmp/cache.ls")" -eq 3

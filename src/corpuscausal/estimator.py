@@ -16,6 +16,7 @@ zero the table estimator refuses to produce an effect.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 import numpy as np
@@ -124,7 +125,8 @@ def do_from_cells(counts):
     (strata, 2, 2), as ``np.bincount(4 * stratum + 2 * treatment +
     outcome).reshape(-1, 2, 2)`` counts them; a stratum with no rows is
     no stratum. The counts are folded as Python integers, so all
-    arithmetic is exact.
+    arithmetic is exact: each arm's sum is one integer over the lcm of
+    its strata's row counts, one `Fraction`.
 
     Each arm's sum runs over the strata where that arm has rows, with the
     stratum distribution renormalized to them; covered_mass reports the
@@ -144,8 +146,9 @@ def do_from_cells(counts):
         supported = [(mass, *arms[x]) for mass, arms in strata if arms[x][0]]
         dropped += len(strata) - len(supported)
         if supported:
-            acc = sum(Fraction(hits * mass, rows) for mass, rows, hits in supported)
-            p_do[x] = acc / sum(mass for mass, _, _ in supported)
+            common = lcm(*(rows for _, rows, _ in supported))
+            acc = sum(hits * mass * (common // rows) for mass, rows, hits in supported)
+            p_do[x] = Fraction(acc, common * sum(mass for mass, _, _ in supported))
     covered = sum(mass for mass, arms in strata if arms[0][0] and arms[1][0])
     if not covered:
         raise PositivityError("no confounder stratum contains both treatment arms")

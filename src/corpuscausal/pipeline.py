@@ -46,6 +46,7 @@ from .population import (
     # perfbench traces the name in this module
     read_population,
     score_population,
+    tsv_blocks,
     write_cache_entry,
     write_population,
 )
@@ -420,11 +421,10 @@ def run_build_population(config, hypotheses):
     for hyp in hypotheses:
         scored = score_population(rt.populations[hyp], rt.predictions_for(hyp))
         _write_tables(scored, out, hyp)
+        keys = rt.populations[hyp].cloze_keys
+        queries = ((s, r, t, instantiate(t, s, config.mask_token)) for s, r, t in keys)
         with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
-            fh.write("subject\trelation\ttemplate\tcloze\n")
-            for subject, relation, template in rt.populations[hyp].cloze_keys:
-                cloze = instantiate(template, subject, config.mask_token)
-                fh.write(f"{subject}\t{relation}\t{template}\t{cloze}\n")
+            fh.writelines(tsv_blocks(("subject", "relation", "template", "cloze"), queries))
         yield hyp, scored
 
 
@@ -531,12 +531,9 @@ def _render_delimited(report):
         group = f"checkpoint:{entry['checkpoint']}"
         values = {} if entry.get("error") else dict(entry["ate"], accuracy=entry.get("accuracy"))
         rows += [(name, group, values.get(name), "") for name in HYPOTHESES + ("accuracy",)]
-    lines = ["hypothesis\tgroup\testimate\tn_rows"]
-    lines += [
-        f"{name}\t{group}\t{'' if value is None else repr(value)}\t{n}"
-        for name, group, value, n in rows
-    ]
-    return "\n".join(lines) + "\n"
+    cells = ((name, group, "" if value is None else repr(value), str(n))
+             for name, group, value, n in rows)
+    return "".join(tsv_blocks(("hypothesis", "group", "estimate", "n_rows"), cells))
 
 
 def render_report(report, fmt):

@@ -52,13 +52,16 @@ Row order in emitted tables is always (relation, subject, object,
 template), so identical inputs produce identical files.
 
 Both stored forms of a population live here, the emitted tables and the
-population-cache entry, and their readers share one pair check.
+population-cache entry, and their readers share one pair check. The TSV
+format of every table the library emits (population tables, pairs
+files, cloze queries, delimited reports) lives here too, in one writer,
+`tsv_blocks`, and one reader, `read_tsv`.
 """
 
 import json
 from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -67,6 +70,7 @@ import numpy as np
 from .corpus import BIN_EDGES, RelationView, bin_count, unseal, write_sealed
 from .errors import (
     EmptyPopulationError,
+    InputError,
     MissingPredictionError,
     MissingStatsError,
     ParseError,
@@ -542,33 +546,64 @@ def build_table(
 # --- table emission and estimation adapters ---------------------------------
 
 
-_PAIRS_HEADER = "treated\tcontrol"
+def tsv_blocks(header, rows):
+    """A TSV table's text: its header line, then its rows' lines 256 at a time.
+
+    A row's line is its string cells, one per column, joined by tabs. Each
+    block is checked whole: `read_tsv` could not read back a cell holding
+    a tab, LF or CR, so such a cell is an `InputError`.
+    """
+    yield "\t".join(header) + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, 256)):
+        text = "\n".join(map("\t".join, block)) + "\n"
+        if "\r" in text or text.count("\t") + text.count("\n") != len(header) * len(block):
+            for row in block:
+                for name, cell in zip(header, row, strict=True):
+                    if "\t" in cell or "\n" in cell or "\r" in cell:
+                        raise InputError(f"a {name!r} cell holds a tab or line break: {cell!r}")
+        yield text
+
+
+#: How a TSV cell of each kind is read.
+_PARSE = {str: str, int: int, bool: {"True": True, "False": False}.__getitem__}
+
+
+def read_tsv(path, kinds, what):
+    """Each non-blank line after a TSV file's header: its number and its cells.
+
+    `kinds` maps each column, in header order, to the kind its cells are
+    read as. A `ParseError` names the line at fault, and `what` the table.
+    """
+    with open(path, encoding="utf-8") as lines:
+        if next(lines, "").rstrip("\n").split("\t") != list(kinds):
+            raise ParseError(f"unexpected {what} header in {path}", line=1)
+        for lineno, line in enumerate(lines, start=2):
+            values = line.rstrip("\n").split("\t")
+            if values == [""]:
+                continue
+            if len(values) != len(kinds):
+                raise ParseError("wrong cell count", line=lineno)
+            cells = []
+            for (name, kind), value in zip(kinds.items(), values):
+                try:
+                    cells.append(_PARSE[kind](value))
+                except (KeyError, ValueError) as exc:
+                    raise ParseError(f"bad value {value!r} for column {name!r}", lineno) from exc
+            yield lineno, tuple(cells)
+
+
+_PAIR_KINDS = {"treated": int, "control": int}  # a pairs file's columns
 
 
 def write_population(pop, table_path, pairs_path):
     """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids."""
-    predicted = pop.predicted or ("",) * len(pop)
-    outcomes = pop.outcomes or (0,) * len(pop)
+    scores = pop.predicted or ("",) * len(pop), pop.outcomes or (0,) * len(pop)
+    rows = zip(*(map(str, column) for column in (*_decode(pop), *scores)), strict=True)
     with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(POPULATION_FIELDS) + "\n")
-        columns = (*_decode(pop), predicted, outcomes)
-        for line in map("\t".join, zip(*(map(str, column) for column in columns), strict=True)):
-            fh.write(line + "\n")
+        fh.writelines(tsv_blocks(POPULATION_FIELDS, rows))
     with open(pairs_path, "w", encoding="utf-8") as fh:
-        fh.write(_PAIRS_HEADER + "\n")
-        for i, j in pop.pairs:
-            fh.write(f"{i}\t{j}\n")
-
-
-#: How a table cell of each kind is read.
-_PARSE = {str: str, int: int, bool: {"True": True, "False": False}.__getitem__}
-
-
-def _parse_cell(name, value, lineno):
-    try:
-        return _PARSE[_CELL_KINDS[name]](value)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad value {value!r} for column {name!r}", line=lineno) from exc
+        fh.writelines(tsv_blocks(_PAIR_KINDS, ((str(i), str(j)) for i, j in pop.pairs)))
 
 
 class _PairingError(ValueError):
@@ -617,41 +652,17 @@ def read_population(table_path, pairs_path, hypothesis):
     ``predicted``/``outcomes`` columns. The pairs must partition the
     rows, as a built population's do: each row is in exactly one pair.
     """
-    cells = {name: [] for name in POPULATION_FIELDS}
-    with open(table_path, encoding="utf-8") as table_lines:
-        header = next(table_lines, "").rstrip("\n").split("\t")
-        if tuple(header) != POPULATION_FIELDS:
-            raise ParseError(f"unexpected population header in {table_path}", line=1)
-        for lineno, line in enumerate(table_lines, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            values = line.split("\t")
-            if len(values) != len(POPULATION_FIELDS):
-                raise ParseError("wrong cell count", line=lineno)
-            for name, value in zip(POPULATION_FIELDS, values):
-                cells[name].append(_parse_cell(name, value, lineno))
-    pairs, linenos = [], []
-    with open(pairs_path, encoding="utf-8") as pairs_lines:
-        if next(pairs_lines, "").rstrip("\n") != _PAIRS_HEADER:
-            raise ParseError(f"unexpected pairs header in {pairs_path}", line=1)
-        for lineno, line in enumerate(pairs_lines, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                i, j = map(int, line.split("\t"))
-            except ValueError as exc:
-                raise ParseError("bad pair line", line=lineno) from exc
-            pairs.append((i, j))
-            linenos.append(lineno)
+    rows = [cells for _, cells in read_tsv(table_path, _CELL_KINDS, "population")]
+    cells = dict(zip(POPULATION_FIELDS, zip(*rows) if rows else [()] * len(POPULATION_FIELDS)))
+    numbered = list(read_tsv(pairs_path, _PAIR_KINDS, "pairs"))
+    pairs = tuple(pair for _, pair in numbered)
     try:
         _check_pairs(np.array(cells["treatment"]), np.array(pairs).reshape(-1, 2))
     except _PairingError as exc:
         if exc.pair is None:
             message = f"row {exc.row} of {table_path} is in no pair in {pairs_path}"
             raise ParseError(message) from None
-        raise ParseError(str(exc), line=linenos[exc.pair]) from None
+        raise ParseError(str(exc), line=numbered[exc.pair][0]) from None
     every = np.arange(len(cells["treatment"]))
     strings, codes = _encode({name: [(cells[name], every)] for name in _STRING_FIELDS})
     codes |= {name: np.array(cells[name], _DTYPES[name]) for name in _DTYPES if name not in codes}
@@ -659,7 +670,7 @@ def read_population(table_path, pairs_path, hypothesis):
         hypothesis=hypothesis,
         strings=strings,
         codes=codes,
-        pairs=tuple(pairs),
+        pairs=pairs,
         predicted=tuple(cells["prediction"]),
         outcomes=tuple(cells["outcome"]),
     )

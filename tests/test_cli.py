@@ -487,6 +487,31 @@ class TestDynamicsAndReport:
         assert [entry["checkpoint"] for entry in data["series"]] == ["ep0"]
         assert data["series"][0]["accuracy"] == 1.0
 
+    def test_checkpoint_name_with_a_tab_is_refused_in_delimited_form(
+        self, crossed_files, crossed_kb
+    ):
+        # its delimited rows would hold five cells under a four-column header
+        ckpts = crossed_files["dir"] / "ckpts"
+        ckpts.mkdir()
+        keys = [
+            (s, p.relation, p.template)
+            for p in crossed_kb.patterns
+            for s in crossed_kb.subjects(p.relation)
+        ]
+        save_predictions(
+            baseline_predict("perfect", crossed_kb, queries=keys), ckpts / "ep\t0.jsonl"
+        )
+        out = crossed_files["dir"] / "out"
+        result = invoke(
+            "dynamics", "--checkpoints", ckpts, "--kb", crossed_files["kb"],
+            "--patterns", crossed_files["patterns"], "--corpus", crossed_files["corpus"],
+            "--output-dir", out, "--output-format", "delimited",
+        )
+        assert result.exit_code == 1, result.output
+        assert "input error:" in result.output
+        assert "'group'" in result.output and "'checkpoint:ep\\t0'" in result.output
+        assert not (out / "report.tsv").exists()
+
 
 #: One non-default value per run setting, as config-file text.
 SETTING_VALUES = {

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpuscausal import estimator
@@ -377,20 +377,28 @@ class TestProperties:
 
 @st.composite
 def cell_counts(draw):
-    """Small integer cells: (stratum, arm, rows with outcome 0, rows with outcome 1)."""
+    """Integer cells: (stratum, arm, rows with outcome 0, rows with outcome 1).
+
+    Up to 120 strata, with up to 60 rows per cell, so that an arm's
+    backdoor sum runs over many distinct row counts.
+    """
+    strata = draw(st.integers(1, 120))
     return draw(st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 4), st.integers(0, 4)),
-        min_size=1, max_size=10,
+        st.tuples(st.integers(0, strata - 1), st.integers(0, 1), st.integers(0, 60),
+                  st.integers(0, 60)),
+        min_size=1, max_size=2 * strata + 8,
     ))
 
 
 class TestCellCore:
     @given(cell_counts())
+    # arm x of stratum z holds z + x rows: about 120 distinct row counts per arm
+    @example([(z, x, z // 2 + x, (z + 1) // 2) for z in range(120) for x in (0, 1)])
     @settings(max_examples=150, deadline=None)
     def test_core_equals_oracle_on_empirical_joint(self, cells):
         # cells may repeat a (stratum, arm), summed into one array cell, or hold no
         # rows, and a stratum with no rows is no stratum to the core
-        counts = np.zeros((4, 2, 2), np.int64)
+        counts = np.zeros((max(z for z, *_ in cells) + 1, 2, 2), np.int64)
         for z, x, n0, n1 in cells:
             counts[z, x] += (n0, n1)
         total = int(counts.sum())

@@ -884,6 +884,8 @@ class TestScaling:
     quadratic in an axis quadruples some count there. The corpus is read
     once, before anything is counted, so on the sentences axis only
     `PER_SENTENCE`, the reader's functions, may change their counts.
+    Counting is flat on the axis it does not read: poc's calls do not
+    change with the subjects, nor soc's with the templates.
     """
 
     BASE = dict(relations=2, subjects=10, candidates=5, sentences=1000, comention_max=20,
@@ -953,6 +955,30 @@ class TestScaling:
         doubled = self.calls(tmp_path / "templates", self.BASE, "baseline:heuristic",
                              variants=True)
         self.assert_linear(base, doubled, "templates")
+
+    @staticmethod
+    def assert_flat(base, doubled, names, axis):
+        """Each of `names` (``module.function``) is called, and as often with `axis` doubled."""
+        for name in names:
+            n, m = (sum(k for key, k in calls.items() if key.rsplit(":", 1)[0] == name)
+                    for calls in (base, doubled))
+            assert n and n == m, f"{name}: {n} calls, {m} with {axis} doubled"
+
+    def test_poc_counting_is_flat_in_subjects(self, tmp_path):
+        # poc counts (template, object) pairs: the subjects never reach it
+        base = self.calls(tmp_path / "base", self.BASE)
+        doubled = self.calls(tmp_path / "subjects",
+                             dict(self.BASE, subjects=2 * self.BASE["subjects"]))
+        self.assert_flat(base, doubled, ("corpus.poc_matrix", "corpus._poc_row",
+                                         "corpus.template_parts"), "subjects")
+
+    def test_soc_counting_is_flat_in_templates(self, tmp_path):
+        # soc counts (subject, object) pairs: the templates never reach it
+        base = self.calls(tmp_path / "base", self.BASE, "baseline:heuristic")
+        doubled = self.calls(tmp_path / "templates", self.BASE, "baseline:heuristic",
+                             variants=True)
+        self.assert_flat(base, doubled, ("corpus.soc_matrix", "corpus.entity_postings"),
+                         "templates")
 
 
 def load_report_text(tmp_path, report):

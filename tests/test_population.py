@@ -24,6 +24,7 @@ from corpuscausal.corpus import (
 )
 from corpuscausal.errors import (
     EmptyPopulationError,
+    InputError,
     MissingPredictionError,
     MissingReferenceError,
     MissingStatsError,
@@ -896,6 +897,46 @@ class TestEmission:
             read_population(table, pairs, "soc")
         assert err.value.line == lineno
         assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: cells[:1] + ["x"], "bad value 'x' for column 'control'"),
+            (lambda cells: cells + cells[:1], "wrong cell count"),
+        ],
+    )
+    def test_bad_pair_cells_rejected_like_table_cells(
+        self, tmp_path, crossed_kb, crossed_index, edit, message
+    ):
+        _, table, pairs = self._written(tmp_path, crossed_kb, crossed_index)
+        lines = pairs.read_text(encoding="utf-8").splitlines()
+        lines[2] = "\t".join(edit(lines[2].split("\t")))
+        pairs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_population(table, pairs, "soc")
+        assert err.value.line == 3
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("subject, obj, prediction, column, cell", [
+        ("Ann\tLee", "Xo", "Yu", "subject", "'Ann\\tLee'"),
+        ("Ann", "Xo", "Xo\n", "prediction", "'Xo\\n'"),
+        ("Ann", "Xo\r", "Yu", "object", "'Xo\\r'"),
+    ])
+    def test_a_cell_the_reader_cannot_read_back_is_refused(
+        self, tmp_path, subject, obj, prediction, column, cell
+    ):
+        # written, the table would read back with a wrong cell count
+        kb = KnowledgeBase(
+            triplets=(Triplet(subject, "r", obj), Triplet("Bo", "r", "Yu")),
+            patterns=(PatternSpec("r", "[X] likes [Y]."),),
+        )
+        pop = build_structure("soc", kb, build_index(["Bo likes Yu."]))
+        predictions = manual_predictions(dict.fromkeys(pop.cloze_keys, prediction))
+        scored = score_population(pop, predictions)
+        assert 1 in scored.outcomes  # "Xo\n" still scores as a hit on the rows of Xo
+        with pytest.raises(InputError) as err:
+            write_population(scored, tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv")
+        assert f"{column!r}" in str(err.value) and cell in str(err.value)
 
     def test_rows_sorted_canonically(self, crossed_kb, crossed_index):
         keys = TestCommonBehavior().all_keys(crossed_kb)
