@@ -74,6 +74,26 @@ corpuscausal report "$dyn/out/report.json" --format delimited > "$tmp/dynamics.t
 for name in utt poc soc accuracy; do
   grep -qP "^$name\tcheckpoint:ep2\t[^\t]+\t\$" "$tmp/dynamics.tsv"
 done
+# a rendering written twice into one path is one whole file, renamed
+# into place with no temporary file left beside it
+mkdir "$tmp/rendered"
+for run in 1 2; do
+  corpuscausal report "$dyn/out/report.json" --format delimited \
+    -o "$tmp/rendered/report.tsv" > /dev/null
+done
+test "$(ls -A "$tmp/rendered")" = "report.tsv"
+cmp "$tmp/dynamics.tsv" "$tmp/rendered/report.tsv"
+# a duplicate key outside every population still fails its checkpoint:
+# the entry of ep10 names the line, and the run exits 0
+cp -r "$dyn/ckpts" "$dyn/ckpts-dup"
+for k in 1 2; do
+  printf '%s\n' '{"subject": "Nobody", "relation": "capital-of", "template": "[X] lies in [Y].", "prediction": "Italy", "source_id": "ep10"}'
+done >> "$dyn/ckpts-dup/ep10.jsonl"
+corpuscausal dynamics --checkpoints "$dyn/ckpts-dup" --kb "$dyn/kb.jsonl" \
+  --patterns "$dyn/patterns.jsonl" --corpus "$dyn/corpus.txt" \
+  --min-poc-frequency 0 --output-dir "$dyn/dyn-dup" > /dev/null
+python3 -c 'import json, sys; s = json.load(open(sys.argv[1]))["series"]; errors = {e["checkpoint"]: e["error"] for e in s}; expected = {"ep2": None, "ep10": "line 6: duplicate key (\x27Nobody\x27, \x27capital-of\x27, \x27[X] lies in [Y].\x27)"}; assert errors == expected, errors' \
+  "$dyn/dyn-dup/report.json"
 # a malformed second pattern record is an input error (exit 1) named by its line
 printf '%s\n' '{"relation": "capital-of", "template": "[X] is the capital of [Y]."}' \
   '{"relation": "capital-of", "template": "[X] lies in [X]."}' > "$dyn/bad-patterns.jsonl"

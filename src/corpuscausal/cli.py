@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import pipeline
-from .corpus import CorpusIndex, RelationView, build_index
+from .corpus import CorpusIndex, RelationView, build_index, landing
 from .errors import CorpusCausalError, IncompleteReportError, InputError
 from .kb import load_knowledge_base
 from .predictions import HYPOTHESES
@@ -108,7 +108,8 @@ def stats_cmd(index_path, kb_path, patterns_path, output):
             lines.extend(f"{subject}\t{obj}\t{n}" for obj, n in zip(rel.candidates, counts))
     text = "\n".join(lines) + "\n"
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with landing(output) as fh:
+            fh.write(text)
         click.echo(f"wrote {len(lines)} pair counts -> {output}")
     else:
         click.echo(text, nl=False)
@@ -179,7 +180,8 @@ def report_cmd(report_path, fmt, output):
     report = pipeline.load_report(report_path)
     text = pipeline.render_report(report, fmt)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with landing(output) as fh:
+            fh.write(text)
         click.echo(f"wrote {output}")
     else:
         click.echo(text, nl=False)

@@ -16,7 +16,10 @@ each poc row on its own, so that every matrix over it shares it (a single
 `soc_count` or `poc_count` call is not memoised). Postings are keyed by
 the caller's text, normalised on first sight only. A `RelationView` is
 all that the population builders and the heuristic baselines read of a
-relation. A saved index is a sealed file (`write_sealed`, `unseal`).
+relation. A saved index is a sealed file (`write_sealed`, `unseal`),
+checked whole when it is loaded; its sentence list, sentence set and
+postings dict are made when first read. Every file the library writes
+lands whole or not at all (`landing`).
 
 Conventions, fixed for determinism:
   - sentences split on newlines, then on ``.!?`` followed by whitespace;
@@ -25,6 +28,7 @@ Conventions, fixed for determinism:
   - a sentence contributes at most 1 to any pair count.
 """
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -157,27 +161,43 @@ def _blake2b(data=b""):
     return hashlib.blake2b(data, digest_size=_DIGEST_SIZE)
 
 
-def write_sealed(path, magic, chunks):
-    """Write `magic`, a blake2b digest of the body, then the body: the byte `chunks`.
+@contextlib.contextmanager
+def landing(path, mode="w"):
+    """An open file (UTF-8 text, or bytes with ``mode="wb"``) that lands at `path` whole.
 
-    The chunks are digested as they stream to a temporary name, the magic
-    and digest go in last, and a rename puts the file in place: a reader
-    sees the old file or the whole new one, and a failure leaves no trace.
+    It is written under a temporary name beside `path` and renamed into
+    place when the block ends: a reader sees the old file or the whole
+    new one, and a block that raises leaves no trace. A file that cannot
+    be opened fails as opening `path` itself would, naming `path`.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    digest = _blake2b()
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes(len(magic) + _DIGEST_SIZE))
-            for chunk in chunks:
-                digest.update(chunk)
-                fh.write(chunk)
-            fh.seek(0)
-            fh.write(magic + digest.digest())
+        fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_sealed(path, magic, chunks):
+    """Write `magic`, a blake2b digest of the body, then the body: the byte `chunks`.
+
+    The chunks are digested as they stream to the file (`landing`), and
+    the magic and digest go in last.
+    """
+    digest = _blake2b()
+    with landing(path, "wb") as fh:
+        fh.write(bytes(len(magic) + _DIGEST_SIZE))
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.seek(0)
+        fh.write(magic + digest.digest())
 
 
 def unseal(blob, magic):
@@ -200,19 +220,40 @@ class CorpusIndex:
 
     `sentence_set` holds the sentences, each in normal form, so a text
     known to be normal is tested for membership with no `normalize_text`.
+    It, the sentence list and the token postings of an index read back
+    by `load` are made the first time something reads them.
     """
 
     def __init__(self, sentences, token_postings):
         self.sentences = list(sentences)
-        self.sentence_set = frozenset(self.sentences)
         self._token_postings = token_postings
+        self._init_memos(len(self.sentences))
+
+    def _init_memos(self, size):
+        """Start the memos of an index of `size` sentences."""
+        self._size = size
         self._entity_cache = {}
         self._soc_matrices = {}
         self._poc_matrices = {}
         self._poc_rows = {}
 
     def __len__(self):
-        return len(self.sentences)
+        return self._size
+
+    @cached_property
+    def sentences(self):
+        """The sentence list; `__init__` sets it, `load` leaves the checked text to split."""
+        text = self.__dict__.pop("_text")
+        return text.split("\n") if text else []
+
+    @cached_property
+    def _token_postings(self):
+        """Token -> its sorted sentence ids; `load` leaves the checked parts to slice."""
+        tokens, flat, offsets = self.__dict__.pop("_posting_parts")
+        bounds = offsets.tolist()
+        return {tok: flat[a:b] for tok, a, b in zip(tokens, bounds, bounds[1:])}
+
+    sentence_set = cached_property(lambda self: frozenset(self.sentences))
 
     # --- membership and counting -----------------------------------------
 
@@ -236,7 +277,7 @@ class CorpusIndex:
         order = sorted(postings, key=lambda tok: (len(postings[tok]), tok))
         if ids is None:
             if not order:
-                return np.arange(len(self.sentences), dtype=np.int32)
+                return np.arange(len(self), dtype=np.int32)
             ids, order = postings[order[0]], order[1:]
         for tok in order:
             if len(ids) == 0:
@@ -295,7 +336,7 @@ class CorpusIndex:
         subjects, objects = key
         if not objects:
             raise EmptyCandidateSetError("counting over an empty candidate set")
-        offsets = np.arange(len(objects), dtype=np.int64)[:, None] * len(self.sentences)
+        offsets = np.arange(len(objects), dtype=np.int64)[:, None] * len(self)
         flat = np.concatenate([
             offset + postings
             for offset, postings in zip(offsets, map(self.entity_postings, objects))
@@ -415,6 +456,10 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path):
+        """Read a saved index back, checking its seal and its whole structure.
+
+        A corrupt file raises here, whatever a run later reads of it.
+        """
         try:
             blob = Path(path).read_bytes()
         except OSError as exc:
@@ -445,20 +490,22 @@ class CorpusIndex:
         offsets_size = (n_tok + 1) * 8
         if pos + offsets_size > len(body):
             raise corrupt("posting offsets past the end of the file")
-        offsets = np.frombuffer(body, dtype=np.int64, count=n_tok + 1, offset=pos)
+        # copies, so that nothing the index keeps holds the file's bytes alive
+        offsets = np.frombuffer(body, dtype=np.int64, count=n_tok + 1, offset=pos).copy()
         pos += offsets_size
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise corrupt("posting offsets do not start at 0 and rise")
         if len(body) - pos != int(offsets[-1]) * 4:
             raise corrupt("postings do not end where the file ends")
-        # one copy, so that no posting holds the file's bytes alive
         flat = np.frombuffer(body, dtype=np.int32, offset=pos).copy()
         try:
-            sentences = str(sent_blob, "utf-8").split("\n") if sent_blob else []
+            text = str(sent_blob, "utf-8")
             tokens = str(tok_blob, "utf-8").split("\n") if tok_blob else []
         except UnicodeDecodeError as exc:
             raise EncodingError(f"corrupt index text block in {path}") from exc
-        if len(sentences) != n_sent or len(tokens) != n_tok:
+        # each newline is one 0x0a byte in UTF-8; numpy counts them 10x faster than str.count
+        lines = np.count_nonzero(np.frombuffer(sent_blob, np.uint8) == 10) + 1 if text else 0
+        if lines != n_sent or len(tokens) != n_tok:
             raise corrupt("entry counts do not match the text blocks")
         if flat.size and not 0 <= flat.min() <= flat.max() < n_sent:
             raise corrupt("a posting is not a sentence")
@@ -468,9 +515,9 @@ class CorpusIndex:
             raise corrupt("a token's postings do not strictly rise")
         if not all(map(str.__lt__, tokens, tokens[1:])):
             raise corrupt("the token table does not strictly rise")
-        bounds = offsets.tolist()
-        postings = {tok: flat[a:b] for tok, a, b in zip(tokens, bounds, bounds[1:])}
-        index = cls(sentences, postings)
+        index = cls.__new__(cls)  # `__init__` takes the made objects; these are made on first read
+        index._text, index._posting_parts = text, (tokens, flat, offsets)
+        index._init_memos(n_sent)
         index.digest = digest
         return index
 

@@ -122,13 +122,15 @@ class _Normalised(dict):
         return value
 
 
-def _jsonl_records(path, fields):
+def _jsonl_records(path, fields, normal=None):
     """Yield (line number, record, values) per record of a JSON-lines file.
 
     `values` are the record's required string `fields` (two or more),
-    normalised; each distinct raw string is checked and normalised once.
+    normalised through `normal`, a `_Normalised` memo that the files of a
+    run may share (by default the file's own): each distinct raw string
+    is checked and normalised once.
     """
-    normal = _Normalised()
+    normalised = (_Normalised() if normal is None else normal).__getitem__
     raw_fields = itemgetter(*fields)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -150,7 +152,7 @@ def _jsonl_records(path, fields):
                 if not isinstance(record, dict):
                     raise ParseError("record must be a JSON object", line=lineno)
                 try:
-                    values = tuple(map(normal.__getitem__, raw_fields(record)))
+                    values = tuple(map(normalised, raw_fields(record)))
                 except (KeyError, TypeError):  # a field missing, unhashable or rejected
                     values = tuple(_required(record, key, lineno) for key in fields)
                 yield lineno, record, values

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate
+from .corpus import BIN_EDGES, CorpusIndex, build_index, instantiate, landing
 from .errors import (
     ConfigError,
     CorpusCausalError,
@@ -42,8 +42,9 @@ from .population import (
     build_structure,
     population_observation_table,
     read_cache_entry,
-    # not called here: a cache entry has its own format (`read_cache_entry`);
-    # perfbench traces the name in this module
+    # not called here: a cache entry has its own format (`read_cache_entry`),
+    # and a run scores through its `ClozeKeyTable`; perfbench traces the
+    # names in this module
     read_population,
     score_population,
     tsv_blocks,
@@ -282,7 +283,7 @@ class _Runtime:
         """The PredictionSet the configured predictions give one hypothesis."""
         if self.config.baseline is None:
             if self._loaded is None:
-                self._loaded = load_predictions(self.config.predictions, self.kb)
+                self._loaded = load_predictions(self.config.predictions, self.kb, self.keys)
             return self._loaded
         kind, seed = self.config.baseline
         if kind == "heuristic":
@@ -419,11 +420,11 @@ def run_build_population(config, hypotheses):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for hyp in hypotheses:
-        scored = score_population(rt.populations[hyp], rt.predictions_for(hyp))
+        scored = rt.keys.score(hyp, rt.predictions_for(hyp))
         _write_tables(scored, out, hyp)
         keys = rt.populations[hyp].cloze_keys
         queries = ((s, r, t, instantiate(t, s, config.mask_token)) for s, r, t in keys)
-        with open(out / f"{hyp}_queries.tsv", "w", encoding="utf-8") as fh:
+        with landing(out / f"{hyp}_queries.tsv") as fh:
             fh.writelines(tsv_blocks(("subject", "relation", "template", "cloze"), queries))
         yield hyp, scored
 
@@ -455,7 +456,7 @@ def run_dynamics(config, checkpoint_paths):
     for path in ordered:
         entry = {"checkpoint": Path(path).stem, "ate": None, "accuracy": None, "error": None}
         try:
-            prediction_set = load_predictions(path, rt.kb)
+            prediction_set = load_predictions(path, rt.kb, rt.keys)
             report, used = rt.estimate_ates(lambda hyp: prediction_set)
             entry["ate"] = report.ate
             entry["accuracy"] = rt.keys.accuracy(prediction_set)
@@ -549,7 +550,7 @@ def render_report(report, fmt):
 def emit_report(report, fmt, path):
     """Write the report in the requested format; returns the path."""
     text = render_report(report, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
+    with landing(path) as fh:
         fh.write(text)
     return path
 

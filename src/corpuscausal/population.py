@@ -41,8 +41,10 @@ the rows are built only when something asks for them (the public API,
 tests). Scores are columns too: `score_population` returns the
 population with a ``predicted`` and an ``outcomes`` tuple aligned with
 its rows, and copies no row. A run scores all its populations through
-one `ClozeKeyTable`, one lookup pass over their cloze keys per
-prediction set; the table also counts each scored population's
+one `ClozeKeyTable`, which holds the object id each prediction set
+gives each of their cloze keys: a prediction file is read straight into
+those ids (`load_predictions`), any other set takes one lookup pass over
+the keys. The table also counts each scored population's
 (stratum, arm, outcome) cells for its ATE (`cells`), and takes the share
 of utt keys answered with a gold object (`accuracy`). Emitted tables join
 the two back into one file with a ``prediction`` and an ``outcome``
@@ -67,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import BIN_EDGES, RelationView, bin_count, unseal, write_sealed
+from .corpus import BIN_EDGES, RelationView, bin_count, landing, unseal, write_sealed
 from .errors import (
     EmptyPopulationError,
     InputError,
@@ -77,7 +79,8 @@ from .errors import (
 )
 from .estimator import ObservationTable
 from .graph import CANONICAL_ADJUSTMENTS
-from .predictions import HYPOTHESES, outcome_flag
+from .kb import _Normalised
+from .predictions import HYPOTHESES, candidate_ids, outcome_flag
 
 #: Canonical graph variable -> population column.
 NODE_TO_COLUMN = {
@@ -377,33 +380,36 @@ class ClozeKeyTable:
     """The cloze keys of a run's populations, looked up once per prediction set.
 
     `keys` is the union of the populations' `cloze_keys`, in the order
-    they first appear, and `object_ids` one id table of trimmed objects:
-    the candidates of `kb`, if given, first, then each population's. For
-    each hypothesis, `key_rows[hyp]` holds the position in `keys` of each
-    of its cloze keys, `rows[hyp]` that of each row's key, and
-    `row_objects[hyp]` each row's object id. Scoring a prediction set is
-    one lookup pass over `keys`, then a gather and a compare per
-    population, which `cells` counts and `accuracy` checks against the
-    KB's golds; strata and golds are numbered when first asked for.
+    they first appear, `position` each key's place in it, and `object_ids`
+    one id table of trimmed objects: the candidates of `kb`, if given,
+    first, then each population's. For each hypothesis, `key_rows[hyp]`
+    holds the position in `keys` of each of its cloze keys, `rows[hyp]`
+    that of each row's key, and `row_objects[hyp]` each row's object id.
+    Scoring a prediction set is one id per key, then a gather and a
+    compare per population, which `cells` counts and `accuracy` checks
+    against the KB's golds; strata and golds are numbered when first
+    asked for. A set `load_predictions` read for this table carries its
+    ids, read with the table's `candidate_ids` and its normalisation memo
+    `normal`, which every file of the run shares; any other set takes
+    one lookup pass over `keys`.
     """
 
     def __init__(self, populations, kb=None):
         self.populations, self.kb = populations, kb
-        position, ids = {}, {}
-        for relation in () if kb is None else kb.relations:
-            for obj in kb.candidate_objects(relation):
-                ids.setdefault(str(obj).strip(), len(ids))
+        self.position, ids = {}, {}
+        self.candidate_ids = {} if kb is None else candidate_ids(kb, ids)
+        self.normal = _Normalised()
         self.key_rows, self.rows, self.row_objects = {}, {}, {}
         for hyp, pop in populations.items():
             self.key_rows[hyp] = np.fromiter(
-                (position.setdefault(key, len(position)) for key in pop.cloze_keys),
+                (self.position.setdefault(key, len(self.position)) for key in pop.cloze_keys),
                 np.intp, len(pop.cloze_keys),
             )
             self.rows[hyp] = self.key_rows[hyp][pop.key_index]
             (objects,), object_index = _distinct(pop.codes["object"])
             local = [ids.setdefault(pop.strings[code].strip(), len(ids)) for code in objects]
             self.row_objects[hyp] = np.array(local, np.intp)[object_index]
-        self.keys, self.object_ids = tuple(position), ids
+        self.keys, self.object_ids = tuple(self.position), ids
         self._looked_up, self._strata = {}, {}
 
     def _key_pass(self, predictions):
@@ -411,19 +417,22 @@ class ClozeKeyTable:
         ids = self.object_ids
         id_of = {value: -2 if value is None else ids.get(str(value).strip(), -1)
                  for value in dict.fromkeys(values)}
-        return values, np.fromiter(map(id_of.__getitem__, values), np.intp, len(values))
+        return np.fromiter(map(id_of.__getitem__, values), np.intp, len(values))
 
     def _checked(self, hypothesis, predictions):
         """Each key's trimmed object id under `predictions`: -1 none, -2 no prediction.
 
-        It raises what `score_population` raises, if that raises. The key
-        pass (`_key_pass`) is made once per prediction set: a set some
-        population was last checked with is not looked up again.
+        It raises what `score_population` raises, if that raises. A set
+        read for this table brings its ids; any other set is looked up
+        (`_key_pass`) once: a set some population was last checked with
+        is not looked up again.
         """
         pop = self.populations[hypothesis]
-        seen = [looked_up for looked_up in self._looked_up.values() if looked_up[0] is predictions]
-        values, found = seen[0][1:] if seen else self._key_pass(predictions)
-        self._looked_up[hypothesis] = predictions, values, found
+        table, found = predictions.key_ids or (None, None)
+        if table is not self:
+            seen = [ids for looked_up, ids in self._looked_up.values() if looked_up is predictions]
+            found = seen[0] if seen else self._key_pass(predictions)
+        self._looked_up[hypothesis] = predictions, found
         blank = self.object_ids.get("", -1)
         if (pop.hypothesis not in HYPOTHESES or (self.row_objects[hypothesis] == blank).any()
                 or (found[self.key_rows[hypothesis]] == -2).any()):
@@ -488,10 +497,11 @@ class ClozeKeyTable:
         population is concerned.
         """
         outcomes = self.outcomes(hypothesis, predictions)
-        _, values, _ = self._looked_up.pop(hypothesis)
-        predicted = np.array(values, object)[self.rows[hypothesis]]
-        return replace(self.populations[hypothesis], predicted=tuple(predicted.tolist()),
-                       outcomes=tuple(outcomes.tolist()))
+        del self._looked_up[hypothesis]
+        pop = self.populations[hypothesis]
+        values = list(map(predictions.records.__getitem__, pop.cloze_keys))
+        predicted = np.array(values, object)[pop.key_index]
+        return replace(pop, predicted=tuple(predicted.tolist()), outcomes=tuple(outcomes.tolist()))
 
 
 def _reject(pop, predictions):
@@ -597,13 +607,15 @@ _PAIR_KINDS = {"treated": int, "control": int}  # a pairs file's columns
 
 
 def write_population(pop, table_path, pairs_path):
-    """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids."""
+    """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids.
+
+    Both files land together (`landing`), or neither does.
+    """
     scores = pop.predicted or ("",) * len(pop), pop.outcomes or (0,) * len(pop)
     rows = zip(*(map(str, column) for column in (*_decode(pop), *scores)), strict=True)
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.writelines(tsv_blocks(POPULATION_FIELDS, rows))
-    with open(pairs_path, "w", encoding="utf-8") as fh:
-        fh.writelines(tsv_blocks(_PAIR_KINDS, ((str(i), str(j)) for i, j in pop.pairs)))
+    with landing(table_path) as table, landing(pairs_path) as pairs:
+        table.writelines(tsv_blocks(POPULATION_FIELDS, rows))
+        pairs.writelines(tsv_blocks(_PAIR_KINDS, ((str(i), str(j)) for i, j in pop.pairs)))
 
 
 class _PairingError(ValueError):

@@ -8,11 +8,11 @@ at load time rather than silently projected.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import RelationView
+from .corpus import RelationView, landing
 from .errors import (
     CandidateViolationError,
     DuplicateKeyError,
@@ -29,10 +29,15 @@ HYPOTHESES = ("utt", "poc", "soc")
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """`records` maps each (subject, relation, template) key to its predicted object."""
+    """`records` maps each (subject, relation, template) key to its predicted object.
+
+    `key_ids`, set on a set `load_predictions` read for a `ClozeKeyTable`,
+    is that table and the predicted object id of each of its keys.
+    """
 
     records: dict
     source_id: str
+    key_ids: tuple = field(default=None, compare=False, repr=False)
 
     def get(self, subject, relation, template):
         return self.records.get((subject, relation, template))
@@ -45,17 +50,34 @@ class PredictionSet:
 _FIELDS = ("subject", "relation", "template", "prediction", "source_id")
 
 
-def load_predictions(path, kb):
+def candidate_ids(kb, ids):
+    """(relation, candidate) -> the id in `ids` of the trimmed candidate, for each of `kb`'s.
+
+    A trimmed candidate not yet in `ids` is added with the next id.
+    """
+    return {(relation, obj): ids.setdefault(str(obj).strip(), len(ids))
+            for relation in kb.relations for obj in kb.candidate_objects(relation)}
+
+
+def load_predictions(path, kb, keys=None):
     """Load a prediction file, enforcing candidate restriction per relation.
 
-    Each record's (relation, prediction) is one lookup in the set of the
-    KB's (relation, candidate) pairs; an error names the first line it
-    occurs on.
+    Each record's (relation, prediction) is one lookup in the map of the
+    KB's (relation, candidate) pairs to object ids; an error names the
+    first line it occurs on. Given `keys`, the run's `ClozeKeyTable` over
+    `kb`, the file is read with the table's normalisation memo and
+    candidate map, and each record on one of its keys writes its object
+    id into the set's id column (`PredictionSet.key_ids`), so that
+    scoring the set looks no key up.
     """
+    if keys is None:
+        object_id, normal, position = candidate_ids(kb, {}), None, {}
+    else:
+        object_id, normal, position = keys.candidate_ids, keys.normal, keys.position
+    column = [-2] * len(position)  # -2: no prediction, as `ClozeKeyTable` reads it
     records = {}
     source_id = None
-    allowed = {(r, obj) for r in kb.relations for obj in kb.candidate_objects(r)}
-    for lineno, _, fields in _jsonl_records(path, _FIELDS):
+    for lineno, _, fields in _jsonl_records(path, _FIELDS, normal):
         subject, relation, template, predicted, record_source = fields
         if source_id is None:
             source_id = record_source
@@ -64,7 +86,8 @@ def load_predictions(path, kb):
                 f"mixed source_id values: {source_id!r} vs {record_source!r}",
                 line=lineno,
             )
-        if (relation, predicted) not in allowed:
+        found = object_id.get((relation, predicted))
+        if found is None:
             if relation not in kb.relations:
                 raise ParseError(f"unknown relation {relation!r}", line=lineno)
             raise CandidateViolationError(
@@ -76,13 +99,17 @@ def load_predictions(path, kb):
         if key in records:
             raise DuplicateKeyError(f"line {lineno}: duplicate key {key!r}")
         records[key] = predicted
+        at = position.get(key)
+        if at is not None:
+            column[at] = found
     if source_id is None:
         raise ParseError(f"no prediction records in {path}")
-    return PredictionSet(records=records, source_id=source_id)
+    key_ids = None if keys is None else (keys, np.array(column, np.intp))
+    return PredictionSet(records, source_id, key_ids)
 
 
 def save_predictions(predictions, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with landing(path) as fh:
         for (subject, relation, template), predicted in sorted(predictions.records.items()):
             record = {"subject": subject, "relation": relation, "template": template,
                       "prediction": predicted, "source_id": predictions.source_id}

@@ -513,6 +513,52 @@ class TestDynamicsAndReport:
         assert not (out / "report.tsv").exists()
 
 
+class TestOutputsLandWhole:
+    """`report -o` and `stats -o` write their file whole or not at all."""
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    @pytest.mark.parametrize("command", ["report", "stats"])
+    def test_failed_write_leaves_the_earlier_file(self, crossed_files, command, earlier):
+        # a lone surrogate in the text cannot be written as UTF-8
+        tmp = crossed_files["dir"]
+        if command == "report":
+            source = tmp / "report.json"
+            source.write_text(json.dumps({"source_id": "m\ud800", "ate": {}, "cate": {},
+                                          "diagnostics": {}}), encoding="utf-8")
+            args = ["report", source, "--format", "table"]
+        else:
+            index = tmp / "corpus.idx"
+            assert invoke("index", crossed_files["corpus"], "-o", index).exit_code == 0
+            kb = tmp / "surrogate-kb.jsonl"
+            kb.write_text(json.dumps({"subject": "Paris\ud800", "relation": "capital-of",
+                                      "object": "France"}) + "\n", encoding="utf-8")
+            patterns = tmp / "one-pattern.jsonl"
+            patterns.write_text(json.dumps({"relation": "capital-of",
+                                            "template": "[X] is in [Y]."}) + "\n",
+                                encoding="utf-8")
+            args = ["stats", index, "--kb", kb, "--patterns", patterns]
+        out = tmp / "out"
+        out.mkdir()
+        if earlier:
+            (out / "written.txt").write_text("earlier\n", encoding="utf-8")
+        result = invoke(*args, "-o", out / "written.txt")
+        assert isinstance(result.exception, UnicodeEncodeError), result.output
+        assert [path.name for path in out.iterdir()] == (["written.txt"] if earlier else [])
+        if earlier:
+            assert (out / "written.txt").read_text(encoding="utf-8") == "earlier\n"
+
+    def test_unopenable_output_is_named_by_its_path(self, crossed_files):
+        # not by the temporary name it is written under
+        tmp = crossed_files["dir"]
+        source = tmp / "report.json"
+        source.write_text(json.dumps({"source_id": "m", "ate": {}, "cate": {},
+                                      "diagnostics": {}}), encoding="utf-8")
+        missing = tmp / "no-such-dir" / "report.txt"
+        result = invoke("report", source, "-o", missing)
+        assert result.exit_code == 1
+        assert result.output == f"input error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 #: One non-default value per run setting, as config-file text.
 SETTING_VALUES = {
     "kb": "other-kb.jsonl",

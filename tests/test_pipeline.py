@@ -15,10 +15,15 @@ import pytest
 
 from corpuscausal import pipeline, population
 from corpuscausal.errors import (
+    CandidateViolationError,
     ConfigError,
     CorpusCausalError,
+    DuplicateKeyError,
     EmptyPopulationError,
+    EncodingError,
+    InputError,
     MissingPredictionError,
+    ParseError,
 )
 from corpuscausal.estimator import ate, cate, do_from_cells, interventional_prob, read_table
 from corpuscausal.pipeline import (
@@ -34,7 +39,9 @@ from corpuscausal.pipeline import (
     run_estimate,
 )
 from corpuscausal.corpus import CorpusIndex, build_index, template_parts
+from corpuscausal.kb import KnowledgeBase, PatternSpec, Triplet, load_knowledge_base
 from corpuscausal.population import (
+    POPULATION_FIELDS,
     ROW_FIELDS,
     STRATIFY_COLUMNS,
     ClozeKeyTable,
@@ -44,7 +51,12 @@ from corpuscausal.population import (
     read_cache_entry,
     write_population,
 )
-from corpuscausal.predictions import baseline_predict, save_predictions
+from corpuscausal.predictions import (
+    PredictionSet,
+    baseline_predict,
+    load_predictions,
+    save_predictions,
+)
 
 import golden_fixture
 from conftest import (
@@ -873,6 +885,57 @@ class TestMetamorphic:
         assert series[0]["error"] is None and series[0]["ate"] != series[1]["ate"]
         assert dict(series[0], checkpoint="step02") == series[2]
 
+    @staticmethod
+    def shuffled(records, rng, kb):
+        lines = list(map(json.dumps, records))
+        rng.shuffle(lines)
+        return lines
+
+    @staticmethod
+    def reformatted(records, rng, kb):
+        # keys in reverse order, spaces around every token and inside values, and
+        # every other character of a key or value written as a \u escape
+        def escaped(text):
+            return '"' + "".join(f"\\u{ord(c):04x}" if k % 2 else c
+                                 for k, c in enumerate(text)) + '"'
+
+        return [" { " + " ,  ".join(f"{escaped(key)} :  {escaped(' ' + value.replace(' ', '  '))}"
+                                    for key, value in reversed(record.items())) + " }  "
+                for record in records]
+
+    @staticmethod
+    def extended(records, rng, kb):
+        # records for subjects outside the KB, so on keys outside every population
+        extra = [dict(record, subject=f"Zz{k}", prediction=rng.choice(
+                     kb.candidate_objects(record["relation"])))
+                 for k, record in enumerate(rng.sample(records, 40))]
+        return list(map(json.dumps, records + extra))
+
+    @pytest.mark.parametrize("rewrite", ["shuffled", "reformatted", "extended"])
+    def test_checkpoint_rewrites(self, tmp_path, rewrite):
+        # a checkpoint's line order, its records' formatting and records on keys
+        # no population reads change nothing: the dynamics report stays
+        # byte-identical
+        gen = load_generator()
+        sizes = gen.Sizes(**dict(self.SIZES, checkpoints=(0.2, 0.8)))
+        paths = gen.Corpus(sizes, seed=5).write(tmp_path / "in")
+        config = self.config(paths, tmp_path / "out", "checkpoint00")
+        kb = load_knowledge_base(paths["kb"], paths["patterns"])
+        rng = random.Random(6)
+        given, rewritten = [], []
+        for name in ("checkpoint00", "checkpoint01"):
+            text = paths[name].read_text(encoding="utf-8")
+            lines = getattr(self, rewrite)(list(map(json.loads, text.splitlines())), rng, kb)
+            path = tmp_path / rewrite / paths[name].name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert path.read_bytes() != paths[name].read_bytes()
+            given.append(str(paths[name]))
+            rewritten.append(str(path))
+        report = render_report(run_dynamics(config, given), "structured")
+        assert all(entry["error"] is None for entry in json.loads(report)["series"])
+        assert render_report(run_dynamics(config, rewritten), "structured") == report
+
 
 class TestScaling:
     """Call counts of a run against the size of its inputs, one axis at a time.
@@ -1312,8 +1375,9 @@ class TestDynamics:
             assert report.source_id == "epoch01"
 
     def test_cate_once_per_run_and_scoring_once_per_checkpoint(self, tmp_path, monkeypatch):
-        # the checkpoint axis, read from call counts: each checkpoint is one key
-        # pass and gets one cell-count estimate per hypothesis, while the key
+        # the checkpoint axis, read from call counts: each checkpoint is read
+        # straight into the key table's ids, so it makes no key pass, and gets
+        # one cell-count estimate per hypothesis, while the key
         # table is built once per run, its strata numbered once per estimated
         # hypothesis and its utt golds coded once, and the observation table
         # and CATE made once per estimated hypothesis, from the last
@@ -1360,11 +1424,11 @@ class TestDynamics:
         for k, seen in counts.items():
             assert seen == {"cate": estimated, "population_observation_table": estimated,
                             "do_from_cells": estimated * k, "ClozeKeyTable": 1,
-                            "_key_pass": k, "_number_strata": estimated, "_golds": 1}, k
+                            "_key_pass": 0, "_number_strata": estimated, "_golds": 1}, k
         calls.update(dict.fromkeys(calls, 0))
         assert run_estimate(config).failures() == {}
         assert calls == {"cate": estimated, "population_observation_table": estimated,
-                         "do_from_cells": estimated, "ClozeKeyTable": 1, "_key_pass": 1,
+                         "do_from_cells": estimated, "ClozeKeyTable": 1, "_key_pass": 0,
                          "_number_strata": estimated, "_golds": 0}
 
     def test_keys_once_per_built_or_read_population(self, tmp_path, monkeypatch):
@@ -1423,6 +1487,224 @@ class TestDynamics:
         config = config_for(crossed_files, "unused-but-validated")
         with pytest.raises(ConfigError):
             run_dynamics(config, [])
+
+    def test_warm_run_builds_no_index_object(self, tmp_path, monkeypatch):
+        # a saved index makes its sentence list, sentence set and postings dict
+        # when first read: a warm run on prediction files reads none of them,
+        # and a cold run on the heuristic baselines makes each once
+        gen = load_generator()
+        sizes = gen.Sizes(relations=2, subjects=10, candidates=5, sentences=600,
+                          comention_max=20, checkpoints=(0.2, 0.8))
+        paths = gen.Corpus(sizes, seed=3).write(tmp_path / "in")
+        build_index(str(paths["corpus"])).save(tmp_path / "corpus.idx")
+        config = replace(
+            TestMetamorphic.config(paths, tmp_path / "out", "checkpoint00",
+                                   cache_dir=str(tmp_path / "cache")),
+            corpus="", index=str(tmp_path / "corpus.idx"),
+        )
+        assert run_estimate(config).failures() == {}  # fills the cache
+        made = dict.fromkeys(("sentences", "sentence_set", "_token_postings"), 0)
+        for name in made:
+            real = getattr(CorpusIndex, name).func
+
+            def counted(index, name=name, real=real):
+                made[name] += 1
+                return real(index)
+
+            spied = cached_property(counted)
+            spied.__set_name__(CorpusIndex, name)
+            monkeypatch.setattr(CorpusIndex, name, spied)
+        checkpoints = [str(paths["checkpoint00"]), str(paths["checkpoint01"])]
+        assert run_dynamics(config, checkpoints).failures() == {}
+        assert made == dict.fromkeys(made, 0)
+        cold = replace(config, predictions="baseline:heuristic",
+                       cache_dir=str(tmp_path / "cold-cache"))
+        assert run_estimate(cold).failures() == {}
+        assert made == dict.fromkeys(made, 1)
+
+
+class TestCheckpointErrors:
+    """A bad checkpoint fails alike whether read alone, for a run's key table, or in a series.
+
+    Each case edits a generated checkpoint's lines; the error names the
+    first line at fault, and a series entry names the file by its name.
+    """
+
+    SIZES = dict(relations=2, subjects=10, candidates=5, sentences=600, comention_max=20,
+                 checkpoints=(0.2, 0.8))
+
+    @staticmethod
+    def cases(records, kb):
+        """Case name -> (the file's bytes, error class, message with ``{path}``)."""
+        first, second, third = records[:3]
+        n = len(records)
+        source = first["source_id"]
+        key = (third["subject"], third["relation"], third["template"])
+        other = next(obj for rel in kb.relations for obj in kb.candidate_objects(rel)
+                     if obj not in kb.candidate_objects(third["relation"]))
+        outside = dict(first, subject="Nobody")  # a key outside every population
+        outside_key = (outside["subject"], outside["relation"], outside["template"])
+
+        def joined(text):
+            return ("\n".join(text) + "\n").encode()
+
+        def lines(edited):  # line 3 replaced
+            return joined([*map(json.dumps, records[:2]), edited, *map(json.dumps, records[3:])])
+
+        def appended(*extra):
+            return joined(map(json.dumps, records + list(extra)))
+
+        def without(field):
+            return {name: value for name, value in third.items() if name != field}
+
+        return {
+            "bad JSON": (lines('{"subject": '), ParseError,
+                         "line 3: invalid JSON record: Expecting value"),
+            "non-object": (lines("[1, 2]"), ParseError, "line 3: record must be a JSON object"),
+            "missing field": (lines(json.dumps(without("template"))), ParseError,
+                              "line 3: missing field 'template'"),
+            "blank field": (lines(json.dumps(dict(third, prediction="  "))), ParseError,
+                            "line 3: field 'prediction' must be a non-empty string"),
+            "non-UTF-8": (lines(json.dumps(third)).replace(b"}\n", b"\xff}\n", 1),
+                          EncodingError, "{path} is not valid UTF-8"),
+            "mixed source_id": (lines(json.dumps(dict(third, source_id="other"))), ParseError,
+                                f"line 3: mixed source_id values: {source!r} vs 'other'"),
+            "unknown relation": (lines(json.dumps(dict(third, relation="nope"))), ParseError,
+                                 "line 3: unknown relation 'nope'"),
+            "candidate outside its relation": (
+                lines(json.dumps(dict(third, prediction=other))), CandidateViolationError,
+                f"line 3: prediction {other!r} for {key!r} is outside the relation's "
+                f"candidate set"),
+            "duplicate key": (appended(second), DuplicateKeyError,
+                              f"line {n + 1}: duplicate key "
+                              f"{(second['subject'], second['relation'], second['template'])!r}"),
+            "empty file": (b"", ParseError, "no prediction records in {path}"),
+            "duplicate key outside every population": (
+                appended(outside, outside), DuplicateKeyError,
+                f"line {n + 2}: duplicate key {outside_key!r}"),
+            "bad candidate outside every population": (
+                appended(dict(outside, prediction=other)), CandidateViolationError,
+                f"line {n + 1}: prediction {other!r} for {outside_key!r} is outside the "
+                f"relation's candidate set"),
+        }
+
+    CASES = ("bad JSON", "non-object", "missing field", "blank field", "non-UTF-8",
+             "mixed source_id", "unknown relation", "candidate outside its relation",
+             "duplicate key", "empty file", "duplicate key outside every population",
+             "bad candidate outside every population")
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("reader", ["alone", "key table", "series"])
+    def test_same_error_every_way(self, tmp_path, case, reader):
+        gen = load_generator()
+        paths = gen.Corpus(gen.Sizes(**self.SIZES), seed=3).write(tmp_path / "in")
+        config = TestMetamorphic.config(paths, tmp_path / "out", "checkpoint00")
+        rt = pipeline._Runtime(config.validate())
+        text = paths["checkpoint00"].read_text(encoding="utf-8")
+        records = list(map(json.loads, text.splitlines()))
+        data, error, message = self.cases(records, rt.kb)[case]
+        bad = tmp_path / "bad" / "step01.jsonl"
+        bad.parent.mkdir()
+        bad.write_bytes(data)
+        message = message.format(path=bad)
+        if reader == "series":
+            report = run_dynamics(config, [str(paths["checkpoint00"]), str(bad)])
+            good, failed = report.series
+            assert good["error"] is None
+            assert failed["error"] == message.replace(str(bad), bad.name)
+            return
+        keys = (rt.keys,) if reader == "key table" else ()
+        with pytest.raises(CorpusCausalError) as err:
+            load_predictions(bad, rt.kb, *keys)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+
+class TestFilesLandWhole:
+    """A file a run writes lands whole or not at all: a failed write leaves no
+    part of it, and a file from an earlier run at its path as it was."""
+
+    @staticmethod
+    def place(paths, earlier):
+        for path in paths:
+            if earlier:
+                path.write_text("earlier\n", encoding="utf-8")
+
+    @staticmethod
+    def assert_left(paths, earlier):
+        for path in paths:
+            if earlier:
+                assert path.read_text(encoding="utf-8") == "earlier\n"
+            else:
+                assert not path.exists()
+            assert not [p for p in path.parent.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    @pytest.mark.parametrize("failure", ["refused cell", "table block", "pairs block"])
+    def test_population_tables(self, tmp_path, monkeypatch, failure, earlier):
+        # both files land together: a failure in either leaves neither
+        if failure == "refused cell":
+            kb = KnowledgeBase(
+                triplets=(Triplet("Ann\tLee", "r", "Xo"), Triplet("Bo", "r", "Yu")),
+                patterns=(PatternSpec("r", "[X] likes [Y]."),),
+            )
+            pop, error = build_structure("soc", kb, build_index(["Bo likes Yu."])), InputError
+        else:
+            pop = build_structure("soc", golden_fixture.knowledge_base(), golden_fixture.corpus_index())
+            real, error = population.tsv_blocks, OSError
+            failing = POPULATION_FIELDS if failure == "table block" else ("treated", "control")
+
+            def blocks(header, rows):  # the header line, then a full disk
+                lines = real(header, rows)
+                yield next(lines)
+                if tuple(header) == failing:
+                    raise OSError("no space left on device")
+                yield from lines
+
+            monkeypatch.setattr(population, "tsv_blocks", blocks)
+        paths = (tmp_path / "soc_population.tsv", tmp_path / "soc_pairs.tsv")
+        self.place(paths, earlier)
+        with pytest.raises(error):
+            write_population(pop, *paths)
+        self.assert_left(paths, earlier)
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_query_file(self, crossed_files, monkeypatch, earlier):
+        real = pipeline.tsv_blocks
+
+        def blocks(header, rows):  # the header line, then a full disk
+            yield next(real(header, rows))
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(pipeline, "tsv_blocks", blocks)
+        config = config_for(crossed_files, "baseline:heuristic")
+        out = Path(config.output_dir)
+        out.mkdir()
+        path = out / "soc_queries.tsv"
+        self.place([path], earlier)
+        with pytest.raises(OSError, match="no space"):
+            list(run_build_population(config, ("soc",)))
+        self.assert_left([path], earlier)
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_report(self, tmp_path, earlier):
+        # a lone surrogate cannot be written as UTF-8
+        report = EffectReport("m\ud800", dict.fromkeys(pipeline.HYPOTHESES), {}, {})
+        path = tmp_path / "report.json"
+        self.place([path], earlier)
+        with pytest.raises(UnicodeEncodeError):
+            emit_report(report, "structured", path)
+        self.assert_left([path], earlier)
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_predictions(self, tmp_path, earlier):
+        # the second record, in key order, cannot be written as UTF-8
+        records = {("a", "r", "[X] r [Y]."): "x", ("b", "r", "[X] r [Y]."): "y\ud800"}
+        path = tmp_path / "preds.jsonl"
+        self.place([path], earlier)
+        with pytest.raises(UnicodeEncodeError):
+            save_predictions(PredictionSet(records, "m"), path)
+        self.assert_left([path], earlier)
 
 
 class TestReports:
