@@ -83,6 +83,9 @@ for run in 1 2; do
 done
 test "$(ls -A "$tmp/rendered")" = "report.tsv"
 cmp "$tmp/dynamics.tsv" "$tmp/rendered/report.tsv"
+# an output that is no regular file, here a pipe, is written in place
+corpuscausal report "$dyn/out/report.json" --format delimited -o /dev/stdout \
+  | sed '$d' | cmp - "$tmp/dynamics.tsv"
 # a duplicate key outside every population still fails its checkpoint:
 # the entry of ep10 names the line, and the run exits 0
 cp -r "$dyn/ckpts" "$dyn/ckpts-dup"

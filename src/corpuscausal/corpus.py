@@ -33,6 +33,7 @@ import functools
 import hashlib
 import os
 import re
+import stat
 import struct
 from functools import cached_property
 from pathlib import Path
@@ -165,21 +166,36 @@ def _blake2b(data=b""):
 def landing(path, mode="w"):
     """An open file (UTF-8 text, or bytes with ``mode="wb"``) that lands at `path` whole.
 
-    It is written under a temporary name beside `path` and renamed into
-    place when the block ends: a reader sees the old file or the whole
-    new one, and a block that raises leaves no trace. A file that cannot
-    be opened fails as opening `path` itself would, naming `path`.
+    A regular file, or a new one, is written under a temporary name
+    beside the file `path` resolves to, and renamed into place, with the
+    old file's permission bits, when the block ends: a reader sees the
+    old file or the whole new one, a symlink at `path` keeps pointing at
+    it, and a block that raises leaves no trace. Anything else, a FIFO
+    or a device, is written in place. A file that cannot be opened fails
+    as opening `path` itself would, naming `path`. Nothing is fsynced:
+    a file lands whole if the process fails, not if the machine does.
     """
-    target = Path(path)
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        old_mode = os.stat(path).st_mode
+    except OSError:  # no file yet; opening the temporary file names any other fault
+        old_mode = None
+    if old_mode is not None and not stat.S_ISREG(old_mode):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    target = Path(os.path.realpath(path) if os.path.islink(path) else path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+        fh = open(tmp, mode, encoding=encoding)
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if old_mode is not None:
+            os.chmod(tmp, stat.S_IMODE(old_mode))
+        os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -42,9 +42,8 @@ from .population import (
     build_structure,
     population_observation_table,
     read_cache_entry,
-    # not called here: a cache entry has its own format (`read_cache_entry`),
-    # and a run scores through its `ClozeKeyTable`; perfbench traces the
-    # names in this module
+    # not called here: a cache entry has its own format (`read_cache_entry`);
+    # perfbench traces the name in this module
     read_population,
     score_population,
     tsv_blocks,
@@ -420,7 +419,7 @@ def run_build_population(config, hypotheses):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for hyp in hypotheses:
-        scored = rt.keys.score(hyp, rt.predictions_for(hyp))
+        scored = score_population(rt.populations[hyp], rt.predictions_for(hyp))
         _write_tables(scored, out, hyp)
         keys = rt.populations[hyp].cloze_keys
         queries = ((s, r, t, instantiate(t, s, config.mask_token)) for s, r, t in keys)

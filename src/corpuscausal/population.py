@@ -609,13 +609,16 @@ _PAIR_KINDS = {"treated": int, "control": int}  # a pairs file's columns
 def write_population(pop, table_path, pairs_path):
     """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids.
 
-    Both files land together (`landing`), or neither does.
+    Each file lands whole (`landing`), and both are written out before
+    either is renamed into place: a write that fails, or a cell the
+    table refuses, leaves both paths as they were.
     """
     scores = pop.predicted or ("",) * len(pop), pop.outcomes or (0,) * len(pop)
     rows = zip(*(map(str, column) for column in (*_decode(pop), *scores)), strict=True)
     with landing(table_path) as table, landing(pairs_path) as pairs:
         table.writelines(tsv_blocks(POPULATION_FIELDS, rows))
         pairs.writelines(tsv_blocks(_PAIR_KINDS, ((str(i), str(j)) for i, j in pop.pairs)))
+        table.flush()
 
 
 class _PairingError(ValueError):

@@ -31,13 +31,14 @@ HYPOTHESES = ("utt", "poc", "soc")
 class PredictionSet:
     """`records` maps each (subject, relation, template) key to its predicted object.
 
-    `key_ids`, set on a set `load_predictions` read for a `ClozeKeyTable`,
-    is that table and the predicted object id of each of its keys.
+    `key_ids`, which only `load_predictions` sets, on a set it read for a
+    `ClozeKeyTable`, is that table and the predicted object id of each of
+    its keys.
     """
 
     records: dict
     source_id: str
-    key_ids: tuple = field(default=None, compare=False, repr=False)
+    key_ids: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def get(self, subject, relation, template):
         return self.records.get((subject, relation, template))
@@ -65,13 +66,16 @@ def load_predictions(path, kb, keys=None):
     Each record's (relation, prediction) is one lookup in the map of the
     KB's (relation, candidate) pairs to object ids; an error names the
     first line it occurs on. Given `keys`, the run's `ClozeKeyTable` over
-    `kb`, the file is read with the table's normalisation memo and
-    candidate map, and each record on one of its keys writes its object
-    id into the set's id column (`PredictionSet.key_ids`), so that
-    scoring the set looks no key up.
+    `kb` (a table over another KB is a `ValueError`), the file is read
+    with the table's normalisation memo and candidate map, and each
+    record on one of its keys writes its object id into the set's id
+    column (`PredictionSet.key_ids`), so that scoring the set looks no
+    key up.
     """
     if keys is None:
         object_id, normal, position = candidate_ids(kb, {}), None, {}
+    elif keys.kb is not kb:
+        raise ValueError("the key table is over another knowledge base")
     else:
         object_id, normal, position = keys.candidate_ids, keys.normal, keys.position
     column = [-2] * len(position)  # -2: no prediction, as `ClozeKeyTable` reads it
@@ -104,8 +108,10 @@ def load_predictions(path, kb, keys=None):
             column[at] = found
     if source_id is None:
         raise ParseError(f"no prediction records in {path}")
-    key_ids = None if keys is None else (keys, np.array(column, np.intp))
-    return PredictionSet(records, source_id, key_ids)
+    predictions = PredictionSet(records, source_id)
+    if keys is not None:
+        object.__setattr__(predictions, "key_ids", (keys, np.array(column, np.intp)))
+    return predictions
 
 
 def save_predictions(predictions, path):

@@ -559,6 +559,55 @@ class TestOutputsLandWhole:
         assert result.output == f"input error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+    @staticmethod
+    def _report_source(tmp):
+        source = tmp / "report.json"
+        source.write_text(json.dumps({"source_id": "m", "ate": {}, "cate": {},
+                                      "diagnostics": {}}), encoding="utf-8")
+        return source, invoke("report", source).output
+
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_output_into_a_fifo_is_written_in_place(self, crossed_files, linked):
+        # a FIFO (as `-o /dev/stdout` or process substitution give) is no
+        # file to replace: the text goes through it, and it stays a FIFO
+        tmp = crossed_files["dir"]
+        source, text = self._report_source(tmp)
+        fifo = tmp / "fifo"
+        os.mkfifo(fifo)
+        target = fifo
+        if linked:
+            target = tmp / "link"
+            target.symlink_to(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            result = invoke("report", source, "-o", target)
+            received = b""
+            while chunk := os.read(reader, 1 << 16):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert result.exit_code == 0, result.output
+        assert received.decode("utf-8") == text
+        assert fifo.is_fifo()
+        assert sorted(path.name for path in tmp.iterdir() if path.name.startswith(".")) == []
+
+    def test_symlinked_output_writes_the_file_it_points_to(self, crossed_files):
+        tmp = crossed_files["dir"]
+        source, text = self._report_source(tmp)
+        (tmp / "real").mkdir()
+        real = tmp / "real" / "report.txt"
+        real.write_text("earlier\n", encoding="utf-8")
+        real.chmod(0o640)
+        link = tmp / "report.txt"
+        link.symlink_to(real)
+        result = invoke("report", source, "-o", link)
+        assert result.exit_code == 0, result.output
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert real.read_text(encoding="utf-8") == text
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert [path.name for path in (tmp / "real").iterdir()] == ["report.txt"]
+
+
 #: One non-default value per run setting, as config-file text.
 SETTING_VALUES = {
     "kb": "other-kb.jsonl",

@@ -1,6 +1,8 @@
 """End-to-end runs, config handling, reports, dynamics."""
 
 import cProfile
+import errno
+import io
 import json
 import pstats
 import random
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from corpuscausal import pipeline, population
+from corpuscausal import corpus, pipeline, population
 from corpuscausal.errors import (
     CandidateViolationError,
     ConfigError,
@@ -1619,6 +1621,21 @@ class TestCheckpointErrors:
         assert type(err.value) is error
         assert str(err.value) == message
 
+    def test_ids_come_only_from_the_reader_of_the_tables_kb(self, tmp_path):
+        # a key table over another KB, or ids handed in by a caller, would
+        # score a set against what its records do not say
+        gen = load_generator()
+        paths = gen.Corpus(gen.Sizes(**self.SIZES), seed=3).write(tmp_path / "in")
+        rt = pipeline._Runtime(TestMetamorphic.config(paths, tmp_path / "out", "checkpoint00"))
+        other = load_knowledge_base(paths["kb"], paths["patterns"])
+        with pytest.raises(ValueError, match="another knowledge base"):
+            load_predictions(paths["checkpoint00"], other, rt.keys)
+        with pytest.raises(TypeError):
+            PredictionSet({}, "m", key_ids=(rt.keys, None))
+        loaded = load_predictions(paths["checkpoint00"], rt.kb, rt.keys)
+        assert loaded.key_ids[0] is rt.keys
+        assert replace(loaded, records=dict(loaded.records)).key_ids is None
+
 
 class TestFilesLandWhole:
     """A file a run writes lands whole or not at all: a failed write leaves no
@@ -1640,7 +1657,8 @@ class TestFilesLandWhole:
             assert not [p for p in path.parent.iterdir() if p.name.endswith(".tmp")]
 
     @pytest.mark.parametrize("earlier", [False, True])
-    @pytest.mark.parametrize("failure", ["refused cell", "table block", "pairs block"])
+    @pytest.mark.parametrize(
+        "failure", ["refused cell", "table block", "pairs block", "table's last byte"])
     def test_population_tables(self, tmp_path, monkeypatch, failure, earlier):
         # both files land together: a failure in either leaves neither
         if failure == "refused cell":
@@ -1649,6 +1667,27 @@ class TestFilesLandWhole:
                 patterns=(PatternSpec("r", "[X] likes [Y]."),),
             )
             pop, error = build_structure("soc", kb, build_index(["Bo likes Yu."])), InputError
+        elif failure == "table's last byte":
+            # a disk with room for all but the table's last byte: the table's
+            # last buffered block fails only when it is written out
+            pop = build_structure("soc", golden_fixture.knowledge_base(), golden_fixture.corpus_index())
+            whole = tmp_path / "whole"
+            whole.mkdir()
+            write_population(pop, whole / "population.tsv", whole / "pairs.tsv")
+            room, error = (whole / "population.tsv").stat().st_size - 1, OSError
+
+            class FullDisk(io.FileIO):
+                def write(self, data):
+                    if self.tell() + len(data) > room:
+                        raise OSError(errno.ENOSPC, "no space left on device")
+                    return super().write(data)
+
+            def open_on_full_disk(path, mode, encoding=None):
+                if "population" not in Path(path).name:
+                    return open(path, mode, encoding=encoding)
+                return io.TextIOWrapper(io.BufferedWriter(FullDisk(path, "w")), encoding=encoding)
+
+            monkeypatch.setattr(corpus, "open", open_on_full_disk, raising=False)
         else:
             pop = build_structure("soc", golden_fixture.knowledge_base(), golden_fixture.corpus_index())
             real, error = population.tsv_blocks, OSError
