@@ -64,18 +64,6 @@ def normalize_text(text):
     return " ".join(text.split())
 
 
-def in_normal_form(text):
-    """Whether `text` is non-empty and `normalize_text` leaves it as it is.
-
-    A template in normal form with both slots filled by values in normal
-    form is in normal form too: its only whitespace is single spaces, the
-    template's own were neither doubled nor at its ends, and each value
-    starts and ends with a non-space, so no two spaces meet and none ends
-    the text.
-    """
-    return bool(text) and normalize_text(text) == text
-
-
 def segment_sentences(text):
     """Split text into sentences: newlines first, then ``.!?`` + whitespace."""
     sentences = []
@@ -131,6 +119,32 @@ def template_parts(template):
             f"template must contain exactly one [X] and one [Y]: {template!r}"
         )
     return tuple(pieces), tuple(slots)
+
+
+def _forms(texts):
+    """Whether each of `texts` is in normal form, and whether it is not blank: two bool arrays.
+
+    A text is in normal form if it is not blank and `normalize_text`
+    leaves it as it is, and blank if `normalize_text` leaves nothing of
+    it. A template in normal form with both slots filled by values in
+    normal form is in normal form too: its only whitespace is single
+    spaces, the template's own were neither doubled nor at its ends, and
+    each value starts and ends with a non-space, so no two spaces meet
+    and none ends the text.
+    """
+    normal = list(map(normalize_text, texts))
+    filled = np.array([n != "" for n in normal], np.bool_)
+    return filled & np.array([n == x for n, x in zip(normal, texts)], np.bool_), filled
+
+
+def _slots_apart(pieces):
+    """Whether a template's `pieces` (`template_parts`) keep each slot apart from words.
+
+    They do if a non-word character or the text's edge is on either side
+    of each slot, and so not the other slot.
+    """
+    head, mid, tail = pieces
+    return bool(mid) and not any(map(_WORD_RE.match, (head[-1:], mid[:1], mid[-1:], tail[:1])))
 
 
 def split_around(template, slot, value):
@@ -557,23 +571,65 @@ class RelationView:
     poc = cached_property(lambda self: self.index.poc_matrix(self.templates, self.candidates))
     poc_ranking = cached_property(lambda self: ranked_columns(self.poc))
 
-    def stored(self, units, unit, o):
-        """Whether the utterance of each (unit, candidate) row is stored in the corpus.
+    def stored(self, s, o, t, subjects=None):
+        """Whether the utterance of each row is stored in the corpus.
 
-        Row k is unit ``unit[k]`` of `units`, (subject, template) pairs that
-        need not be the view's own, with candidate ``o[k]``. Its probe is
-        looked up as it is when all three are in normal form, else first
-        normalised (`in_normal_form`).
+        Row k fills template ``templates[t[k]]`` with subject
+        ``subjects[s[k]]``, the view's own unless `subjects` is given, and
+        candidate ``candidates[o[k]]``. Its probe is ``left + candidate +
+        right``, with ``left, right = split_around(template, "[Y]",
+        subject)``, looked up as it is when all three are in normal form,
+        else first normalised (`_forms`).
+
+        A stored utterance names both of its values, so it is stored only
+        where their soc count is above 0. A row is read as not stored,
+        with no probe, when its subject is one of the view's, neither
+        value is blank once normalised, its template has a non-word
+        character or the text's edge on either side of each slot, and the
+        soc count is 0: each value is then whole words of the utterance,
+        where `entity_postings` finds it. Every other row is probed; in
+        ``[X]s``, ``x[Y]`` or ``[X][Y]`` a value runs into a word, and its
+        utterance may be stored with a count of 0. Each probed (subject,
+        template) unit's two sides are spliced once, as arrays.
         """
-        sides = np.array([split_around(t, "[Y]", s) for s, t in units], object)
-        left, right = sides.reshape(-1, 2)[unit].T
-        probes = (left + np.array(self.candidates, object)[o] + right).tolist()
-        is_normal = {text: in_normal_form(text) for text in set().union(*units)}
-        as_is = np.array([is_normal[s] and is_normal[t] for s, t in units], np.bool_)
-        normal = as_is[unit] & np.array(list(map(in_normal_form, self.candidates)), np.bool_)[o]
-        for row in np.flatnonzero(~normal).tolist():
+        subjects = self.subjects if subjects is None else tuple(subjects)
+        s, o, t = (np.asarray(a, np.intp) for a in (s, o, t))
+        parts = [template_parts(template) for template in self.templates]
+        if subjects is self.subjects:
+            in_view = np.arange(len(subjects))
+        else:
+            own = dict(zip(self.subjects, range(len(self.subjects))))
+            in_view = np.array([own.get(subject, -1) for subject in subjects], np.intp)
+        (normal_s, filled_s), (normal_o, filled_o), (normal_t, _) = map(
+            _forms, (subjects, self.candidates, self.templates))
+        apart = np.array([_slots_apart(pieces) for pieces, _ in parts], np.bool_)
+        pruned = ((in_view >= 0) & filled_s)[s] & apart[t] & filled_o[o]
+        if pruned.any():
+            rows = np.flatnonzero(pruned)
+            pruned[rows] = self.soc[in_view[s[rows]], o[rows]] == 0
+        found = np.zeros(len(o), np.bool_)
+        live = np.flatnonzero(~pruned)
+        if not len(live):
+            return found
+        s, o, t = s[live], o[live], t[live]
+        # the units with a live row, and each live row's place among them
+        unit = t * len(subjects) + s
+        units = np.flatnonzero(np.bincount(unit))
+        place = np.zeros(units[-1] + 1, np.intp)
+        place[units] = np.arange(len(units))
+        unit, (ut, us) = place[unit], np.divmod(units, len(subjects))
+        # a unit's sides, as `split_around(template, "[Y]", subject)` splits them
+        head, mid, tail = (np.array(piece, object)[ut] for piece in zip(*(p for p, _ in parts)))
+        x_first = np.array([slots[0] == "[X]" for _, slots in parts], np.bool_)[ut]
+        value = np.array(subjects, object)[us]
+        head[x_first] += value[x_first] + mid[x_first]
+        tail[~x_first] = mid[~x_first] + value[~x_first] + tail[~x_first]
+        probes = (head[unit] + np.array(self.candidates, object)[o] + tail[unit]).tolist()
+        for row in np.flatnonzero(~(normal_s[s] & normal_o[o] & normal_t[t])).tolist():
             probes[row] = normalize_text(probes[row])
-        return np.fromiter(map(self.index.sentence_set.__contains__, probes), bool, len(probes))
+        found[live] = np.fromiter(map(self.index.sentence_set.__contains__, probes), bool,
+                                  len(probes))
+        return found
 
 
 def _read_corpus_lines(source):

@@ -244,12 +244,6 @@ def _relations(kb, stats, anti=False):
         yield RelationView(stats, relation, subjects, candidates, templates), patterns
 
 
-def _stored(rel, s, o, t):
-    """Whether each row's utterance is stored; `s`, `o` and `t` index `rel`'s fields."""
-    units = [(subject, template) for template in rel.templates for subject in rel.subjects]
-    return rel.stored(units, t * len(rel.subjects) + s, o)
-
-
 def _pairs(treated, control):
     """Treated and control rows' indices side by side: one pair per row."""
     return np.stack((treated, control), axis=1)
@@ -266,7 +260,7 @@ def _build_utt(kb, stats, bin_edges):
         o = np.array(rel.candidates, object).searchsorted([t.object for t in triplets[rel.name]])
         # one row per (triplet, paraphrase), the paraphrases in order
         n, k = len(s), len(patterns)
-        present = _stored(rel, s.repeat(k), o.repeat(k), np.tile(np.arange(k), n)).reshape(n, k)
+        present = rel.stored(s.repeat(k), o.repeat(k), np.tile(np.arange(k), n)).reshape(n, k)
         stored = present.sum(axis=1, keepdims=True)
         matched = np.minimum(stored, k - stored)
         unmatched += int((stored - matched).sum())
@@ -317,10 +311,10 @@ def _population(hypothesis, blocks, bin_edges, unmatched, removed=0):
     Each block is one relation's view and patterns, and its pairs, as
     arrays of shape (pairs, 2) of the treated and control rows' subject,
     candidate and pattern indices, and of their utterance flags, or None
-    where `_stored` is to read them. A row's bin is read from its count,
-    each distinct count binned once, and `_encode` codes the strings. No
-    two rows are equal, so one sort of the codes orders the rows; pair k
-    is rows 2k and 2k+1 before the sort.
+    where the view's `stored` is to read them. A row's bin is read from
+    its count, each distinct count binned once, and `_encode` codes the
+    strings. No two rows are equal, so one sort of the codes orders the
+    rows; pair k is rows 2k and 2k+1 before the sort.
     """
     blocks = [block for block in blocks if block[2].size]
     if not blocks:
@@ -337,7 +331,7 @@ def _population(hypothesis, blocks, bin_edges, unmatched, removed=0):
         codes["treatment"].append(np.tile(np.array([1, 0], _DTYPES["treatment"]), len(s) // 2))
         codes["soc_count"].append(rel.soc[s, o])
         codes["utt_present"].append(
-            (_stored(rel, s, o, t) if present is None else present).reshape(-1)
+            (rel.stored(s, o, t) if present is None else present).reshape(-1)
         )
         codes["so_hc"].append(o == rel.soc_ranking[s, 0])
         codes["po_hc"].append(o == rel.poc_ranking[t, 0])
@@ -556,23 +550,40 @@ def build_table(
 # --- table emission and estimation adapters ---------------------------------
 
 
-def tsv_blocks(header, rows):
+def tsv_blocks(header, rows, checked=False):
     """A TSV table's text: its header line, then its rows' lines 256 at a time.
 
     A row's line is its string cells, one per column, joined by tabs. Each
-    block is checked whole: `read_tsv` could not read back a cell holding
-    a tab, LF or CR, so such a cell is an `InputError`.
+    block is checked whole, unless the caller has `checked` every cell:
+    `read_tsv` could not read back a cell holding a tab, LF or CR, so such
+    a cell is an `InputError` (`_refuse_breaks`).
     """
     yield "\t".join(header) + "\n"
     rows = iter(rows)
     while block := list(islice(rows, 256)):
         text = "\n".join(map("\t".join, block)) + "\n"
-        if "\r" in text or text.count("\t") + text.count("\n") != len(header) * len(block):
-            for row in block:
-                for name, cell in zip(header, row, strict=True):
-                    if "\t" in cell or "\n" in cell or "\r" in cell:
-                        raise InputError(f"a {name!r} cell holds a tab or line break: {cell!r}")
+        if not checked and (
+            "\r" in text or text.count("\t") + text.count("\n") != len(header) * len(block)
+        ):
+            _refuse_breaks(header, block)
         yield text
+
+
+def _holds_break(texts):
+    """Whether any of `texts` holds a tab, LF or CR."""
+    text = "".join(texts)
+    return "\t" in text or "\n" in text or "\r" in text
+
+
+def _refuse_breaks(header, rows):
+    """Raise an `InputError` naming the first cell of `rows`, in row order, holding a break.
+
+    A break is a tab, LF or CR.
+    """
+    for row in rows:
+        for name, cell in zip(header, row, strict=True):
+            if _holds_break((cell,)):
+                raise InputError(f"a {name!r} cell holds a tab or line break: {cell!r}")
 
 
 #: How a TSV cell of each kind is read.
@@ -606,18 +617,50 @@ def read_tsv(path, kinds, what):
 _PAIR_KINDS = {"treated": int, "control": int}  # a pairs file's columns
 
 
+def _formatted(column):
+    """`str` of each value of an int or bool column, a list: `str` runs once per distinct value."""
+    if column.min(initial=0) < 0:  # `bincount` counts from 0
+        values, index = np.unique(column, return_inverse=True)
+        labels = np.array(list(map(str, values.tolist())), object)
+    else:
+        index = column.astype(np.intp)
+        labels = np.empty(index.max(initial=-1) + 1, object)
+        present = np.flatnonzero(np.bincount(index, minlength=len(labels)))
+        labels[present] = list(map(str, present.astype(column.dtype).tolist()))
+    return labels[index].tolist()
+
+
 def write_population(pop, table_path, pairs_path):
     """Emit the population as TSV (header `POPULATION_FIELDS`) plus pair ids.
 
-    Each file lands whole (`landing`), and both are written out before
-    either is renamed into place: a write that fails, or a cell the
-    table refuses, leaves both paths as they were.
+    Each column is formatted per distinct value: a string column is the
+    string table taken by its codes, an int or bool column `str` of each
+    distinct value taken by index, and a cell is checked for a tab or
+    line break once per string-table entry and distinct prediction; only
+    if one holds one are the cells walked, to name the first such cell in
+    row order. Each file lands whole (`landing`), and both are written
+    out before either is renamed into place: a write that fails, or a
+    cell the table refuses, leaves both paths as they were.
     """
-    scores = pop.predicted or ("",) * len(pop), pop.outcomes or (0,) * len(pop)
-    rows = zip(*(map(str, column) for column in (*_decode(pop), *scores)), strict=True)
+    strings = list(map(str, pop.strings))
+    predicted = pop.predicted or ("",) * len(pop)
+    distinct = set(predicted)
+    if any(type(value) is not str for value in distinct):
+        predicted = list(map(str, predicted))
+        distinct = set(predicted)
+    texts = np.array(strings, object)
+    columns = [
+        texts[pop.codes[name]].tolist() if name in _STRING_FIELDS else _formatted(pop.codes[name])
+        for name in ROW_FIELDS
+    ]
+    outcomes = _formatted(np.asarray(pop.outcomes)) if pop.outcomes else ["0"] * len(pop)
+    columns += [predicted, outcomes]
+    if _holds_break(chain(strings, distinct)):
+        _refuse_breaks(POPULATION_FIELDS, zip(*columns, strict=True))
     with landing(table_path) as table, landing(pairs_path) as pairs:
-        table.writelines(tsv_blocks(POPULATION_FIELDS, rows))
-        pairs.writelines(tsv_blocks(_PAIR_KINDS, ((str(i), str(j)) for i, j in pop.pairs)))
+        table.writelines(tsv_blocks(POPULATION_FIELDS, zip(*columns, strict=True), checked=True))
+        cells = map(str, chain.from_iterable(pop.pairs))
+        pairs.writelines(tsv_blocks(_PAIR_KINDS, zip(cells, cells)))
         table.flush()
 
 

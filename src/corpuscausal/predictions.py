@@ -182,8 +182,12 @@ def _predict(kind, kb, stats, seed, relation, keys):
         top = _soc_argmax(rel, dict.fromkeys(subject for subject, _, _ in keys))
         return [top[subject] for subject, _, _ in keys]
     units = list(dict.fromkeys((subject, template) for subject, _, template in keys))
+    subjects = tuple(dict.fromkeys(subject for subject, _ in units))
+    s_of, t_of = ({text: i for i, text in enumerate(texts)} for texts in (subjects, rel.templates))
+    s, t = np.array([(s_of[x], t_of[y]) for x, y in units], np.intp).reshape(-1, 2).T
     n, k = len(units), len(candidates)
-    present = rel.stored(units, np.arange(n).repeat(k), np.tile(np.arange(k), n)).reshape(n, k)
+    o = np.tile(np.arange(k), n)
+    present = rel.stored(s.repeat(k), o, t.repeat(k), subjects).reshape(n, k)
     first = dict(zip(units, np.where(present.any(axis=1), present.argmax(axis=1), -1).tolist()))
     top = _soc_argmax(rel, {subject for (subject, _), j in first.items() if j < 0})
     return [

@@ -4,10 +4,13 @@ import cProfile
 import errno
 import io
 import json
+import os
 import pstats
 import random
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cached_property
 from hashlib import blake2b
@@ -51,9 +54,11 @@ from corpuscausal.population import (
     build_structure,
     population_observation_table,
     read_cache_entry,
+    score_population,
     write_population,
 )
 from corpuscausal.predictions import (
+    HYPOTHESES,
     PredictionSet,
     baseline_predict,
     load_predictions,
@@ -1116,6 +1121,121 @@ class TestCellCounts:
         assert cates >= 9
 
 
+def reference_write(pop, table_path, pairs_path):
+    """What `write_population` writes, made with `str` on every decoded cell: its oracle.
+
+    A cell holding a tab, LF or CR raises the writer's `InputError` for the
+    first such cell in row order, before anything is written.
+    """
+    scores = pop.predicted or ("",) * len(pop), pop.outcomes or (0,) * len(pop)
+    lines = ["\t".join(POPULATION_FIELDS)]
+    for row, predicted, outcome in zip(pop.rows, *scores, strict=True):
+        cells = [str(value) for value in (*row, predicted, outcome)]
+        for name, cell in zip(POPULATION_FIELDS, cells):
+            if "\t" in cell or "\n" in cell or "\r" in cell:
+                raise InputError(f"a {name!r} cell holds a tab or line break: {cell!r}")
+        lines.append("\t".join(cells))
+    table_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    pairs = [("treated", "control"), *pop.pairs]
+    pairs_path.write_bytes("".join(f"{i}\t{j}\n" for i, j in pairs).encode("utf-8"))
+
+
+class TestEmissionOracle:
+    """`write_population` formats each distinct value once; the bytes are those of `str` per cell."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", sorted(TestCellCounts.SHAPES))
+    def test_tables_equal_the_reference_writer(self, tmp_path, shape, seed):
+        gen = load_generator()
+        sizes = gen.Sizes(**TestCellCounts.SHAPES[shape], checkpoints=(0.5,))
+        paths = gen.Corpus(sizes, seed).write(tmp_path / "in")
+        kb = load_knowledge_base(paths["kb"], paths["patterns"])
+        idx = build_index(str(paths["corpus"]))
+        predictions = load_predictions(paths["checkpoint00"], kb)
+        for hyp in HYPOTHESES:
+            pop = build_structure(hyp, kb, idx, min_poc_frequency=0)
+            for form in (pop, score_population(pop, predictions)):
+                written = [tmp_path / f"{hyp}.tsv", tmp_path / f"{hyp}_pairs.tsv"]
+                expected = [tmp_path / f"{hyp}.ref.tsv", tmp_path / f"{hyp}_pairs.ref.tsv"]
+                write_population(form, *written)
+                reference_write(form, *expected)
+                for path, reference in zip(written, expected):
+                    assert path.read_bytes() == reference.read_bytes(), (shape, seed, hyp)
+            assert 1 in form.outcomes and 0 in form.outcomes
+
+    @pytest.mark.parametrize("brk", ["\t", "\n", "\r"])
+    @pytest.mark.parametrize("where", [
+        "string table", "prediction", "both, prediction first", "both, string first"])
+    def test_a_break_is_refused_as_the_reference_refuses_it(self, tmp_path, where, brk):
+        # the first cell in row order that holds a break is named, wherever
+        # the break came from, and neither file is left
+        bad = f"Cy{brk}Lee" if where != "prediction" else "Cy"
+        kb = KnowledgeBase(
+            triplets=(Triplet("Ann", "r", "Xo"), Triplet("Bo", "r", "Yu"), Triplet(bad, "r", "Xo")),
+            patterns=(PatternSpec("r", "[X] likes [Y]."), PatternSpec("r", "[X] met [Y]")),
+        )
+        pop = build_structure("soc", kb, build_index(["Bo likes Yu.", "Ann and Xo met."]))
+        records = dict.fromkeys(pop.cloze_keys, "Xo")
+        if where != "string table":
+            subject = "Ann" if where == "both, prediction first" else bad
+            key = next(key for key in pop.cloze_keys if key[0] == subject)
+            records[key] = f"Yu{brk}"
+        scored = score_population(pop, PredictionSet(records, "handmade"))
+        forms = [scored] if where == "prediction" else [pop, scored]
+        for form in forms:
+            with pytest.raises(InputError) as expected:
+                reference_write(form, tmp_path / "ref.tsv", tmp_path / "ref_pairs.tsv")
+            with pytest.raises(InputError) as err:
+                write_population(form, tmp_path / "soc.tsv", tmp_path / "soc_pairs.tsv")
+            assert str(err.value) == str(expected.value)
+            assert list(tmp_path.iterdir()) == []
+        named = "'subject'" if where in ("string table", "both, string first") else "'prediction'"
+        assert str(err.value).startswith(f"a {named} cell")
+
+
+class TestNoImportsDuringARun:
+    """A run imports no module that importing `corpuscausal.pipeline` has not.
+
+    A one-run process pays for any module a run imports: on numpy 2.x,
+    `np.unique` called with no ``return_*`` flag imports `numpy.ma`, which
+    cost an estimate-cold op about 23 ms and 0.5 MB of peak memory.
+    """
+
+    CODE = """
+import json, sys
+from pathlib import Path
+import corpuscausal.pipeline as pipeline
+before = set(sys.modules)
+settings = json.loads(sys.argv[1])
+out = Path(settings["output_dir"])
+config = pipeline.RunConfig(**settings, predictions="baseline:heuristic")
+report = pipeline.run_estimate(config, emit_populations=True)
+pipeline.emit_report(report, "structured", out / "estimate.json")
+entries = sorted(Path(settings["cache_dir"]).iterdir())
+report = pipeline.run_dynamics(pipeline.RunConfig(**settings), sys.argv[2:])
+pipeline.emit_report(report, "structured", out / "dynamics.json")
+assert sorted(Path(settings["cache_dir"]).iterdir()) == entries and len(entries) == 3
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+    def test_estimate_cold_and_warm_dynamics_import_nothing(self, tmp_path):
+        gen = load_generator()
+        sizes = gen.Sizes(**TestCellCounts.SHAPES["estimate-cold"], checkpoints=(0.0, 0.5))
+        paths = gen.Corpus(sizes, 0).write(tmp_path / "in")
+        build_index(str(paths["corpus"])).save(tmp_path / "corpus.idx")
+        settings = dict(kb=str(paths["kb"]), patterns=str(paths["patterns"]),
+                        index=str(tmp_path / "corpus.idx"), output_dir=str(tmp_path / "out"),
+                        cache_dir=str(tmp_path / "cache"))
+        src = str(Path(corpus.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CODE, json.dumps(settings),
+             str(paths["checkpoint00"]), str(paths["checkpoint01"])],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+
 class TestRunBuildPopulation:
     def test_each_hypothesis_is_written_before_it_is_yielded(self, crossed_files):
         config = config_for(crossed_files, "baseline:heuristic")
@@ -1693,8 +1813,8 @@ class TestFilesLandWhole:
             real, error = population.tsv_blocks, OSError
             failing = POPULATION_FIELDS if failure == "table block" else ("treated", "control")
 
-            def blocks(header, rows):  # the header line, then a full disk
-                lines = real(header, rows)
+            def blocks(header, rows, **options):  # the header line, then a full disk
+                lines = real(header, rows, **options)
                 yield next(lines)
                 if tuple(header) == failing:
                     raise OSError("no space left on device")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from corpuscausal.corpus import (
     BIN_EDGES,
     CorpusIndex,
+    RelationView,
     bin_count,
     build_index,
     instantiate,
@@ -717,6 +718,88 @@ class TestUtteranceProbes:
             )
             assert preds.get(subject, relation, template) == expected, (subject, template)
         assert 0 < found < len(queries)
+
+
+#: Values and templates for the probe pruning property: padded, blank,
+#: tab-holding and punctuation-edged values, and templates with a word
+#: character beside a slot or with adjacent slots, which are never pruned.
+_PROBE_VALUES = ("Ann", "Bo", "Ann Bo", " Cy", "Di  ", "Ed\tFa", "", "  ", "(Ann)", "Ann.",
+                 "Xo", "Yu")
+_PROBE_TEMPLATES = ("[X] likes [Y].", "[X]s like [Y].", "x[Y] by [X]", "[X][Y]", "([X]) met [Y]",
+                    " [Y] hosts [X]. ", "[Y]-[X]", "[X] left\t[Y]", "[Y] [X]s")
+
+
+@st.composite
+def probed_views(draw):
+    """A view over an index of some of its utterances and co-mentions, and subjects outside it."""
+    values = st.sampled_from(_PROBE_VALUES)
+    subjects = draw(st.lists(values, min_size=1, max_size=4, unique=True))
+    outside = draw(st.lists(values.filter(lambda v: v not in subjects), max_size=2, unique=True))
+    candidates = sorted(draw(st.lists(values, min_size=1, max_size=4, unique=True)))
+    templates = draw(st.lists(st.sampled_from(_PROBE_TEMPLATES), min_size=1, max_size=4,
+                              unique=True))
+    fills = st.tuples(st.sampled_from(templates), st.sampled_from(subjects + outside),
+                      st.sampled_from(candidates))
+    lines = [instantiate(*fill) for fill in draw(st.lists(fills, max_size=12))]
+    lines += [f"{a} and {b} met." for a, b in draw(st.lists(st.tuples(values, values), max_size=4))]
+    return RelationView(build_index(lines), "r", subjects, candidates, templates), tuple(outside)
+
+
+class TestPrunedProbes:
+    """`RelationView.stored` reads a row with no co-mention as not stored, unprobed,
+    only where that cannot change its answer."""
+
+    @staticmethod
+    def probe(template, subject, obj):
+        left, right = split_around(template, "[Y]", subject)
+        return left + obj + right
+
+    @given(probed_views(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_stored_equals_the_unpruned_probe(self, drawn, data):
+        # the builders' rows (the view's subjects), and heuristic-utt's (any
+        # subjects, some outside the view), in any order and repeated
+        view, outside = drawn
+        for subjects in (None, outside + view.subjects):
+            texts = view.subjects if subjects is None else subjects
+            grid = [(s, o, t) for s in range(len(texts)) for o in range(len(view.candidates))
+                    for t in range(len(view.templates))]
+            rows = data.draw(st.lists(st.sampled_from(grid), max_size=3 * len(grid)))
+            s, o, t = np.array(rows, np.intp).reshape(-1, 3).T
+            expected = [
+                view.index.utterance_present(
+                    self.probe(view.templates[k], texts[i], view.candidates[j]))
+                for i, j, k in rows
+            ]
+            assert view.stored(s, o, t, subjects).tolist() == expected
+
+    def test_only_rows_that_can_be_stored_are_probed(self):
+        # soc(Ann, Xo) = 1, so that row is probed; the other rows of the
+        # bounded template have soc 0, and none is probed; a word character
+        # beside a slot, or a subject outside the view, is always probed
+        idx = build_index(["Ann likes Xo.", "Anns like Yu.", "Cy likes Yu.", "Bo met."])
+        looked_up = []
+
+        class Recorded(frozenset):
+            def __contains__(self, text):
+                looked_up.append(text)
+                return super().__contains__(text)
+
+        idx.sentence_set = Recorded(idx.sentences)
+        view = RelationView(idx, "r", ("Ann", "Bo"), ("Xo", "Yu"),
+                            ("[X] likes [Y].", "[X]s like [Y]."))
+        everything = [(s, o, t) for s in range(2) for o in range(2) for t in range(2)]
+        s, o, t = np.array(everything).T
+        assert view.stored(s, o, t).tolist() == [
+            (s, o, t) in {(0, 0, 0), (0, 1, 1)} for s, o, t in everything]
+        assert looked_up == ["Ann likes Xo.", "Anns like Xo.", "Anns like Yu.", "Bos like Xo.",
+                             "Bos like Yu."]
+        looked_up.clear()
+        assert view.stored([0, 0], [0, 1], [0, 0], ("Cy",)).tolist() == [False, True]
+        assert looked_up == ["Cy likes Xo.", "Cy likes Yu."]
+        looked_up.clear()
+        assert not view.stored([1, 1], [0, 1], [0, 0]).any()
+        assert looked_up == []
 
 
 class TestEmission:
