@@ -44,9 +44,34 @@ MUTANTS = (
     Mutant(
         "a blank subject pruned",
         "corpus.py",
-        "pruned = ((in_view >= 0) & filled_s)[s] & apart[t] & filled_o[o]",
-        "pruned = (in_view >= 0)[s] & apart[t] & filled_o[o]",
+        "pruned = filled_s[s] & apart[t] & filled_o[o]",
+        "pruned = apart[t] & filled_o[o]",
         ("tests/test_population.py::TestPrunedProbes::test_pruned_stored_equals_the_unpruned_probe",),
+    ),
+    Mutant(
+        "outside query subjects left out of the heuristic view",
+        "predictions.py",
+        "    subjects += tuple(sorted({subject for subject, _, _ in keys}.difference(subjects)))\n",
+        "",
+        ("tests/test_predictions.py::TestBaselines::test_heuristic_utt_equals_the_per_candidate_scan",
+         "tests/test_predictions.py::TestBaselines::test_heuristic_argmax_equals_the_per_query_form"),
+    ),
+    Mutant(
+        "ids read for another table reused",
+        "population.py",
+        "if table is not self:",
+        "if table is None:",
+        ("tests/test_population.py::TestScoringOracle::"
+         "test_a_set_scored_through_two_tables_gets_each_tables_own",),
+    ),
+    Mutant(
+        "kb.objects_of scans the triplets",
+        "kb.py",
+        "return self._objects.get((subject, relation), ())",
+        "return tuple(sorted({t.object for t in filter(\n"
+        "            lambda t: (t.subject, t.relation) == (subject, relation), self.triplets)}))",
+        ("tests/test_pipeline.py::TestScaling::"
+         "test_warm_dynamics_call_counts_grow_at_most_linearly_in_subjects",),
     ),
     Mutant(
         "prediction cells left unchecked",

@@ -571,57 +571,50 @@ class RelationView:
     poc = cached_property(lambda self: self.index.poc_matrix(self.templates, self.candidates))
     poc_ranking = cached_property(lambda self: ranked_columns(self.poc))
 
-    def stored(self, s, o, t, subjects=None):
+    def stored(self, s, o, t):
         """Whether the utterance of each row is stored in the corpus.
 
         Row k fills template ``templates[t[k]]`` with subject
-        ``subjects[s[k]]``, the view's own unless `subjects` is given, and
-        candidate ``candidates[o[k]]``. Its probe is ``left + candidate +
-        right``, with ``left, right = split_around(template, "[Y]",
-        subject)``, looked up as it is when all three are in normal form,
-        else first normalised (`_forms`).
+        ``subjects[s[k]]`` and candidate ``candidates[o[k]]``. Its probe
+        is ``left + candidate + right``, with ``left, right =
+        split_around(template, "[Y]", subject)``, looked up as it is when
+        all three are in normal form, else first normalised (`_forms`).
 
         A stored utterance names both of its values, so it is stored only
         where their soc count is above 0. A row is read as not stored,
-        with no probe, when its subject is one of the view's, neither
-        value is blank once normalised, its template has a non-word
-        character or the text's edge on either side of each slot, and the
-        soc count is 0: each value is then whole words of the utterance,
-        where `entity_postings` finds it. Every other row is probed; in
-        ``[X]s``, ``x[Y]`` or ``[X][Y]`` a value runs into a word, and its
-        utterance may be stored with a count of 0. Each probed (subject,
-        template) unit's two sides are spliced once, as arrays.
+        with no probe, when neither value is blank once normalised, its
+        template has a non-word character or the text's edge on either
+        side of each slot, and the soc count is 0: each value is then
+        whole words of the utterance, where `entity_postings` finds it.
+        Every other row is probed; in ``[X]s``, ``x[Y]`` or ``[X][Y]`` a
+        value runs into a word, and its utterance may be stored with a
+        count of 0. Each probed (subject, template) unit's two sides are
+        spliced once, as arrays.
         """
-        subjects = self.subjects if subjects is None else tuple(subjects)
         s, o, t = (np.asarray(a, np.intp) for a in (s, o, t))
         parts = [template_parts(template) for template in self.templates]
-        if subjects is self.subjects:
-            in_view = np.arange(len(subjects))
-        else:
-            own = dict(zip(self.subjects, range(len(self.subjects))))
-            in_view = np.array([own.get(subject, -1) for subject in subjects], np.intp)
         (normal_s, filled_s), (normal_o, filled_o), (normal_t, _) = map(
-            _forms, (subjects, self.candidates, self.templates))
+            _forms, (self.subjects, self.candidates, self.templates))
         apart = np.array([_slots_apart(pieces) for pieces, _ in parts], np.bool_)
-        pruned = ((in_view >= 0) & filled_s)[s] & apart[t] & filled_o[o]
+        pruned = filled_s[s] & apart[t] & filled_o[o]
         if pruned.any():
             rows = np.flatnonzero(pruned)
-            pruned[rows] = self.soc[in_view[s[rows]], o[rows]] == 0
+            pruned[rows] = self.soc[s[rows], o[rows]] == 0
         found = np.zeros(len(o), np.bool_)
         live = np.flatnonzero(~pruned)
         if not len(live):
             return found
         s, o, t = s[live], o[live], t[live]
         # the units with a live row, and each live row's place among them
-        unit = t * len(subjects) + s
+        unit = t * len(self.subjects) + s
         units = np.flatnonzero(np.bincount(unit))
         place = np.zeros(units[-1] + 1, np.intp)
         place[units] = np.arange(len(units))
-        unit, (ut, us) = place[unit], np.divmod(units, len(subjects))
+        unit, (ut, us) = place[unit], np.divmod(units, len(self.subjects))
         # a unit's sides, as `split_around(template, "[Y]", subject)` splits them
         head, mid, tail = (np.array(piece, object)[ut] for piece in zip(*(p for p, _ in parts)))
         x_first = np.array([slots[0] == "[X]" for _, slots in parts], np.bool_)[ut]
-        value = np.array(subjects, object)[us]
+        value = np.array(self.subjects, object)[us]
         head[x_first] += value[x_first] + mid[x_first]
         tail[~x_first] = mid[~x_first] + value[~x_first] + tail[~x_first]
         probes = (head[unit] + np.array(self.candidates, object)[o] + tail[unit]).tolist()

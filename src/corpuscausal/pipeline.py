@@ -45,6 +45,8 @@ from .population import (
     # not called here: a cache entry has its own format (`read_cache_entry`);
     # perfbench traces the name in this module
     read_population,
+    # not called here: a run scores through its one key table (`_Runtime.keys`);
+    # perfbench traces the name in this module
     score_population,
     tsv_blocks,
     write_cache_entry,
@@ -419,7 +421,7 @@ def run_build_population(config, hypotheses):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for hyp in hypotheses:
-        scored = score_population(rt.populations[hyp], rt.predictions_for(hyp))
+        scored = rt.keys.score(hyp, rt.predictions_for(hyp))
         _write_tables(scored, out, hyp)
         keys = rt.populations[hyp].cloze_keys
         queries = ((s, r, t, instantiate(t, s, config.mask_token)) for s, r, t in keys)

@@ -385,7 +385,8 @@ class ClozeKeyTable:
     asked for. A set `load_predictions` read for this table carries its
     ids, read with the table's `candidate_ids` and its normalisation memo
     `normal`, which every file of the run shares; any other set takes
-    one lookup pass over `keys`.
+    one lookup pass over `keys` and then carries the ids it found, until
+    another table scores it. The table keeps no prediction set.
     """
 
     def __init__(self, populations, kb=None):
@@ -404,7 +405,7 @@ class ClozeKeyTable:
             local = [ids.setdefault(pop.strings[code].strip(), len(ids)) for code in objects]
             self.row_objects[hyp] = np.array(local, np.intp)[object_index]
         self.keys, self.object_ids = tuple(self.position), ids
-        self._looked_up, self._strata = {}, {}
+        self._strata = {}
 
     def _key_pass(self, predictions):
         values = list(map(predictions.records.get, self.keys))
@@ -417,16 +418,14 @@ class ClozeKeyTable:
         """Each key's trimmed object id under `predictions`: -1 none, -2 no prediction.
 
         It raises what `score_population` raises, if that raises. A set
-        read for this table brings its ids; any other set is looked up
-        (`_key_pass`) once: a set some population was last checked with
-        is not looked up again.
+        that carries no ids for this table is looked up (`_key_pass`), and
+        then carries them (`PredictionSet.key_ids`).
         """
         pop = self.populations[hypothesis]
         table, found = predictions.key_ids or (None, None)
         if table is not self:
-            seen = [ids for looked_up, ids in self._looked_up.values() if looked_up is predictions]
-            found = seen[0] if seen else self._key_pass(predictions)
-        self._looked_up[hypothesis] = predictions, found
+            found = self._key_pass(predictions)
+            object.__setattr__(predictions, "key_ids", (self, found))
         blank = self.object_ids.get("", -1)
         if (pop.hypothesis not in HYPOTHESES or (self.row_objects[hypothesis] == blank).any()
                 or (found[self.key_rows[hypothesis]] == -2).any()):
@@ -485,13 +484,8 @@ class ClozeKeyTable:
         ), np.int64)
 
     def score(self, hypothesis, predictions):
-        """The population with its ``predicted`` and ``outcomes`` columns set.
-
-        The table then lets the prediction set go, as far as this
-        population is concerned.
-        """
+        """The population with its ``predicted`` and ``outcomes`` columns set."""
         outcomes = self.outcomes(hypothesis, predictions)
-        del self._looked_up[hypothesis]
         pop = self.populations[hypothesis]
         values = list(map(predictions.records.__getitem__, pop.cloze_keys))
         predicted = np.array(values, object)[pop.key_index]

@@ -31,9 +31,11 @@ HYPOTHESES = ("utt", "poc", "soc")
 class PredictionSet:
     """`records` maps each (subject, relation, template) key to its predicted object.
 
-    `key_ids`, which only `load_predictions` sets, on a set it read for a
-    `ClozeKeyTable`, is that table and the predicted object id of each of
-    its keys.
+    `key_ids` is a `ClozeKeyTable` and the predicted object id of each of
+    its keys: `load_predictions` sets it on a set it reads for a table,
+    and a table on a set that carries no ids for it when it scores it. A
+    set is read as immutable once scored: its ids are never checked
+    against its records again.
     """
 
     records: dict
@@ -162,8 +164,10 @@ def baseline_predict(kind, kb, stats=None, queries=(), seed=None):
 def _predict(kind, kb, stats, seed, relation, keys):
     """The predictions of one relation's distinct query keys, in their order.
 
-    A heuristic reads the relation's view, as the builders do. heuristic-utt
-    probes each (subject, template) unit with every candidate in one pass.
+    A heuristic reads the relation's view, as the builders do: its subjects
+    are the KB's, then the query subjects outside them in text order.
+    heuristic-utt probes each (subject, template) unit with every candidate
+    in one pass.
     """
     candidates = kb.candidate_objects(relation)
     if kind == "perfect":
@@ -174,7 +178,9 @@ def _predict(kind, kb, stats, seed, relation, keys):
     if kind == "random":
         return [candidates[_random_index(seed, *key, len(candidates))] for key in keys]
     templates = dict.fromkeys(template for _, _, template in keys)
-    rel = RelationView(stats, relation, kb.subjects(relation), candidates, templates)
+    subjects = kb.subjects(relation)
+    subjects += tuple(sorted({subject for subject, _, _ in keys}.difference(subjects)))
+    rel = RelationView(stats, relation, subjects, candidates, templates)
     if kind == "heuristic-poc":
         top = dict(zip(rel.templates, rel.poc_ranking[:, 0].tolist()))
         return [candidates[top[template]] for _, _, template in keys]
@@ -182,12 +188,10 @@ def _predict(kind, kb, stats, seed, relation, keys):
         top = _soc_argmax(rel, dict.fromkeys(subject for subject, _, _ in keys))
         return [top[subject] for subject, _, _ in keys]
     units = list(dict.fromkeys((subject, template) for subject, _, template in keys))
-    subjects = tuple(dict.fromkeys(subject for subject, _ in units))
     s_of, t_of = ({text: i for i, text in enumerate(texts)} for texts in (subjects, rel.templates))
     s, t = np.array([(s_of[x], t_of[y]) for x, y in units], np.intp).reshape(-1, 2).T
     n, k = len(units), len(candidates)
-    o = np.tile(np.arange(k), n)
-    present = rel.stored(s.repeat(k), o, t.repeat(k), subjects).reshape(n, k)
+    present = rel.stored(s.repeat(k), np.tile(np.arange(k), n), t.repeat(k)).reshape(n, k)
     first = dict(zip(units, np.where(present.any(axis=1), present.argmax(axis=1), -1).tolist()))
     top = _soc_argmax(rel, {subject for (subject, _), j in first.items() if j < 0})
     return [
@@ -197,11 +201,8 @@ def _predict(kind, kb, stats, seed, relation, keys):
 
 
 def _soc_argmax(rel, subjects):
-    """Each of `subjects` -> its soc rank-0 candidate in `rel`."""
+    """Each of `subjects`, subjects of `rel`, -> its soc rank-0 candidate."""
     top = dict(zip(rel.subjects, rel.soc_ranking[:, 0].tolist())) if subjects else {}
-    for subject in set(subjects) - top.keys():  # outside the KB: a one-row view of its own
-        outside = RelationView(rel.index, rel.name, (subject,), rel.candidates)
-        top[subject] = outside.soc_ranking[0, 0]
     return {subject: rel.candidates[top[subject]] for subject in subjects}
 
 

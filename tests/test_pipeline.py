@@ -967,12 +967,14 @@ class TestScaling:
                     "corpus.normalize_text"}
 
     @staticmethod
-    def calls(out, sizes, predictions="checkpoint00", variants=False):
+    def calls(out, sizes, predictions="checkpoint00", variants=False, dynamics=False):
         """Each library function's call count in one estimate run on generated `sizes`.
 
         With `variants`, the run reads a copy of the patterns file with a
         variant of each template appended, one literal word longer: twice
-        the templates per relation.
+        the templates per relation. With `dynamics`, the run counted is a
+        warm dynamics run over the generated checkpoints, on the population
+        cache an estimate run filled first.
         """
         gen = load_generator()
         paths = gen.Corpus(gen.Sizes(**sizes), seed=7).write(out / "in")
@@ -983,11 +985,17 @@ class TestScaling:
             write_jsonl(paths["patterns"], records + [
                 {**record, "template": "Reportedly " + record["template"]} for record in records
             ])
+        cache = {"cache_dir": str(out / "cache")} if dynamics else {}
+        config = TestMetamorphic.config(paths, out / "out", predictions, **cache)
+        run, args = run_estimate, (config,)
+        if dynamics:
+            assert run_estimate(config).failures() == {}
+            checkpoints = sorted(str(path) for name, path in paths.items()
+                                 if name.startswith("checkpoint"))
+            run, args = run_dynamics, (config, checkpoints)
         template_parts.cache_clear()  # the one memo that outlives a run
         profile = cProfile.Profile()
-        report = profile.runcall(
-            run_estimate, TestMetamorphic.config(paths, out / "out", predictions)
-        )
+        report = profile.runcall(run, *args)
         assert report.failures() == {}
         package = Path(pipeline.__file__).parent
         return {
@@ -1009,6 +1017,16 @@ class TestScaling:
         for axis in self.AXES:
             doubled = self.calls(tmp_path / axis, dict(self.BASE, **{axis: 2 * self.BASE[axis]}))
             self.assert_linear(base, doubled, axis)
+
+    def test_warm_dynamics_call_counts_grow_at_most_linearly_in_subjects(self, tmp_path):
+        # a warm run builds no population: the KB's golds are read only to
+        # score each checkpoint's accuracy, one lookup per utt cloze key
+        base = self.calls(tmp_path / "base", self.BASE, dynamics=True)
+        assert any(name.startswith("kb.objects_of:") for name in base)
+        assert not any(name.startswith("population.build_structure:") for name in base)
+        doubled = self.calls(tmp_path / "subjects",
+                             dict(self.BASE, subjects=2 * self.BASE["subjects"]), dynamics=True)
+        self.assert_linear(base, doubled, "subjects")
 
     def test_only_the_corpus_reader_counts_sentences(self, tmp_path):
         base = self.calls(tmp_path / "base", self.BASE)

@@ -1,6 +1,7 @@
 """Population construction: pairing recipes, filters, emission."""
 
 import tempfile
+import weakref
 from contextlib import ExitStack
 from dataclasses import replace
 from operator import attrgetter
@@ -731,18 +732,23 @@ _PROBE_TEMPLATES = ("[X] likes [Y].", "[X]s like [Y].", "x[Y] by [X]", "[X][Y]",
 
 @st.composite
 def probed_views(draw):
-    """A view over an index of some of its utterances and co-mentions, and subjects outside it."""
+    """A view over an index of some of its utterances and co-mentions.
+
+    Its subjects are a KB's, then some outside the KB in text order, as
+    heuristic-utt's view appends its query subjects that are not the KB's.
+    """
     values = st.sampled_from(_PROBE_VALUES)
     subjects = draw(st.lists(values, min_size=1, max_size=4, unique=True))
     outside = draw(st.lists(values.filter(lambda v: v not in subjects), max_size=2, unique=True))
+    subjects += sorted(outside)
     candidates = sorted(draw(st.lists(values, min_size=1, max_size=4, unique=True)))
     templates = draw(st.lists(st.sampled_from(_PROBE_TEMPLATES), min_size=1, max_size=4,
                               unique=True))
-    fills = st.tuples(st.sampled_from(templates), st.sampled_from(subjects + outside),
+    fills = st.tuples(st.sampled_from(templates), st.sampled_from(subjects),
                       st.sampled_from(candidates))
     lines = [instantiate(*fill) for fill in draw(st.lists(fills, max_size=12))]
     lines += [f"{a} and {b} met." for a, b in draw(st.lists(st.tuples(values, values), max_size=4))]
-    return RelationView(build_index(lines), "r", subjects, candidates, templates), tuple(outside)
+    return RelationView(build_index(lines), "r", subjects, candidates, templates)
 
 
 class TestPrunedProbes:
@@ -756,27 +762,25 @@ class TestPrunedProbes:
 
     @given(probed_views(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_pruned_stored_equals_the_unpruned_probe(self, drawn, data):
-        # the builders' rows (the view's subjects), and heuristic-utt's (any
-        # subjects, some outside the view), in any order and repeated
-        view, outside = drawn
-        for subjects in (None, outside + view.subjects):
-            texts = view.subjects if subjects is None else subjects
-            grid = [(s, o, t) for s in range(len(texts)) for o in range(len(view.candidates))
-                    for t in range(len(view.templates))]
-            rows = data.draw(st.lists(st.sampled_from(grid), max_size=3 * len(grid)))
-            s, o, t = np.array(rows, np.intp).reshape(-1, 3).T
-            expected = [
-                view.index.utterance_present(
-                    self.probe(view.templates[k], texts[i], view.candidates[j]))
-                for i, j, k in rows
-            ]
-            assert view.stored(s, o, t, subjects).tolist() == expected
+    def test_pruned_stored_equals_the_unpruned_probe(self, view, data):
+        # any of the view's rows, a subject outside the KB's too, in any
+        # order and repeated
+        grid = [(s, o, t) for s in range(len(view.subjects)) for o in range(len(view.candidates))
+                for t in range(len(view.templates))]
+        rows = data.draw(st.lists(st.sampled_from(grid), max_size=3 * len(grid)))
+        s, o, t = np.array(rows, np.intp).reshape(-1, 3).T
+        expected = [
+            view.index.utterance_present(
+                self.probe(view.templates[k], view.subjects[i], view.candidates[j]))
+            for i, j, k in rows
+        ]
+        assert view.stored(s, o, t).tolist() == expected
 
     def test_only_rows_that_can_be_stored_are_probed(self):
         # soc(Ann, Xo) = 1, so that row is probed; the other rows of the
         # bounded template have soc 0, and none is probed; a word character
-        # beside a slot, or a subject outside the view, is always probed
+        # beside a slot is always probed; a subject outside the KB, once a
+        # row of the view, is pruned as the KB's are
         idx = build_index(["Ann likes Xo.", "Anns like Yu.", "Cy likes Yu.", "Bo met."])
         looked_up = []
 
@@ -786,7 +790,7 @@ class TestPrunedProbes:
                 return super().__contains__(text)
 
         idx.sentence_set = Recorded(idx.sentences)
-        view = RelationView(idx, "r", ("Ann", "Bo"), ("Xo", "Yu"),
+        view = RelationView(idx, "r", ("Ann", "Bo", "Cy"), ("Xo", "Yu"),
                             ("[X] likes [Y].", "[X]s like [Y]."))
         everything = [(s, o, t) for s in range(2) for o in range(2) for t in range(2)]
         s, o, t = np.array(everything).T
@@ -795,8 +799,8 @@ class TestPrunedProbes:
         assert looked_up == ["Ann likes Xo.", "Anns like Xo.", "Anns like Yu.", "Bos like Xo.",
                              "Bos like Yu."]
         looked_up.clear()
-        assert view.stored([0, 0], [0, 1], [0, 0], ("Cy",)).tolist() == [False, True]
-        assert looked_up == ["Cy likes Xo.", "Cy likes Yu."]
+        assert view.stored([2, 2], [0, 1], [0, 0]).tolist() == [False, True]
+        assert looked_up == ["Cy likes Yu."]
         looked_up.clear()
         assert not view.stored([1, 1], [0, 1], [0, 0]).any()
         assert looked_up == []
@@ -1433,3 +1437,28 @@ class TestScoringOracle:
             table = ClozeKeyTable({hyp: pop}, crossed_kb)
             assert table.cells(hyp, perfect).sum() == len(pop)
             assert table.accuracy(perfect) == (1.0 if hyp == "utt" else None)
+
+    def test_a_set_scored_through_two_tables_gets_each_tables_own(self, crossed_kb, crossed_index):
+        # a set carries the ids of the table it was last scored through; a
+        # table over other populations, or over the same in another key
+        # order, looks the set up again, and no table keeps the set
+        pops = {hyp: build_structure(hyp, crossed_kb, crossed_index, min_poc_frequency=0)
+                for hyp in ("utt", "poc", "soc")}
+        keys = TestCommonBehavior().all_keys(crossed_kb)
+        tables = [ClozeKeyTable({"soc": pops["soc"]}, crossed_kb),
+                  ClozeKeyTable(pops, crossed_kb)]
+        assert tables[0].keys != tables[1].keys[:len(tables[0].keys)]
+        for seed in range(3):
+            predictions = baseline_predict("random", crossed_kb, queries=keys, seed=seed)
+            for table in (*tables, *tables):
+                for hyp, pop in table.populations.items():
+                    expected = [int(predictions.get(r.subject, r.relation, r.template).strip()
+                                    == r.object.strip()) for r in pop.rows]
+                    assert table.outcomes(hyp, predictions).tolist() == expected
+                    alone = ClozeKeyTable({hyp: pop}, crossed_kb)
+                    assert (table.cells(hyp, predictions).tolist()
+                            == alone.cells(hyp, replace(predictions)).tolist())
+                    assert predictions.key_ids[0] is table
+            kept = weakref.ref(predictions)
+            del predictions
+            assert kept() is None

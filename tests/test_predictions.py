@@ -229,6 +229,33 @@ class TestLoadPredictionsOncePerDistinctValue:
         assert message in str(err.value)
 
 
+def heuristic_inputs(fixture, crossed_kb):
+    """A fixture's KB, an index of its corpus, and queries of each pattern with the relation's subjects.
+
+    For ``<fixture>-outside``, each pattern is first queried with subjects
+    that are not the relation's, in reverse text order: every other
+    relation's subjects, one whose utterance under the relation's first
+    pattern the corpus also stores, and one that no sentence names.
+    """
+    if fixture.startswith("golden"):
+        kb, lines = golden_fixture.knowledge_base(), golden_fixture.corpus_lines()
+    else:
+        kb, lines = crossed_kb, crossed_corpus_lines()
+    queries = []
+    if fixture.endswith("-outside"):
+        first = {}
+        for p in kb.patterns:
+            first.setdefault(p.relation, p.template)
+        lines = [*lines, *(instantiate(template, "Zed Outsider", kb.candidate_objects(relation)[-1])
+                           for relation, template in first.items())]
+        everyone = {s for relation in kb.relations for s in kb.subjects(relation)}
+        for p in kb.patterns:
+            strangers = everyone.difference(kb.subjects(p.relation)) | {"Zed Outsider", "Nobody"}
+            queries += [(s, p.relation, p.template) for s in sorted(strangers, reverse=True)]
+    queries += [(s, p.relation, p.template) for p in kb.patterns for s in kb.subjects(p.relation)]
+    return kb, build_index(lines), queries
+
+
 class TestBaselines:
     def test_heuristic_soc_picks_most_cooccurring(self, crossed_kb):
         # Barack Obama's most co-occurring candidate location is Chicago
@@ -309,17 +336,9 @@ class TestBaselines:
         # as it is when it is in normal form, else normalised first
         assert lookups == [instantiate(template, "Paris", o) for o in (first, second)] * 2
 
-    @pytest.mark.parametrize("fixture", ["golden", "crossed"])
+    @pytest.mark.parametrize("fixture", ["golden", "crossed", "golden-outside", "crossed-outside"])
     def test_heuristic_utt_equals_the_per_candidate_scan(self, fixture, crossed_kb):
-        if fixture == "golden":
-            kb, idx = golden_fixture.knowledge_base(), golden_fixture.corpus_index()
-        else:
-            kb, idx = crossed_kb, build_index(crossed_corpus_lines())
-        queries = [
-            (s, p.relation, p.template)
-            for p in kb.patterns
-            for s in kb.subjects(p.relation)
-        ]
+        kb, idx, queries = heuristic_inputs(fixture, crossed_kb)
         preds = baseline_predict("heuristic-utt", kb, stats=idx, queries=queries)
         stored = 0
         for subject, relation, template in queries:
@@ -339,17 +358,9 @@ class TestBaselines:
         assert 0 < stored < len(queries)
 
     @pytest.mark.parametrize("kind", ["heuristic-soc", "heuristic-poc"])
-    @pytest.mark.parametrize("fixture", ["golden", "crossed"])
+    @pytest.mark.parametrize("fixture", ["golden", "crossed", "golden-outside", "crossed-outside"])
     def test_heuristic_argmax_equals_the_per_query_form(self, fixture, kind, crossed_kb):
-        if fixture == "golden":
-            kb, idx = golden_fixture.knowledge_base(), golden_fixture.corpus_index()
-        else:
-            kb, idx = crossed_kb, build_index(crossed_corpus_lines())
-        queries = [
-            (s, p.relation, p.template)
-            for p in kb.patterns
-            for s in kb.subjects(p.relation)
-        ]
+        kb, idx, queries = heuristic_inputs(fixture, crossed_kb)
         preds = baseline_predict(kind, kb, stats=idx, queries=queries)
         # the oracle counts on a fresh index, so no ranking is shared with it
         fresh = build_index(idx.sentences)

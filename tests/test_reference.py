@@ -20,6 +20,7 @@ from functools import cache
 from itertools import chain
 from pathlib import Path
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from corpuscausal.estimator import exact_joint_do
 from corpuscausal.pipeline import RunConfig, emit_report, run_dynamics, run_estimate
 from corpuscausal.predictions import outcome_flag
 
-from conftest import write_jsonl
+from conftest import load_generator, write_jsonl
 
 HYPOTHESES = ("utt", "poc", "soc")
 LABELS = ("XS", "S", "M", "L", "XL")
@@ -75,7 +76,7 @@ class Reference:
         self.stored = set(self.sentences)
         self.floor, self.edges = floor, edges
         self.relations = sorted({r for _, r, _ in self.triplets})
-        self.soc = cache(self.soc)
+        self.mentioned = cache(self.mentioned)
         self.poc = cache(self.poc)
         self.populations = {hyp: self.pairs(hyp) for hyp in HYPOTHESES}
 
@@ -91,8 +92,12 @@ class Reference:
     def templates(self, relation, anti):
         return sorted(t for r, t, a in self.patterns if (r, a) == (relation, anti))
 
+    def mentioned(self, surface):
+        """The positions of the sentences that mention `surface`, by a scan."""
+        return frozenset(i for i, s in enumerate(self.sentences) if mentions(s, surface))
+
     def soc(self, subject, obj):
-        return sum(mentions(s, subject) and mentions(s, obj) for s in self.sentences)
+        return len(self.mentioned(subject) & self.mentioned(obj))
 
     def poc(self, template, obj):
         left, right = template.replace("[Y]", obj).split("[X]")
@@ -194,6 +199,35 @@ class Reference:
             return (failed + unestimated)[0]
         return {"source_id": source, "ate": ate, "cate": cate, "diagnostics": diagnostics,
                 "series": None}
+
+
+def dynamics_text(ref, checkpoints):
+    """The structured report text of a dynamics run, or the error class and message it raises.
+
+    `checkpoints` holds each checkpoint's name, source id and records, in
+    the order the run takes them.
+    """
+    series, last = [], None
+    built = [hyp for hyp in HYPOTHESES if ref.populations[hyp][0]]
+    for stem, source_id, records in checkpoints:
+        result = ref.report(lambda hyp: (source_id, records))
+        entry = {"checkpoint": stem, "ate": None, "accuracy": None, "error": None}
+        if isinstance(result, dict):
+            last = result
+            entry["ate"] = result["ate"]
+            if "utt" in built:
+                keys = {(r.subject, r.relation, r.template)
+                        for r in chain.from_iterable(ref.populations["utt"][0])}
+                hits = sum(records[key] in ref.golds(*key[:2]) for key in keys)
+                entry["accuracy"] = hits / len(keys)
+        else:
+            entry["error"] = result[1]
+        series.append(entry)
+    if not built:
+        return "EmptyPopulationError", "utt population has no matched pairs"
+    if last is None:
+        return "MissingPredictionError", "no checkpoint produced a full estimate"
+    return text(dict(last, series=series))
 
 
 def effect(cells):
@@ -323,28 +357,8 @@ class TestAgainstTheReference:
     def test_dynamics(self, drawn, epochs, data):
         ref, raw = drawn
         checkpoints = [(f"ep{n}", *draw_records(data.draw, ref, f"ep{n}")) for n in epochs]
-        series, last = [], None
-        built = [hyp for hyp in HYPOTHESES if ref.populations[hyp][0]]
-        for stem, records, _ in sorted(checkpoints, key=lambda c: int(c[0][2:])):
-            result = ref.report(lambda hyp: (stem, records))
-            entry = {"checkpoint": stem, "ate": None, "accuracy": None, "error": None}
-            if isinstance(result, dict):
-                last = result
-                entry["ate"] = result["ate"]
-                if "utt" in built:
-                    keys = {(r.subject, r.relation, r.template)
-                            for r in chain.from_iterable(ref.populations["utt"][0])}
-                    hits = sum(records[key] in ref.golds(*key[:2]) for key in keys)
-                    entry["accuracy"] = hits / len(keys)
-            else:
-                entry["error"] = result[1]
-            series.append(entry)
-        if not built:
-            expected = ("EmptyPopulationError", "utt population has no matched pairs")
-        elif last is None:
-            expected = ("MissingPredictionError", "no checkpoint produced a full estimate")
-        else:
-            expected = text(dict(last, series=series))
+        expected = dynamics_text(ref, [(stem, stem, records) for stem, records, _ in
+                                       sorted(checkpoints, key=lambda c: int(c[0][2:]))])
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             for stem, _, lines in checkpoints:
@@ -355,3 +369,61 @@ class TestAgainstTheReference:
             for run in ("cold", "warm"):
                 got = outcome(lambda: run_dynamics(config, paths), tmp / f"{run}.json")
                 assert got == expected, run
+
+
+#: `perfbench/gen.py` inputs: (relations, subjects per relation, candidates
+#: per relation, sentences, co-mentions of the top subject) and a seed.
+GENERATED = [((2, 10, 5, 800, 20), seed) for seed in range(3)] + [((3, 20, 20, 2000, 40), 0)]
+
+
+def generated_records(path):
+    """A generated checkpoint's source id and its prediction of each key."""
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return lines[0]["source_id"], {
+        (norm(line["subject"]), norm(line["relation"]), norm(line["template"])):
+        norm(line["prediction"]) for line in lines
+    }
+
+
+class TestAtGeneratorShapes:
+    """The reference at the benchmark generator's shapes, which the draws above
+    lack: Zipf-skewed co-mentions, many strata, several paraphrases per
+    relation and more candidates than a sort keeps stable by accident."""
+
+    @pytest.mark.parametrize("shape, seed", GENERATED,
+                             ids=["x".join(map(str, shape[:4])) + f"-seed{seed}"
+                                  for shape, seed in GENERATED])
+    def test_estimate_and_warm_dynamics(self, tmp_path, shape, seed):
+        gen = load_generator()
+        sizes = gen.Sizes(*shape, checkpoints=(0.2, 0.6, 1.0))
+        corpus = gen.Corpus(sizes, seed)
+        paths = corpus.write(tmp_path / "in")
+        ref = Reference(corpus.triplets, corpus.patterns,
+                        paths["corpus"].read_text(encoding="utf-8"), 5, (1, 10, 100, 1000))
+        checkpoints = sorted(name for name in paths if name.startswith("checkpoint"))
+        keys = [(s, r, t) for r in ref.relations for s in ref.subjects(r)
+                for a in (False, True) for t in ref.templates(r, a)]
+        first = generated_records(paths[checkpoints[0]])
+        runs = {
+            "file": (str(paths[checkpoints[0]]), ref.report(lambda hyp: first)),
+            "heuristic": ("baseline:heuristic", ref.report(lambda hyp: (
+                f"heuristic-{hyp}", {key: ref.heuristic(hyp, *key) for key in keys}))),
+        }
+
+        def config(predictions, **settings):
+            return RunConfig(kb=str(paths["kb"]), patterns=str(paths["patterns"]),
+                             corpus=str(paths["corpus"]), predictions=predictions,
+                             min_poc_frequency=5, bin_edges=(1, 10, 100, 1000),
+                             output_dir=str(tmp_path / "out"), **settings)
+
+        for kind, (predictions, expected) in runs.items():
+            got = outcome(lambda: run_estimate(config(predictions)), tmp_path / f"{kind}.json")
+            assert got == text(expected), kind
+        expected = dynamics_text(ref, [(paths[name].stem, *generated_records(paths[name]))
+                                       for name in checkpoints])
+        dynamics = config("", cache_dir=str(tmp_path / "cache"))
+        # cold, then warm: the second run reads the cache entries the first wrote
+        for run in ("cold", "warm"):
+            got = outcome(lambda: run_dynamics(dynamics, [str(paths[name]) for name in checkpoints]),
+                          tmp_path / f"{run}.json")
+            assert got == expected, run
